@@ -97,14 +97,14 @@ class Grid:
     def ifft(self, fh: np.ndarray) -> np.ndarray:
         return np.fft.ifftn(fh)
 
+    def _key(self) -> tuple:
+        return (self.dim, self.n, self.box_length, self.epsilon)
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Grid)
-            and self.dim == other.dim
-            and self.n == other.n
-            and self.box_length == other.box_length
-            and self.epsilon == other.epsilon
-        )
+        return isinstance(other, Grid) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return (

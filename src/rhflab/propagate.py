@@ -9,6 +9,18 @@ is equivalent for ω = Σ|f_j><f_j|.  Two schemes:
                         two fixed-point passes (default scheme).
   rk4_frozen_field      classical RK4 on the coupled orbital system with the
                         mean field re-evaluated at every stage (cross-check).
+
+h(ω) is applied to an orbital block in one of two ways, chosen from the input
+alone.  The FFT path applies K as a Fourier multiplier, the direct term as a
+local field and the exchange as N² pair convolutions per block apply.  The
+dense path builds h(ω) once per mean field as the n×n Fock matrix of the SCF
+(`scf.fock_matrix`, trap included only with keep_trap) and applies it as one
+GEMM.  Dense is used only when all of these hold: the scheme is exponential
+midpoint (one build serves the ~16 matvecs of a step), exchange is on and the
+potential interacts, n^d <= scf.DENSE_SIZE_CAP, and 4·n^d <= N²·log2(n^d),
+where the pair FFTs outweigh the build.  Everything else (Hartree, RK4, small
+N, large 2D/3D grids) runs the FFT path, which is also the test reference.
+The two paths agree to rounding; artifacts differ only in the last bits.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ import numpy as np
 from .grids import Dispersion, Grid, PotentialSpec, convolve_potential
 from .krylov import expm_apply_block
 from .orbitals import OrbitalSet, reorthonormalize
+from .scf import DENSE_SIZE_CAP, fock_matrix
 
 __all__ = [
     "EvolutionConfig",
@@ -32,11 +45,14 @@ __all__ = [
     "step",
     "evolve",
     "pair_evolve",
+    "step_count",
     "suggested_dt_cap",
 ]
 
 GRAM_STEP_TOL = 1e-6
 FIXED_POINT_PASSES = 2
+# t_final - t0 must be a whole number of steps to this relative tolerance
+STEP_COUNT_RTOL = 1e-9
 
 
 class StepRejected(RuntimeError):
@@ -115,8 +131,36 @@ def suggested_dt_cap(grid: Grid, dispersion: Dispersion) -> float:
     return 0.1 * grid.epsilon / float(np.max(dispersion.symbol(grid)))
 
 
+def _dense_fock_pays(config: EvolutionConfig, potential: PotentialSpec, grid: Grid,
+                     n_particles: int) -> bool:
+    """Whether h(ω) is applied as a dense Fock matrix (see the module docstring)."""
+    return (config.scheme == "exponential_midpoint"
+            and config.exchange_on and potential.has_interaction()
+            and grid.size <= DENSE_SIZE_CAP
+            and 4 * grid.size <= n_particles**2 * np.log2(grid.size))
+
+
 def _mean_field_closure(source: np.ndarray, state: SimState):
     """h(ω_source) as a block closure on (B, *shape) field stacks."""
+    if _dense_fock_pays(state.config, state.potential, state.orbitals.grid,
+                        source.shape[0]):
+        return _fock_closure(source, state)
+    return _fft_closure(source, state)
+
+
+def _fock_closure(source: np.ndarray, state: SimState):
+    """h(ω_source) built once as the dense Fock matrix, applied as one GEMM."""
+    h_t = fock_matrix(source, state.orbitals.grid, state.potential,
+                      state.config.dispersion, state.config.keep_trap).T
+
+    def apply_h_block(fields: np.ndarray) -> np.ndarray:
+        return (fields.reshape(fields.shape[0], -1) @ h_t).reshape(fields.shape)
+
+    return apply_h_block
+
+
+def _fft_closure(source: np.ndarray, state: SimState):
+    """h(ω_source) with K and the N² exchange convolutions applied by FFT."""
     grid = state.orbitals.grid
     cfg = state.config
     pot = state.potential
@@ -224,12 +268,24 @@ def _emit(state: SimState, observers, series: dict) -> SimState:
     return state
 
 
+def step_count(t0: float, t_final: float, dt: float) -> int:
+    """Steps of dt from t0 to t_final; refuses a span that dt does not divide."""
+    if t_final < t0:
+        raise ValueError("t_final precedes current time")
+    steps = (t_final - t0) / dt
+    n_steps = int(round(steps))
+    if abs(steps - n_steps) > STEP_COUNT_RTOL * max(n_steps, 1):
+        raise ValueError(
+            f"t_final - t0 = {t_final - t0!r} is not a whole number of steps dt = {dt!r}"
+        )
+    return n_steps
+
+
 def evolve(state: SimState, observers: list | None = None) -> EvolveResult:
     """Run to t_final, sampling each observer at its cadence (plus t=0 and the end)."""
     observers = observers or []
     cfg = state.config
-    if cfg.t_final < state.time:
-        raise ValueError("t_final precedes current time")
+    n_steps = step_count(state.time, cfg.t_final, cfg.dt)
     cap = suggested_dt_cap(state.orbitals.grid, cfg.dispersion)
     if cfg.dt > cap:
         warnings.warn(
@@ -237,7 +293,6 @@ def evolve(state: SimState, observers: list | None = None) -> EvolveResult:
             stacklevel=2,
         )
     series = {obs.name: DiagnosticsSeries() for obs in observers}
-    n_steps = int(round((cfg.t_final - state.time) / cfg.dt))
     state = _emit(state, observers, series)
     for k in range(1, n_steps + 1):
         try:
@@ -278,7 +333,7 @@ def pair_evolve(state_a: SimState, state_b: SimState, comparator: str,
             raise ValueError(f"configs differ on {name!r}, not on the comparator axis")
 
     series = DiagnosticsSeries()
-    n_steps = int(round((state_a.config.t_final - state_a.time) / state_a.config.dt))
+    n_steps = step_count(state_a.time, state_a.config.t_final, state_a.config.dt)
     series.append(state_a.time, {"hs_distance_squared": hs_distance_squared(
         state_a.orbitals, state_b.orbitals)})
     for k in range(1, n_steps + 1):

@@ -8,8 +8,8 @@ A run produces a deterministic artifact set under the output directory:
   growth_fit.json, integrated_growth.json, manifest.json
 
 Exit status is nonzero iff a hard diagnostic failed (inequality margin below
-tolerance or an aborted evolution).  Re-running a scenario reproduces every
-artifact byte for byte.
+tolerance, an SCF preparation that did not converge, or an aborted
+evolution).  Re-running a scenario reproduces every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -136,6 +136,8 @@ def run(scenario: Scenario, out_dir) -> RunResult:
 
     checks_summary = _write_series_and_reports(scenario, result, reports, out_dir,
                                                grid, dispersion)
+    if scf_result is not None:
+        checks_summary["scf_converged"] = bool(scf_result.converged)
     hard_failure = result.aborted or any(not ok for ok in checks_summary.values())
 
     manifest = {

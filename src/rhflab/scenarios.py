@@ -16,6 +16,7 @@ import numpy as np
 
 from .containers import fmt17
 from .grids import Dispersion, Grid, PotentialSpec, gaussian_vhat, harmonic_trap
+from .propagate import step_count
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "load_scenario"]
 
@@ -171,6 +172,10 @@ class Scenario:
             raise ScenarioError("[model] m0 must be positive for massive dispersions")
         if v[("evolution", "dt")] <= 0 or v[("evolution", "t_final")] < 0:
             raise ScenarioError("[evolution] dt must be positive and t_final >= 0")
+        try:
+            step_count(0.0, v[("evolution", "t_final")], v[("evolution", "dt")])
+        except ValueError as exc:
+            raise ScenarioError(f"[evolution] {exc}") from None
 
     # --- physics object construction -------------------------------------
 

@@ -5,6 +5,10 @@ by damped self-consistent iteration with Aufbau occupation: the mean-field
 matrix is built densely (grid sizes capped at n^d <= 4096), diagonalized,
 and the lowest N eigenvectors occupied.  Mixing damps the density-matrix
 input of the mean field; every emitted iterate is an exact projection.
+
+The dense Fock builder is shared with the time stepper (`fock_matrix`),
+which caches its ω-independent parts, K (+ V_ext) and V(x_i - x_j), by
+grid, dispersion, potential and trap flag.
 """
 
 from __future__ import annotations
@@ -30,10 +34,14 @@ __all__ = [
     "mean_field_apply",
     "scf_minimize",
     "dense_one_body_matrix",
+    "fock_matrix",
     "DENSE_SIZE_CAP",
 ]
 
 DENSE_SIZE_CAP = 4096
+# budget of the static-matrix cache; the newest entry is kept even above it
+STATIC_CACHE_BYTES = 64 * 2**20
+_static_cache: dict = {}
 
 
 @dataclass
@@ -68,9 +76,11 @@ def hf_energy(orbs: OrbitalSet, potential: PotentialSpec, dispersion: Dispersion
               include_vext: bool = True, exchange_on: bool = True) -> float:
     """tr[(K + V_ext) ω] + (2N)^{-1} ∬ V(x-y)(ω(x,x)ω(y,y) - |ω(x,y)|^2).
 
-    Direct term computed spectrally from ρ; exchange as (1/2) Σ_j <f_j, X f_j>.
-    The flags select the functional conserved by the active flow: a quench
-    drops V_ext, the Hartree equation drops the exchange term.
+    Direct term computed spectrally from ρ; exchange (1/2) Σ_j <f_j, X f_j> as
+    (2N n^d)^{-1} Σ_{jk} Σ_p V̂(p) |FFT(conj(f_k) f_j)(p)|² dv, all N² pair
+    transforms in one batch.  The flags select the functional conserved by the
+    active flow: a quench drops V_ext, the Hartree equation drops the exchange
+    term.
     """
     grid = orbs.grid
     dv = grid.cell_volume
@@ -85,8 +95,14 @@ def hf_energy(orbs: OrbitalSet, potential: PotentialSpec, dispersion: Dispersion
     direct = 0.5 * n * float(np.sum(v_rho * rho) * dv)
     exchange = 0.0
     if exchange_on and potential.has_interaction():
-        for f in orbs.orbitals:
-            exchange += 0.5 * np.vdot(f, apply_exchange(orbs, potential, f)).real * dv
+        # |FFT(conj(f_k) f_j)(p)|² = |FFT(conj(f_j) f_k)(-p)|² and V̂ is even,
+        # so the pairs k <= j suffice, those with k < j counted twice
+        k, j = np.triu_indices(n)
+        axes = tuple(range(1, grid.dim + 1))
+        pair_hat = np.fft.fftn(np.conj(orbs.orbitals[k]) * orbs.orbitals[j], axes=axes)
+        weight = np.where(k == j, 0.5, 1.0).reshape(-1, *(1,) * grid.dim)
+        exchange = (dv / (n * grid.size)
+                    * float(np.sum(weight * potential.vhat_eff * np.abs(pair_hat) ** 2)))
     return float(one_body + direct - exchange)
 
 
@@ -129,6 +145,28 @@ def _lag_matrix(grid: Grid, potential: PotentialSpec) -> np.ndarray:
     return v_lag[tuple(diff)]
 
 
+def _static_matrices(grid: Grid, dispersion: Dispersion, potential: PotentialSpec,
+                     include_vext: bool) -> tuple:
+    """(K [+ V_ext], V(x_i - x_j) or None), read-only and cached by content."""
+    vext = potential.vext if include_vext else None
+    key = (grid, dispersion, potential.vhat_eff.tobytes(),
+           None if vext is None else vext.tobytes())
+    hit = _static_cache.pop(key, None)
+    if hit is None:
+        h0 = dense_one_body_matrix(grid, dispersion, vext)
+        v_lag = _lag_matrix(grid, potential) if potential.has_interaction() else None
+        hit = (h0, v_lag)
+        for a in hit:
+            if a is not None:
+                a.flags.writeable = False
+    _static_cache[key] = hit  # (re)inserted last: the dict is in LRU order
+    held = sum(a.nbytes for entry in _static_cache.values() for a in entry if a is not None)
+    while held > STATIC_CACHE_BYTES and len(_static_cache) > 1:
+        oldest = _static_cache.pop(next(iter(_static_cache)))
+        held -= sum(a.nbytes for a in oldest if a is not None)
+    return hit
+
+
 def _fock_matrix(h0: np.ndarray, v_lag_mat, dmat: np.ndarray, grid: Grid,
                  potential: PotentialSpec, n_particles: int) -> np.ndarray:
     """h(ω) on value vectors: h0 + diag(V*ρ) - X(ω)."""
@@ -137,8 +175,22 @@ def _fock_matrix(h0: np.ndarray, v_lag_mat, dmat: np.ndarray, grid: Grid,
     h = h0.copy()
     h[np.diag_indices(grid.size)] += v_rho
     if v_lag_mat is not None:
-        h -= v_lag_mat * dmat / n_particles
+        exchange = v_lag_mat * dmat
+        exchange /= n_particles
+        h -= exchange
     return h
+
+
+def fock_matrix(source: np.ndarray, grid: Grid, potential: PotentialSpec,
+                dispersion: Dispersion, include_vext: bool) -> np.ndarray:
+    """Dense h(ω) = K [+ V_ext] + V*ρ - X(ω) for ω = Σ_j |f_j><f_j|, f = source.
+
+    source is an (N, *grid.shape) orbital block; the result acts on
+    grid-value vectors.  The ω-independent parts come from the cache.
+    """
+    h0, v_lag = _static_matrices(grid, dispersion, potential, include_vext)
+    return _fock_matrix(h0, v_lag, _density_matrix(source, grid), grid, potential,
+                        source.shape[0])
 
 
 def _occupy(h: np.ndarray, n_particles: int, grid: Grid, aufbau: bool,
@@ -161,15 +213,14 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
     """Damped SCF with Aufbau occupation; returns the best (lowest-energy) iterate."""
     if n_particles > grid.size:
         raise ValueError("more particles than grid degrees of freedom")
+    # built here rather than taken from the cache: a run keeps no SCF matrices
     h0 = dense_one_body_matrix(grid, dispersion, potential.vext)
     v_lag_mat = _lag_matrix(grid, potential) if potential.has_interaction() else None
-    dv = grid.cell_volume
 
     phi = _occupy(h0, n_particles, grid, True, None)
     orbs = OrbitalSet(phi, grid, validate=False)
     energy = hf_energy(orbs, potential, dispersion)
-    flat = phi.reshape(n_particles, -1)
-    dmat = (flat.T @ flat.conj()) * dv
+    dmat = _density_matrix(phi, grid)
     d_mix = dmat.copy()
 
     energies = [energy]
@@ -188,8 +239,7 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
         phi = _occupy(h, n_particles, grid, config.aufbau, phi)
         orbs = OrbitalSet(phi, grid, validate=False)
         new_energy = hf_energy(orbs, potential, dispersion)
-        flat = phi.reshape(n_particles, -1)
-        dmat = (flat.T @ flat.conj()) * dv
+        dmat = _density_matrix(phi, grid)
         residual = float(np.linalg.norm(h @ dmat - dmat @ h, "fro"))
         energies.append(new_energy)
         residuals.append(residual)
@@ -211,9 +261,8 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
         alpha = mixing
 
     energy, orbs = best
-    h_final = _fock_matrix(h0, v_lag_mat, _projection_matrix(orbs), grid, potential,
-                           n_particles)
-    dmat = _projection_matrix(orbs)
+    dmat = _density_matrix(orbs.orbitals, grid)
+    h_final = _fock_matrix(h0, v_lag_mat, dmat, grid, potential, n_particles)
     stationarity = float(np.linalg.norm(h_final @ dmat - dmat @ h_final, "fro"))
     neps = n_particles * grid.epsilon
     comm_x = sum(trace_norm(commutator_with_position(orbs, a)) for a in range(grid.dim))
@@ -232,6 +281,7 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
     )
 
 
-def _projection_matrix(orbs: OrbitalSet) -> np.ndarray:
-    flat = orbs.orbitals.reshape(orbs.n_particles, -1)
-    return (flat.T @ flat.conj()) * orbs.grid.cell_volume
+def _density_matrix(phi: np.ndarray, grid: Grid) -> np.ndarray:
+    """Σ_j f_j(x) conj(f_j(y)) dv on value vectors, from an (N, *shape) block."""
+    flat = phi.reshape(phi.shape[0], -1)
+    return (flat.T @ flat.conj()) * grid.cell_volume

@@ -3,6 +3,7 @@ import pytest
 
 from rhflab.grids import (
     Dispersion,
+    Grid,
     PotentialSpec,
     apply_inverse_sqrt_kinetic,
     apply_kinetic,
@@ -54,6 +55,17 @@ class TestMakeGrid:
             make_grid(1, 16, 1.0, 0.0)
         with pytest.raises(ValueError):
             make_grid(4, 16, 1.0, 1.0)
+
+    def test_hash_consistent_with_eq(self):
+        a = Grid(2, 16, 3.0, 0.25)
+        b = Grid(2, 16, 3.0, 0.25)
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        table = {a: "first"}
+        assert table[b] == "first"
+        for other in (Grid(1, 16, 3.0, 0.25), Grid(2, 32, 3.0, 0.25),
+                      Grid(2, 16, 4.0, 0.25), Grid(2, 16, 3.0, 0.5)):
+            assert other != a and other not in table
 
 
 class TestApplyKinetic:

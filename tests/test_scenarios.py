@@ -109,6 +109,10 @@ class TestScenarioParse:
         with pytest.raises(ScenarioError, match=r"\[evolution\] dt"):
             parse_scenario(smoke_text({("evolution", "dt"): "tiny"}))
 
+    def test_t_final_not_a_multiple_of_dt_rejected(self):
+        with pytest.raises(ScenarioError, match="whole number of steps"):
+            parse_scenario(smoke_text({("evolution", "t_final"): 0.005}))
+
     def test_hash_changes_iff_config_changes(self):
         a = parse_scenario(smoke_text())
         b = parse_scenario(smoke_text())
@@ -167,6 +171,7 @@ class TestRunner:
         scenario = load_scenario(SMOKE)
         result = run(scenario, tmp_path / "out")
         assert result.exit_code == 0
+        assert result.manifest["checks"]["scf_converged"] is True
         out = tmp_path / "out"
         for name in ("initial_state.rhfs", "final_state.rhfs", "manifest.json",
                      "scf_trace.csv", "conservation.csv", "commutators.csv"):
@@ -175,6 +180,20 @@ class TestRunner:
         assert (out / "checkpoints").is_dir()
         sidecar = (out / "final_state.rhfs.meta.txt").read_text()
         assert result.manifest["config_hash"] in sidecar
+
+    def test_unconverged_scf_fails_run(self, tmp_path):
+        text = smoke_text({
+            ("potential", "trap"): "harmonic",
+            ("preparation", "kind"): "scf",
+            ("preparation", "max_iterations"): 1,
+        })
+        result = run(parse_scenario(text), tmp_path / "out")
+        assert result.manifest["preparation"]["converged"] is False
+        assert result.manifest["checks"]["scf_converged"] is False
+        assert result.manifest["status"] == "failed"
+        assert result.exit_code == 1
+        manifest = load_json(tmp_path / "out" / "manifest.json")
+        assert manifest["checks"]["scf_converged"] is False
 
     def test_rerun_byte_identical(self, tmp_path):
         scenario = load_scenario(SMOKE)

@@ -12,6 +12,7 @@ from rhflab.grids import (
 )
 from rhflab.orbitals import (
     OrbitalSet,
+    apply_exchange,
     fermi_sea,
     fermi_sea_freqs,
     hs_distance_squared,
@@ -80,6 +81,21 @@ class TestHfEnergy:
         ref = dense_hf_energy(orbs, pot, disp)
         val = hf_energy(orbs, pot, disp)
         assert abs(val - ref) <= 1e-8 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64, 2.0 * np.pi, 0.1),
+                                      Grid(2, 16, 2.0 * np.pi, 0.25)])
+    def test_exchange_matches_per_orbital_loop(self, grid):
+        disp = Dispersion.relativistic(1.0)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 0.8), vext=harmonic_trap(grid, 1.0),
+                            coupling=0.7)
+        orbs = random_orbital_set(grid, 6, seed=44)
+        loop = 0.0
+        for f in orbs.orbitals:
+            loop += 0.5 * np.vdot(f, apply_exchange(orbs, pot, f)).real * grid.cell_volume
+        with_x = hf_energy(orbs, pot, disp)
+        without_x = hf_energy(orbs, pot, disp, exchange_on=False)
+        assert loop > 0.0
+        assert abs((without_x - with_x) - loop) <= 1e-13 * abs(with_x)
 
     def test_positive_kernel_lower_bound(self, grid64):
         # with vhat >= 0 the exchange never beats the direct term: E >= N m0
