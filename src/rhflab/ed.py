@@ -13,12 +13,26 @@ gap series tr|γ(t) - ω(t)|²_HS carries no discretization mismatch.
 ε is an independent dial here (never tied to a particle-number rule): the
 joint semiclassical scaling is out of reach at 2-3 particles, so N-scans and
 ε-scans are run separately.
+
+FockBasis tables, built once: int64 occupation masks in lexicographic subset
+order (bit m = mode m), the occupations occupied[m, i] and the int8 prefix
+counts below[m, i], the number of occupied modes below m in state i.  Each
+operator on mode m, applied right to left, gives (-1)^(occupied modes below m),
+so from state i's own counts a†_q a_p gives (-1)^(below[p,i] + below[q,i] +
+[p<q]), and a†_c a†_d a_b a_a with a<b, c<d gives (-1)^(below[a,i] +
+below[b,i] + below[c,i] + below[d,i] + 1 + [a<c] + [a<d] + [b<c] + [b<d]),
+the brackets correcting for the modes already moved.  Only parities matter,
+so the counts are combined with XOR.  No state lookup is needed: two equal-size
+subsets compare as their smallest differing element, so R ∪ S -> R ∪ S' (R
+disjoint from S and S') preserves the order, and the states holding S but
+not S' map in enumeration order onto those holding S' but not S.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 import scipy.linalg
@@ -36,17 +50,12 @@ __all__ = [
     "fermi_sea_modes",
     "hf_mode_evolution",
     "mean_field_gap",
-    "total_frequency",
     "BASIS_CAP",
 ]
 
 BASIS_CAP = 1_000_000
-
-
-def _parity_below(mask: int, mode: int) -> int:
-    """+1/-1 sign from the occupied modes below `mode`."""
-    below = mask & ((1 << mode) - 1)
-    return -1 if bin(below).count("1") % 2 else 1
+# int64 occupation masks, one bit per mode, the sign bit untouched
+MAX_MODES = 62
 
 
 class FockBasis:
@@ -59,49 +68,45 @@ class FockBasis:
     def __init__(self, n_modes: int, n_particles: int, box_length: float):
         if n_particles < 1 or n_particles > n_modes:
             raise ValueError("need 1 <= n_particles <= n_modes")
-        from math import comb
-
+        if n_modes > MAX_MODES:
+            raise ValueError(f"n_modes={n_modes} exceeds {MAX_MODES} (int64 occupation masks)")
         if comb(n_modes, n_particles) > BASIS_CAP:
-            raise ValueError(
-                f"basis size C({n_modes},{n_particles}) exceeds cap {BASIS_CAP}"
-            )
+            raise ValueError(f"basis size C({n_modes},{n_particles}) exceeds cap {BASIS_CAP}")
         self.n_modes = n_modes
         self.n_particles = n_particles
         self.box_length = float(box_length)
         self.freqs = np.fft.fftfreq(n_modes, d=1.0 / n_modes).astype(int)
         self.momenta = 2.0 * np.pi * self.freqs / box_length
-        self.freq_to_mode = {int(f): i for i, f in enumerate(self.freqs)}
         self.subsets = list(itertools.combinations(range(n_modes), n_particles))
-        self.masks = [sum(1 << m for m in s) for s in self.subsets]
-        self.index = {mask: i for i, mask in enumerate(self.masks)}
+        modes = np.array(self.subsets, dtype=np.int64)
+        self.masks = np.bitwise_or.reduce(np.int64(1) << modes, axis=1)
+        self.occupied = ((self.masks >> np.arange(n_modes)[:, None]) & 1).astype(bool)
+        self.below = np.cumsum(self.occupied, axis=0, dtype=np.int8) - self.occupied
 
     @property
     def size(self) -> int:
         return len(self.subsets)
 
 
-def total_frequency(basis: FockBasis, state_index: int) -> int:
-    return int(sum(basis.freqs[m] for m in basis.subsets[state_index]))
+def _interaction_table(basis: FockBasis, vhat, coupling: float):
+    """(partner, coef) over [a, b, c] for the terms coef·a†_c a†_d a_b a_a.
 
-
-def _interaction_terms(basis: FockBasis, vhat, coupling: float):
-    """(a, b, c, d, coef) for coef·a†_c a†_d a_b a_a, all modes retained."""
+    partner[a, b, c] is the mode d with f_a + f_b = f_c + f_d, or -1 when d is
+    not retained, a == b or c == d; coef is 0 wherever partner is -1.
+    """
+    m = basis.n_modes
+    f = basis.freqs
+    modes = np.arange(m)
+    fd = f[:, None, None] + f[None, :, None] - f[None, None, :]
+    d = fd % m  # FFT layout: frequency f sits at mode f mod M
+    retained = ((fd >= f.min()) & (fd <= f.max())
+                & (modes[:, None, None] != modes[None, :, None]) & (d != modes))
+    partner = np.where(retained, d, -1)
     prefactor = coupling / (2.0 * basis.n_particles * basis.box_length)
-    terms = []
-    for a in range(basis.n_modes):
-        for b in range(basis.n_modes):
-            if a == b:
-                continue
-            fab = basis.freqs[a] + basis.freqs[b]
-            for c in range(basis.n_modes):
-                d = basis.freq_to_mode.get(int(fab - basis.freqs[c]))
-                if d is None or c == d:
-                    continue
-                q = basis.momenta[c] - basis.momenta[a]
-                coef = prefactor * float(vhat(abs(q)))
-                if coef != 0.0:
-                    terms.append((a, b, c, d, coef))
-    return terms
+    q = basis.momenta[None, :] - basis.momenta[:, None]
+    vq = np.array([[float(vhat(abs(x))) for x in row] for row in q])
+    coef = np.where(retained, prefactor * vq[:, None, :], 0.0)
+    return partner, coef
 
 
 def build_hamiltonian(basis: FockBasis, dispersion: Dispersion, epsilon: float,
@@ -109,31 +114,40 @@ def build_hamiltonian(basis: FockBasis, dispersion: Dispersion, epsilon: float,
     """Sparse Hamiltonian on the N-particle sector.
 
     vhat maps |q| -> V̂(q) (real, even); the kinetic symbol is evaluated at
-    ε·|p| per mode.
+    ε·|p| per mode.  The four orderings of each term are summed onto a < b,
+    c < d, then applied to every state holding a and b at once.
     """
+    occ, below = basis.occupied, basis.below
     sym = dispersion.symbol_values(epsilon * np.abs(basis.momenta))
-    h = scipy.sparse.lil_matrix((basis.size, basis.size), dtype=complex)
-    for i, mask in enumerate(basis.masks):
-        h[i, i] += float(sum(sym[m] for m in basis.subsets[i]))
-    for a, b, c, d, coef in _interaction_terms(basis, vhat, coupling):
-        bit_a, bit_b, bit_c, bit_d = 1 << a, 1 << b, 1 << c, 1 << d
-        for i, mask in enumerate(basis.masks):
-            if not (mask & bit_a):
-                continue
-            m1 = mask ^ bit_a
-            if not (m1 & bit_b):
-                continue
-            sign = _parity_below(mask, a) * _parity_below(m1, b)
-            m2 = m1 ^ bit_b
-            if m2 & bit_d:
-                continue
-            sign *= _parity_below(m2, d)
-            m3 = m2 | bit_d
-            if m3 & bit_c:
-                continue
-            sign *= _parity_below(m3, c)
-            h[basis.index[m3 | bit_c], i] += coef * sign
-    return h.tocsr()
+    partner, coef = _interaction_table(basis, vhat, coupling)
+    diagonal = sym @ occ
+    rows, cols, vals = [], [], []
+    for a in range(basis.n_modes):
+        for b in range(a + 1, basis.n_modes):
+            held = occ[a] & occ[b]
+            for c in np.flatnonzero(partner[a, b] > np.arange(basis.n_modes)).tolist():
+                d = int(partner[a, b, c])
+                # summed in the order the four orderings are enumerated
+                w = ((coef[a, b, c] - coef[a, b, d]) - coef[b, a, c]) + coef[b, a, d]
+                if w == 0.0:
+                    continue
+                if (c, d) == (a, b):
+                    diagonal[held] += w
+                    continue
+                src = np.flatnonzero(held & ~(occ[c] | occ[d]))
+                parity = (below[a, src] ^ below[b, src] ^ below[c, src] ^ below[d, src]
+                          ^ (1 + (a < c) + (a < d) + (b < c) + (b < d))) & 1
+                # the targets, in the order of their sources (module docstring)
+                rows.append(np.flatnonzero(occ[c] & occ[d] & ~(occ[a] | occ[b])))
+                cols.append(src)
+                vals.append(np.where(parity, -w, w))
+    states = np.arange(basis.size)
+    ij = (np.concatenate(rows + [states]).astype(np.int32),
+          np.concatenate(cols + [states]).astype(np.int32))
+    h = scipy.sparse.coo_matrix((np.concatenate(vals + [diagonal]), ij),
+                                shape=(basis.size,) * 2, dtype=complex).tocsr()
+    h.eliminate_zeros()
+    return h
 
 
 def slater_vector(basis: FockBasis, mode_subset) -> np.ndarray:
@@ -141,11 +155,10 @@ def slater_vector(basis: FockBasis, mode_subset) -> np.ndarray:
     subset = tuple(sorted(int(m) for m in mode_subset))
     if len(subset) != basis.n_particles or len(set(subset)) != len(subset):
         raise ValueError(f"mode subset must contain {basis.n_particles} distinct modes")
-    mask = sum(1 << m for m in subset)
-    if mask not in basis.index:
+    if subset[0] < 0 or subset[-1] >= basis.n_modes:
         raise ValueError("mode subset outside the basis")
     vec = np.zeros(basis.size, dtype=complex)
-    vec[basis.index[mask]] = 1.0
+    vec[basis.masks == sum(1 << m for m in subset)] = 1.0
     return vec
 
 
@@ -164,40 +177,51 @@ def evolve_exact(vector: np.ndarray, hamiltonian, t: float, epsilon: float,
 
 
 def reduced_density_1(vector: np.ndarray, basis: FockBasis) -> np.ndarray:
-    """One-particle reduced density γ[p, q] = <a†_q a_p>; Hermitian, tr = N."""
+    """One-particle reduced density γ[p, q] = <a†_q a_p>; Hermitian, tr = N.
+
+    Each pair p < q pairs the states holding p but not q with their targets
+    in order (module docstring); the lower triangle is the conjugate.
+    """
     vector = np.asarray(vector, dtype=complex)
-    gamma = np.zeros((basis.n_modes, basis.n_modes), dtype=complex)
-    for i, mask in enumerate(basis.masks):
-        c = vector[i]
-        if c == 0.0:
-            continue
-        for p in basis.subsets[i]:
-            sign_p = _parity_below(mask, p)
-            m1 = mask ^ (1 << p)
-            for q in range(basis.n_modes):
-                bit_q = 1 << q
-                if m1 & bit_q:
-                    continue
-                sign = sign_p * _parity_below(m1, q)
-                j = basis.index[m1 | bit_q]
-                gamma[p, q] += sign * c * np.conj(vector[j])
-    return gamma
+    occ, below = basis.occupied, basis.below
+    gamma = np.diag(occ @ np.abs(vector) ** 2).astype(complex)
+    for p in range(basis.n_modes):
+        for q in range(p + 1, basis.n_modes):
+            src = np.flatnonzero(occ[p] & ~occ[q])
+            sign = 1 - 2 * ((below[p, src] ^ below[q, src] ^ 1) & 1)
+            dst = np.flatnonzero(occ[q] & ~occ[p])
+            gamma[p, q] = np.dot(sign * vector[src], vector[dst].conj())
+    return gamma + np.triu(gamma, 1).conj().T
 
 
 @dataclass
 class ModeMeanField:
-    """Dense mean-field machinery on the mode set (the HF comparison leg)."""
+    """Dense mean-field machinery on the mode set (the HF comparison leg).
+
+    `interaction` is the real sparse M²×M² matrix taking γ.ravel() to the
+    direct-minus-exchange part of h(γ).ravel(); `energy` uses the same matrix.
+    """
 
     basis: FockBasis
     dispersion: Dispersion
     epsilon: float
     vhat: object
     coupling: float = 1.0
-    terms: list = field(init=False)
+    interaction: scipy.sparse.csr_matrix = field(init=False)
     kinetic: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.terms = _interaction_terms(self.basis, self.vhat, self.coupling)
+        m = self.basis.n_modes
+        partner, coef = _interaction_table(self.basis, self.vhat, self.coupling)
+        a, b, c = np.nonzero(coef)
+        d = partner[a, b, c]
+        w = coef[a, b, c]
+        # h[c,a] += w γ[b,d];  h[d,b] += w γ[a,c];  h[c,b] -= w γ[a,d];  h[d,a] -= w γ[b,c]
+        rows = np.concatenate([c * m + a, d * m + b, c * m + b, d * m + a])
+        cols = np.concatenate([b * m + d, a * m + c, a * m + d, b * m + c])
+        self.interaction = scipy.sparse.csr_matrix(
+            (np.concatenate([w, w, -w, -w]), (rows, cols)), shape=(m * m, m * m)
+        )
         self.kinetic = self.dispersion.symbol_values(
             self.epsilon * np.abs(self.basis.momenta)
         )
@@ -206,19 +230,14 @@ class ModeMeanField:
         return orbitals.T @ orbitals.conj()
 
     def mean_field(self, gamma: np.ndarray) -> np.ndarray:
-        h = np.diag(self.kinetic).astype(complex)
-        for a, b, c, d, coef in self.terms:
-            h[c, a] += coef * gamma[b, d]
-            h[d, b] += coef * gamma[a, c]
-            h[c, b] -= coef * gamma[a, d]
-            h[d, a] -= coef * gamma[b, c]
-        return h
+        m = self.basis.n_modes
+        return np.diag(self.kinetic) + (self.interaction @ gamma.ravel()).reshape(m, m)
 
     def energy(self, gamma: np.ndarray) -> float:
+        """Σ kinetic·γ_pp + ½ tr(h_int(γ) γ), real part."""
         e = float(np.sum(self.kinetic * gamma.diagonal().real))
-        for a, b, c, d, coef in self.terms:
-            e += coef * (gamma[a, c] * gamma[b, d] - gamma[b, c] * gamma[a, d]).real
-        return e
+        h_int = self.interaction @ gamma.ravel()
+        return e + 0.5 * float(np.real(h_int @ gamma.T.ravel()))
 
     def step(self, orbitals: np.ndarray, dt: float) -> np.ndarray:
         """Exponential midpoint with two fixed-point passes at the half step."""
@@ -257,31 +276,6 @@ def hf_mode_evolution(basis: FockBasis, dispersion: Dispersion, epsilon: float,
             times.append(k * dt)
             gammas.append(mf.gamma_of(orbitals))
     return np.asarray(times), gammas
-
-
-def dump_instance(path, basis: FockBasis, hamiltonian=None, max_size: int = 4096) -> None:
-    """JSON dump of a basis (and optionally the Hamiltonian); small instances only."""
-    import json
-    from pathlib import Path
-
-    if basis.size > max_size:
-        raise ValueError(f"instance too large to dump ({basis.size} > {max_size})")
-    payload = {
-        "n_modes": basis.n_modes,
-        "n_particles": basis.n_particles,
-        "box_length": basis.box_length,
-        "frequencies": [int(f) for f in basis.freqs],
-        "states": [list(s) for s in basis.subsets],
-    }
-    if hamiltonian is not None:
-        coo = hamiltonian.tocoo()
-        payload["hamiltonian"] = {
-            "rows": [int(i) for i in coo.row],
-            "cols": [int(j) for j in coo.col],
-            "re": [float(v.real) for v in coo.data],
-            "im": [float(v.imag) for v in coo.data],
-        }
-    Path(path).write_text(json.dumps(payload, sort_keys=True))
 
 
 def mean_field_gap(gamma_series, hf_series) -> np.ndarray:

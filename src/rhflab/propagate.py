@@ -294,9 +294,10 @@ def evolve(state: SimState, observers: list | None = None) -> EvolveResult:
         )
     series = {obs.name: DiagnosticsSeries() for obs in observers}
     state = _emit(state, observers, series)
+    t0 = state.time
     for k in range(1, n_steps + 1):
         try:
-            state = step(state)
+            state = replace(step(state), time=t0 + k * cfg.dt)
         except StepRejected as exc:
             return EvolveResult(state, series, aborted=True, abort_reason=str(exc))
         due = [obs for obs in observers if k % obs.cadence == 0 or k == n_steps]
@@ -336,9 +337,10 @@ def pair_evolve(state_a: SimState, state_b: SimState, comparator: str,
     n_steps = step_count(state_a.time, state_a.config.t_final, state_a.config.dt)
     series.append(state_a.time, {"hs_distance_squared": hs_distance_squared(
         state_a.orbitals, state_b.orbitals)})
+    t0, dt = state_a.time, state_a.config.dt
     for k in range(1, n_steps + 1):
-        state_a = step(state_a)
-        state_b = step(state_b)
+        state_a = replace(step(state_a), time=t0 + k * dt)
+        state_b = replace(step(state_b), time=t0 + k * dt)
         if k % cadence == 0 or k == n_steps:
             series.append(state_a.time, {"hs_distance_squared": hs_distance_squared(
                 state_a.orbitals, state_b.orbitals)})

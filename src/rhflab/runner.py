@@ -9,7 +9,8 @@ A run produces a deterministic artifact set under the output directory:
 
 Exit status is nonzero iff a hard diagnostic failed (inequality margin below
 tolerance, an SCF preparation that did not converge, or an aborted
-evolution).  Re-running a scenario reproduces every artifact byte for byte.
+evolution).  Re-running a scenario at the same BLAS thread count reproduces
+every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .containers import dump_json, fmt17, load_orbitals, save_orbitals, write_csv
@@ -42,6 +44,7 @@ from .scf import ScfConfig, hf_energy, scf_minimize
 __all__ = ["RunResult", "run", "run_file", "sweep", "WORKERS_ENV"]
 
 WORKERS_ENV = "RHFLAB_WORKERS"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SWEEP_AXES = {
     "N": ("model", "n_particles"),
     "m0": ("model", "m0"),
@@ -143,7 +146,10 @@ def run(scenario: Scenario, out_dir) -> RunResult:
     manifest = {
         "scenario": scenario.name,
         "config_hash": config_hash,
-        "versions": {"rhflab": __version__, "numpy": np.__version__},
+        # LAPACK results, and so artifact bytes, can depend on the thread count
+        "versions": {"rhflab": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__,
+                     "threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS}},
         "config": scenario.canonical_lines(),
         "status": "aborted" if result.aborted else ("failed" if hard_failure else "ok"),
         "abort_reason": result.abort_reason,

@@ -283,6 +283,18 @@ class TestStepCount:
         assert result.state.step_index == n_steps
         assert abs(result.state.time - t_final) <= 1e-12
 
+    def test_time_is_t0_plus_k_dt(self, grid32):
+        # summing dt a thousand times gives 1.0000000000000007
+        pot = PotentialSpec(grid32, np.zeros(grid32.shape))
+        orbs = OrbitalSet(plane_wave(grid32, [1])[None, :], grid32)
+        state = make_state(grid32, orbs, pot, dt=1e-3, t_final=1.0)
+        probe = Observer("probe", 250, lambda s: {"t": s.time})
+        result = evolve(state, [probe])
+        assert result.state.time == 1.0
+        assert list(result.series["probe"].times) == [0.0, 0.25, 0.5, 0.75, 1.0]
+        series = pair_evolve(state, state, "scheme", cadence=500)
+        assert list(series.times) == [0.0, 0.5, 1.0]
+
 
 DENSE_CASES = [
     (Grid(1, 64, 4.0 * np.pi, 1.0 / 8.0), 8),

@@ -181,6 +181,19 @@ class TestRunner:
         sidecar = (out / "final_state.rhfs.meta.txt").read_text()
         assert result.manifest["config_hash"] in sidecar
 
+    def test_manifest_records_scipy_and_blas_threads(self, tmp_path, monkeypatch):
+        import scipy
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        run(load_scenario(SMOKE), tmp_path / "out")
+        versions = load_json(tmp_path / "out" / "manifest.json")["versions"]
+        assert versions["scipy"] == scipy.__version__
+        assert versions["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert versions["threads"]["MKL_NUM_THREADS"] is None
+        assert set(versions["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                            "MKL_NUM_THREADS"}
+
     def test_unconverged_scf_fails_run(self, tmp_path):
         text = smoke_text({
             ("potential", "trap"): "harmonic",
