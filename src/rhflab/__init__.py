@@ -7,14 +7,13 @@ Vlasov solver, and an exact-diagonalization oracle for small particle numbers.
 
 __version__ = "0.1.0"
 
-from .grids import Dispersion, Grid, PotentialSpec, make_grid
+from .grids import Dispersion, Grid, PotentialSpec
 from .orbitals import LowRankOperator, OrbitalSet
 
 __all__ = [
     "Dispersion",
     "Grid",
     "PotentialSpec",
-    "make_grid",
     "LowRankOperator",
     "OrbitalSet",
     "__version__",

@@ -1,7 +1,7 @@
 """Commutator diagnostics, proof-chain inequality checks and the Wigner transform.
 
 Every inequality from the propagation argument becomes a runtime check on
-factored rank <= 2N operators:
+commutator trace norms:
 
   phase bound        tr|[e^{ip·x}, ω]| <= (1 + |p|) Σ_a tr|[x_a, ω]|
   exchange bound     tr|[ω, [X, x_a]]| <= (2 ‖V̂‖₁/N) tr|[ω, x_a]|
@@ -9,6 +9,11 @@ factored rank <= 2N operators:
 
 plus integrated Gronwall-style audits of the commutator growth and a
 least-squares exponential envelope fit C·N·ε·exp(c|t|).
+
+Each tr|[A, ω]| is taken one-sided, from the fields A f_j, as
+‖(1-ω)Aω‖₁ + ‖(1-ω)A†ω‖₁ (`orbitals.commutator_trace_norm`).  That identity
+needs ω to be a projection, i.e. orthonormal orbitals; the propagator hands
+every observer a Löwdin-reorthonormalized state.
 """
 
 from __future__ import annotations
@@ -18,17 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, PotentialSpec
-from .orbitals import (
-    LowRankOperator,
-    OrbitalSet,
-    apply_exchange,
-    commutator_with_momentum,
-    commutator_with_phase,
-    commutator_with_position,
-    seam_mass,
-    trace_norm,
-)
+from .grids import Grid, PotentialSpec, plane_wave
+from .orbitals import OrbitalSet, apply_exchange, commutator_trace_norm, seam_mass
 
 __all__ = [
     "GrowthFit",
@@ -64,22 +60,40 @@ def _warn_seam(orbs: OrbitalSet) -> float:
     return mass
 
 
+def _multiplier_fields(orbs: OrbitalSet, mult: np.ndarray) -> np.ndarray:
+    """A Fourier multiplier applied to every orbital in one batched FFT pair."""
+    axes = tuple(range(1, orbs.grid.dim + 1))
+    return np.fft.ifftn(mult * np.fft.fftn(orbs.orbitals, axes=axes), axes=axes)
+
+
+def _comm_x(orbs: OrbitalSet, axis: int) -> float:
+    """tr|[x_a, ω]|; x_a is self-adjoint."""
+    return commutator_trace_norm(orbs, orbs.grid.x_mesh[axis] * orbs.orbitals)
+
+
+def _comm_grad(orbs: OrbitalSet, axis: int) -> float:
+    """tr|[ε∂_a, ω]|; ε∂_a is skew-adjoint."""
+    grid = orbs.grid
+    return commutator_trace_norm(
+        orbs, _multiplier_fields(orbs, 1j * grid.epsilon * grid.p_mesh[axis]))
+
+
 def commutator_channels(orbs: OrbitalSet) -> dict:
     """Per-axis tr|[x_a, ω]| and tr|[ε∂_a, ω]| plus the seam validity metric."""
     mass = _warn_seam(orbs)
     out = {"seam_mass": mass}
     for a in range(orbs.grid.dim):
-        out[f"comm_x_{a}"] = trace_norm(commutator_with_position(orbs, a))
-        out[f"comm_grad_{a}"] = trace_norm(commutator_with_momentum(orbs, a))
+        out[f"comm_x_{a}"] = _comm_x(orbs, a)
+        out[f"comm_grad_{a}"] = _comm_grad(orbs, a)
     return out
 
 
 def comm_x_total(orbs: OrbitalSet) -> float:
-    return sum(trace_norm(commutator_with_position(orbs, a)) for a in range(orbs.grid.dim))
+    return sum(_comm_x(orbs, a) for a in range(orbs.grid.dim))
 
 
 def comm_grad_total(orbs: OrbitalSet) -> float:
-    return sum(trace_norm(commutator_with_momentum(orbs, a)) for a in range(orbs.grid.dim))
+    return sum(_comm_grad(orbs, a) for a in range(orbs.grid.dim))
 
 
 def default_phase_samples(grid: Grid, count: int = 16) -> list[tuple]:
@@ -108,22 +122,16 @@ def exp_bound_check(orbs: OrbitalSet, p_samples: list) -> dict:
     for freq in p_samples:
         freq = tuple(freq)
         p_abs = 2.0 * np.pi * float(np.linalg.norm(freq)) / grid.box_length
-        lhs = trace_norm(commutator_with_phase(orbs, freq))
+        # u = e^{ip·x} is unitary, so both sides have singular values
+        # sqrt(1 - s_k²), s_k those of <f_i, u f_j>: tr|[u, ω]| is twice one side
+        wave = plane_wave(grid, freq) * grid.box_length ** (grid.dim / 2.0)
+        lhs = commutator_trace_norm(orbs, wave * orbs.orbitals)
         rhs = (1.0 + p_abs) * base
         samples.append({"freq": list(freq), "p_abs": p_abs, "lhs": lhs, "rhs": rhs,
                         "margin": rhs - lhs})
     min_margin = min(s["margin"] for s in samples) if samples else 0.0
     return {"check": "exp_bound", "samples": samples, "min_margin": min_margin,
             "passed": bool(min_margin >= MARGIN_TOL)}
-
-
-def _commutator_with_antihermitian(orbs: OrbitalSet, op_apply) -> LowRankOperator:
-    """[ω, M] for anti-self-adjoint M (M† = -M), factored through M f_j."""
-    mf = np.stack([op_apply(f) for f in orbs.orbitals])
-    # ωM - Mω = Σ_j |f_j><M† f_j| - |M f_j><f_j|  with M† = -M
-    left = np.concatenate([orbs.orbitals, -mf])
-    right = np.concatenate([-mf, orbs.orbitals])
-    return LowRankOperator(left, right, orbs.grid)
 
 
 def exchange_double_commutator_check(orbs: OrbitalSet, potential: PotentialSpec) -> dict:
@@ -134,15 +142,12 @@ def exchange_double_commutator_check(orbs: OrbitalSet, potential: PotentialSpec)
     for a in range(grid.dim):
         x = grid.x_mesh[a]
 
-        def xmx(f, coord=x):
-            # [X, x] f; X and x are self-adjoint so the commutator is
-            # anti-self-adjoint as required by the factoring
-            return apply_exchange(orbs, potential, coord * f) - coord * apply_exchange(
-                orbs, potential, f
-            )
-
-        lhs = trace_norm(_commutator_with_antihermitian(orbs, xmx))
-        rhs = factor * trace_norm(commutator_with_position(orbs, a))
+        # [X, x] f_j orbital by orbital; X and x are self-adjoint, so [X, x]
+        # is skew-adjoint and tr|[ω, [X, x]]| is twice one side
+        xmx = np.stack([apply_exchange(orbs, potential, x * f)
+                        - x * apply_exchange(orbs, potential, f) for f in orbs.orbitals])
+        lhs = commutator_trace_norm(orbs, xmx)
+        rhs = factor * _comm_x(orbs, a)
         samples.append({"axis": a, "lhs": lhs, "rhs": rhs, "margin": rhs - lhs})
     min_margin = min(s["margin"] for s in samples)
     return {"check": "exchange_bound", "samples": samples, "min_margin": min_margin,
@@ -167,11 +172,8 @@ def kinetic_double_commutator_check(orbs: OrbitalSet, m0: float) -> dict:
         mult = -eps * (1j * eps * grid.p_mesh[a]) / np.sqrt(
             eps**2 * grid.p_squared + m0**2
         )
-
-        def bop(f, mult=mult):
-            return grid.ifft(mult * grid.fft(f))
-
-        lhs = trace_norm(_commutator_with_antihermitian(orbs, bop))
+        # a skew-adjoint multiplier: tr|[ω, B]| is twice one side
+        lhs = commutator_trace_norm(orbs, _multiplier_fields(orbs, mult))
         if lhs <= GROWTH_FLOOR:
             ratio = 0.0
         elif rhs_core <= GROWTH_FLOOR:

@@ -40,6 +40,7 @@ import scipy.sparse
 
 from .grids import Dispersion
 from .krylov import expm_apply
+from .propagate import step_count
 
 __all__ = [
     "FockBasis",
@@ -259,12 +260,13 @@ def hf_mode_evolution(basis: FockBasis, dispersion: Dispersion, epsilon: float,
 
     Returns (times, gammas): the sampled one-particle density matrices of the
     time-dependent mean-field state, aligned with evolve_exact sampling.
+    Raises ValueError when t_final is not a whole number of steps dt.
     """
     mf = ModeMeanField(basis, dispersion, epsilon, vhat, coupling)
     orbitals = np.zeros((basis.n_particles, basis.n_modes), dtype=complex)
     for row, m in enumerate(sorted(initial_modes)):
         orbitals[row, m] = 1.0
-    n_steps = int(round(t_final / dt))
+    n_steps = step_count(0.0, t_final, dt)
     times = [0.0]
     gammas = [mf.gamma_of(orbitals)]
     for k in range(1, n_steps + 1):

@@ -19,7 +19,6 @@ __all__ = [
     "Grid",
     "Dispersion",
     "PotentialSpec",
-    "make_grid",
     "apply_kinetic",
     "apply_inverse_sqrt_kinetic",
     "convolve_potential",
@@ -111,11 +110,6 @@ class Grid:
             f"Grid(dim={self.dim}, n={self.n}, L={self.box_length:g}, "
             f"epsilon={self.epsilon:g})"
         )
-
-
-def make_grid(dim: int, points_per_dim: int, box_length: float, epsilon: float) -> Grid:
-    """Build a periodic grid; see Grid for conventions."""
-    return Grid(dim, points_per_dim, box_length, epsilon)
 
 
 @dataclass(frozen=True)
@@ -255,12 +249,6 @@ def apply_inverse_sqrt_kinetic(f: np.ndarray, grid: Grid, m0: float) -> np.ndarr
     return grid.ifft(symbol * grid.fft(f))
 
 
-def convolve_complex(g: np.ndarray, grid: Grid, potential: PotentialSpec) -> np.ndarray:
-    """(V * g)(x) for complex g; used internally by the exchange operator."""
-    grid.check_field(g)
-    return grid.ifft(potential.vhat_eff * grid.fft(g))
-
-
 def convolve_potential(density: np.ndarray, grid: Grid, potential: PotentialSpec) -> np.ndarray:
     """Convolution (V * ρ)(x), returned as a real field.
 
@@ -271,7 +259,7 @@ def convolve_potential(density: np.ndarray, grid: Grid, potential: PotentialSpec
     grid.check_field(density)
     if np.iscomplexobj(density) and np.max(np.abs(density.imag)) > 1e-12:
         raise ValueError("density has an imaginary part beyond tolerance 1e-12")
-    out = convolve_complex(density.real.astype(float), grid, potential)
+    out = grid.ifft(potential.vhat_eff * grid.fft(density.real.astype(float)))
     return out.real
 
 

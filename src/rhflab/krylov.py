@@ -5,6 +5,12 @@ independent per vector but every matvec, inner product and small-matrix
 exponential runs batched, which is what makes propagating N orbitals
 through a shared mean field affordable.  Substeps are halved adaptively
 until the a-posteriori residual estimate clears the tolerance.
+
+The basis of a block solve is row-major, shape (b, m_max+1, n): row r's
+Krylov vectors are contiguous, so full reorthogonalization against the
+live slice basis[:, :m] and the final combination are batched matmuls.
+It comes from np.empty and each slab is written when the recurrence
+reaches it; a solve typically stops after about five of the m_max+1.
 """
 
 from __future__ import annotations
@@ -29,21 +35,26 @@ def _lanczos_block(matvec, v: np.ndarray, tau: float, weight: float,
     beta0 = _row_norms(v, weight)
     live = beta0 > 0.0
     safe0 = np.where(live, beta0, 1.0)
-    basis = np.zeros((m_max + 1, b, n), dtype=complex)
-    basis[0] = v / safe0[:, None]
+    # slab m is written before it is first read, so it needs no zeroing
+    basis = np.empty((b, m_max + 1, n), dtype=complex)
+    basis[:, 0] = v / safe0[:, None]
     alphas = np.zeros((m_max, b))
     betas = np.zeros((m_max, b))
     phases = None
     for m in range(1, m_max + 1):
-        w = matvec(basis[m - 1])
-        alpha = (np.sum(np.conj(basis[m - 1]) * w, axis=1) * weight).real
+        q = basis[:, m - 1]
+        w = matvec(q)
+        alpha = (np.sum(np.conj(q) * w, axis=1) * weight).real
         alphas[m - 1] = alpha
-        w = w - alpha[:, None] * basis[m - 1]
+        w = w - alpha[:, None] * q
         if m > 1:
-            w = w - betas[m - 2][:, None] * basis[m - 2]
-        # full reorthogonalization against the block history
-        dots = np.einsum("mbn,bn->mb", np.conj(basis[:m]), w) * weight
-        w = w - np.einsum("mb,mbn->bn", dots, basis[:m])
+            w = w - betas[m - 2][:, None] * basis[:, m - 2]
+        # full reorthogonalization against the row's history: conj(<w, q_k>)
+        # avoids conjugating the basis
+        live_basis = basis[:, :m]
+        dots = np.conj(np.matmul(np.conj(w)[:, None, :],
+                                 live_basis.transpose(0, 2, 1))) * weight
+        w = w - np.matmul(dots, live_basis)[:, 0]
         beta = _row_norms(w, weight)
         # assemble the per-row tridiagonals and their exp(-i tau T) e1 columns
         t_mat = np.zeros((b, m, m))
@@ -53,20 +64,20 @@ def _lanczos_block(matvec, v: np.ndarray, tau: float, weight: float,
             off = np.arange(m - 1)
             t_mat[:, off, off + 1] = betas[: m - 1].T
             t_mat[:, off + 1, off] = betas[: m - 1].T
-        lam, q = np.linalg.eigh(t_mat)
+        lam, q_t = np.linalg.eigh(t_mat)
         phases = np.einsum(
-            "bij,bj,bj->bi", q, np.exp(-1j * tau * lam), np.conj(q[:, 0, :])
+            "bij,bj,bj->bi", q_t, np.exp(-1j * tau * lam), np.conj(q_t[:, 0, :])
         )
         err = np.abs(beta * phases[:, -1] * tau)
         err = np.where(live, err, 0.0)
         degenerate = beta <= 1e-14 * (np.abs(alpha) + 1.0)
         if np.all(err <= tol_rows) or m == m_max:
             # rows with beta0 == 0 come back as zero rows, i.e. unchanged
-            out = np.einsum("bm,mbn->bn", phases, basis[:m]) * beta0[:, None]
+            out = np.matmul(phases[:, None, :], live_basis)[:, 0] * beta0[:, None]
             return out, err
         betas[m - 1] = np.where(degenerate, 0.0, beta)
         safe = np.where(degenerate, 1.0, beta)
-        basis[m] = np.where(degenerate[:, None], 0.0, w / safe[:, None])
+        basis[:, m] = np.where(degenerate[:, None], 0.0, w / safe[:, None])
     raise KrylovError("unreachable")
 
 

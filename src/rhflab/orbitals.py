@@ -4,6 +4,12 @@ A rank-N projection ω = Σ_j |f_j><f_j| is carried as its N orthonormal
 orbitals; commutators with position, momentum and plane-wave phases are
 rank ≤ 2N and are represented factored, so trace norms come from an
 r×r problem instead of an n^d × n^d kernel.
+
+For orthonormal orbitals ω is a projection and [A, ω] = (1-ω)Aω - ωA(1-ω)
+is block off-diagonal, so tr|[A, ω]| = ‖(1-ω)Aω‖₁ + ‖(1-ω)A†ω‖₁.  Each
+term is the nuclear norm of one n^d × N residual block built from the
+fields A f_j (`commutator_trace_norm`); the diagnostics use that form, and
+`trace_norm` on the factored commutators is the general one.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ __all__ = [
     "commutator_with_momentum",
     "commutator_with_phase",
     "trace_norm",
+    "commutator_trace_norm",
     "hs_norm",
     "reorthonormalize",
     "hs_distance_squared",
@@ -134,9 +141,6 @@ class LowRankOperator:
             self.grid,
         )
 
-    def scaled(self, c: complex) -> "LowRankOperator":
-        return LowRankOperator(c * self.left, self.right, self.grid)
-
     def apply(self, field: np.ndarray) -> np.ndarray:
         flat_r = self.right.reshape(self.rank, -1)
         coeffs = (flat_r.conj() @ field.reshape(-1)) * self.grid.cell_volume
@@ -163,6 +167,42 @@ def trace_norm(op: LowRankOperator, rank_cap: int = 4096) -> float:
     _, r2 = np.linalg.qr(rmat)
     svals = np.linalg.svd(r1 @ r2.conj().T, compute_uv=False)
     return float(np.sum(svals))
+
+
+def _one_sided_norm(orbs: OrbitalSet, flat: np.ndarray, a_flat: np.ndarray) -> float:
+    """‖(1-ω)Aω‖₁ from the flattened fields A f_j."""
+    dv = orbs.grid.cell_volume
+    coeffs = (flat.conj() @ a_flat.T) * dv          # <f_k, A f_j>
+    resid = a_flat - coeffs.T @ flat                # (1-ω) A f_j
+    # the N×N triangular factor of the tall block carries its singular
+    # values; reducing first is cheaper than an SVD of the whole block
+    svals = np.linalg.svd(np.linalg.qr(resid.T, mode="r"), compute_uv=False)
+    return float(np.sum(svals)) * np.sqrt(dv)
+
+
+def commutator_trace_norm(orbs: OrbitalSet, a_fields: np.ndarray,
+                          adjoint_fields: np.ndarray | None = None) -> float:
+    """tr|[A, ω]| from the fields A f_j (and A† f_j), one n^d × N block per side.
+
+    Requires orthonormal orbitals: then ω is a projection, [A, ω] is block
+    off-diagonal and tr|[A, ω]| = ‖(1-ω)Aω‖₁ + ‖(1-ω)A†ω‖₁, where
+    ‖(1-ω)Aω‖₁ is the sum of singular values of the residual block
+    g_j = A f_j - Σ_k f_k <f_k, A f_j>, scaled by sqrt(cell volume).  Pass
+    adjoint_fields = A† f_j unless the two sides are equal: A = ±A†, or A
+    unitary (both sides then have the singular values sqrt(1 - s_k²), s_k
+    those of the N×N matrix <f_i, A f_j>).  For a set that is only nearly
+    orthonormal the result is off by about its Gram deviation.
+    """
+    n_part = orbs.n_particles
+    for fields in (a_fields, adjoint_fields):
+        if fields is not None and fields.shape != orbs.orbitals.shape:
+            raise ValueError(f"fields of shape {fields.shape} do not match the "
+                             f"orbital block {orbs.orbitals.shape}")
+    flat = orbs.orbitals.reshape(n_part, -1)
+    first = _one_sided_norm(orbs, flat, a_fields.reshape(n_part, -1))
+    if adjoint_fields is None:
+        return 2.0 * first
+    return first + _one_sided_norm(orbs, flat, adjoint_fields.reshape(n_part, -1))
 
 
 def hs_norm(op: LowRankOperator) -> float:
@@ -233,14 +273,21 @@ def reorthonormalize(orbs: OrbitalSet, cond_cap: float = 1e8) -> OrbitalSet:
 
 
 def hs_distance_squared(a: OrbitalSet, b: OrbitalSet) -> float:
-    """tr|ω_a - ω_b|^2 = 2N - 2 Σ_ij |<f_i^a, f_j^b>|^2 for equal-rank projections."""
+    """tr|ω_a - ω_b|² for projections onto orthonormal sets.
+
+    Computed as ‖(1-ω_a)F_b‖² + ‖(1-ω_b)F_a‖² from the residual blocks of
+    each set against the other's span; the equivalent 2N - 2‖<F_a, F_b>‖²
+    cancels to a floor of about 2N·eps_machine near zero distance.
+    """
     if a.grid != b.grid:
         raise ValueError("grid mismatch")
+    dv = a.grid.cell_volume
     fa = a.orbitals.reshape(a.n_particles, -1)
     fb = b.orbitals.reshape(b.n_particles, -1)
-    overlap = (fa.conj() @ fb.T) * a.grid.cell_volume
-    val = a.n_particles + b.n_particles - 2.0 * float(np.sum(np.abs(overlap) ** 2))
-    return max(val, 0.0)
+    overlap = (fa.conj() @ fb.T) * dv               # <f_i^a, f_j^b>
+    resid_b = fb - overlap.T @ fa
+    resid_a = fa - overlap.conj() @ fb
+    return float((np.vdot(resid_a, resid_a).real + np.vdot(resid_b, resid_b).real) * dv)
 
 
 def fermi_sea_freqs(grid: Grid, n_particles: int, dispersion: Dispersion) -> list[tuple]:

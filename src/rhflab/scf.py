@@ -18,14 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Dispersion, Grid, PotentialSpec, apply_kinetic, convolve_potential
-from .orbitals import (
-    OrbitalSet,
-    apply_exchange,
-    commutator_with_momentum,
-    commutator_with_position,
-    reduced_density,
-    trace_norm,
-)
+from .diagnostics import comm_grad_total, comm_x_total
+from .orbitals import OrbitalSet, apply_exchange, reduced_density
 
 __all__ = [
     "ScfConfig",
@@ -265,8 +259,6 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
     h_final = _fock_matrix(h0, v_lag_mat, dmat, grid, potential, n_particles)
     stationarity = float(np.linalg.norm(h_final @ dmat - dmat @ h_final, "fro"))
     neps = n_particles * grid.epsilon
-    comm_x = sum(trace_norm(commutator_with_position(orbs, a)) for a in range(grid.dim))
-    comm_g = sum(trace_norm(commutator_with_momentum(orbs, a)) for a in range(grid.dim))
     return ScfResult(
         orbitals=orbs,
         energy=energy,
@@ -276,8 +268,8 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
         converged=converged,
         oscillation=oscillation,
         stationarity=stationarity,
-        comm_x_over_neps=comm_x / neps,
-        comm_grad_over_neps=comm_g / neps,
+        comm_x_over_neps=comm_x_total(orbs) / neps,
+        comm_grad_over_neps=comm_grad_total(orbs) / neps,
     )
 
 

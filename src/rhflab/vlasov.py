@@ -17,6 +17,7 @@ import numpy as np
 
 from .grids import PotentialSpec
 from .diagnostics import WignerField
+from .propagate import step_count
 
 __all__ = ["PhaseSpaceField", "vlasov_step", "vlasov_run", "vlasov_energy",
            "compare_to_wigner"]
@@ -55,24 +56,26 @@ class PhaseSpaceField:
         return self.density()
 
 
-def _dual(n: int, spacing: float) -> np.ndarray:
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=spacing)
-
-
 def _shift_x(values: np.ndarray, displacement: np.ndarray, dx: float) -> np.ndarray:
-    """values(x - displacement(v), v) by spectral shift per v-row."""
-    k = _dual(values.shape[0], dx)
-    vhat = np.fft.fft(values, axis=0)
+    """values(x - displacement(v), v) by spectral shift per v-row.
+
+    Real transforms: the Nyquist bin keeps only its real part, as the real
+    part of a full complex shift would.
+    """
+    n = values.shape[0]
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
+    vhat = np.fft.rfft(values, axis=0)
     vhat *= np.exp(-1j * np.outer(k, displacement))
-    return np.fft.ifft(vhat, axis=0).real
+    return np.fft.irfft(vhat, n=n, axis=0)
 
 
 def _shift_v(values: np.ndarray, displacement: np.ndarray, dv: float) -> np.ndarray:
-    """values(x, v - displacement(x)) by spectral shift per x-column."""
-    k = _dual(values.shape[1], dv)
-    vhat = np.fft.fft(values, axis=1)
+    """values(x, v - displacement(x)) by spectral shift per x-column (real transforms)."""
+    n = values.shape[1]
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dv)
+    vhat = np.fft.rfft(values, axis=1)
     vhat *= np.exp(-1j * np.outer(displacement, k))
-    return np.fft.ifft(vhat, axis=1).real
+    return np.fft.irfft(vhat, n=n, axis=1)
 
 
 def _force(field: PhaseSpaceField, potential: PotentialSpec) -> np.ndarray:
@@ -116,8 +119,8 @@ def vlasov_step(field: PhaseSpaceField, potential: PotentialSpec, m0: float,
 
 def vlasov_run(field: PhaseSpaceField, potential: PotentialSpec, m0: float,
                dt: float, t_final: float) -> PhaseSpaceField:
-    n_steps = int(round(t_final / dt))
-    for _ in range(n_steps):
+    """Strang steps of dt from 0 to t_final; refuses a span dt does not divide."""
+    for _ in range(step_count(0.0, t_final, dt)):
         field = vlasov_step(field, potential, m0, dt)
     return field
 

@@ -12,8 +12,28 @@ from rhflab.diagnostics import (
     momentum_density,
     wigner_transform,
 )
-from rhflab.grids import Dispersion, Grid, PotentialSpec, gaussian_vhat, plane_wave
-from rhflab.orbitals import OrbitalSet, fermi_sea, gaussian_orbital, random_orbital_set
+from rhflab.grids import (
+    Dispersion,
+    Grid,
+    PotentialSpec,
+    gaussian_vhat,
+    harmonic_trap,
+    plane_wave,
+)
+from rhflab.orbitals import (
+    LowRankOperator,
+    OrbitalSet,
+    apply_exchange,
+    boosted_fermi_sea,
+    commutator_with_momentum,
+    commutator_with_phase,
+    commutator_with_position,
+    fermi_sea,
+    gaussian_orbital,
+    random_orbital_set,
+    trace_norm,
+)
+from rhflab.scf import ScfConfig, scf_minimize
 
 
 class TestCommutatorChannels:
@@ -243,3 +263,90 @@ class TestWigner:
         orbs = random_orbital_set(grid, 2, seed=84)
         with pytest.raises(ValueError):
             wigner_transform(orbs)
+
+
+def factored_skew_commutator(orbs, fields):
+    """[ω, M] for skew-adjoint M as a rank-2N factored operator from M f_j."""
+    left = np.concatenate([orbs.orbitals, -fields])
+    right = np.concatenate([-fields, orbs.orbitals])
+    return LowRankOperator(left, right, orbs.grid)
+
+
+ONE_SIDED_GRIDS = {1: Grid(1, 64, 4.0 * np.pi, 0.125), 2: Grid(2, 16, 4.0 * np.pi, 0.25)}
+
+
+@pytest.fixture(scope="module", params=[(dim, kind) for dim in (1, 2)
+                                        for kind in ("scf", "boosted", "random")],
+                ids=lambda p: f"{p[1]}-{p[0]}d")
+def one_sided_case(request):
+    dim, kind = request.param
+    grid = ONE_SIDED_GRIDS[dim]
+    disp = Dispersion.relativistic(1.0)
+    pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
+                        coupling=0.5)
+    scf = None
+    if kind == "scf":
+        scf = scf_minimize(grid, pot, 5, disp, ScfConfig())
+        orbs = scf.orbitals
+    elif kind == "boosted":
+        orbs = boosted_fermi_sea(grid, 5, disp, amplitude=0.5)
+    else:
+        orbs = random_orbital_set(grid, 5, seed=80 + dim)
+    return orbs, pot, scf
+
+
+@pytest.mark.filterwarnings("ignore:state carries mass")
+class TestOneSidedAgainstFactored:
+    """One-sided commutator norms against trace_norm of the factored commutators."""
+
+    rtol = 1e-12
+
+    def close(self, value, ref):
+        assert ref > 1e-6
+        assert abs(value - ref) <= self.rtol * ref
+
+    def test_position_and_momentum_channels(self, one_sided_case):
+        orbs, _, scf = one_sided_case
+        channels = commutator_channels(orbs)
+        neps = orbs.n_particles * orbs.grid.epsilon
+        comm_x = comm_grad = 0.0
+        for a in range(orbs.grid.dim):
+            ref_x = trace_norm(commutator_with_position(orbs, a))
+            ref_grad = trace_norm(commutator_with_momentum(orbs, a))
+            self.close(channels[f"comm_x_{a}"], ref_x)
+            self.close(channels[f"comm_grad_{a}"], ref_grad)
+            comm_x += ref_x
+            comm_grad += ref_grad
+        if scf is not None:
+            self.close(scf.comm_x_over_neps, comm_x / neps)
+            self.close(scf.comm_grad_over_neps, comm_grad / neps)
+
+    def test_phase_samples(self, one_sided_case):
+        orbs, _, _ = one_sided_case
+        grid = orbs.grid
+        samples = default_phase_samples(grid, 16 if grid.dim == 1 else 8)
+        if grid.dim == 2:
+            samples += [(1, 1), (-2, 3)]
+        report = exp_bound_check(orbs, samples)
+        assert len(report["samples"]) == len(samples)
+        for sample in report["samples"]:
+            ref = trace_norm(commutator_with_phase(orbs, sample["freq"]))
+            self.close(sample["lhs"], ref)
+
+    def test_exchange_double_commutator(self, one_sided_case):
+        orbs, pot, _ = one_sided_case
+        report = exchange_double_commutator_check(orbs, pot)
+        for a, sample in enumerate(report["samples"]):
+            x = orbs.grid.x_mesh[a]
+            fields = np.stack([apply_exchange(orbs, pot, x * f) - x * apply_exchange(orbs, pot, f)
+                               for f in orbs.orbitals])
+            self.close(sample["lhs"], trace_norm(factored_skew_commutator(orbs, fields)))
+
+    def test_kinetic_double_commutator(self, one_sided_case):
+        orbs, _, _ = one_sided_case
+        grid, eps, m0 = orbs.grid, orbs.grid.epsilon, 1.3
+        report = kinetic_double_commutator_check(orbs, m0)
+        for a, sample in enumerate(report["samples"]):
+            mult = -eps * (1j * eps * grid.p_mesh[a]) / np.sqrt(eps**2 * grid.p_squared + m0**2)
+            fields = np.stack([grid.ifft(mult * grid.fft(f)) for f in orbs.orbitals])
+            self.close(sample["lhs"], trace_norm(factored_skew_commutator(orbs, fields)))

@@ -10,7 +10,8 @@ from rhflab.grids import (
     harmonic_trap,
     plane_wave,
 )
-from rhflab.krylov import expm_apply
+from rhflab import krylov
+from rhflab.krylov import expm_apply, expm_apply_block
 from rhflab.orbitals import (
     OrbitalSet,
     fermi_sea,
@@ -62,6 +63,109 @@ class TestKrylov:
     def test_zero_vector(self):
         out = expm_apply(lambda x: x, np.zeros(5, dtype=complex), 1.0)
         assert np.all(out == 0)
+
+
+def reference_lanczos_block(matvec, v, tau, weight, tol_rows, m_max):
+    """The slab-major Lanczos solve with a zeroed (m_max+1, b, n) basis."""
+    b, n = v.shape
+    beta0 = krylov._row_norms(v, weight)
+    live = beta0 > 0.0
+    safe0 = np.where(live, beta0, 1.0)
+    basis = np.zeros((m_max + 1, b, n), dtype=complex)
+    basis[0] = v / safe0[:, None]
+    alphas = np.zeros((m_max, b))
+    betas = np.zeros((m_max, b))
+    for m in range(1, m_max + 1):
+        w = matvec(basis[m - 1])
+        alpha = (np.sum(np.conj(basis[m - 1]) * w, axis=1) * weight).real
+        alphas[m - 1] = alpha
+        w = w - alpha[:, None] * basis[m - 1]
+        if m > 1:
+            w = w - betas[m - 2][:, None] * basis[m - 2]
+        dots = np.einsum("mbn,bn->mb", np.conj(basis[:m]), w) * weight
+        w = w - np.einsum("mb,mbn->bn", dots, basis[:m])
+        beta = krylov._row_norms(w, weight)
+        t_mat = np.zeros((b, m, m))
+        idx = np.arange(m)
+        t_mat[:, idx, idx] = alphas[:m].T
+        if m > 1:
+            off = np.arange(m - 1)
+            t_mat[:, off, off + 1] = betas[: m - 1].T
+            t_mat[:, off + 1, off] = betas[: m - 1].T
+        lam, q = np.linalg.eigh(t_mat)
+        phases = np.einsum(
+            "bij,bj,bj->bi", q, np.exp(-1j * tau * lam), np.conj(q[:, 0, :])
+        )
+        err = np.abs(beta * phases[:, -1] * tau)
+        err = np.where(live, err, 0.0)
+        degenerate = beta <= 1e-14 * (np.abs(alpha) + 1.0)
+        if np.all(err <= tol_rows) or m == m_max:
+            out = np.einsum("bm,mbn->bn", phases, basis[:m]) * beta0[:, None]
+            return out, err
+        betas[m - 1] = np.where(degenerate, 0.0, beta)
+        safe = np.where(degenerate, 1.0, beta)
+        basis[m] = np.where(degenerate[:, None], 0.0, w / safe[:, None])
+    raise AssertionError("unreachable")
+
+
+class TestLanczosAgainstReference:
+    """The row-major Lanczos solve against the slab-major reference above."""
+
+    n = 48
+
+    def _problem(self, b, seed):
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((self.n, self.n)) + 1j * rng.standard_normal((self.n, self.n))
+        h = 0.25 * (h + h.conj().T)
+        # the first three coordinates span an invariant subspace
+        h[:3, 3:] = 0.0
+        h[3:, :3] = 0.0
+        v = rng.standard_normal((b, self.n)) + 1j * rng.standard_normal((b, self.n))
+        if b > 1:
+            v[1] = 0.0
+            # a row inside the invariant subspace: beta vanishes at m = 3
+            v[2, 3:] = 0.0
+        return h, v
+
+    @staticmethod
+    def _counting(h):
+        calls = []
+
+        def matvec(rows):
+            calls.append(rows.shape[0])
+            return rows @ h.T
+
+        return matvec, calls
+
+    @pytest.mark.parametrize("b", [1, 16])
+    @pytest.mark.parametrize("tau", [0.05, 0.6])
+    def test_single_solve_matches(self, b, tau):
+        h, v = self._problem(b, seed=60 + b)
+        weight = 0.3
+        tol_rows = 1e-12 * np.maximum(krylov._row_norms(v, weight), 1.0)
+        mv_new, calls_new = self._counting(h)
+        mv_ref, calls_ref = self._counting(h)
+        for m_max in (4, 40):
+            out, err = krylov._lanczos_block(mv_new, v, tau, weight, tol_rows, m_max)
+            ref, ref_err = reference_lanczos_block(mv_ref, v, tau, weight, tol_rows, m_max)
+            assert calls_new == calls_ref
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.allclose(err, ref_err, rtol=1e-6, atol=1e-13)
+        if b > 1:
+            assert np.all(out[1] == 0.0)
+
+    @pytest.mark.parametrize("b", [1, 16])
+    def test_substepped_propagation_matches(self, b, monkeypatch):
+        # tau large enough that m_max = 40 forces substep halving
+        h, v = self._problem(b, seed=70 + b)
+        mv_new, calls_new = self._counting(h)
+        out = expm_apply_block(mv_new, v, 30.0, weight=0.5)
+        monkeypatch.setattr(krylov, "_lanczos_block", reference_lanczos_block)
+        mv_ref, calls_ref = self._counting(h)
+        ref = expm_apply_block(mv_ref, v, 30.0, weight=0.5)
+        assert len(calls_ref) > 40
+        assert calls_new == calls_ref
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestStep:
@@ -332,9 +436,9 @@ class TestDenseFock:
     @pytest.mark.parametrize("keep_trap", [False, True])
     @pytest.mark.parametrize("grid, n_part", DENSE_CASES)
     def test_evolve_matches_fft(self, grid, n_part, keep_trap, monkeypatch):
-        # tr|w_dense - w_fft|^2 = 2N - 2 sum |<f_i, g_j>|^2 cancels down to
-        # about 2N eps_machine (3.6e-15 at N=8); measured after 10 steps: 0 in
-        # three cases, 1.8e-15 in 1D with the trap kept
+        # the two paths agree to rounding: measured after 10 steps 2e-29 to
+        # 5e-29; the bound is the 2N eps_machine (3.6e-15 at N=8) cancellation
+        # floor of the former 2N - 2‖<F_a, F_b>‖² form of hs_distance_squared
         state = self._setup(grid, n_part, keep_trap)
         assert propagate._dense_fock_pays(state.config, state.potential, grid, n_part)
         dense = evolve(state)

@@ -330,6 +330,27 @@ class TestEvolveExact:
         assert np.max(np.abs(out - ref)) <= 1e-9
 
 
+class TestModeEvolutionStepCount:
+    def _evolve(self, t_final, dt):
+        basis = FockBasis(6, 2, L)
+        disp = Dispersion.relativistic(1.0)
+        modes = fermi_sea_modes(basis, disp, 1.0)
+        return hf_mode_evolution(basis, disp, 1.0, gauss_vhat(), 0.2, modes, t_final, dt,
+                                 sample_every=5)
+
+    def test_span_not_a_multiple_of_dt_rejected(self):
+        with pytest.raises(ValueError, match="whole number"):
+            self._evolve(1.0, 0.03)
+
+    @pytest.mark.parametrize("t_final, dt, n_steps",
+                             [(1.0, 0.02, 50), (0.3, 0.0025, 120), (1.0, 0.01, 100)])
+    def test_spans_in_use_run(self, t_final, dt, n_steps):
+        times, gammas = self._evolve(t_final, dt)
+        assert len(times) == len(gammas) == n_steps // 5 + 1
+        assert times[-1] == n_steps * dt
+        assert abs(times[-1] - t_final) <= 1e-12
+
+
 class TestMeanFieldGap:
     def test_zero_at_t0_and_free(self):
         basis = FockBasis(8, 2, L)

@@ -10,7 +10,6 @@ from rhflab.grids import (
     convolve_potential,
     gaussian_vhat,
     harmonic_trap,
-    make_grid,
     plane_wave,
     potential_moment,
     potential_moment_refinement_check,
@@ -19,15 +18,15 @@ from rhflab.grids import (
 
 class TestMakeGrid:
     def test_dual_grid_integers_on_2pi_box(self):
-        grid = make_grid(1, 64, 2.0 * np.pi, 0.1)
+        grid = Grid(1, 64, 2.0 * np.pi, 0.1)
         assert np.allclose(sorted(grid.p_axis), np.arange(-32, 32), atol=1e-12)
 
     def test_minimal_grid_nyquist_on_negative_side(self):
-        grid = make_grid(1, 2, 1.0, 1.0)
+        grid = Grid(1, 2, 1.0, 1.0)
         assert set(np.round(grid.p_axis, 12)) == {0.0, np.round(-2.0 * np.pi, 12)}
 
     def test_3d_round_trip(self):
-        grid = make_grid(3, 16, 10.0, 0.25)
+        grid = Grid(3, 16, 10.0, 0.25)
         assert grid.size == 4096
         rng = np.random.default_rng(7)
         f = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
@@ -35,7 +34,7 @@ class TestMakeGrid:
         assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
 
     def test_parseval(self):
-        grid = make_grid(1, 64, 3.0, 0.5)
+        grid = Grid(1, 64, 3.0, 0.5)
         rng = np.random.default_rng(3)
         f = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
         fh = grid.fft(f)
@@ -46,15 +45,15 @@ class TestMakeGrid:
     @pytest.mark.parametrize("n", [12, 17, 0, 1])
     def test_rejects_non_power_of_two(self, n):
         with pytest.raises(ValueError):
-            make_grid(1, n, 1.0, 1.0)
+            Grid(1, n, 1.0, 1.0)
 
     def test_rejects_non_positive_parameters(self):
         with pytest.raises(ValueError):
-            make_grid(1, 16, -1.0, 1.0)
+            Grid(1, 16, -1.0, 1.0)
         with pytest.raises(ValueError):
-            make_grid(1, 16, 1.0, 0.0)
+            Grid(1, 16, 1.0, 0.0)
         with pytest.raises(ValueError):
-            make_grid(4, 16, 1.0, 1.0)
+            Grid(4, 16, 1.0, 1.0)
 
     def test_hash_consistent_with_eq(self):
         a = Grid(2, 16, 3.0, 0.25)
@@ -213,21 +212,21 @@ class TestPotentialMoment:
     def test_gaussian_closed_form(self):
         # ∫ e^{-p^2/2} (1 + |p|)^2 dp = 2 sqrt(2π) + 4; the |p| term has a kink
         # at p = 0, so the lattice sum converges at O(Δp^2)
-        grid = make_grid(1, 2048, 160.0, 1.0)
+        grid = Grid(1, 2048, 160.0, 1.0)
         spec = PotentialSpec(grid, gaussian_vhat(grid, width=1.0))
         expected = 2.0 * np.sqrt(2.0 * np.pi) + 4.0
         assert abs(spec.moment - expected) <= 1e-3 * expected
         assert abs(expected - 9.0133) < 1e-4
 
     def test_lorentzian_does_not_stabilize(self):
-        grid = make_grid(1, 256, 40.0, 1.0)
+        grid = Grid(1, 256, 40.0, 1.0)
         lorentz = lambda p: 1.0 / (1.0 + p**2)
         stable, coarse, fine = potential_moment_refinement_check(lorentz, grid)
         assert not stable
         assert fine > coarse
 
     def test_gaussian_stabilizes(self):
-        grid = make_grid(1, 256, 40.0, 1.0)
+        grid = Grid(1, 256, 40.0, 1.0)
         stable, coarse, fine = potential_moment_refinement_check(
             lambda p: np.exp(-0.5 * p**2), grid
         )
@@ -244,7 +243,7 @@ class TestHelpers:
         assert abs(grid64.norm(w) - 1.0) <= 1e-12
 
     def test_harmonic_trap_quadratic_near_center(self):
-        grid = make_grid(1, 256, 2.0 * np.pi, 0.1)
+        grid = Grid(1, 256, 2.0 * np.pi, 0.1)
         trap = harmonic_trap(grid, 2.0)
         i = grid.n // 2 + 3  # node near x=0
         x = grid.x_axis[i]

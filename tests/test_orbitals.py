@@ -8,6 +8,7 @@ from rhflab.orbitals import (
     apply_density_matrix,
     apply_exchange,
     apply_exchange_momentum_average,
+    commutator_trace_norm,
     commutator_with_momentum,
     commutator_with_phase,
     commutator_with_position,
@@ -261,6 +262,48 @@ class TestTraceNorm:
         assert abs(hs_norm(op) - ref) <= 1e-10 * ref
 
 
+class TestCommutatorTraceNorm:
+    def test_general_operator_matches_factored(self, grid32):
+        # a random matrix on grid values: A† = A^H, neither ±A
+        orbs = random_orbital_set(grid32, 3, seed=90)
+        rng = np.random.default_rng(91)
+        mat = rng.standard_normal((grid32.n, grid32.n)) + 1j * rng.standard_normal(
+            (grid32.n, grid32.n))
+        a_f = orbs.orbitals @ mat.T
+        adj_f = orbs.orbitals @ mat.conj()
+        factored = LowRankOperator(np.concatenate([a_f, -orbs.orbitals]),
+                                   np.concatenate([orbs.orbitals, adj_f]), grid32)
+        ref = trace_norm(factored)
+        dense = np.sum(np.linalg.svd(factored.dense(), compute_uv=False))
+        assert abs(ref - dense) <= 1e-12 * dense
+        val = commutator_trace_norm(orbs, a_f, adj_f)
+        assert abs(val - ref) <= 1e-12 * ref
+        # dropping the adjoint side is right only for A = ±A†
+        assert abs(commutator_trace_norm(orbs, a_f) - ref) > 1e-3 * ref
+
+    def test_unitary_sides_equal(self, grid32):
+        # for unitary U both sides carry sqrt(1 - s_k²), s_k the singular
+        # values of <f_i, U f_j>, so one side suffices
+        orbs = random_orbital_set(grid32, 3, seed=93)
+        rng = np.random.default_rng(94)
+        unitary, _ = np.linalg.qr(rng.standard_normal((grid32.n, grid32.n))
+                                  + 1j * rng.standard_normal((grid32.n, grid32.n)))
+        a_f = orbs.orbitals @ unitary.T
+        adj_f = orbs.orbitals @ unitary.conj()
+        factored = LowRankOperator(np.concatenate([a_f, -orbs.orbitals]),
+                                   np.concatenate([orbs.orbitals, adj_f]), grid32)
+        ref = trace_norm(factored)
+        assert abs(commutator_trace_norm(orbs, a_f, adj_f) - ref) <= 1e-12 * ref
+        assert abs(commutator_trace_norm(orbs, a_f) - ref) <= 1e-12 * ref
+
+    def test_shape_mismatch(self, grid32):
+        orbs = random_orbital_set(grid32, 3, seed=92)
+        with pytest.raises(ValueError):
+            commutator_trace_norm(orbs, orbs.orbitals[:2])
+        with pytest.raises(ValueError):
+            commutator_trace_norm(orbs, orbs.orbitals, orbs.orbitals[:, :4])
+
+
 class TestReorthonormalize:
     def test_fixed_point(self, grid32):
         orbs = random_orbital_set(grid32, 4, seed=23)
@@ -311,6 +354,30 @@ class TestHsDistance:
         diff = dense_kernel(a) - dense_kernel(b)
         ref = float(np.sum(np.abs(diff) ** 2))
         assert abs(val - ref) <= 1e-10 * max(1.0, ref)
+
+    def test_matches_dense_to_rounding(self):
+        grid = Grid(1, 32, 2.0 * np.pi, 0.3)
+        a = random_orbital_set(grid, 4, seed=27)
+        for b in (random_orbital_set(grid, 4, seed=28), random_orbital_set(grid, 6, seed=29)):
+            ref = float(np.sum(np.abs(dense_kernel(a) - dense_kernel(b)) ** 2))
+            assert abs(hs_distance_squared(a, b) - ref) <= 1e-14 * ref
+            # the overlap form agrees where it does not cancel
+            overlap = (a.orbitals.conj() @ b.orbitals.T) * grid.cell_volume
+            gram_form = a.n_particles + b.n_particles - 2.0 * np.sum(np.abs(overlap) ** 2)
+            assert abs(hs_distance_squared(a, b) - gram_form) <= 1e-13 * ref
+
+    def test_small_rotation_resolved(self):
+        # rotating one orbital by theta out of the span gives 2 sin^2(theta),
+        # far below the 2N eps_machine floor of 2N - 2‖<F_a, F_b>‖²
+        grid = Grid(1, 32, 2.0 * np.pi, 0.3)
+        base = random_orbital_set(grid, 5, seed=31)
+        theta = 1e-6
+        rotated = base.orbitals[:4].copy()
+        rotated[0] = np.cos(theta) * base.orbitals[0] + np.sin(theta) * base.orbitals[4]
+        a = OrbitalSet(base.orbitals[:4], grid)
+        b = OrbitalSet(rotated, grid)
+        expected = 2.0 * np.sin(theta) ** 2
+        assert abs(hs_distance_squared(a, b) - expected) <= 1e-8 * expected
 
     def test_grid_mismatch(self, grid32, grid64):
         with pytest.raises(ValueError):

@@ -234,7 +234,7 @@ class TestSweep:
 
     def test_dt_axis_richardson_table(self, tmp_path):
         # strong enough coupling and long enough horizon that the dt error
-        # rises above the 2N·eps_machine cancellation floor of hs²
+        # stands well above rounding (d2 is about 2e-13)
         text = smoke_text({
             ("grid", "points_per_dim"): 64,
             ("model", "n_particles"): 4,
@@ -254,7 +254,7 @@ class TestSweep:
         d2 = float(rows[2][col])
         assert d1 > 0 and d2 > 0
         # hs² is quadratic in the orbital error of the order-2 scheme: >= 2^2
-        # expected even with floor contamination (observed ~2^4)
+        # expected (observed 16.0)
         assert d1 / d2 >= 4.0
 
     def test_coupling_axis(self, tmp_path):
@@ -264,6 +264,16 @@ class TestSweep:
         header, rows = read_csv(tmp_path / "sw" / "sweep.csv")
         assert len(rows) == 2
         assert header.index("comm_x_over_neps") >= 0
+
+    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
+        scenario = load_scenario(SMOKE)
+        outputs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("RHFLAB_WORKERS", workers)
+            out = tmp_path / f"workers_{workers}"
+            assert sweep(scenario, "coupling", ["0.2", "0.4"], out) == 0
+            outputs.append((out / "sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_n_axis_rederives_epsilon_and_bounds_commutators(self, tmp_path):
         text = smoke_text({("grid", "points_per_dim"): 64,

@@ -3,6 +3,7 @@ import pytest
 
 from rhflab.diagnostics import WignerField, wigner_transform
 from rhflab.grids import Grid, PotentialSpec, gaussian_vhat
+from rhflab import vlasov
 from rhflab.orbitals import OrbitalSet, gaussian_orbital
 from rhflab.vlasov import (
     PhaseSpaceField,
@@ -23,6 +24,75 @@ def gaussian_blob(x, v, x0=0.0, v0=0.0, sx=0.6, sv=0.4):
     xx, vv = np.meshgrid(x, v, indexing="ij")
     w = np.exp(-((xx - x0) ** 2) / (2 * sx**2) - ((vv - v0) ** 2) / (2 * sv**2))
     return w / (np.sum(w) * (x[1] - x[0]) * (v[1] - v[0]))
+
+
+def reference_shift_x(values, displacement, dx):
+    """Complex-FFT shift per v-row; the real part drops the Nyquist remainder."""
+    k = 2.0 * np.pi * np.fft.fftfreq(values.shape[0], d=dx)
+    vhat = np.fft.fft(values, axis=0) * np.exp(-1j * np.outer(k, displacement))
+    return np.fft.ifft(vhat, axis=0).real
+
+
+def reference_shift_v(values, displacement, dv):
+    k = 2.0 * np.pi * np.fft.fftfreq(values.shape[1], d=dv)
+    vhat = np.fft.fft(values, axis=1) * np.exp(-1j * np.outer(displacement, k))
+    return np.fft.ifft(vhat, axis=1).real
+
+
+class TestRealShifts:
+    """Real-transform shifts against the complex-FFT reference above."""
+
+    def test_shifts_match_complex_reference(self):
+        rng = np.random.default_rng(40)
+        values = rng.standard_normal((64, 32))
+        dx, dv = 0.2, 0.05
+        disp_x = rng.uniform(-0.5, 0.5, 32)
+        disp_v = rng.uniform(-0.1, 0.1, 64)
+        out = vlasov._shift_x(values, disp_x, dx)
+        assert out.shape == values.shape and out.dtype == float
+        ref = reference_shift_x(values, disp_x, dx)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+        out = vlasov._shift_v(values, disp_v, dv)
+        ref = reference_shift_v(values, disp_v, dv)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_step_matches_complex_reference(self, monkeypatch):
+        grid, x, v = phase_grid(n=64)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), coupling=0.5)
+        field = PhaseSpaceField(gaussian_blob(x, v, x0=0.7, v0=-0.3), x, v,
+                                grid.box_length, grid.epsilon)
+        out = vlasov_run(field, pot, 1.0, dt=0.02, t_final=0.2)
+        monkeypatch.setattr(vlasov, "_shift_x", reference_shift_x)
+        monkeypatch.setattr(vlasov, "_shift_v", reference_shift_v)
+        ref = vlasov_run(field, pot, 1.0, dt=0.02, t_final=0.2)
+        assert np.max(np.abs(out.values - ref.values)) <= 1e-14 * np.max(np.abs(ref.values))
+
+
+class TestStepCount:
+    def _field(self):
+        grid, x, v = phase_grid(n=16)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), coupling=0.5)
+        field = PhaseSpaceField(gaussian_blob(x, v), x, v, grid.box_length, grid.epsilon)
+        return field, pot
+
+    def test_span_not_a_multiple_of_dt_rejected(self):
+        field, pot = self._field()
+        with pytest.raises(ValueError, match="whole number"):
+            vlasov_run(field, pot, 1.0, dt=0.03, t_final=1.0)
+
+    @pytest.mark.parametrize("t_final, dt, n_steps",
+                             [(1.0, 0.02, 50), (0.3, 0.0025, 120), (1.0, 0.01, 100)])
+    def test_spans_in_use_run(self, t_final, dt, n_steps, monkeypatch):
+        field, pot = self._field()
+        calls = []
+
+        def counting_step(*args):
+            calls.append(args[-1])
+            return vlasov_step(*args)
+
+        monkeypatch.setattr(vlasov, "vlasov_step", counting_step)
+        vlasov_run(field, pot, 1.0, dt=dt, t_final=t_final)
+        assert calls == [dt] * n_steps
 
 
 class TestFreeTransport:
