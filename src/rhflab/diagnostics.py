@@ -11,8 +11,10 @@ plus integrated Gronwall-style audits of the commutator growth and a
 least-squares exponential envelope fit C·N·ε·exp(c|t|).
 
 Each tr|[A, ω]| is taken one-sided, from the fields A f_j, as
-‖(1-ω)Aω‖₁ + ‖(1-ω)A†ω‖₁ (`orbitals.commutator_trace_norm`).  That identity
-needs ω to be a projection, i.e. orthonormal orbitals; the propagator hands
+2‖(1-ω)Aω‖₁ (`orbitals.commutator_trace_norm`).  That identity needs ω to
+be a projection, i.e. orthonormal orbitals, and A = ±A† or A unitary: x_a
+and the plane-wave phase are, ε∂_a and the double commutators
+[X, x_a], [sqrt(-ε²Δ+m0²), x_a] are skew-adjoint.  The propagator hands
 every observer a Löwdin-reorthonormalized state.
 """
 

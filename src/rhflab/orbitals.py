@@ -6,10 +6,11 @@ rank ≤ 2N and are represented factored, so trace norms come from an
 r×r problem instead of an n^d × n^d kernel.
 
 For orthonormal orbitals ω is a projection and [A, ω] = (1-ω)Aω - ωA(1-ω)
-is block off-diagonal, so tr|[A, ω]| = ‖(1-ω)Aω‖₁ + ‖(1-ω)A†ω‖₁.  Each
-term is the nuclear norm of one n^d × N residual block built from the
-fields A f_j (`commutator_trace_norm`); the diagnostics use that form, and
-`trace_norm` on the factored commutators is the general one.
+is block off-diagonal, so tr|[A, ω]| = ‖(1-ω)Aω‖₁ + ‖(1-ω)A†ω‖₁.  For
+A = ±A† or A unitary the two terms are equal, and each is the nuclear norm
+of one n^d × N residual block built from the fields A f_j
+(`commutator_trace_norm`); the diagnostics use that form, and `trace_norm`
+on the factored commutators is the general one.
 """
 
 from __future__ import annotations
@@ -180,29 +181,25 @@ def _one_sided_norm(orbs: OrbitalSet, flat: np.ndarray, a_flat: np.ndarray) -> f
     return float(np.sum(svals)) * np.sqrt(dv)
 
 
-def commutator_trace_norm(orbs: OrbitalSet, a_fields: np.ndarray,
-                          adjoint_fields: np.ndarray | None = None) -> float:
-    """tr|[A, ω]| from the fields A f_j (and A† f_j), one n^d × N block per side.
+def commutator_trace_norm(orbs: OrbitalSet, a_fields: np.ndarray) -> float:
+    """tr|[A, ω]| = 2‖(1-ω)Aω‖₁ from the fields A f_j, one n^d × N block.
 
-    Requires orthonormal orbitals: then ω is a projection, [A, ω] is block
-    off-diagonal and tr|[A, ω]| = ‖(1-ω)Aω‖₁ + ‖(1-ω)A†ω‖₁, where
-    ‖(1-ω)Aω‖₁ is the sum of singular values of the residual block
-    g_j = A f_j - Σ_k f_k <f_k, A f_j>, scaled by sqrt(cell volume).  Pass
-    adjoint_fields = A† f_j unless the two sides are equal: A = ±A†, or A
-    unitary (both sides then have the singular values sqrt(1 - s_k²), s_k
-    those of the N×N matrix <f_i, A f_j>).  For a set that is only nearly
+    Requires orthonormal orbitals and A = ±A† or A unitary.  Orthonormal
+    orbitals make ω a projection, so [A, ω] is block off-diagonal and
+    tr|[A, ω]| = ‖(1-ω)Aω‖₁ + ‖(1-ω)A†ω‖₁; for those A the two terms are
+    equal (for unitary A both carry sqrt(1 - s_k²), s_k the singular
+    values of the N×N matrix <f_i, A f_j>).  ‖(1-ω)Aω‖₁ is the sum of
+    singular values of the residual block g_j = A f_j - Σ_k f_k <f_k, A f_j>,
+    scaled by sqrt(cell volume).  For any other A use
+    `trace_norm(commutator_with_*)`.  For a set that is only nearly
     orthonormal the result is off by about its Gram deviation.
     """
     n_part = orbs.n_particles
-    for fields in (a_fields, adjoint_fields):
-        if fields is not None and fields.shape != orbs.orbitals.shape:
-            raise ValueError(f"fields of shape {fields.shape} do not match the "
-                             f"orbital block {orbs.orbitals.shape}")
+    if a_fields.shape != orbs.orbitals.shape:
+        raise ValueError(f"fields of shape {a_fields.shape} do not match the "
+                         f"orbital block {orbs.orbitals.shape}")
     flat = orbs.orbitals.reshape(n_part, -1)
-    first = _one_sided_norm(orbs, flat, a_fields.reshape(n_part, -1))
-    if adjoint_fields is None:
-        return 2.0 * first
-    return first + _one_sided_norm(orbs, flat, adjoint_fields.reshape(n_part, -1))
+    return 2.0 * _one_sided_norm(orbs, flat, a_fields.reshape(n_part, -1))
 
 
 def hs_norm(op: LowRankOperator) -> float:
