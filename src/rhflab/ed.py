@@ -10,6 +10,9 @@ exact for both legs of the comparison).  The mean-field reference evolution
 runs natively in the same mode space from the identical coefficients, so the
 gap series tr|γ(t) - ω(t)|²_HS carries no discretization mismatch.
 
+The mean-field leg runs on propagate's time loop and midpoint stepper, with a
+dense matrix exponential and the polar factor of the orbital rows as repair.
+
 ε is an independent dial here (never tied to a particle-number rule): the
 joint semiclassical scaling is out of reach at 2-3 particles, so N-scans and
 ε-scans are run separately.
@@ -40,7 +43,7 @@ import scipy.sparse
 
 from .grids import Dispersion
 from .krylov import expm_apply
-from .propagate import step_count
+from .propagate import Observer, _exponential_midpoint, _time_loop, step_count
 
 __all__ = [
     "FockBasis",
@@ -241,16 +244,18 @@ class ModeMeanField:
         return e + 0.5 * float(np.real(h_int @ gamma.T.ravel()))
 
     def step(self, orbitals: np.ndarray, dt: float) -> np.ndarray:
-        """Exponential midpoint with two fixed-point passes at the half step."""
+        """Exponential midpoint (the grid propagator's stepper) with dense expm."""
         eps = self.epsilon
-        half = orbitals
-        for _ in range(2):
-            h = self.mean_field(self.gamma_of(half))
-            u_half = scipy.linalg.expm(-0.5j * dt * h / eps)
-            half = orbitals @ u_half.T
-        h_mid = self.mean_field(self.gamma_of(half))
-        u = scipy.linalg.expm(-1j * dt * h_mid / eps)
-        return orbitals @ u.T
+        return _exponential_midpoint(
+            orbitals, lambda rows: self.mean_field(self.gamma_of(rows)),
+            lambda h, phi, tau: phi @ scipy.linalg.expm(-1j * tau * h / eps).T, dt,
+        )
+
+
+def _polar_factor(orbitals: np.ndarray) -> np.ndarray:
+    """Löwdin repair against drift, mirrors the grid propagator."""
+    u, _, vt = np.linalg.svd(orbitals, full_matrices=False)
+    return u @ vt
 
 
 def hf_mode_evolution(basis: FockBasis, dispersion: Dispersion, epsilon: float,
@@ -266,18 +271,10 @@ def hf_mode_evolution(basis: FockBasis, dispersion: Dispersion, epsilon: float,
     orbitals = np.zeros((basis.n_particles, basis.n_modes), dtype=complex)
     for row, m in enumerate(sorted(initial_modes)):
         orbitals[row, m] = 1.0
-    n_steps = step_count(0.0, t_final, dt)
-    times = [0.0]
-    gammas = [mf.gamma_of(orbitals)]
-    for k in range(1, n_steps + 1):
-        orbitals = mf.step(orbitals, dt)
-        if k % sample_every == 0 or k == n_steps:
-            # Löwdin repair against drift, mirrors the grid propagator
-            u, _, vt = np.linalg.svd(orbitals, full_matrices=False)
-            orbitals = u @ vt
-            times.append(k * dt)
-            gammas.append(mf.gamma_of(orbitals))
-    return np.asarray(times), gammas
+    sample = Observer("gamma", sample_every, lambda rows: {"gamma": mf.gamma_of(rows)})
+    series = _time_loop(orbitals, step_count(0.0, t_final, dt), 0.0, dt,
+                        lambda rows, t: mf.step(rows, dt), _polar_factor, [sample]).series
+    return np.asarray(series["gamma"].times), series["gamma"].channels["gamma"]
 
 
 def mean_field_gap(gamma_series, hf_series) -> np.ndarray:

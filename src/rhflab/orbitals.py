@@ -25,7 +25,6 @@ __all__ = [
     "reduced_density",
     "apply_density_matrix",
     "apply_exchange",
-    "apply_exchange_momentum_average",
     "commutator_with_position",
     "commutator_with_momentum",
     "commutator_with_phase",
@@ -96,28 +95,6 @@ def apply_exchange(orbs: OrbitalSet, potential: PotentialSpec, field: np.ndarray
     return np.sum(orbs.orbitals * conv, axis=0) / orbs.n_particles
 
 
-def apply_exchange_momentum_average(orbs: OrbitalSet, potential: PotentialSpec,
-                                    field: np.ndarray) -> np.ndarray:
-    """X via the momentum-average form N^{-1} Σ_q V̂(q)/L^d e^{iqx} ω e^{-iqx}.
-
-    Direct summation over dual modes; O(n^d) applications of ω, used as a
-    cross-check of apply_exchange on small instances.
-    """
-    grid = orbs.grid
-    grid.check_field(field)
-    vhat = potential.vhat_eff
-    out = np.zeros(grid.shape, dtype=complex)
-    it = np.ndindex(*grid.shape)
-    for idx in it:
-        coeff = vhat[idx]
-        if coeff == 0.0:
-            continue
-        freqs = [grid.freq_axis[idx[a]] for a in range(grid.dim)]
-        wave = plane_wave(grid, freqs) * grid.box_length ** (grid.dim / 2.0)
-        out += coeff * wave * apply_density_matrix(orbs, np.conj(wave) * field)
-    return out / (orbs.n_particles * grid.box_length**grid.dim)
-
-
 class LowRankOperator:
     """Σ_k |left_k><right_k| with fields as factors."""
 
@@ -132,15 +109,6 @@ class LowRankOperator:
         self.right = right
         self.grid = grid
         self.rank = left.shape[0]
-
-    def __add__(self, other: "LowRankOperator") -> "LowRankOperator":
-        if self.grid != other.grid:
-            raise ValueError("grid mismatch")
-        return LowRankOperator(
-            np.concatenate([self.left, other.left]),
-            np.concatenate([self.right, other.right]),
-            self.grid,
-        )
 
     def apply(self, field: np.ndarray) -> np.ndarray:
         flat_r = self.right.reshape(self.rank, -1)

@@ -10,6 +10,13 @@ is equivalent for ω = Σ|f_j><f_j|.  Two schemes:
   rk4_frozen_field      classical RK4 on the coupled orbital system with the
                         mean field re-evaluated at every stage (cross-check).
 
+One midpoint stepper, `_exponential_midpoint`, serves the grid step (Krylov
+propagator) and `ed.ModeMeanField.step` (dense expm).  One time loop,
+`_time_loop`, serves `evolve`, `pair_evolve` and `ed.hf_mode_evolution`: at
+k = 0, every multiple of an observer's cadence and the last step it repairs
+the state (Löwdin, nothing for a pair, the polar factor in `ed`) and samples
+the due observers at t0 + k·dt.
+
 h(ω) is applied to an orbital block in one of two ways, chosen from the input
 alone.  The FFT path applies K as a Fourier multiplier, the direct term as a
 local field and the exchange as N² pair convolutions per block apply.  The
@@ -32,7 +39,7 @@ import numpy as np
 
 from .grids import Dispersion, Grid, PotentialSpec, convolve_potential
 from .krylov import expm_apply_block
-from .orbitals import OrbitalSet, reorthonormalize
+from .orbitals import OrbitalSet, hs_distance_squared, reorthonormalize
 from .scf import DENSE_SIZE_CAP, fock_matrix
 
 __all__ = [
@@ -114,13 +121,10 @@ class DiagnosticsSeries:
         for k, v in values.items():
             self.channels.setdefault(k, []).append(v)
 
-    def as_arrays(self) -> tuple[np.ndarray, dict]:
-        return np.asarray(self.times), {k: np.asarray(v) for k, v in self.channels.items()}
-
 
 @dataclass
 class EvolveResult:
-    state: SimState
+    state: SimState  # the (a, b) pair of states for pair_evolve
     series: dict
     aborted: bool = False
     abort_reason: str = ""
@@ -201,17 +205,27 @@ def _propagate_all(apply_h_block, orbs_arr: np.ndarray, tau: float, grid: Grid,
     return out.reshape(orbs_arr.shape)
 
 
+def _exponential_midpoint(phi: np.ndarray, mean_field, propagate, dt: float) -> np.ndarray:
+    """One exponential-midpoint step of the orbital rows phi.
+
+    mean_field(orbitals) gives the generator h of their projection and
+    propagate(h, phi, tau) applies exp(-i tau h / ε) to phi; the half-step
+    orbitals come from FIXED_POINT_PASSES fixed-point passes.
+    """
+    half = phi
+    for _ in range(FIXED_POINT_PASSES):
+        half = propagate(mean_field(half), phi, 0.5 * dt)
+    return propagate(mean_field(half), phi, dt)
+
+
 def _step_exponential_midpoint(state: SimState) -> np.ndarray:
     cfg = state.config
     grid = state.orbitals.grid
-    eps = grid.epsilon
-    phi = state.orbitals.orbitals
-    half = phi
-    for _ in range(FIXED_POINT_PASSES):
-        apply_h = _mean_field_closure(half, state)
-        half = _propagate_all(apply_h, phi, 0.5 * cfg.dt / eps, grid, cfg.krylov_tol)
-    apply_h = _mean_field_closure(half, state)
-    return _propagate_all(apply_h, phi, cfg.dt / eps, grid, cfg.krylov_tol)
+    return _exponential_midpoint(
+        state.orbitals.orbitals, lambda source: _mean_field_closure(source, state),
+        lambda apply_h, phi, tau: _propagate_all(apply_h, phi, tau / grid.epsilon, grid,
+                                                 cfg.krylov_tol),
+        cfg.dt)
 
 
 def _step_rk4(state: SimState) -> np.ndarray:
@@ -256,16 +270,26 @@ def step(state: SimState) -> SimState:
                    last_projection_residual=proj)
 
 
-def _emit(state: SimState, observers, series: dict) -> SimState:
-    # reorthonormalize before emission so sampled states satisfy the
-    # orbital-set invariants at full precision
-    if not observers:
-        return state
-    clean = reorthonormalize(state.orbitals)
-    state = replace(state, orbitals=clean)
-    for obs in observers:
-        series[obs.name].append(state.time, obs.fn(state))
-    return state
+def _time_loop(state, n_steps: int, t0: float, dt: float, advance, repair,
+               observers) -> EvolveResult:
+    """Step state = advance(state, t0 + k·dt) for k = 1..n_steps (module docstring).
+
+    A StepRejected from advance ends the run with the last accepted state.
+    """
+    series = {obs.name: DiagnosticsSeries() for obs in observers}
+    for k in range(n_steps + 1):
+        t = t0 + k * dt
+        if k:
+            try:
+                state = advance(state, t)
+            except StepRejected as exc:
+                return EvolveResult(state, series, aborted=True, abort_reason=str(exc))
+        due = [obs for obs in observers if k % obs.cadence == 0 or k == n_steps]
+        if due and repair is not None:
+            state = repair(state)
+        for obs in due:
+            series[obs.name].append(t, obs.fn(state))
+    return EvolveResult(state, series)
 
 
 def step_count(t0: float, t_final: float, dt: float) -> int:
@@ -282,8 +306,11 @@ def step_count(t0: float, t_final: float, dt: float) -> int:
 
 
 def evolve(state: SimState, observers: list | None = None) -> EvolveResult:
-    """Run to t_final, sampling each observer at its cadence (plus t=0 and the end)."""
-    observers = observers or []
+    """Run to t_final, sampling each observer at its cadence (plus t=0 and the end).
+
+    Sampled states are reorthonormalized first, so observers see the
+    orbital-set invariants at full precision.
+    """
     cfg = state.config
     n_steps = step_count(state.time, cfg.t_final, cfg.dt)
     cap = suggested_dt_cap(state.orbitals.grid, cfg.dispersion)
@@ -292,33 +319,22 @@ def evolve(state: SimState, observers: list | None = None) -> EvolveResult:
             f"dt={cfg.dt:g} exceeds the suggested cap 0.1*eps/max(symbol)={cap:g}",
             stacklevel=2,
         )
-    series = {obs.name: DiagnosticsSeries() for obs in observers}
-    state = _emit(state, observers, series)
-    t0 = state.time
-    for k in range(1, n_steps + 1):
-        try:
-            state = replace(step(state), time=t0 + k * cfg.dt)
-        except StepRejected as exc:
-            return EvolveResult(state, series, aborted=True, abort_reason=str(exc))
-        due = [obs for obs in observers if k % obs.cadence == 0 or k == n_steps]
-        if due:
-            clean = reorthonormalize(state.orbitals)
-            state = replace(state, orbitals=clean)
-            for obs in due:
-                series[obs.name].append(state.time, obs.fn(state))
-    return EvolveResult(state, series)
+    return _time_loop(state, n_steps, state.time, cfg.dt,
+                      lambda s, t: replace(step(s), time=t),
+                      lambda s: replace(s, orbitals=reorthonormalize(s.orbitals)),
+                      observers or [])
 
 
 def pair_evolve(state_a: SimState, state_b: SimState, comparator: str,
-                cadence: int = 1) -> DiagnosticsSeries:
+                cadence: int = 1) -> EvolveResult:
     """Evolve two states from identical initial data, recording tr|ω_a - ω_b|^2.
 
     comparator names the single config axis allowed to differ
     ("exchange_on", "dispersion" or "scheme"); anything else mismatched is
-    rejected.
+    rejected.  The distances, taken without repair, are
+    series["hs_distance_squared"]; the result's state is the (a, b) pair, and
+    a step rejected on either leg ends the run as in `evolve`.
     """
-    from .orbitals import hs_distance_squared
-
     allowed = {"exchange_on", "dispersion", "scheme"}
     if comparator not in allowed:
         raise ValueError(f"comparator must be one of {sorted(allowed)}")
@@ -333,15 +349,10 @@ def pair_evolve(state_a: SimState, state_b: SimState, comparator: str,
         if getattr(state_a.config, name) != getattr(state_b.config, name):
             raise ValueError(f"configs differ on {name!r}, not on the comparator axis")
 
-    series = DiagnosticsSeries()
-    n_steps = step_count(state_a.time, state_a.config.t_final, state_a.config.dt)
-    series.append(state_a.time, {"hs_distance_squared": hs_distance_squared(
-        state_a.orbitals, state_b.orbitals)})
-    t0, dt = state_a.time, state_a.config.dt
-    for k in range(1, n_steps + 1):
-        state_a = replace(step(state_a), time=t0 + k * dt)
-        state_b = replace(step(state_b), time=t0 + k * dt)
-        if k % cadence == 0 or k == n_steps:
-            series.append(state_a.time, {"hs_distance_squared": hs_distance_squared(
-                state_a.orbitals, state_b.orbitals)})
-    return series
+    dt = state_a.config.dt
+    n_steps = step_count(state_a.time, state_a.config.t_final, dt)
+    distance = Observer("hs_distance_squared", cadence, lambda pair: {
+        "hs_distance_squared": hs_distance_squared(pair[0].orbitals, pair[1].orbitals)})
+    return _time_loop((state_a, state_b), n_steps, state_a.time, dt,
+                      lambda pair, t: tuple(replace(step(s), time=t) for s in pair),
+                      None, [distance])

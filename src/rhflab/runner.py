@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .containers import dump_json, fmt17, load_orbitals, save_orbitals, write_csv
+from .containers import dump_json, fmt17, save_orbitals, write_csv
 from .diagnostics import (
     commutator_channels,
     default_phase_samples,
@@ -36,7 +36,7 @@ from .diagnostics import (
     kinetic_double_commutator_check,
 )
 from .grids import potential_moment_refinement_check
-from .orbitals import boosted_fermi_sea, fermi_sea, seam_mass
+from .orbitals import OrbitalSet, boosted_fermi_sea, fermi_sea, hs_distance_squared, seam_mass
 from .propagate import EvolutionConfig, Observer, SimState, evolve, suggested_dt_cap
 from .scenarios import Scenario, load_scenario
 from .scf import ScfConfig, hf_energy, scf_minimize
@@ -51,6 +51,9 @@ SWEEP_AXES = {
     "dt": ("evolution", "dt"),
     "coupling": ("potential", "coupling"),
 }
+# end-time metrics of one run, the sweep.csv columns after the exit code
+SWEEP_METRICS = ("energy_drift_rel", "comm_x_final", "comm_grad_final", "comm_x_over_neps",
+                 "growth_C", "growth_c", "min_margin")
 
 
 @dataclass
@@ -58,6 +61,8 @@ class RunResult:
     exit_code: int
     out_dir: Path
     manifest: dict
+    metrics: dict  # SWEEP_METRICS name -> value, nan where the run has none
+    final_orbitals: OrbitalSet
 
 
 def _prepare(scenario: Scenario, grid, potential, dispersion, out_dir: Path):
@@ -137,8 +142,8 @@ def run(scenario: Scenario, out_dir) -> RunResult:
     save_orbitals(out_dir / "final_state.rhfs", result.state.orbitals)
     _write_sidecar(out_dir / "final_state.rhfs", result.state.time, config_hash)
 
-    checks_summary = _write_series_and_reports(scenario, result, reports, out_dir,
-                                               grid, dispersion)
+    checks_summary, metrics = _write_series_and_reports(scenario, result, reports, out_dir,
+                                                        grid, dispersion)
     if scf_result is not None:
         checks_summary["scf_converged"] = bool(scf_result.converged)
     hard_failure = result.aborted or any(not ok for ok in checks_summary.values())
@@ -163,7 +168,8 @@ def run(scenario: Scenario, out_dir) -> RunResult:
     }
     dump_json(out_dir / "manifest.json", manifest)
     return RunResult(exit_code=1 if hard_failure else 0, out_dir=out_dir,
-                     manifest=manifest)
+                     manifest=manifest, metrics=metrics,
+                     final_orbitals=result.state.orbitals)
 
 
 def run_file(scenario_path, out_dir) -> RunResult:
@@ -214,41 +220,31 @@ def _build_observers(scenario: Scenario, grid, potential, dispersion, out_dir: P
 
         observers.append(Observer("commutators", diag("commutators"), commutators))
 
+    def report_observer(name: str, check, channel: str) -> Observer:
+        """Samples report[channel] of check(state), keeping each timed report."""
+        reports[name] = []
+
+        def observe(state: SimState) -> dict:
+            report = check(state)
+            report["time"] = state.time
+            reports[name].append(report)
+            return {channel: report[channel]}
+
+        return Observer(name, diag(name), observe)
+
     if diag("exp_bound") > 0:
         samples = default_phase_samples(grid)
-        reports["exp_bound"] = []
-
-        def exp_bound(state: SimState) -> dict:
-            report = exp_bound_check(state.orbitals, samples)
-            report["time"] = state.time
-            reports["exp_bound"].append(report)
-            return {"min_margin": report["min_margin"]}
-
-        observers.append(Observer("exp_bound", diag("exp_bound"), exp_bound))
-
+        observers.append(report_observer(
+            "exp_bound", lambda s: exp_bound_check(s.orbitals, samples), "min_margin"))
     if diag("exchange_bound") > 0:
-        reports["exchange_bound"] = []
-
-        def exchange_bound(state: SimState) -> dict:
-            report = exchange_double_commutator_check(state.orbitals, state.potential)
-            report["time"] = state.time
-            reports["exchange_bound"].append(report)
-            return {"min_margin": report["min_margin"]}
-
-        observers.append(Observer("exchange_bound", diag("exchange_bound"),
-                                  exchange_bound))
-
+        observers.append(report_observer(
+            "exchange_bound",
+            lambda s: exchange_double_commutator_check(s.orbitals, s.potential), "min_margin"))
     if diag("kinetic_ratio") > 0 and dispersion.variant != "massless":
-        reports["kinetic_ratio"] = []
         m0 = scenario[("model", "m0")]
-
-        def kinetic_ratio(state: SimState) -> dict:
-            report = kinetic_double_commutator_check(state.orbitals, m0)
-            report["time"] = state.time
-            reports["kinetic_ratio"].append(report)
-            return {"max_ratio": report["max_ratio"]}
-
-        observers.append(Observer("kinetic_ratio", diag("kinetic_ratio"), kinetic_ratio))
+        observers.append(report_observer(
+            "kinetic_ratio", lambda s: kinetic_double_commutator_check(s.orbitals, m0),
+            "max_ratio"))
 
     if diag("checkpoint") > 0:
         ckpt_dir = out_dir / "checkpoints"
@@ -272,8 +268,10 @@ def _write_sidecar(container_path: Path, time: float, config_hash: str) -> None:
 
 
 def _write_series_and_reports(scenario: Scenario, result, reports, out_dir: Path,
-                              grid, dispersion) -> dict:
+                              grid, dispersion) -> tuple[dict, dict]:
+    """Write the series CSVs and check reports; returns (checks, SWEEP_METRICS)."""
     checks_summary: dict[str, bool] = {}
+    metrics = dict.fromkeys(SWEEP_METRICS, float("nan"))
     for name, series in result.series.items():
         if name == "checkpoint":
             continue
@@ -289,15 +287,22 @@ def _write_series_and_reports(scenario: Scenario, result, reports, out_dir: Path
         dump_json(out_dir / "checks" / f"{name}.json",
                   {"check": name, "passed": passed, "reports": entries})
         checks_summary[name] = passed
+    margins = [e["min_margin"] for name in ("exp_bound", "exchange_bound")
+               for e in reports.get(name, ())]
+    if margins:
+        metrics["min_margin"] = min(margins)
 
     comm = result.series.get("commutators")
-    if comm is not None and len(comm.times) >= 2:
+    if comm is not None and comm.times:
         times = np.asarray(comm.times)
-        comm_x = sum(np.asarray(comm.channels[c]) for c in comm.channels
+        # summed in sorted channel order, the order of the CSV columns
+        comm_x = sum(np.asarray(comm.channels[c]) for c in sorted(comm.channels)
                      if c.startswith("comm_x_"))
-        comm_grad = sum(np.asarray(comm.channels[c]) for c in comm.channels
+        comm_grad = sum(np.asarray(comm.channels[c]) for c in sorted(comm.channels)
                         if c.startswith("comm_grad_"))
         n_particles = scenario[("model", "n_particles")]
+        metrics.update(comm_x_final=comm_x[-1], comm_grad_final=comm_grad[-1],
+                       comm_x_over_neps=comm_x[-1] / (n_particles * scenario.epsilon()))
         if len(times) >= 8:
             fit = growth_fit(times, comm_x, n_particles, grid.epsilon)
             envelope_ok = bool(
@@ -309,9 +314,9 @@ def _write_series_and_reports(scenario: Scenario, result, reports, out_dir: Path
                 "residual": fit.residual, "passed": envelope_ok,
             })
             checks_summary["growth_fit"] = envelope_ok
-        if dispersion.variant != "massless":
-            audit = integrated_growth_audit(times, comm_x, comm_grad,
-                                            scenario[("model", "n_particles")],
+            metrics.update(growth_C=fit.C, growth_c=fit.c)
+        if len(times) >= 2 and dispersion.variant != "massless":
+            audit = integrated_growth_audit(times, comm_x, comm_grad, n_particles,
                                             scenario[("model", "m0")])
             dump_json(out_dir / "integrated_growth.json", audit)
             checks_summary["integrated_growth"] = bool(audit["passed"])
@@ -331,8 +336,9 @@ def _write_series_and_reports(scenario: Scenario, result, reports, out_dir: Path
                                           == cons.channels["trace"][0])),
         }
         dump_json(out_dir / "checks" / "conservation.json", summary)
+        metrics["energy_drift_rel"] = drift
 
-    return checks_summary
+    return checks_summary, metrics
 
 
 def _sweep_token(value) -> str:
@@ -344,15 +350,16 @@ def _sweep_token(value) -> str:
 
 
 def _run_sub(args):
+    """(exit code, SWEEP_METRICS values, final orbitals or None) of one sub-run."""
     scenario, out_dir = args
     try:
         result = run(scenario, out_dir)
-        return result.exit_code
+        return result.exit_code, list(result.metrics.values()), result.final_orbitals
     except Exception as exc:  # sub-run failures are recorded, sweep continues
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         dump_json(Path(out_dir) / "manifest.json",
                   {"status": "error", "error": str(exc)})
-        return 2
+        return 2, [float("nan")] * len(SWEEP_METRICS), None
 
 
 def sweep(scenario: Scenario, axis: str, values: list, out_root) -> int:
@@ -370,80 +377,31 @@ def sweep(scenario: Scenario, axis: str, values: list, out_root) -> int:
     section, key = SWEEP_AXES[axis]
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
-    jobs = []
-    sub_dirs = []
-    for i, token in enumerate(tokens):
-        sub = scenario.with_value(section, key, token)
-        sub_dir = out_root / f"{axis}_{i:02d}_{token}"
-        jobs.append((sub, sub_dir))
-        sub_dirs.append(sub_dir)
+    jobs = [(scenario.with_value(section, key, token), out_root / f"{axis}_{i:02d}_{token}")
+            for i, token in enumerate(tokens)]
 
     n_workers = max(1, int(os.environ.get(WORKERS_ENV, "1")))
     if n_workers == 1:
-        codes = [_run_sub(job) for job in jobs]
+        results = [_run_sub(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            codes = list(pool.map(_run_sub, jobs))
+            results = list(pool.map(_run_sub, jobs))
 
-    rows = []
-    final_states = []
-    for i, (token, sub_dir, code) in enumerate(zip(tokens, sub_dirs, codes)):
-        metrics = _collect_metrics(sub_dir, scenario, axis, token)
-        final_path = sub_dir / "final_state.rhfs"
-        final_states.append(load_orbitals(final_path) if final_path.exists() else None)
-        rows.append([i, axis, token, code] + metrics)
-    if axis == "dt":
-        from .orbitals import hs_distance_squared
-
-        for i, row in enumerate(rows):
-            if i == 0 or final_states[i] is None or final_states[i - 1] is None:
-                row.append(float("nan"))
-            else:
-                row.append(hs_distance_squared(final_states[i], final_states[i - 1]))
-    header = ["index", "axis", "value", "exit_code", "energy_drift_rel",
-              "comm_x_final", "comm_grad_final", "comm_x_over_neps", "growth_C",
-              "growth_c", "min_margin"]
+    codes = [code for code, _, _ in results]
+    rows = [[i, axis, token, code] + metrics
+            for i, (token, (code, metrics, _)) in enumerate(zip(tokens, results))]
+    header = ["index", "axis", "value", "exit_code", *SWEEP_METRICS]
     if axis == "dt":
         header.append("dist_sq_to_prev")
+        finals = [final for _, _, final in results]
+        for i, row in enumerate(rows):
+            if i == 0 or finals[i] is None or finals[i - 1] is None:
+                row.append(float("nan"))
+            else:
+                row.append(hs_distance_squared(finals[i], finals[i - 1]))
     write_csv(out_root / "sweep.csv", header, rows)
     dump_json(out_root / "sweep_manifest.json", {
         "axis": axis, "values": tokens, "exit_codes": codes,
         "base_config_hash": scenario.config_hash(),
     })
-    return max(codes) if codes else 0
-
-
-def _collect_metrics(sub_dir: Path, base: Scenario, axis: str, token: str) -> list:
-    from .containers import load_json, read_csv
-
-    nan = float("nan")
-    energy_drift = comm_x = comm_grad = comm_x_neps = growth_c_big = growth_c = nan
-    min_margin = nan
-    cons_path = sub_dir / "checks" / "conservation.json"
-    if cons_path.exists():
-        energy_drift = load_json(cons_path)["energy_drift_rel"]
-    comm_path = sub_dir / "commutators.csv"
-    if comm_path.exists():
-        header, rows = read_csv(comm_path)
-        if rows:
-            last = {h: float(v) for h, v in zip(header, rows[-1])}
-            comm_x = sum(v for h, v in last.items() if h.startswith("comm_x_"))
-            comm_grad = sum(v for h, v in last.items() if h.startswith("comm_grad_"))
-            section, key = SWEEP_AXES[axis]
-            scen = base.with_value(section, key, token)
-            neps = scen[("model", "n_particles")] * scen.epsilon()
-            comm_x_neps = comm_x / neps
-    fit_path = sub_dir / "growth_fit.json"
-    if fit_path.exists():
-        fit = load_json(fit_path)
-        growth_c_big, growth_c = fit["C"], fit["c"]
-    margins = []
-    for name in ("exp_bound", "exchange_bound"):
-        path = sub_dir / "checks" / f"{name}.json"
-        if path.exists():
-            for rep in load_json(path)["reports"]:
-                margins.append(rep["min_margin"])
-    if margins:
-        min_margin = min(margins)
-    return [energy_drift, comm_x, comm_grad, comm_x_neps, growth_c_big, growth_c,
-            min_margin]
+    return max(codes)

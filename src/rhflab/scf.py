@@ -19,13 +19,12 @@ import numpy as np
 
 from .grids import Dispersion, Grid, PotentialSpec, apply_kinetic, convolve_potential
 from .diagnostics import comm_grad_total, comm_x_total
-from .orbitals import OrbitalSet, apply_exchange, reduced_density
+from .orbitals import OrbitalSet, reduced_density
 
 __all__ = [
     "ScfConfig",
     "ScfResult",
     "hf_energy",
-    "mean_field_apply",
     "scf_minimize",
     "dense_one_body_matrix",
     "fock_matrix",
@@ -98,22 +97,6 @@ def hf_energy(orbs: OrbitalSet, potential: PotentialSpec, dispersion: Dispersion
         exchange = (dv / (n * grid.size)
                     * float(np.sum(weight * potential.vhat_eff * np.abs(pair_hat) ** 2)))
     return float(one_body + direct - exchange)
-
-
-def mean_field_apply(orbs: OrbitalSet, potential: PotentialSpec, dispersion: Dispersion,
-                     field: np.ndarray, include_vext: bool = True,
-                     exchange_on: bool = True) -> np.ndarray:
-    """h(ω) field with h = K + V_ext + V*ρ - X (trap and exchange optional)."""
-    grid = orbs.grid
-    grid.check_field(field)
-    out = apply_kinetic(field, grid, dispersion)
-    local = convolve_potential(reduced_density(orbs), grid, potential)
-    if include_vext:
-        local = local + potential.vext
-    out = out + local * field
-    if exchange_on and potential.has_interaction():
-        out = out - apply_exchange(orbs, potential, field)
-    return out
 
 
 def dense_one_body_matrix(grid: Grid, dispersion: Dispersion,

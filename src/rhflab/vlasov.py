@@ -10,12 +10,13 @@ of the phase-space flow (the force is the self-consistent -∂_x(V*ρ) only).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import PotentialSpec
+from .grids import PotentialSpec, convolve_potential
 from .diagnostics import WignerField
 from .propagate import step_count
 
@@ -56,6 +57,18 @@ class PhaseSpaceField:
         return self.density()
 
 
+@functools.lru_cache(maxsize=1)
+def _x_phase(n: int, dx: float, displacement: bytes) -> np.ndarray:
+    """exp(-i k⊗displacement) over the rfft bins k, read-only.
+
+    Keyed by bytes, so both half x-shifts of a Strang step share one table.
+    """
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
+    phase = np.exp(-1j * np.outer(k, np.frombuffer(displacement)))
+    phase.flags.writeable = False
+    return phase
+
+
 def _shift_x(values: np.ndarray, displacement: np.ndarray, dx: float) -> np.ndarray:
     """values(x - displacement(v), v) by spectral shift per v-row.
 
@@ -63,9 +76,8 @@ def _shift_x(values: np.ndarray, displacement: np.ndarray, dx: float) -> np.ndar
     part of a full complex shift would.
     """
     n = values.shape[0]
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
     vhat = np.fft.rfft(values, axis=0)
-    vhat *= np.exp(-1j * np.outer(k, displacement))
+    vhat *= _x_phase(n, dx, np.asarray(displacement, dtype=float).tobytes())
     return np.fft.irfft(vhat, n=n, axis=0)
 
 
@@ -130,7 +142,7 @@ def vlasov_energy(field: PhaseSpaceField, potential: PotentialSpec, m0: float) -
     cell = field.dx * field.dv
     kinetic = float(np.sum(np.sqrt(field.v_grid**2 + m0**2) * field.values) * cell)
     rho = field.density()
-    conv = np.fft.ifft(potential.vhat_eff * np.fft.fft(rho)).real
+    conv = convolve_potential(rho, potential.grid, potential)
     return kinetic + 0.5 * float(np.sum(conv * rho) * field.dx)
 
 

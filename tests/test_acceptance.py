@@ -254,7 +254,8 @@ class TestCriterion6:
                           EvolutionConfig(dispersion=Dispersion.relativistic(m0), **kw))
             sb = SimState(0.0, scf_res.orbitals, pot,
                           EvolutionConfig(dispersion=Dispersion.nonrelativistic(m0), **kw))
-            series = pair_evolve(sa, sb, "dispersion", cadence=1000)
+            result = pair_evolve(sa, sb, "dispersion", cadence=1000)
+            series = result.series["hs_distance_squared"]
             distances.append(np.sqrt(series.channels["hs_distance_squared"][-1]))
         slope = np.polyfit(np.log(masses), np.log(distances), 1)[0]
         mono_ok = distances[0] > distances[1] > distances[2]

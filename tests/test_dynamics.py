@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,12 @@ from rhflab.orbitals import (
     gaussian_orbital,
     hs_distance_squared,
     reduced_density,
+    reorthonormalize,
 )
 from rhflab.propagate import (
+    DiagnosticsSeries,
     EvolutionConfig,
+    EvolveResult,
     Observer,
     SimState,
     StepRejected,
@@ -226,6 +231,79 @@ class TestStep:
             step(state)
 
 
+def reference_evolve(state, observers=None):
+    """The evolve loop before the shared time loop, with its own `_emit`."""
+
+    def emit(state, due):
+        if not due:
+            return state
+        state = replace(state, orbitals=reorthonormalize(state.orbitals))
+        for obs in due:
+            series[obs.name].append(state.time, obs.fn(state))
+        return state
+
+    observers = observers or []
+    cfg = state.config
+    n_steps = propagate.step_count(state.time, cfg.t_final, cfg.dt)
+    series = {obs.name: DiagnosticsSeries() for obs in observers}
+    state = emit(state, observers)
+    t0 = state.time
+    for k in range(1, n_steps + 1):
+        try:
+            state = replace(step(state), time=t0 + k * cfg.dt)
+        except StepRejected as exc:
+            return EvolveResult(state, series, aborted=True, abort_reason=str(exc))
+        state = emit(state, [obs for obs in observers if k % obs.cadence == 0 or k == n_steps])
+    return EvolveResult(state, series)
+
+
+class TestTimeLoop:
+    """evolve on the shared time loop against the loop it replaced."""
+
+    def _hf_state(self, t_final, dt=2e-3, **cfg):
+        grid = Grid(1, 64, 4.0 * np.pi, 0.25)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), coupling=0.8)
+        base = np.stack([gaussian_orbital(grid, center=c, sigma=0.5, momentum_freqs=[k])
+                         for c, k in ((-0.8, 1), (0.8, -1), (0.0, 2))])
+        orbs = reorthonormalize(OrbitalSet(base, grid, validate=False))
+        return make_state(grid, orbs, pot, dt=dt, t_final=t_final, reortho_every=4, **cfg)
+
+    def _observers(self):
+        return [
+            Observer("energy", 1, lambda s: {
+                "energy": hf_energy(s.orbitals, s.potential, s.config.dispersion),
+                "gram": s.last_gram_deviation}),
+            Observer("density", 3, lambda s: {"rho": reduced_density(s.orbitals)}),
+            Observer("snapshot", 7, lambda s: {"orbitals": s.orbitals.orbitals.copy(),
+                                               "step": s.step_index}),
+        ]
+
+    @pytest.mark.parametrize("t_final, cfg", [
+        (0.04, {}),
+        (0.0, {}),
+        (10.0, {"dt": 5.0, "scheme": "rk4_frozen_field"}),
+    ], ids=["hf-20-steps", "zero-steps", "rejected"])
+    @pytest.mark.filterwarnings("ignore:dt=5 exceeds the suggested cap")
+    def test_bit_identical_to_reference(self, t_final, cfg):
+        state = self._hf_state(t_final, **cfg)
+        new = evolve(state, self._observers())
+        ref = reference_evolve(state, self._observers())
+        assert (new.aborted, new.abort_reason) == (ref.aborted, ref.abort_reason)
+        assert new.aborted == ("dt" in cfg)
+        assert new.state.time == ref.state.time
+        assert new.state.step_index == ref.state.step_index
+        assert np.array_equal(new.state.orbitals.orbitals, ref.state.orbitals.orbitals)
+        assert list(new.series) == list(ref.series)
+        for name, series in new.series.items():
+            assert series.times == ref.series[name].times
+            for channel, values in series.channels.items():
+                ref_values = ref.series[name].channels[channel]
+                assert len(values) == len(ref_values)
+                assert all(np.array_equal(a, b) for a, b in zip(values, ref_values))
+        if t_final == 0.04:
+            assert len(new.series["snapshot"].times) == 4  # k = 0, 7, 14 and 20
+
+
 class TestEvolve:
     def test_zero_steps_returns_input(self, grid64):
         pot = PotentialSpec(grid64, np.zeros(grid64.shape))
@@ -327,7 +405,7 @@ class TestPairEvolve:
         orbs = self._orbs(grid)
         sa = make_state(grid, orbs, pot, dt=2e-3, t_final=0.02, dispersion=disp)
         sb = make_state(grid, orbs, pot, dt=2e-3, t_final=0.02, dispersion=disp)
-        series = pair_evolve(sa, sb, "exchange_on")
+        series = pair_evolve(sa, sb, "exchange_on").series["hs_distance_squared"]
         assert max(series.channels["hs_distance_squared"]) <= 1e-12
 
     def test_rejects_mismatch_off_axis(self):
@@ -349,8 +427,23 @@ class TestPairEvolve:
                         exchange_on=True)
         sb = make_state(grid, orbs, pot, dt=2e-3, t_final=0.1, dispersion=disp,
                         exchange_on=False)
-        series = pair_evolve(sa, sb, "exchange_on")
+        series = pair_evolve(sa, sb, "exchange_on").series["hs_distance_squared"]
         assert series.channels["hs_distance_squared"][-1] > 1e-8
+
+    def test_rejected_leg_ends_the_run(self):
+        # leg b is RK4 at the dt test_rk4_large_step_rejected rejects
+        grid = Grid(1, 64, 2.0 * np.pi, 0.1)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 0.8), coupling=0.5)
+        orbs = OrbitalSet(gaussian_orbital(grid, sigma=0.4)[None, :], grid)
+        sa = make_state(grid, orbs, pot, dt=5.0, t_final=10.0)
+        sb = make_state(grid, orbs, pot, dt=5.0, t_final=10.0, scheme="rk4_frozen_field")
+        result = pair_evolve(sa, sb, "scheme")
+        assert result.aborted
+        assert "Gram deviation" in result.abort_reason
+        series = result.series["hs_distance_squared"]
+        assert series.times == [0.0]
+        assert series.channels["hs_distance_squared"][0] <= 1e-24
+        assert [s.time for s in result.state] == [0.0, 0.0]
 
 
 class TestConfigValidation:
@@ -396,7 +489,8 @@ class TestStepCount:
         result = evolve(state, [probe])
         assert result.state.time == 1.0
         assert list(result.series["probe"].times) == [0.0, 0.25, 0.5, 0.75, 1.0]
-        series = pair_evolve(state, state, "scheme", cadence=500)
+        result = pair_evolve(state, state, "scheme", cadence=500)
+        series = result.series["hs_distance_squared"]
         assert list(series.times) == [0.0, 0.5, 1.0]
 
 

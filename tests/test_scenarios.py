@@ -1,5 +1,13 @@
+import importlib
+import importlib.util
+import string
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rhflab.cli import main
 from rhflab.containers import (
@@ -8,15 +16,19 @@ from rhflab.containers import (
     load_phase_field,
     read_csv,
     read_orbital_header,
+    read_phase_field_header,
     save_orbitals,
     save_phase_field,
     VLASOV_MAGIC,
+    WIGNER_MAGIC,
 )
-from rhflab.orbitals import random_orbital_set
-from rhflab.runner import run, sweep
+from rhflab.grids import Grid
+from rhflab.orbitals import OrbitalSet, random_orbital_set
+from rhflab.runner import SWEEP_AXES, run, sweep
 from rhflab.scenarios import ScenarioError, load_scenario, parse_scenario
 
 SMOKE = "scenarios/smoke_1d.ini"
+REPO = Path(__file__).resolve().parents[1]
 
 
 def smoke_text(overrides=None, drop=()):
@@ -44,6 +56,155 @@ def smoke_text(overrides=None, drop=()):
         for key, val in items:
             out.append(f"{key} = {val}")
     return "\n".join(out)
+
+
+def reference_collect_metrics(sub_dir, base, axis, token) -> list:
+    """A sweep sub-run's end-time metrics read back from its artifacts.
+
+    The form sweep used before run() returned them; sweep.csv must match it.
+    """
+    nan = float("nan")
+    energy_drift = comm_x = comm_grad = comm_x_neps = growth_c_big = growth_c = nan
+    min_margin = nan
+    cons_path = sub_dir / "checks" / "conservation.json"
+    if cons_path.exists():
+        energy_drift = load_json(cons_path)["energy_drift_rel"]
+    comm_path = sub_dir / "commutators.csv"
+    if comm_path.exists():
+        header, rows = read_csv(comm_path)
+        if rows:
+            last = {h: float(v) for h, v in zip(header, rows[-1])}
+            comm_x = sum(v for h, v in last.items() if h.startswith("comm_x_"))
+            comm_grad = sum(v for h, v in last.items() if h.startswith("comm_grad_"))
+            section, key = SWEEP_AXES[axis]
+            scen = base.with_value(section, key, token)
+            neps = scen[("model", "n_particles")] * scen.epsilon()
+            comm_x_neps = comm_x / neps
+    fit_path = sub_dir / "growth_fit.json"
+    if fit_path.exists():
+        fit = load_json(fit_path)
+        growth_c_big, growth_c = fit["C"], fit["c"]
+    margins = []
+    for name in ("exp_bound", "exchange_bound"):
+        path = sub_dir / "checks" / f"{name}.json"
+        if path.exists():
+            for rep in load_json(path)["reports"]:
+                margins.append(rep["min_margin"])
+    if margins:
+        min_margin = min(margins)
+    return [energy_drift, comm_x, comm_grad, comm_x_neps, growth_c_big, growth_c,
+            min_margin]
+
+
+def assert_sweep_metrics_match_artifacts(out_root, scenario, axis):
+    """sweep.csv's in-memory metrics equal the ones read back from each sub-run."""
+    header, rows = read_csv(out_root / "sweep.csv")
+    metric_cols = slice(header.index("exit_code") + 1, header.index("min_margin") + 1)
+    for row in rows:
+        token = row[header.index("value")]
+        sub_dir = out_root / f"{axis}_{int(row[0]):02d}_{token}"
+        written = np.array([float(v) for v in row[metric_cols]])
+        expected = np.array(reference_collect_metrics(sub_dir, scenario, axis, token),
+                            dtype=float)
+        assert np.array_equal(written, expected, equal_nan=True), (token, written, expected)
+
+
+positive = st.floats(min_value=1e-6, max_value=1e6)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+choice = lambda *options: st.sampled_from(options)
+SCENARIO_VALUES = st.fixed_dictionaries({
+    ("scenario", "name"): st.text(string.ascii_letters + string.digits + "_-", min_size=1,
+                                  max_size=12),
+    ("grid", "dim"): st.integers(1, 3),
+    ("grid", "points_per_dim"): st.integers(2, 512),
+    ("grid", "box_length"): positive,
+    ("model", "n_particles"): st.integers(1, 64),
+    ("model", "epsilon"): st.one_of(st.just("auto"), positive),
+    ("model", "dispersion"): choice("relativistic", "nonrelativistic", "massless"),
+    ("model", "m0"): positive,
+    ("potential", "kernel"): choice("gaussian", "none"),
+    ("potential", "coupling"): finite,
+    ("potential", "width"): positive,
+    ("potential", "trap"): choice("harmonic", "none"),
+    ("potential", "trap_strength"): finite,
+    ("preparation", "kind"): choice("scf", "fermi_sea", "boosted_fermi_sea"),
+    ("preparation", "max_iterations"): st.integers(1, 1000),
+    ("preparation", "mixing"): st.floats(0.01, 1.0),
+    ("preparation", "convergence_tol"): positive,
+    ("preparation", "aufbau"): st.booleans(),
+    ("preparation", "boost_amplitude"): finite,
+    ("preparation", "boost_mode"): st.integers(-8, 8),
+    ("evolution", "scheme"): choice("exponential_midpoint", "rk4_frozen_field"),
+    ("evolution", "dt"): positive,
+    ("evolution", "exchange_on"): st.booleans(),
+    ("evolution", "reortho_every"): st.integers(1, 100),
+    ("evolution", "keep_trap"): st.booleans(),
+    **{("diagnostics", key): st.integers(0, 50)
+       for key in ("conservation", "commutators", "exp_bound", "exchange_bound",
+                   "kinetic_ratio", "checkpoint")},
+})
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(values=SCENARIO_VALUES, n_steps=st.integers(0, 1000))
+    def test_canonical_lines_reparse_to_the_same_hash(self, values, n_steps):
+        values[("evolution", "t_final")] = n_steps * values[("evolution", "dt")]
+        scenario = parse_scenario(smoke_text(values))
+        pairs = (line.split("=", 1) for line in scenario.canonical_lines())
+        again = parse_scenario(smoke_text({tuple(name.split(".", 1)): token
+                                           for name, token in pairs}))
+        assert again.config_hash() == scenario.config_hash()
+        assert again.canonical_lines() == scenario.canonical_lines()
+
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(1, 2), n=choice(2, 4, 8), n_particles=st.integers(1, 3),
+           box_length=positive, epsilon=positive, data=st.data())
+    def test_orbital_container_bytes_and_header(self, dim, n, n_particles, box_length,
+                                                epsilon, data):
+        grid = Grid(dim, n, box_length, epsilon)
+        values = data.draw(arrays(np.complex128, (n_particles, *grid.shape)))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.rhfs", Path(tmp) / "b.rhfs"
+            save_orbitals(first, OrbitalSet(values, grid, validate=False))
+            save_orbitals(second, load_orbitals(first))
+            assert second.read_bytes() == first.read_bytes()
+            assert read_orbital_header(second) == {
+                "magic": "RHFS", "version": 1, "dim": dim, "n": n,
+                "box_length": grid.box_length, "epsilon": grid.epsilon,
+                "n_particles": n_particles,
+            }
+
+    @settings(max_examples=40, deadline=None)
+    @given(magic=choice(WIGNER_MAGIC, VLASOV_MAGIC), box_length=positive, epsilon=positive,
+           values=arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 8))))
+    def test_phase_field_bytes_and_header(self, magic, box_length, epsilon, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.field", Path(tmp) / "b.field"
+            save_phase_field(first, values, box_length, epsilon, magic=magic)
+            head, back = load_phase_field(first)
+            save_phase_field(second, back, head["box_length"], head["epsilon"],
+                             magic=head["magic"].encode())
+            assert second.read_bytes() == first.read_bytes()
+            assert read_phase_field_header(second) == head == {
+                "magic": magic.decode(), "version": 1, "dim": 1, "n_x": values.shape[0],
+                "n_v": values.shape[1], "box_length": box_length, "epsilon": epsilon,
+            }
+
+
+class TestBenchmarkTargets:
+    def test_tracer_targets_resolve(self):
+        # a target the tracer cannot find is skipped and its per-layer metrics read 0
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracer", REPO / "perfbench" / "tracer.py")
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        missing = [f"{home}.{func}" for home, funcs, _ in tracer.TARGETS.values()
+                   for func in funcs
+                   if not callable(getattr(importlib.import_module(home), func, None))]
+        missing += [space for _, _, spaces in tracer.TARGETS.values()
+                    for space in spaces or () if importlib.util.find_spec(space) is None]
+        assert missing == []
 
 
 class TestContainers:
@@ -247,6 +408,7 @@ class TestSweep:
         scenario = parse_scenario(text)
         code = sweep(scenario, "dt", ["0.01", "0.005", "0.0025"], tmp_path / "sw")
         assert code == 0
+        assert_sweep_metrics_match_artifacts(tmp_path / "sw", scenario, "dt")
         header, rows = read_csv(tmp_path / "sw" / "sweep.csv")
         assert "dist_sq_to_prev" in header
         col = header.index("dist_sq_to_prev")
@@ -261,9 +423,23 @@ class TestSweep:
         scenario = load_scenario(SMOKE)
         code = sweep(scenario, "coupling", ["0.2", "0.4"], tmp_path / "sw")
         assert code == 0
+        assert_sweep_metrics_match_artifacts(tmp_path / "sw", scenario, "coupling")
         header, rows = read_csv(tmp_path / "sw" / "sweep.csv")
         assert len(rows) == 2
         assert header.index("comm_x_over_neps") >= 0
+
+    def test_every_metric_column_filled(self, tmp_path):
+        # enough commutator samples (>= 8) for a growth fit, so no column is nan
+        text = smoke_text({("evolution", "t_final"): 0.016,
+                           ("diagnostics", "conservation"): 1,
+                           ("diagnostics", "commutators"): 1,
+                           ("diagnostics", "exp_bound"): 4,
+                           ("diagnostics", "exchange_bound"): 4})
+        scenario = parse_scenario(text)
+        assert sweep(scenario, "coupling", ["0.5"], tmp_path / "sw") == 0
+        assert_sweep_metrics_match_artifacts(tmp_path / "sw", scenario, "coupling")
+        header, rows = read_csv(tmp_path / "sw" / "sweep.csv")
+        assert all(v != "nan" for v in rows[0])
 
     def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
         scenario = load_scenario(SMOKE)
@@ -285,6 +461,7 @@ class TestSweep:
         scenario = parse_scenario(text)
         code = sweep(scenario, "N", ["2", "4", "8"], tmp_path / "sw")
         assert code == 0
+        assert_sweep_metrics_match_artifacts(tmp_path / "sw", scenario, "N")
         header, rows = read_csv(tmp_path / "sw" / "sweep.csv")
         col = header.index("comm_x_over_neps")
         vals = [float(r[col]) for r in rows]

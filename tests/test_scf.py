@@ -6,6 +6,7 @@ from rhflab.grids import (
     Grid,
     PotentialSpec,
     apply_kinetic,
+    convolve_potential,
     gaussian_vhat,
     harmonic_trap,
     plane_wave,
@@ -17,14 +18,30 @@ from rhflab.orbitals import (
     fermi_sea_freqs,
     hs_distance_squared,
     random_orbital_set,
+    reduced_density,
 )
 from rhflab.scf import (
     ScfConfig,
     dense_one_body_matrix,
     hf_energy,
-    mean_field_apply,
     scf_minimize,
 )
+
+
+def mean_field_apply(orbs: OrbitalSet, potential: PotentialSpec, dispersion: Dispersion,
+                     field: np.ndarray, include_vext: bool = True,
+                     exchange_on: bool = True) -> np.ndarray:
+    """h(ω) field with h = K + V_ext + V*ρ - X (trap and exchange optional)."""
+    grid = orbs.grid
+    grid.check_field(field)
+    out = apply_kinetic(field, grid, dispersion)
+    local = convolve_potential(reduced_density(orbs), grid, potential)
+    if include_vext:
+        local = local + potential.vext
+    out = out + local * field
+    if exchange_on and potential.has_interaction():
+        out = out - apply_exchange(orbs, potential, field)
+    return out
 
 
 def dense_hf_energy(orbs, potential, dispersion):
