@@ -11,6 +11,28 @@ Krylov vectors are contiguous, so full reorthogonalization against the
 live slice basis[:, :m] and the final combination are batched matmuls.
 It comes from np.empty and each slab is written when the recurrence
 reaches it; a solve typically stops after about five of the m_max+1.
+
+Row r stops after m matvecs once the Hochbruck & Lubich estimate
+err_r = |β_m · τ · [exp(-iτT_m)]_{m,1}| is at most its tolerance, T_m the
+real symmetric tridiagonal of the α_k and β_1..β_{m-1} ≥ 0.  That entry
+needs an eigensolve of every row's T_m, so it runs only at an m where the
+solve can return.  The (m,1) entry of (zI - T_m)^{-1} is Πβ_k/Π(z - λ_i),
+so [f(T_m)]_{m,1} = Πβ_k · f[λ_1..λ_m] (a divided difference), which the
+Hermite-Genocchi formula writes as an integral of f^{(m-1)} over a simplex
+of volume 1/(m-1)!.  For f = exp(-iτ·) and any shift c,
+
+    |[exp(-iτT_m)]_{m,1}| = τ^{m-1}·Πβ_k · |∫ exp(-iτ(<t, λ> - c)) dt|
+                          ≥ τ^{m-1}·Πβ_k/(m-1)! · cos(x)   for x ≤ π,
+    x = τ·(½(max α - min α) + 2·max β) ≥ τ·max|λ_i - c|,
+
+c the midpoint of the α (Gershgorin).  Less the allowance
+EIGH_ALLOWANCE·m·u·(1 + τ(max|α| + 2·max β) + the bound), u the unit
+roundoff, this bounds the eigensolved entry from below through the
+rounding of the eigensolve and of the bound itself.  While it puts some
+row's err above that row's tolerance the solve cannot return, so T_m, its
+eigensolve and the combination are skipped: the result is the one an
+eigensolve at every iteration gives.  For x near π/2 and beyond the bound
+is vacuous and every iteration solves.
 """
 
 from __future__ import annotations
@@ -24,8 +46,46 @@ class KrylovError(RuntimeError):
     pass
 
 
+# rounding allowance of the skip bound, in units of m·u (module docstring)
+EIGH_ALLOWANCE = 64.0
+_UNIT_ROUNDOFF = np.finfo(float).eps
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a_r, b_r> per row, as real dot products of the float views."""
+    return np.matmul(a.view(float)[:, None, :], b.view(float)[:, :, None])[:, 0, 0]
+
+
 def _row_norms(w: np.ndarray, weight: float) -> np.ndarray:
-    return np.sqrt(np.sum(np.abs(w) ** 2, axis=1).real * weight)
+    return np.sqrt(_row_dots(w, w) * weight)
+
+
+def _exp_first_column(alphas: np.ndarray, betas: np.ndarray, tau: float) -> np.ndarray:
+    """exp(-i·tau·T) e_1 per row, T from the (b, m) diagonals and (b, m-1) off-diagonals."""
+    b, m = alphas.shape
+    t_mat = np.zeros((b, m, m))
+    flat = t_mat.reshape(b, m * m)
+    flat[:, :: m + 1] = alphas
+    flat[:, 1 :: m + 1] = betas
+    flat[:, m :: m + 1] = betas
+    lam, q_t = np.linalg.eigh(t_mat)
+    return np.einsum(
+        "bij,bj,bj->bi", q_t, np.exp(-1j * tau * lam), np.conj(q_t[:, 0, :])
+    )
+
+
+def _entry_floor(lead: np.ndarray, a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray,
+                 tau: float, m: int) -> np.ndarray:
+    """Per-row lower bound on the eigensolved |[exp(-iτT_m)]_{m,1}|, at least 0.
+
+    lead is at most τ^{m-1}·Πβ_k/(m-1)!; a_hi, a_lo, b_hi are the largest and
+    smallest α and the largest β of each row's T_m.
+    """
+    x = tau * (0.5 * (a_hi - a_lo) + 2.0 * b_hi)
+    norm_t = tau * (np.maximum(a_hi, -a_lo) + 2.0 * b_hi)
+    bound = lead * np.cos(np.minimum(x, np.pi))
+    allowance = EIGH_ALLOWANCE * m * _UNIT_ROUNDOFF * (1.0 + norm_t + lead)
+    return np.maximum(bound - allowance, 0.0)
 
 
 def _lanczos_block(matvec, v: np.ndarray, tau: float, weight: float,
@@ -33,51 +93,58 @@ def _lanczos_block(matvec, v: np.ndarray, tau: float, weight: float,
     """One Krylov solve per row of v; returns (result, err_rows)."""
     b, n = v.shape
     beta0 = _row_norms(v, weight)
-    live = beta0 > 0.0
-    safe0 = np.where(live, beta0, 1.0)
     # slab m is written before it is first read, so it needs no zeroing
     basis = np.empty((b, m_max + 1, n), dtype=complex)
-    basis[:, 0] = v / safe0[:, None]
-    alphas = np.zeros((m_max, b))
-    betas = np.zeros((m_max, b))
-    phases = None
+    np.divide(v, np.where(beta0 > 0.0, beta0, 1.0)[:, None], out=basis[:, 0])
+    alphas = np.zeros((b, m_max))
+    betas = np.zeros((b, m_max))
+    # running pieces of the lower bound on |[exp(-iτT_m)]_{m,1}|; the entry
+    # is at most 1, so capping lead at 1 keeps the bound and avoids overflow
+    lead = np.ones(b)                   # min(1, τ^{m-1}·Πβ_k/(m-1)!)
+    a_hi = np.full(b, -np.inf)
+    a_lo = np.full(b, np.inf)
+    b_hi = np.zeros(b)
     for m in range(1, m_max + 1):
         q = basis[:, m - 1]
-        w = matvec(q)
-        alpha = (np.sum(np.conj(q) * w, axis=1) * weight).real
-        alphas[m - 1] = alpha
+        # _row_dots reads rows through float views, which need them contiguous
+        w = np.ascontiguousarray(matvec(q), dtype=complex)
+        alpha = _row_dots(q, w) * weight
+        alphas[:, m - 1] = alpha
+        # out of place once, so a matvec that returns its input is safe
         w = w - alpha[:, None] * q
         if m > 1:
-            w = w - betas[m - 2][:, None] * basis[:, m - 2]
+            w -= betas[:, m - 2, None] * basis[:, m - 2]
         # full reorthogonalization against the row's history: conj(<w, q_k>)
         # avoids conjugating the basis
         live_basis = basis[:, :m]
         dots = np.conj(np.matmul(np.conj(w)[:, None, :],
-                                 live_basis.transpose(0, 2, 1))) * weight
-        w = w - np.matmul(dots, live_basis)[:, 0]
+                                 live_basis.transpose(0, 2, 1)))
+        dots *= weight
+        w -= np.matmul(dots, live_basis)[:, 0]
         beta = _row_norms(w, weight)
-        # assemble the per-row tridiagonals and their exp(-i tau T) e1 columns
-        t_mat = np.zeros((b, m, m))
-        idx = np.arange(m)
-        t_mat[:, idx, idx] = alphas[:m].T
-        if m > 1:
-            off = np.arange(m - 1)
-            t_mat[:, off, off + 1] = betas[: m - 1].T
-            t_mat[:, off + 1, off] = betas[: m - 1].T
-        lam, q_t = np.linalg.eigh(t_mat)
-        phases = np.einsum(
-            "bij,bj,bj->bi", q_t, np.exp(-1j * tau * lam), np.conj(q_t[:, 0, :])
-        )
-        err = np.abs(beta * phases[:, -1] * tau)
-        err = np.where(live, err, 0.0)
+        np.maximum(a_hi, alpha, out=a_hi)
+        np.minimum(a_lo, alpha, out=a_lo)
+        if m == m_max or not np.any(
+                beta * tau * _entry_floor(lead, a_hi, a_lo, b_hi, tau, m) > tol_rows):
+            phases = _exp_first_column(alphas[:, :m], betas[:, : m - 1], tau)
+            # rows with beta0 == 0 have beta == 0, so err == 0
+            err = np.abs(beta * phases[:, -1] * tau)
+            if m == m_max or np.all(err <= tol_rows):
+                # rows with beta0 == 0 come back as zero rows, i.e. unchanged
+                out = np.matmul(phases[:, None, :], live_basis)[:, 0] * beta0[:, None]
+                return out, err
         degenerate = beta <= 1e-14 * (np.abs(alpha) + 1.0)
-        if np.all(err <= tol_rows) or m == m_max:
-            # rows with beta0 == 0 come back as zero rows, i.e. unchanged
-            out = np.matmul(phases[:, None, :], live_basis)[:, 0] * beta0[:, None]
-            return out, err
-        betas[m - 1] = np.where(degenerate, 0.0, beta)
-        safe = np.where(degenerate, 1.0, beta)
-        basis[:, m] = np.where(degenerate[:, None], 0.0, w / safe[:, None])
+        if degenerate.any():
+            beta[degenerate] = 0.0
+            w[degenerate] = 0.0
+            np.divide(w, np.where(degenerate, 1.0, beta)[:, None], out=basis[:, m])
+        else:
+            np.divide(w, beta[:, None], out=basis[:, m])
+        betas[:, m - 1] = beta
+        np.maximum(b_hi, beta, out=b_hi)
+        lead *= beta
+        lead *= tau / m
+        np.minimum(lead, 1.0, out=lead)
     raise KrylovError("unreachable")
 
 
@@ -85,7 +152,7 @@ def expm_apply_block(matvec, v: np.ndarray, tau: float, weight: float = 1.0,
                      tol: float = 1e-12, m_max: int = 40,
                      max_substeps: int = 64) -> np.ndarray:
     """exp(-i·tau·H) applied to every row of v (H Hermitian via block matvec)."""
-    v = np.asarray(v, dtype=complex)
+    v = np.ascontiguousarray(v, dtype=complex)
     scale = _row_norms(v, weight)
     if np.all(scale == 0.0):
         return v.copy()

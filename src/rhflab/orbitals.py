@@ -85,14 +85,21 @@ def apply_density_matrix(orbs: OrbitalSet, field: np.ndarray) -> np.ndarray:
 def apply_exchange(orbs: OrbitalSet, potential: PotentialSpec, field: np.ndarray) -> np.ndarray:
     """Exchange operator (X f)(x) = N^{-1} Σ_j f_j(x) (V * (conj(f_j) f))(x).
 
-    All N convolutions run as one batched FFT pair.
+    field is one grid field or a (B, *grid.shape) block of them.  The loop
+    runs over the N orbitals f_j, each pass one FFT pair batched over the
+    block, so the working set stays the size of the block.
     """
     grid = orbs.grid
-    grid.check_field(field)
-    axes = tuple(range(1, grid.dim + 1))
-    pair = np.conj(orbs.orbitals) * field
-    conv = np.fft.ifftn(potential.vhat_eff * np.fft.fftn(pair, axes=axes), axes=axes)
-    return np.sum(orbs.orbitals * conv, axis=0) / orbs.n_particles
+    grid.check_field(field[0] if field.ndim == grid.dim + 1 else field)
+    axes = tuple(range(field.ndim - grid.dim, field.ndim))
+    out = np.zeros(field.shape, dtype=complex)
+    for f_j in orbs.orbitals:
+        conv = np.fft.ifftn(potential.vhat_eff * np.fft.fftn(np.conj(f_j) * field, axes=axes),
+                            axes=axes)
+        conv *= f_j
+        out += conv
+    out /= orbs.n_particles
+    return out
 
 
 class LowRankOperator:

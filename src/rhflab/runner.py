@@ -37,7 +37,7 @@ from .diagnostics import (
 )
 from .grids import potential_moment_refinement_check
 from .orbitals import OrbitalSet, boosted_fermi_sea, fermi_sea, hs_distance_squared, seam_mass
-from .propagate import EvolutionConfig, Observer, SimState, evolve, suggested_dt_cap
+from .propagate import EvolutionConfig, Observer, SimState, evolve
 from .scenarios import Scenario, load_scenario
 from .scf import ScfConfig, hf_energy, scf_minimize
 
@@ -111,18 +111,12 @@ def run(scenario: Scenario, out_dir) -> RunResult:
             warnings.warn(msg)
             recorded_warnings.append(msg)
 
-    dt = scenario[("evolution", "dt")]
-    cap = suggested_dt_cap(grid, dispersion)
-    if dt > cap:
-        msg = f"dt={fmt17(dt)} above suggested cap {fmt17(cap)}"
-        recorded_warnings.append(msg)
-
     orbitals, scf_result = _prepare(scenario, grid, potential, dispersion, out_dir)
     save_orbitals(out_dir / "initial_state.rhfs", orbitals)
     _write_sidecar(out_dir / "initial_state.rhfs", 0.0, config_hash)
 
     config = EvolutionConfig(
-        dt=dt,
+        dt=scenario[("evolution", "dt")],
         t_final=scenario[("evolution", "t_final")],
         scheme=scenario[("evolution", "scheme")],
         exchange_on=scenario[("evolution", "exchange_on")],

@@ -149,12 +149,18 @@ def _fock_matrix(h0: np.ndarray, v_lag_mat, dmat: np.ndarray, grid: Grid,
     """h(ω) on value vectors: h0 + diag(V*ρ) - X(ω)."""
     rho = dmat.diagonal().real / (n_particles * grid.cell_volume)
     v_rho = convolve_potential(rho.reshape(grid.shape), grid, potential).reshape(-1)
-    h = h0.copy()
-    h[np.diag_indices(grid.size)] += v_rho
-    if v_lag_mat is not None:
-        exchange = v_lag_mat * dmat
-        exchange /= n_particles
-        h -= exchange
+    diag = h0.diagonal() + v_rho
+    if v_lag_mat is None:
+        h = h0.copy()
+        np.fill_diagonal(h, diag)
+        return h
+    # one buffer: X(ω) in place, then h0 - X off the diagonal and
+    # (h0 + V*ρ) - X on it, the same operations as building h0 + V*ρ first
+    h = np.multiply(v_lag_mat, dmat)
+    h /= n_particles
+    diag -= h.diagonal()
+    np.subtract(h0, h, out=h)
+    np.fill_diagonal(h, diag)
     return h
 
 

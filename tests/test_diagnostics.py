@@ -25,6 +25,7 @@ from rhflab.orbitals import (
     OrbitalSet,
     apply_exchange,
     boosted_fermi_sea,
+    commutator_trace_norm,
     commutator_with_momentum,
     commutator_with_phase,
     commutator_with_position,
@@ -272,6 +273,12 @@ def factored_skew_commutator(orbs, fields):
     return LowRankOperator(left, right, orbs.grid)
 
 
+def per_orbital_exchange_commutator(orbs, potential, x):
+    """[X, x] f_j one orbital at a time."""
+    return np.stack([apply_exchange(orbs, potential, x * f) - x * apply_exchange(orbs, potential, f)
+                     for f in orbs.orbitals])
+
+
 ONE_SIDED_GRIDS = {1: Grid(1, 64, 4.0 * np.pi, 0.125), 2: Grid(2, 16, 4.0 * np.pi, 0.25)}
 
 
@@ -337,10 +344,26 @@ class TestOneSidedAgainstFactored:
         orbs, pot, _ = one_sided_case
         report = exchange_double_commutator_check(orbs, pot)
         for a, sample in enumerate(report["samples"]):
-            x = orbs.grid.x_mesh[a]
-            fields = np.stack([apply_exchange(orbs, pot, x * f) - x * apply_exchange(orbs, pot, f)
-                               for f in orbs.orbitals])
+            fields = per_orbital_exchange_commutator(orbs, pot, orbs.grid.x_mesh[a])
             self.close(sample["lhs"], trace_norm(factored_skew_commutator(orbs, fields)))
+            self.close(sample["lhs"], commutator_trace_norm(orbs, fields))
+
+    def test_block_exchange_matches_per_orbital(self, one_sided_case):
+        orbs, pot, _ = one_sided_case
+        rng = np.random.default_rng(85)
+        extra = (rng.standard_normal((3, *orbs.grid.shape))
+                 + 1j * rng.standard_normal((3, *orbs.grid.shape)))
+        for block in (orbs.orbitals, extra):
+            ref = np.stack([apply_exchange(orbs, pot, f) for f in block])
+            got = apply_exchange(orbs, pot, block)
+            assert got.shape == block.shape
+            assert np.max(np.abs(got - ref)) <= self.rtol * np.max(np.abs(ref))
+        for a in range(orbs.grid.dim):
+            x = orbs.grid.x_mesh[a]
+            ref = per_orbital_exchange_commutator(orbs, pot, x)
+            got = apply_exchange(orbs, pot, x * orbs.orbitals) - x * apply_exchange(
+                orbs, pot, orbs.orbitals)
+            assert np.max(np.abs(got - ref)) <= self.rtol * np.max(np.abs(ref))
 
     def test_kinetic_double_commutator(self, one_sided_case):
         orbs, _, _ = one_sided_case

@@ -1,7 +1,9 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rhflab import propagate
 from rhflab.grids import (
@@ -113,6 +115,73 @@ def reference_lanczos_block(matvec, v, tau, weight, tol_rows, m_max):
     raise AssertionError("unreachable")
 
 
+def eigh_each_iteration_lanczos_block(matvec, v, tau, weight, tol_rows, m_max):
+    """The row-major solve that assembles T_m and runs eigh at every iteration.
+
+    Inner products and norms are sums of complex products, and the three-term
+    and reorthogonalization updates allocate a new array each.
+    """
+    def row_norms(w):
+        return np.sqrt(np.sum(np.abs(w) ** 2, axis=1).real * weight)
+
+    b, n = v.shape
+    beta0 = row_norms(v)
+    live = beta0 > 0.0
+    safe0 = np.where(live, beta0, 1.0)
+    basis = np.empty((b, m_max + 1, n), dtype=complex)
+    basis[:, 0] = v / safe0[:, None]
+    alphas = np.zeros((m_max, b))
+    betas = np.zeros((m_max, b))
+    for m in range(1, m_max + 1):
+        q = basis[:, m - 1]
+        w = matvec(q)
+        alpha = (np.sum(np.conj(q) * w, axis=1) * weight).real
+        alphas[m - 1] = alpha
+        w = w - alpha[:, None] * q
+        if m > 1:
+            w = w - betas[m - 2][:, None] * basis[:, m - 2]
+        live_basis = basis[:, :m]
+        dots = np.conj(np.matmul(np.conj(w)[:, None, :],
+                                 live_basis.transpose(0, 2, 1))) * weight
+        w = w - np.matmul(dots, live_basis)[:, 0]
+        beta = row_norms(w)
+        t_mat = np.zeros((b, m, m))
+        idx = np.arange(m)
+        t_mat[:, idx, idx] = alphas[:m].T
+        if m > 1:
+            off = np.arange(m - 1)
+            t_mat[:, off, off + 1] = betas[: m - 1].T
+            t_mat[:, off + 1, off] = betas[: m - 1].T
+        lam, q_t = np.linalg.eigh(t_mat)
+        phases = np.einsum(
+            "bij,bj,bj->bi", q_t, np.exp(-1j * tau * lam), np.conj(q_t[:, 0, :])
+        )
+        err = np.abs(beta * phases[:, -1] * tau)
+        err = np.where(live, err, 0.0)
+        degenerate = beta <= 1e-14 * (np.abs(alpha) + 1.0)
+        if np.all(err <= tol_rows) or m == m_max:
+            out = np.matmul(phases[:, None, :], live_basis)[:, 0] * beta0[:, None]
+            return out, err
+        betas[m - 1] = np.where(degenerate, 0.0, beta)
+        safe = np.where(degenerate, 1.0, beta)
+        basis[:, m] = np.where(degenerate[:, None], 0.0, w / safe[:, None])
+    raise AssertionError("unreachable")
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Counts np.linalg.eigh calls."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
 class TestLanczosAgainstReference:
     """The row-major Lanczos solve against the slab-major reference above."""
 
@@ -171,6 +240,136 @@ class TestLanczosAgainstReference:
         assert len(calls_ref) > 40
         assert calls_new == calls_ref
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def _dense_problem(self, b, seed):
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((self.n, self.n)) + 1j * rng.standard_normal((self.n, self.n))
+        h = 0.25 * (h + h.conj().T)
+        v = rng.standard_normal((b, self.n)) + 1j * rng.standard_normal((b, self.n))
+        return h, v
+
+    def _against_eigh_each_iteration(self, h, v, tau, m_max, eigh_calls):
+        weight = 0.3
+        tol_rows = 1e-12 * np.maximum(krylov._row_norms(v, weight), 1.0)
+        mv_new, calls_new = self._counting(h)
+        mv_ref, calls_ref = self._counting(h)
+        out, err = krylov._lanczos_block(mv_new, v, tau, weight, tol_rows, m_max)
+        solved = len(eigh_calls)
+        ref, ref_err = eigh_each_iteration_lanczos_block(mv_ref, v, tau, weight,
+                                                         tol_rows, m_max)
+        assert calls_new == calls_ref
+        assert len(eigh_calls) - solved == len(calls_ref)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.allclose(err, ref_err, rtol=1e-6, atol=1e-13)
+        return solved, len(calls_new)
+
+    @pytest.mark.parametrize("tau", [0.002, 0.05])
+    @pytest.mark.parametrize("m_max", [4, 40])
+    def test_dense_block_matches_eigh_each_iteration(self, tau, m_max, eigh_calls):
+        h, v = self._dense_problem(32, seed=80)
+        solved, matvecs = self._against_eigh_each_iteration(h, v, tau, m_max, eigh_calls)
+        if m_max == 40:
+            assert solved < matvecs
+
+    @pytest.mark.parametrize("m_max", [1, 4, 40])
+    def test_large_tau_solves_every_iteration(self, m_max, eigh_calls):
+        # τ‖T_m‖ is large, so the bound is vacuous from m = 2 on; at m = 1 the
+        # entry is a pure phase and the bound is exact
+        h, v = self._dense_problem(32, seed=81)
+        solved, matvecs = self._against_eigh_each_iteration(h, v, 30.0, m_max, eigh_calls)
+        assert matvecs == m_max
+        assert solved == max(m_max - 1, 1)
+
+    @pytest.mark.parametrize("b, tau", [(16, 0.05), (32, 0.002), (32, 30.0)])
+    def test_skipped_eigensolves_change_no_bit(self, b, tau, monkeypatch, eigh_calls):
+        h, v = self._problem(b, seed=82)
+        weight = 0.3
+        tol_rows = 1e-12 * np.maximum(krylov._row_norms(v, weight), 1.0)
+        mv, calls = self._counting(h)
+        out, err = krylov._lanczos_block(mv, v, tau, weight, tol_rows, 40)
+        skipping = len(eigh_calls)
+        # an infinite allowance makes the bound vacuous: eigh at every iteration
+        monkeypatch.setattr(krylov, "EIGH_ALLOWANCE", np.inf)
+        every, every_err = krylov._lanczos_block(mv, v, tau, weight, tol_rows, 40)
+        assert len(eigh_calls) - skipping == len(calls) // 2
+        assert skipping < len(calls) // 2
+        assert out.tobytes() == every.tobytes()
+        assert err.tobytes() == every_err.tobytes()
+
+
+class TestEntryFloor:
+    """The lower bound that lets a Lanczos iteration skip its eigensolve."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1),
+           tau_norm=st.floats(1e-4, 5.0),
+           shift=st.floats(-50.0, 50.0))
+    def test_floor_below_eigensolved_entry(self, m, seed, tau_norm, shift):
+        rng = np.random.default_rng(seed)
+        alphas = rng.uniform(-1.0, 1.0, m)
+        betas = rng.uniform(0.0, 1.0, m - 1) ** rng.uniform(0.5, 3.0)
+        t_mat = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        norm = np.max(np.abs(np.linalg.eigvalsh(t_mat)))
+        tau = tau_norm / norm if norm > 0 else tau_norm
+        # shift·tau up to 50: a shift changes the entry by a global phase only
+        alphas = alphas + shift / tau
+        lead = min(1.0, np.prod(tau * betas) / math.factorial(m - 1))
+        floor = krylov._entry_floor(np.array([lead]), alphas.max(keepdims=True),
+                                    alphas.min(keepdims=True),
+                                    np.array([betas.max() if m > 1 else 0.0]), tau, m)[0]
+        entry = abs(krylov._exp_first_column(alphas[None], betas[None], tau)[0, -1])
+        assert floor <= entry
+        if m == 1:
+            assert floor > 0.99
+
+    def test_floor_is_tight_for_small_tau(self):
+        alphas = np.array([[0.3, -0.2, 0.5, 0.1]])
+        betas = np.array([[0.7, 0.4, 0.9]])
+        tau = 1e-3
+        lead = np.prod(tau * betas) / math.factorial(3)
+        floor = krylov._entry_floor(np.array([lead]), alphas.max(axis=1), alphas.min(axis=1),
+                                    betas.max(axis=1), tau, 4)[0]
+        entry = abs(krylov._exp_first_column(alphas, betas, tau)[0, -1])
+        assert 0.995 * entry <= floor <= entry
+
+
+class TestEigensolvesPerSolve:
+    @pytest.mark.parametrize("dt, keep_trap", [(1e-3, False), (None, True)],
+                             ids=["released", "trapped-at-cap"])
+    def test_one_eigensolve_per_converged_solve(self, dt, keep_trap, monkeypatch,
+                                                eigh_calls):
+        # a trapped ground state under the Hartree flow (exchange off), released
+        # at dt = 1e-3 or kept in the trap at the suggested dt cap: every solve
+        # stops before m_max, and only its last iteration runs an eigensolve
+        grid = Grid(1, 128, 4.0 * np.pi, 1.0 / 16.0)
+        disp = Dispersion.relativistic(1.0)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
+                            coupling=0.5)
+        orbs = scf_minimize(grid, pot, 8, disp, ScfConfig(max_iterations=200)).orbitals
+        state = make_state(grid, orbs, pot, dt=dt or suggested_dt_cap(grid, disp),
+                           t_final=1.0, dispersion=disp, exchange_on=False,
+                           keep_trap=keep_trap)
+        solves = []
+        lanczos_block = krylov._lanczos_block
+
+        def counting(matvec, v, *args):
+            def counted(rows):
+                solves[-1] += 1
+                return matvec(rows)
+
+            solves.append(0)
+            return lanczos_block(counted, v, *args)
+
+        monkeypatch.setattr(krylov, "_lanczos_block", counting)
+        eigh_calls.clear()
+        new = step(state)
+        assert len(eigh_calls) == len(solves) >= 3
+        assert all(1 < m < 40 for m in solves), solves
+        monkeypatch.setattr(krylov, "_lanczos_block", eigh_each_iteration_lanczos_block)
+        ref = step(state)
+        assert len(eigh_calls) - len(solves) == sum(solves)
+        assert hs_distance_squared(new.orbitals, ref.orbitals) <= 1e-26
 
 
 class TestStep:

@@ -342,6 +342,13 @@ class TestRunner:
         sidecar = (out / "final_state.rhfs.meta.txt").read_text()
         assert result.manifest["config_hash"] in sidecar
 
+    def test_dt_above_cap_warns_once(self, tmp_path):
+        text = smoke_text({("evolution", "dt"): 0.05, ("evolution", "t_final"): 0.1})
+        result = run(parse_scenario(text), tmp_path / "out")
+        capped = [w for w in result.manifest["warnings"] if "cap" in w]
+        assert len(capped) == 1
+        assert "exceeds the suggested cap" in capped[0]
+
     def test_manifest_records_scipy_and_blas_threads(self, tmp_path, monkeypatch):
         import scipy
 

@@ -20,6 +20,7 @@ from rhflab.orbitals import (
     random_orbital_set,
     reduced_density,
 )
+from rhflab import scf
 from rhflab.scf import (
     ScfConfig,
     dense_one_body_matrix,
@@ -42,6 +43,19 @@ def mean_field_apply(orbs: OrbitalSet, potential: PotentialSpec, dispersion: Dis
     if exchange_on and potential.has_interaction():
         out = out - apply_exchange(orbs, potential, field)
     return out
+
+
+def reference_fock_matrix(h0, v_lag_mat, dmat, grid, potential, n_particles):
+    """h0 + diag(V*ρ) - X(ω) built from a copy of h0 and a separate exchange array."""
+    rho = dmat.diagonal().real / (n_particles * grid.cell_volume)
+    v_rho = convolve_potential(rho.reshape(grid.shape), grid, potential).reshape(-1)
+    h = h0.copy()
+    h[np.diag_indices(grid.size)] += v_rho
+    if v_lag_mat is not None:
+        exchange = v_lag_mat * dmat
+        exchange /= n_particles
+        h -= exchange
+    return h
 
 
 def dense_hf_energy(orbs, potential, dispersion):
@@ -120,6 +134,28 @@ class TestHfEnergy:
         pot = PotentialSpec(grid64, gaussian_vhat(grid64, 0.5), coupling=1.0)
         orbs = random_orbital_set(grid64, 4, seed=41)
         assert hf_energy(orbs, pot, disp) >= 4 * 1.5
+
+
+class TestFockMatrix:
+    """The one-buffer Fock build against the copy-and-subtract reference."""
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64, 2.0 * np.pi, 0.1),
+                                      Grid(2, 16, 2.0 * np.pi, 0.25)])
+    @pytest.mark.parametrize("include_vext", [False, True])
+    @pytest.mark.parametrize("coupling", [0.0, 0.7])
+    def test_bit_identical_to_reference(self, grid, include_vext, coupling):
+        disp = Dispersion.relativistic(1.0)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 0.8), vext=harmonic_trap(grid, 1.0),
+                            coupling=coupling)
+        h0, v_lag = scf._static_matrices(grid, disp, pot, include_vext)
+        assert (v_lag is None) == (coupling == 0.0)
+        for seed in (45, 46):
+            orbs = random_orbital_set(grid, 5, seed=seed)
+            dmat = scf._density_matrix(orbs.orbitals, grid)
+            got = scf._fock_matrix(h0, v_lag, dmat, grid, pot, 5)
+            ref = reference_fock_matrix(h0, v_lag, dmat, grid, pot, 5)
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestMeanFieldApply:
