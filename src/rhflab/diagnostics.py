@@ -64,8 +64,7 @@ def _warn_seam(orbs: OrbitalSet) -> float:
 
 def _multiplier_fields(orbs: OrbitalSet, mult: np.ndarray) -> np.ndarray:
     """A Fourier multiplier applied to every orbital in one batched FFT pair."""
-    axes = tuple(range(1, orbs.grid.dim + 1))
-    return np.fft.ifftn(mult * np.fft.fftn(orbs.orbitals, axes=axes), axes=axes)
+    return orbs.grid.ifft(mult * orbs.grid.fft(orbs.orbitals))
 
 
 def _comm_x(orbs: OrbitalSet, axis: int) -> float:

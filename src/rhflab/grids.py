@@ -73,6 +73,7 @@ class Grid:
         self.p_mesh = [self._along_axis(self.p_axis, a) for a in range(dim)]
         self.p_squared = sum(pm**2 for pm in self.p_mesh) + np.zeros(self.shape)
         self.p_abs = np.sqrt(self.p_squared)
+        self._axes = tuple(range(-dim, 0))
 
     def _along_axis(self, v: np.ndarray, axis: int) -> np.ndarray:
         shape = [1] * self.dim
@@ -91,10 +92,16 @@ class Grid:
         return float(np.sqrt(np.vdot(f, f).real * self.cell_volume))
 
     def fft(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(f)
+        """FFT over the last dim axes: one field or a (..., *shape) stack of them.
+
+        On 1D grids this is np.fft.fft on the last axis, the same transform as
+        fftn without the cost of numpy's n-d wrapper.
+        """
+        return np.fft.fft(f) if self.dim == 1 else np.fft.fftn(f, axes=self._axes)
 
     def ifft(self, fh: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(fh)
+        """Inverse of `fft`, over the same axes."""
+        return np.fft.ifft(fh) if self.dim == 1 else np.fft.ifftn(fh, axes=self._axes)
 
     def _key(self) -> tuple:
         return (self.dim, self.n, self.box_length, self.epsilon)

@@ -91,11 +91,9 @@ def apply_exchange(orbs: OrbitalSet, potential: PotentialSpec, field: np.ndarray
     """
     grid = orbs.grid
     grid.check_field(field[0] if field.ndim == grid.dim + 1 else field)
-    axes = tuple(range(field.ndim - grid.dim, field.ndim))
     out = np.zeros(field.shape, dtype=complex)
     for f_j in orbs.orbitals:
-        conv = np.fft.ifftn(potential.vhat_eff * np.fft.fftn(np.conj(f_j) * field, axes=axes),
-                            axes=axes)
+        conv = grid.ifft(potential.vhat_eff * grid.fft(np.conj(f_j) * field))
         conv *= f_j
         out += conv
     out /= orbs.n_particles
@@ -211,8 +209,7 @@ def commutator_with_momentum(orbs: OrbitalSet, axis: int) -> LowRankOperator:
         raise ValueError(f"axis {axis} out of range for dim {orbs.grid.dim}")
     grid = orbs.grid
     mult = 1j * grid.epsilon * grid.p_mesh[axis]
-    df = np.fft.ifftn(mult * np.fft.fftn(orbs.orbitals, axes=range(1, grid.dim + 1)),
-                      axes=range(1, grid.dim + 1))
+    df = grid.ifft(mult * grid.fft(orbs.orbitals))
     # ε∂ is anti-self-adjoint: [ε∂, ω] = Σ |ε∂f><f| + |f><ε∂f|
     left = np.concatenate([df, orbs.orbitals])
     right = np.concatenate([orbs.orbitals, df])

@@ -175,18 +175,15 @@ def _fft_closure(source: np.ndarray, state: SimState):
         local = local + pot.vext
     symbol = cfg.dispersion.symbol(grid)
     interacting = cfg.exchange_on and pot.has_interaction()
-    axes = tuple(range(1, grid.dim + 1))
-    pair_axes = tuple(range(2, grid.dim + 2))
     vhat = pot.vhat_eff
     src_conj = np.conj(source)
 
     def apply_h_block(fields: np.ndarray) -> np.ndarray:
-        out = np.fft.ifftn(symbol * np.fft.fftn(fields, axes=axes), axes=axes)
+        out = grid.ifft(symbol * grid.fft(fields))
         out += local * fields
         if interacting:
             pair = src_conj[None, ...] * fields[:, None, ...]
-            conv = np.fft.ifftn(vhat * np.fft.fftn(pair, axes=pair_axes),
-                                axes=pair_axes)
+            conv = grid.ifft(vhat * grid.fft(pair))
             out -= np.sum(source[None, ...] * conv, axis=1) / n_part
         return out
 

@@ -6,6 +6,15 @@ matrix is built densely (grid sizes capped at n^d <= 4096), diagonalized,
 and the lowest N eigenvectors occupied.  Mixing damps the density-matrix
 input of the mean field; every emitted iterate is an exact projection.
 
+The loop runs in real arithmetic: K has an even symbol, and V_ext,
+V(x_i - x_j) and every iterate's density matrix are real, so each h is real
+symmetric and its eigenvectors are real.  The orbitals become complex only
+in the OrbitalSet handed out.  At a degenerate Fermi level (open shells of
+symmetric 2D/3D traps) Aufbau occupation is ambiguous, in complex as in real
+arithmetic, and LAPACK may pick any subspace of the degenerate level.  The
+residuals and `stationarity` are ‖[h, ω]‖_HS, computed as √2‖(1-P)hP‖_F
+from the n×N block (1-P)hU (`_commutator_norm`).
+
 The dense Fock builder is shared with the time stepper (`fock_matrix`),
 which caches its ω-independent parts, K (+ V_ext) and V(x_i - x_j), by
 grid, dispersion, potential and trap flag.
@@ -17,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Dispersion, Grid, PotentialSpec, apply_kinetic, convolve_potential
+from .grids import Dispersion, Grid, PotentialSpec, convolve_potential
 from .diagnostics import comm_grad_total, comm_x_total
 from .orbitals import OrbitalSet, reduced_density
 
@@ -78,12 +87,12 @@ def hf_energy(orbs: OrbitalSet, potential: PotentialSpec, dispersion: Dispersion
     grid = orbs.grid
     dv = grid.cell_volume
     n = orbs.n_particles
-    one_body = 0.0
-    for f in orbs.orbitals:
-        one_body += np.vdot(f, apply_kinetic(f, grid, dispersion)).real * dv
-        if include_vext:
-            one_body += np.vdot(f, potential.vext * f).real * dv
     rho = reduced_density(orbs)
+    # Σ_j <f_j, K f_j> by Parseval from one FFT of the block
+    power = np.abs(grid.fft(orbs.orbitals)) ** 2
+    one_body = float(np.sum(dispersion.symbol(grid) * power)) * dv / grid.size
+    if include_vext:
+        one_body += n * float(np.sum(potential.vext * rho)) * dv
     v_rho = convolve_potential(rho, grid, potential)
     direct = 0.5 * n * float(np.sum(v_rho * rho) * dv)
     exchange = 0.0
@@ -91,8 +100,7 @@ def hf_energy(orbs: OrbitalSet, potential: PotentialSpec, dispersion: Dispersion
         # |FFT(conj(f_k) f_j)(p)|² = |FFT(conj(f_j) f_k)(-p)|² and V̂ is even,
         # so the pairs k <= j suffice, those with k < j counted twice
         k, j = np.triu_indices(n)
-        axes = tuple(range(1, grid.dim + 1))
-        pair_hat = np.fft.fftn(np.conj(orbs.orbitals[k]) * orbs.orbitals[j], axes=axes)
+        pair_hat = grid.fft(np.conj(orbs.orbitals[k]) * orbs.orbitals[j])
         weight = np.where(k == j, 0.5, 1.0).reshape(-1, *(1,) * grid.dim)
         exchange = (dv / (n * grid.size)
                     * float(np.sum(weight * potential.vhat_eff * np.abs(pair_hat) ** 2)))
@@ -101,25 +109,30 @@ def hf_energy(orbs: OrbitalSet, potential: PotentialSpec, dispersion: Dispersion
 
 def dense_one_body_matrix(grid: Grid, dispersion: Dispersion,
                           vext: np.ndarray | None = None) -> np.ndarray:
-    """K + V_ext as a Hermitian matrix on grid-value vectors."""
+    """K + V_ext as a real symmetric float64 matrix on grid-value vectors.
+
+    K[i, j] = c[(i - j) mod n] with c = ifftn(symbol), real because the
+    symbol depends on |p| only (the unmatched Nyquist mode adds ±1 terms).
+    """
     if grid.size > DENSE_SIZE_CAP:
         raise ValueError(f"grid size {grid.size} exceeds dense SCF cap {DENSE_SIZE_CAP}")
-    eye = np.eye(grid.size, dtype=complex).reshape(grid.size, *grid.shape)
-    axes = tuple(range(1, grid.dim + 1))
-    sym = dispersion.symbol(grid)
-    k_cols = np.fft.ifftn(sym * np.fft.fftn(eye, axes=axes), axes=axes)
-    h = k_cols.reshape(grid.size, grid.size).T.copy()
+    h = _circulant(grid, np.fft.ifftn(dispersion.symbol(grid)).real)
     if vext is not None:
         h[np.diag_indices(grid.size)] += vext.reshape(-1)
     return h
 
 
 def _lag_matrix(grid: Grid, potential: PotentialSpec) -> np.ndarray:
-    """V(x_i - x_j) from the interaction coefficients (circulant in each axis)."""
+    """V(x_i - x_j) from the interaction coefficients."""
     v_lag = np.fft.ifftn(potential.vhat_eff).real * (grid.size / grid.box_length**grid.dim)
+    return _circulant(grid, v_lag)
+
+
+def _circulant(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """The matrix M[i, j] = coeffs[(i - j) mod n], index differences taken per axis."""
     idx = np.indices(grid.shape).reshape(grid.dim, grid.size).astype(np.int32)
     diff = (idx[:, :, None] - idx[:, None, :]) % grid.n
-    return v_lag[tuple(diff)]
+    return coeffs[tuple(diff)]
 
 
 def _static_matrices(grid: Grid, dispersion: Dispersion, potential: PotentialSpec,
@@ -155,10 +168,11 @@ def _fock_matrix(h0: np.ndarray, v_lag_mat, dmat: np.ndarray, grid: Grid,
         np.fill_diagonal(h, diag)
         return h
     # one buffer: X(ω) in place, then h0 - X off the diagonal and
-    # (h0 + V*ρ) - X on it, the same operations as building h0 + V*ρ first
+    # (h0 + V*ρ) - X on it, the same operations as building h0 + V*ρ first;
+    # a real h0 with a complex ω (the propagation) gives a complex h
     h = np.multiply(v_lag_mat, dmat)
     h /= n_particles
-    diag -= h.diagonal()
+    diag = diag - h.diagonal()
     np.subtract(h0, h, out=h)
     np.fill_diagonal(h, diag)
     return h
@@ -201,14 +215,13 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
     v_lag_mat = _lag_matrix(grid, potential) if potential.has_interaction() else None
 
     phi = _occupy(h0, n_particles, grid, True, None)
-    orbs = OrbitalSet(phi, grid, validate=False)
-    energy = hf_energy(orbs, potential, dispersion)
+    energy = hf_energy(OrbitalSet(phi, grid, validate=False), potential, dispersion)
     dmat = _density_matrix(phi, grid)
     d_mix = dmat.copy()
 
     energies = [energy]
-    residuals = [float(np.linalg.norm(h0 @ dmat - dmat @ h0, "fro"))]
-    best = (energy, orbs)
+    residuals = [_commutator_norm(h0, phi, grid)]
+    best = (energy, phi)
     converged = False
     oscillation = False
     mixing = config.mixing
@@ -220,14 +233,12 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
         iterations = it
         h = _fock_matrix(h0, v_lag_mat, d_mix, grid, potential, n_particles)
         phi = _occupy(h, n_particles, grid, config.aufbau, phi)
-        orbs = OrbitalSet(phi, grid, validate=False)
-        new_energy = hf_energy(orbs, potential, dispersion)
+        new_energy = hf_energy(OrbitalSet(phi, grid, validate=False), potential, dispersion)
         dmat = _density_matrix(phi, grid)
-        residual = float(np.linalg.norm(h @ dmat - dmat @ h, "fro"))
         energies.append(new_energy)
-        residuals.append(residual)
+        residuals.append(_commutator_norm(h, phi, grid))
         if new_energy < best[0]:
-            best = (new_energy, orbs)
+            best = (new_energy, phi)
         slack = 1e-12 * max(1.0, abs(energy))
         if new_energy > energy + slack and it > 1:
             if not halved:
@@ -243,10 +254,10 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
         d_mix = (1.0 - alpha) * d_mix + alpha * dmat
         alpha = mixing
 
-    energy, orbs = best
-    dmat = _density_matrix(orbs.orbitals, grid)
-    h_final = _fock_matrix(h0, v_lag_mat, dmat, grid, potential, n_particles)
-    stationarity = float(np.linalg.norm(h_final @ dmat - dmat @ h_final, "fro"))
+    energy, phi = best
+    h_final = _fock_matrix(h0, v_lag_mat, _density_matrix(phi, grid), grid, potential,
+                           n_particles)
+    orbs = OrbitalSet(phi, grid, validate=False)
     neps = n_particles * grid.epsilon
     return ScfResult(
         orbitals=orbs,
@@ -256,10 +267,23 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
         iterations=iterations,
         converged=converged,
         oscillation=oscillation,
-        stationarity=stationarity,
+        stationarity=_commutator_norm(h_final, phi, grid),
         comm_x_over_neps=comm_x_total(orbs) / neps,
         comm_grad_over_neps=comm_grad_total(orbs) / neps,
     )
+
+
+def _commutator_norm(h: np.ndarray, phi: np.ndarray, grid: Grid) -> float:
+    """‖[h, P]‖_F for P = Σ_j |φ_j><φ_j| dv, from the n×N residual block.
+
+    With U = Φ√dv orthonormal and h Hermitian, [h, P] = (1-P)hP - Ph(1-P),
+    so ‖[h, P]‖_F = √2‖(1-P)hU‖_F = √2‖hU - U(U†hU)‖_F: one n²N product in
+    place of the two n³ products hP and Ph.
+    """
+    u = phi.reshape(phi.shape[0], -1).T * np.sqrt(grid.cell_volume)
+    resid = h @ u
+    resid -= u @ (u.conj().T @ resid)
+    return float(np.sqrt(2.0) * np.linalg.norm(resid))
 
 
 def _density_matrix(phi: np.ndarray, grid: Grid) -> np.ndarray:

@@ -42,6 +42,19 @@ class TestMakeGrid:
         rhs = np.vdot(fh, fh).real * grid.cell_volume / grid.size
         assert abs(lhs - rhs) <= 1e-12 * lhs
 
+    @pytest.mark.parametrize("dim, n", [(1, 256), (2, 16), (3, 8)])
+    def test_block_fft_bytes_equal_fftn(self, dim, n):
+        # Grid.fft/ifft transform the trailing dim axes of a field or a stack
+        grid = Grid(dim, n, 2.0 * np.pi, 0.1)
+        rng = np.random.default_rng(8)
+        shape = (16, *grid.shape)
+        block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        axes = tuple(range(1, dim + 1))
+        assert grid.fft(block).tobytes() == np.fft.fftn(block, axes=axes).tobytes()
+        assert grid.ifft(block).tobytes() == np.fft.ifftn(block, axes=axes).tobytes()
+        assert grid.fft(block[0]).tobytes() == np.fft.fftn(block[0]).tobytes()
+        assert grid.ifft(block[0]).tobytes() == np.fft.ifftn(block[0]).tobytes()
+
     @pytest.mark.parametrize("n", [12, 17, 0, 1])
     def test_rejects_non_power_of_two(self, n):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import hadamard
 
 from rhflab.grids import (
     Dispersion,
@@ -23,10 +24,12 @@ from rhflab.orbitals import (
 from rhflab import scf
 from rhflab.scf import (
     ScfConfig,
+    ScfResult,
     dense_one_body_matrix,
     hf_energy,
     scf_minimize,
 )
+from rhflab.diagnostics import comm_grad_total, comm_x_total
 
 
 def mean_field_apply(orbs: OrbitalSet, potential: PotentialSpec, dispersion: Dispersion,
@@ -54,8 +57,88 @@ def reference_fock_matrix(h0, v_lag_mat, dmat, grid, potential, n_particles):
     if v_lag_mat is not None:
         exchange = v_lag_mat * dmat
         exchange /= n_particles
-        h -= exchange
+        h = h - exchange  # in np.result_type(h0, dmat): a real h0 takes a complex ω
     return h
+
+
+def reference_dense_one_body_matrix(grid, dispersion, vext=None):
+    """K + V_ext as a complex matrix: K applied by FFT to every unit vector."""
+    eye = np.eye(grid.size, dtype=complex).reshape(grid.size, *grid.shape)
+    axes = tuple(range(1, grid.dim + 1))
+    sym = dispersion.symbol(grid)
+    k_cols = np.fft.ifftn(sym * np.fft.fftn(eye, axes=axes), axes=axes)
+    h = k_cols.reshape(grid.size, grid.size).T.copy()
+    if vext is not None:
+        h[np.diag_indices(grid.size)] += vext.reshape(-1)
+    return h
+
+
+def reference_one_body(orbs, potential, dispersion, include_vext=True):
+    """tr[(K [+ V_ext]) ω] as a loop of per-orbital kinetic applies."""
+    grid = orbs.grid
+    dv = grid.cell_volume
+    one_body = 0.0
+    for f in orbs.orbitals:
+        one_body += np.vdot(f, apply_kinetic(f, grid, dispersion)).real * dv
+        if include_vext:
+            one_body += np.vdot(f, potential.vext * f).real * dv
+    return one_body
+
+
+def reference_scf_minimize(grid, potential, n_particles, dispersion, config):
+    """The SCF loop in complex arithmetic with the dense ‖hω - ωh‖_F residual."""
+    h0 = reference_dense_one_body_matrix(grid, dispersion, potential.vext)
+    v_lag_mat = scf._lag_matrix(grid, potential) if potential.has_interaction() else None
+
+    def commutator_norm(h, dmat):
+        return float(np.linalg.norm(h @ dmat - dmat @ h, "fro"))
+
+    phi = scf._occupy(h0, n_particles, grid, True, None)
+    orbs = OrbitalSet(phi, grid, validate=False)
+    energy = hf_energy(orbs, potential, dispersion)
+    dmat = scf._density_matrix(phi, grid)
+    d_mix = dmat.copy()
+    energies = [energy]
+    residuals = [commutator_norm(h0, dmat)]
+    best = (energy, orbs)
+    converged = oscillation = halved = False
+    mixing = config.mixing
+    iterations = 0
+    alpha = 1.0
+    for it in range(1, config.max_iterations + 1):
+        iterations = it
+        h = scf._fock_matrix(h0, v_lag_mat, d_mix, grid, potential, n_particles)
+        phi = scf._occupy(h, n_particles, grid, config.aufbau, phi)
+        orbs = OrbitalSet(phi, grid, validate=False)
+        new_energy = hf_energy(orbs, potential, dispersion)
+        dmat = scf._density_matrix(phi, grid)
+        energies.append(new_energy)
+        residuals.append(commutator_norm(h, dmat))
+        if new_energy < best[0]:
+            best = (new_energy, orbs)
+        slack = 1e-12 * max(1.0, abs(energy))
+        if new_energy > energy + slack and it > 1:
+            if not halved:
+                mixing = 0.5 * mixing
+                halved = True
+            else:
+                oscillation = True
+        if abs(new_energy - energy) < config.convergence_tol:
+            energy = new_energy
+            converged = True
+            break
+        energy = new_energy
+        d_mix = (1.0 - alpha) * d_mix + alpha * dmat
+        alpha = mixing
+    energy, orbs = best
+    dmat = scf._density_matrix(orbs.orbitals, grid)
+    h_final = scf._fock_matrix(h0, v_lag_mat, dmat, grid, potential, n_particles)
+    neps = n_particles * grid.epsilon
+    return ScfResult(orbitals=orbs, energy=energy, energies=energies, residuals=residuals,
+                     iterations=iterations, converged=converged, oscillation=oscillation,
+                     stationarity=commutator_norm(h_final, dmat),
+                     comm_x_over_neps=comm_x_total(orbs) / neps,
+                     comm_grad_over_neps=comm_grad_total(orbs) / neps)
 
 
 def dense_hf_energy(orbs, potential, dispersion):
@@ -128,6 +211,18 @@ class TestHfEnergy:
         assert loop > 0.0
         assert abs((without_x - with_x) - loop) <= 1e-13 * abs(with_x)
 
+    @pytest.mark.parametrize("grid", [Grid(1, 64, 2.0 * np.pi, 0.1),
+                                      Grid(2, 16, 2.0 * np.pi, 0.25)])
+    @pytest.mark.parametrize("include_vext", [False, True])
+    def test_one_body_matches_per_orbital_loop(self, grid, include_vext):
+        disp = Dispersion.relativistic(1.0)
+        free = PotentialSpec(grid, np.zeros(grid.shape), vext=harmonic_trap(grid, 1.0))
+        for seed in (47, 48):
+            orbs = random_orbital_set(grid, 6, seed=seed)
+            ref = reference_one_body(orbs, free, disp, include_vext)
+            val = hf_energy(orbs, free, disp, include_vext=include_vext)
+            assert abs(val - ref) <= 1e-14 * abs(ref)
+
     def test_positive_kernel_lower_bound(self, grid64):
         # with vhat >= 0 the exchange never beats the direct term: E >= N m0
         disp = Dispersion.relativistic(1.5)
@@ -148,14 +243,80 @@ class TestFockMatrix:
         pot = PotentialSpec(grid, gaussian_vhat(grid, 0.8), vext=harmonic_trap(grid, 1.0),
                             coupling=coupling)
         h0, v_lag = scf._static_matrices(grid, disp, pot, include_vext)
+        assert h0.dtype == np.float64
         assert (v_lag is None) == (coupling == 0.0)
         for seed in (45, 46):
             orbs = random_orbital_set(grid, 5, seed=seed)
             dmat = scf._density_matrix(orbs.orbitals, grid)
-            got = scf._fock_matrix(h0, v_lag, dmat, grid, pot, 5)
-            ref = reference_fock_matrix(h0, v_lag, dmat, grid, pot, 5)
-            assert got.dtype == ref.dtype
-            assert got.tobytes() == ref.tobytes()
+            # a complex ω is the propagation's case, a real one the SCF's
+            for omega in (dmat, dmat.real.copy()):
+                got = scf._fock_matrix(h0, v_lag, omega, grid, pot, 5)
+                ref = reference_fock_matrix(h0, v_lag, omega, grid, pot, 5)
+                assert got.dtype == ref.dtype
+                assert got.tobytes() == ref.tobytes()
+
+
+class TestDenseOneBodyMatrix:
+    """The real circulant K against K applied by FFT to every unit vector."""
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64, 2.0 * np.pi, 0.1),
+                                      Grid(2, 16, 2.0 * np.pi, 0.25),
+                                      Grid(3, 8, 2.0 * np.pi, 0.5)])
+    @pytest.mark.parametrize("disp", [Dispersion.relativistic(1.3),
+                                      Dispersion.nonrelativistic(0.8),
+                                      Dispersion.massless()])
+    def test_matches_fft_built_matrix(self, grid, disp):
+        vext = harmonic_trap(grid, 0.7)
+        got = dense_one_body_matrix(grid, disp, vext)
+        ref = reference_dense_one_body_matrix(grid, disp, vext)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestCommutatorNorm:
+    """√2‖hU - U(U†hU)‖_F against ‖hP - Ph‖_F for P = UU†."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n_part", [1, 5, 20])
+    def test_matches_dense_commutator(self, complex_, n_part):
+        grid = Grid(1, 64, 2.0 * np.pi, 0.1)
+        rng = np.random.default_rng(50 + n_part)
+        a = rng.standard_normal((64, 64))
+        b = rng.standard_normal((64, n_part))
+        if complex_:
+            a = a + 1j * rng.standard_normal((64, 64))
+            b = b + 1j * rng.standard_normal((64, n_part))
+        h = a + a.conj().T
+        u = np.linalg.qr(b)[0]
+        p = u @ u.conj().T
+        ref = np.linalg.norm(h @ p - p @ h)
+        got = scf._commutator_norm(h, (u / np.sqrt(grid.cell_volume)).T, grid)
+        assert abs(got - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("n_part", [2, 8, 32])
+    def test_near_stationary_exact_values(self, n_part):
+        # U: Hadamard columns / 16, exactly orthonormal; h = PAP + QBQ + 2^-k C with
+        # small-integer A, B, C is exact in float64, so ‖[h, P]‖ = 2^-k ‖[C, P]‖ exactly
+        n = 256
+        grid = Grid(1, n, 2.0 * np.pi, 0.1)
+        rng = np.random.default_rng(n_part)
+        u = hadamard(n)[:, :n_part] / 16.0
+        p = u @ u.T
+        q = np.eye(n) - p
+        a, b, c = (np.triu(m) + np.triu(m, 1).T
+                   for m in rng.integers(-1, 2, (3, n, n)).astype(float))
+        base = p @ a @ p + q @ b @ q
+        assert np.array_equal(base @ p, p @ base)
+        phi = (u / np.sqrt(grid.cell_volume)).T
+        floor = np.finfo(float).eps * np.linalg.norm(base, 2) * np.sqrt(n_part)
+        for k in (None, 47, 40):
+            delta = 0.0 if k is None else 2.0**-k
+            h = base + delta * c
+            assert np.array_equal(h - base, delta * c)
+            exact = delta * np.linalg.norm(c @ p - p @ c)
+            got = scf._commutator_norm(h, phi, grid)
+            assert abs(got - exact) <= floor
+            assert floor < 0.1 * exact or k is None
 
 
 class TestMeanFieldApply:
@@ -275,6 +436,27 @@ class TestScfMinimize:
                                ScfConfig(max_iterations=80, convergence_tol=1e-9))
             assert res.comm_x_over_neps <= 10.0
             assert res.comm_grad_over_neps <= 10.0
+
+    @pytest.mark.parametrize("n, n_part", [(256, 8), (256, 16), (256, 32), (64, 6)])
+    def test_matches_complex_reference_loop(self, n, n_part):
+        grid = Grid(1, n, 4.0 * np.pi, 1.0 / n_part)
+        disp = Dispersion.relativistic(1.0)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
+                            coupling=0.5)
+        config = ScfConfig(max_iterations=120, convergence_tol=1e-10)
+        res = scf_minimize(grid, pot, n_part, disp, config)
+        ref = reference_scf_minimize(grid, pot, n_part, disp, config)
+        assert res.converged and ref.converged
+        assert res.iterations == ref.iterations
+        assert len(res.energies) == len(ref.energies)
+        for got, want in zip(res.energies, ref.energies):
+            assert abs(got - want) <= 1e-12 * abs(want)
+        assert abs(res.energy - ref.energy) <= 1e-12 * abs(ref.energy)
+        assert hs_distance_squared(res.orbitals, ref.orbitals) <= 1e-20
+        assert abs(res.stationarity - ref.stationarity) <= 1e-6 * ref.stationarity
+        assert abs(res.comm_x_over_neps - ref.comm_x_over_neps) <= 1e-12 * ref.comm_x_over_neps
+        assert (abs(res.comm_grad_over_neps - ref.comm_grad_over_neps)
+                <= 1e-12 * ref.comm_grad_over_neps)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
