@@ -29,12 +29,24 @@ so the counts are combined with XOR.  No state lookup is needed: two equal-size
 subsets compare as their smallest differing element, so R ∪ S -> R ∪ S' (R
 disjoint from S and S') preserves the order, and the states holding S but
 not S' map in enumeration order onto those holding S' but not S.
+
+The one-body density comes from the annihilation table, built once per basis
+on first use.  a_p on a state S holding p gives (-1)^below[p, S] |S ∖ {p}>,
+so (a_p ψ)(S') = (-1)^below[p, S' ∪ {p}] ψ(S' ∪ {p}) for every (N-1)-subset
+S' not holding p, and zero otherwise.  These amplitudes form the M × C(M, N-1)
+matrix Φ[p, S'], and γ[p, q] = <a†_q a_p> = <a_q ψ, a_p ψ> makes γ = ΦΦ^†.
+Each occupied pair (mode m, state i) contributes one entry: its column is the
+rank of masks[i] ^ (1 << m) among the distinct (N-1)-masks, its sign the
+parity of below[m, i].  The table holds these D·N entries as flat targets
+m·C(M, N-1) + column, source states and parities, so a density is one
+scatter and one matrix product, again without an N-state lookup.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -90,6 +102,20 @@ class FockBasis:
     @property
     def size(self) -> int:
         return len(self.subsets)
+
+    @cached_property
+    def annihilation_table(self) -> tuple:
+        """(target, state, odd, n_cols) with Φ.flat[target] = (-1)^odd ψ[state].
+
+        Φ is M × n_cols with n_cols = C(M, N-1) (module docstring).  Under
+        BASIS_CAP every flat target stays below 2^31.
+        """
+        mode, state = np.nonzero(self.occupied)
+        rest, column = np.unique(self.masks[state] ^ (np.int64(1) << mode),
+                                 return_inverse=True)
+        target = (mode * len(rest) + column).astype(np.int32)
+        odd = (self.below[mode, state] & 1).astype(bool)
+        return target, state.astype(np.int32), odd, len(rest)
 
 
 def _interaction_table(basis: FockBasis, vhat, coupling: float):
@@ -183,19 +209,18 @@ def evolve_exact(vector: np.ndarray, hamiltonian, t: float, epsilon: float,
 def reduced_density_1(vector: np.ndarray, basis: FockBasis) -> np.ndarray:
     """One-particle reduced density γ[p, q] = <a†_q a_p>; Hermitian, tr = N.
 
-    Each pair p < q pairs the states holding p but not q with their targets
-    in order (module docstring); the lower triangle is the conjugate.
+    γ = ΦΦ^† with Φ[p, S'] = (a_p ψ)(S') scattered from the basis's
+    annihilation table (module docstring); the strict upper triangle of the
+    product is mirrored and the diagonal taken real, so γ is exactly Hermitian.
     """
-    vector = np.asarray(vector, dtype=complex)
-    occ, below = basis.occupied, basis.below
-    gamma = np.diag(occ @ np.abs(vector) ** 2).astype(complex)
-    for p in range(basis.n_modes):
-        for q in range(p + 1, basis.n_modes):
-            src = np.flatnonzero(occ[p] & ~occ[q])
-            sign = 1 - 2 * ((below[p, src] ^ below[q, src] ^ 1) & 1)
-            dst = np.flatnonzero(occ[q] & ~occ[p])
-            gamma[p, q] = np.dot(sign * vector[src], vector[dst].conj())
-    return gamma + np.triu(gamma, 1).conj().T
+    target, state, odd, n_cols = basis.annihilation_table
+    amplitudes = np.asarray(vector, dtype=complex)[state]
+    np.negative(amplitudes, out=amplitudes, where=odd)
+    phi = np.zeros((basis.n_modes, n_cols), dtype=complex)
+    phi.ravel()[target] = amplitudes
+    product = phi @ phi.conj().T
+    upper = np.triu(product, 1)
+    return upper + upper.conj().T + np.diag(product.diagonal().real)
 
 
 @dataclass

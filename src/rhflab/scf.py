@@ -11,9 +11,14 @@ V(x_i - x_j) and every iterate's density matrix are real, so each h is real
 symmetric and its eigenvectors are real.  The orbitals become complex only
 in the OrbitalSet handed out.  At a degenerate Fermi level (open shells of
 symmetric 2D/3D traps) Aufbau occupation is ambiguous, in complex as in real
-arithmetic, and LAPACK may pick any subspace of the degenerate level.  The
-residuals and `stationarity` are ‖[h, ω]‖_HS, computed as √2‖(1-P)hP‖_F
-from the n×N block (1-P)hU (`_commutator_norm`).
+arithmetic, and LAPACK may pick any subspace of the degenerate level.
+
+The residuals and `stationarity` are ‖[h, ω]‖_HS, computed as √2‖(1-P)hP‖_F
+from the n×N block (1-P)hU (`_commutator_norm`).  Residual k pairs iterate
+ω_k with the mixed mean field h_{k+1} that iterate k+1 is occupied from;
+ω_k is an eigenprojection of h_k, so pairing it with h_k would read zero up
+to rounding.  The last iterate has no next mean field and is paired with
+h(ω_k); `stationarity` is that norm for the returned (lowest-energy) state.
 
 The dense Fock builder is shared with the time stepper (`fock_matrix`),
 which caches its ω-independent parts, K (+ V_ext) and V(x_i - x_j), by
@@ -207,7 +212,11 @@ def _occupy(h: np.ndarray, n_particles: int, grid: Grid, aufbau: bool,
 
 def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
                  dispersion: Dispersion, config: ScfConfig) -> ScfResult:
-    """Damped SCF with Aufbau occupation; returns the best (lowest-energy) iterate."""
+    """Damped SCF with Aufbau occupation; returns the best (lowest-energy) iterate.
+
+    residuals[k] is ‖[h_{k+1}, ω_k]‖ for the next mean field h_{k+1}, and
+    ‖[h(ω_k), ω_k]‖ on the last row (module docstring).
+    """
     if n_particles > grid.size:
         raise ValueError("more particles than grid degrees of freedom")
     # built here rather than taken from the cache: a run keeps no SCF matrices
@@ -220,7 +229,7 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
     d_mix = dmat.copy()
 
     energies = [energy]
-    residuals = [_commutator_norm(h0, phi, grid)]
+    residuals = []
     best = (energy, phi)
     converged = False
     oscillation = False
@@ -232,11 +241,11 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
     for it in range(1, config.max_iterations + 1):
         iterations = it
         h = _fock_matrix(h0, v_lag_mat, d_mix, grid, potential, n_particles)
+        residuals.append(_commutator_norm(h, phi, grid))
         phi = _occupy(h, n_particles, grid, config.aufbau, phi)
         new_energy = hf_energy(OrbitalSet(phi, grid, validate=False), potential, dispersion)
         dmat = _density_matrix(phi, grid)
         energies.append(new_energy)
-        residuals.append(_commutator_norm(h, phi, grid))
         if new_energy < best[0]:
             best = (new_energy, phi)
         slack = 1e-12 * max(1.0, abs(energy))
@@ -254,9 +263,16 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
         d_mix = (1.0 - alpha) * d_mix + alpha * dmat
         alpha = mixing
 
+    last = phi
     energy, phi = best
     h_final = _fock_matrix(h0, v_lag_mat, _density_matrix(phi, grid), grid, potential,
                            n_particles)
+    stationarity = _commutator_norm(h_final, phi, grid)
+    if phi is last:
+        residuals.append(stationarity)
+    else:  # dmat is the last iterate's density
+        h_last = _fock_matrix(h0, v_lag_mat, dmat, grid, potential, n_particles)
+        residuals.append(_commutator_norm(h_last, last, grid))
     orbs = OrbitalSet(phi, grid, validate=False)
     neps = n_particles * grid.epsilon
     return ScfResult(
@@ -267,7 +283,7 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
         iterations=iterations,
         converged=converged,
         oscillation=oscillation,
-        stationarity=_commutator_norm(h_final, phi, grid),
+        stationarity=stationarity,
         comm_x_over_neps=comm_x_total(orbs) / neps,
         comm_grad_over_neps=comm_grad_total(orbs) / neps,
     )

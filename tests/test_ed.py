@@ -106,6 +106,24 @@ def reference_reduced_density_1(vector, basis):
     return gamma
 
 
+def pairwise_reduced_density_1(vector, basis):
+    """The per-pair form reduced_density_1 replaced: one pass per mode pair p < q.
+
+    Each pair p < q pairs the states holding p but not q with their targets
+    in order (module docstring); the lower triangle is the conjugate.
+    """
+    vector = np.asarray(vector, dtype=complex)
+    occ, below = basis.occupied, basis.below
+    gamma = np.diag(occ @ np.abs(vector) ** 2).astype(complex)
+    for p in range(basis.n_modes):
+        for q in range(p + 1, basis.n_modes):
+            src = np.flatnonzero(occ[p] & ~occ[q])
+            sign = 1 - 2 * ((below[p, src] ^ below[q, src] ^ 1) & 1)
+            dst = np.flatnonzero(occ[q] & ~occ[p])
+            gamma[p, q] = np.dot(sign * vector[src], vector[dst].conj())
+    return gamma + np.triu(gamma, 1).conj().T
+
+
 def reference_mean_field(mf, terms, gamma):
     h = np.diag(mf.kinetic).astype(complex)
     for a, b, c, d, coef in terms:
@@ -148,6 +166,12 @@ def dump_instance(path, basis, hamiltonian=None, max_size: int = 4096) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True))
 
 
+def random_state(basis, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+    return v / np.linalg.norm(v)
+
+
 class TestBasis:
     def test_lexicographic_enumeration(self):
         basis = FockBasis(4, 2, L)
@@ -187,9 +211,7 @@ class TestAgainstLoopReference:
     @pytest.mark.parametrize("n_modes,n_particles", SIZES)
     def test_reduced_density(self, n_modes, n_particles):
         basis = FockBasis(n_modes, n_particles, L)
-        rng = np.random.default_rng(n_modes * 10 + n_particles)
-        v = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-        v /= np.linalg.norm(v)
+        v = random_state(basis, n_modes * 10 + n_particles)
         gamma = reduced_density_1(v, basis)
         ref = reference_reduced_density_1(v, basis)
         assert np.max(np.abs(gamma - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -295,6 +317,61 @@ class TestReducedDensity:
             evals = np.linalg.eigvalsh(gamma)
             assert evals.min() >= -1e-10
             assert evals.max() <= 1.0 + 1e-10
+
+
+class TestAnnihilationDensity:
+    """γ = ΦΦ^† from the annihilation table against the per-pair loop it replaced."""
+
+    @pytest.mark.parametrize("n_modes,n_particles", SIZES + [(20, 6)])
+    def test_matches_pairwise_loop(self, n_modes, n_particles):
+        basis = FockBasis(n_modes, n_particles, L)
+        v = random_state(basis, n_modes * 10 + n_particles)
+        ref = pairwise_reduced_density_1(v, basis)
+        gamma = reduced_density_1(v, basis)
+        assert np.max(np.abs(gamma - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n_modes,n_particles", [(8, 3), (12, 5), (16, 4)])
+    def test_exactly_hermitian_with_real_diagonal(self, n_modes, n_particles):
+        basis = FockBasis(n_modes, n_particles, L)
+        gamma = reduced_density_1(random_state(basis, 7), basis)
+        assert np.array_equal(gamma, gamma.conj().T)
+        assert np.all(gamma.diagonal().imag == 0.0)
+
+    def test_single_particle_is_outer_product(self):
+        # N=1: Φ has one column (the vacuum) and γ[p, q] = ψ(p) conj(ψ(q))
+        basis = FockBasis(7, 1, L)
+        assert basis.annihilation_table[3] == 1
+        v = random_state(basis, 3)
+        gamma = reduced_density_1(v, basis)
+        assert np.max(np.abs(gamma - np.outer(v, v.conj()))) <= 1e-15
+
+    def test_filled_mode_set(self):
+        # N=M: the one state occupies every mode, γ = |ψ|² times the identity
+        basis = FockBasis(6, 6, L)
+        v = np.array([0.6 - 0.8j])
+        assert np.array_equal(reduced_density_1(v, basis), np.eye(6))
+        assert np.array_equal(pairwise_reduced_density_1(v, basis), np.eye(6))
+
+    def test_zero_vector(self):
+        basis = FockBasis(8, 3, L)
+        gamma = reduced_density_1(np.zeros(basis.size), basis)
+        assert gamma.shape == (8, 8)
+        assert not np.any(gamma)
+
+    def test_table_built_once_and_only_when_used(self):
+        basis = FockBasis(10, 3, L)
+        build_hamiltonian(basis, Dispersion.relativistic(1.0), 1.0, gauss_vhat(), 0.3)
+        assert "annihilation_table" not in vars(basis)
+        v = random_state(basis, 5)
+        first = reduced_density_1(v, basis)
+        table = vars(basis)["annihilation_table"]
+        assert np.array_equal(reduced_density_1(v, basis), first)
+        assert basis.annihilation_table is table
+        target, state, odd, n_cols = table
+        assert target.dtype == state.dtype == np.int32 and odd.dtype == bool
+        assert len(target) == basis.size * basis.n_particles
+        assert n_cols == 45  # C(10, 2)
+        assert len(np.unique(target)) == len(target)
 
 
 class TestEvolveExact:
@@ -434,35 +511,58 @@ class TestMeanFieldGap:
             dump_instance(path, FockBasis(16, 8, L))
 
 
+def oracle_gaps(n_modes, n_part, eps, coupling):
+    """Gap series tr|γ(t) - ω(t)|²_HS of a Fermi-sea start to t=1, sampled every 0.1.
+
+    The mean-field leg steps dt=0.02; asserts that the exact leg keeps its
+    norm and energy to 1e-9.
+    """
+    dt, t_final, sample_every = 0.02, 1.0, 5
+    disp = Dispersion.relativistic(1.0)
+    vh = gauss_vhat()
+    basis = FockBasis(n_modes, n_part, L)
+    modes = fermi_sea_modes(basis, disp, eps)
+    h = build_hamiltonian(basis, disp, eps, vh, coupling=coupling)
+    psi = slater_vector(basis, modes)
+    e0 = np.vdot(psi, h @ psi).real
+    gammas = [reduced_density_1(psi, basis)]
+    step_t = dt * sample_every
+    for _ in range(int(round(t_final / step_t))):
+        psi = evolve_exact(psi, h, step_t, eps)
+        gammas.append(reduced_density_1(psi, basis))
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-9
+    assert abs(np.vdot(psi, h @ psi).real - e0) <= 1e-9 * max(1.0, abs(e0))
+    _, hf_gammas = hf_mode_evolution(basis, disp, eps, vh, coupling, modes,
+                                     t_final, dt, sample_every=sample_every)
+    return mean_field_gap(gammas, hf_gammas)
+
+
 class TestExtendedOracle:
     def test_gap_bounded_over_particle_numbers(self):
         # criterion 8's gap series on 16 modes at N = 2..5: the mean-field gap
         # must not grow with N beyond its N=2 value
-        eps, coupling, dt, t_final, sample_every = 1.0, 0.2, 0.02, 1.0, 5
-        disp = Dispersion.relativistic(1.0)
-        vh = gauss_vhat()
-        step_t = dt * sample_every
         max_gap = {}
         for n_part in (2, 3, 4, 5):
-            basis = FockBasis(16, n_part, L)
-            modes = fermi_sea_modes(basis, disp, eps)
-            h = build_hamiltonian(basis, disp, eps, vh, coupling=coupling)
-            psi = slater_vector(basis, modes)
-            e0 = np.vdot(psi, h @ psi).real
-            gammas = [reduced_density_1(psi, basis)]
-            for _ in range(int(round(t_final / step_t))):
-                psi = evolve_exact(psi, h, step_t, eps)
-                gammas.append(reduced_density_1(psi, basis))
-            assert abs(np.linalg.norm(psi) - 1.0) <= 1e-9
-            assert abs(np.vdot(psi, h @ psi).real - e0) <= 1e-9 * max(1.0, abs(e0))
-            _, hf_gammas = hf_mode_evolution(basis, disp, eps, vh, coupling, modes,
-                                             t_final, dt, sample_every=sample_every)
-            gaps = mean_field_gap(gammas, hf_gammas)
+            gaps = oracle_gaps(16, n_part, eps=1.0, coupling=0.2)
             assert gaps[0] == 0.0
             assert np.max(gaps) <= 0.5
             max_gap[n_part] = np.max(gaps)
         for n_part, gap in max_gap.items():
             assert gap / max_gap[2] <= 1.5, max_gap
+
+    def test_resolved_gap_falls_with_particle_number(self):
+        # at coupling 2, ε=0.25 the gaps are 1e-3 to 1e-2, far above rounding;
+        # M=18 and M=20 agree, so mode truncation does not set the N trend
+        n_parts = np.arange(2, 8)
+        max_gap = {m: np.array([np.max(oracle_gaps(m, n, eps=0.25, coupling=2.0))
+                                for n in n_parts]) for m in (18, 20)}
+        for gaps in max_gap.values():
+            assert np.all(np.diff(gaps) <= 0.0), gaps
+        assert np.max(np.abs(max_gap[18] - max_gap[20]) / max_gap[20]) <= 1e-4
+        exponent = np.polyfit(np.log(n_parts), np.log(max_gap[20]), 1)[0]
+        print("resolved gap, M=20, N=2..7: "
+              + ", ".join(f"{g:.4e}" for g in max_gap[20])
+              + f"; fitted exponent {exponent:.2f}")
 
 
 class TestHfModeEnergy:

@@ -86,7 +86,11 @@ def reference_one_body(orbs, potential, dispersion, include_vext=True):
 
 
 def reference_scf_minimize(grid, potential, n_particles, dispersion, config):
-    """The SCF loop in complex arithmetic with the dense ‖hω - ωh‖_F residual."""
+    """The SCF loop in complex arithmetic with the dense ‖hω - ωh‖_F residual.
+
+    Residual k pairs iterate k with the next mean field, the last row with
+    the last iterate's own mean field.
+    """
     h0 = reference_dense_one_body_matrix(grid, dispersion, potential.vext)
     v_lag_mat = scf._lag_matrix(grid, potential) if potential.has_interaction() else None
 
@@ -99,7 +103,7 @@ def reference_scf_minimize(grid, potential, n_particles, dispersion, config):
     dmat = scf._density_matrix(phi, grid)
     d_mix = dmat.copy()
     energies = [energy]
-    residuals = [commutator_norm(h0, dmat)]
+    residuals = []
     best = (energy, orbs)
     converged = oscillation = halved = False
     mixing = config.mixing
@@ -108,12 +112,12 @@ def reference_scf_minimize(grid, potential, n_particles, dispersion, config):
     for it in range(1, config.max_iterations + 1):
         iterations = it
         h = scf._fock_matrix(h0, v_lag_mat, d_mix, grid, potential, n_particles)
+        residuals.append(commutator_norm(h, dmat))
         phi = scf._occupy(h, n_particles, grid, config.aufbau, phi)
         orbs = OrbitalSet(phi, grid, validate=False)
         new_energy = hf_energy(orbs, potential, dispersion)
         dmat = scf._density_matrix(phi, grid)
         energies.append(new_energy)
-        residuals.append(commutator_norm(h, dmat))
         if new_energy < best[0]:
             best = (new_energy, orbs)
         slack = 1e-12 * max(1.0, abs(energy))
@@ -130,6 +134,8 @@ def reference_scf_minimize(grid, potential, n_particles, dispersion, config):
         energy = new_energy
         d_mix = (1.0 - alpha) * d_mix + alpha * dmat
         alpha = mixing
+    h_last = scf._fock_matrix(h0, v_lag_mat, dmat, grid, potential, n_particles)
+    residuals.append(commutator_norm(h_last, dmat))
     energy, orbs = best
     dmat = scf._density_matrix(orbs.orbitals, grid)
     h_final = scf._fock_matrix(h0, v_lag_mat, dmat, grid, potential, n_particles)
@@ -454,9 +460,28 @@ class TestScfMinimize:
         assert abs(res.energy - ref.energy) <= 1e-12 * abs(ref.energy)
         assert hs_distance_squared(res.orbitals, ref.orbitals) <= 1e-20
         assert abs(res.stationarity - ref.stationarity) <= 1e-6 * ref.stationarity
+        assert len(res.residuals) == len(ref.residuals) == len(ref.energies)
+        for got, want in zip(res.residuals, ref.residuals):
+            assert abs(got - want) <= 1e-6 * want
         assert abs(res.comm_x_over_neps - ref.comm_x_over_neps) <= 1e-12 * ref.comm_x_over_neps
         assert (abs(res.comm_grad_over_neps - ref.comm_grad_over_neps)
                 <= 1e-12 * ref.comm_grad_over_neps)
+
+    @pytest.mark.parametrize("n_part", [16, 32])
+    def test_residual_tracks_convergence(self, n_part):
+        # the quench setup: residual k is ‖[h_{k+1}, ω_k]‖, which falls with the
+        # energy change instead of sitting at eigensolver rounding
+        grid = Grid(1, 256, 4.0 * np.pi, 1.0 / n_part)
+        disp = Dispersion.relativistic(1.0)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
+                            coupling=0.5)
+        res = scf_minimize(grid, pot, n_part, disp, ScfConfig(convergence_tol=1e-10))
+        assert res.converged
+        assert len(res.residuals) == len(res.energies) == res.iterations + 1
+        assert res.residuals[-1] <= 1e-3 * res.residuals[0]
+        assert res.residuals[-1] > 1e-10
+        assert res.energy == res.energies[-1]  # the best iterate is the last
+        assert res.residuals[-1] == res.stationarity
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
