@@ -24,11 +24,27 @@ operator on mode m, applied right to left, gives (-1)^(occupied modes below m),
 so from state i's own counts a†_q a_p gives (-1)^(below[p,i] + below[q,i] +
 [p<q]), and a†_c a†_d a_b a_a with a<b, c<d gives (-1)^(below[a,i] +
 below[b,i] + below[c,i] + below[d,i] + 1 + [a<c] + [a<d] + [b<c] + [b<d]),
-the brackets correcting for the modes already moved.  Only parities matter,
-so the counts are combined with XOR.  No state lookup is needed: two equal-size
-subsets compare as their smallest differing element, so R ∪ S -> R ∪ S' (R
-disjoint from S and S') preserves the order, and the states holding S but
-not S' map in enumeration order onto those holding S' but not S.
+the brackets correcting for the modes already moved.  No state lookup is
+needed: two equal-size subsets compare as their smallest differing element,
+so R ∪ S -> R ∪ S' (R disjoint from S and S') preserves the order, and the
+states holding S but not S' map in enumeration order onto those holding S'
+but not S.
+
+The Hamiltonian comes from a held-pair table, made per build: one row per
+mode pair a < b listing, ascending, the states holding both.  Each pair is
+held by exactly C(M-2, N-2) states, so the table is rectangular, and each
+state holds C(N, 2) pairs, so it has D·C(N, 2) entries.  A term a†_c a†_d a_b
+a_a with {c, d} disjoint from {a, b} takes as sources the entries of row
+(a, b) whose masks have c and d empty, and as targets the entries of row
+(c, d) whose masks have a and b empty.  These are R ∪ {a, b} and R ∪ {c, d}
+over the same (N-2)-subsets R of the other modes, each list ascending, so by
+the order argument above (S = {a, b}, S' = {c, d}) the k-th source maps onto
+the k-th target.  With low_m = 2^m - 1, below[m, i] = popcount(mask_i &
+low_m), and popcount(x & A) + popcount(x & B) has the parity of popcount(x &
+(A ^ B)); so the term's sign is the parity of popcount(mask_i & (low_a ^ low_b
+^ low_c ^ low_d)) plus the bracket constant above, from the source masks the
+selection has already read.  The terms run in chunks, so the (terms × held
+states) work arrays hold at most CHUNK entries whatever the basis size.
 
 The one-body density comes from the annihilation table, built once per basis
 on first use.  a_p on a state S holding p gives (-1)^below[p, S] |S ∖ {p}>,
@@ -70,6 +86,8 @@ __all__ = [
 ]
 
 BASIS_CAP = 1_000_000
+# entries of the (terms × held states) work arrays of one build_hamiltonian chunk
+CHUNK = 1 << 15
 # int64 occupation masks, one bit per mode, the sign bit untouched
 MAX_MODES = 62
 
@@ -139,45 +157,97 @@ def _interaction_table(basis: FockBasis, vhat, coupling: float):
     return partner, coef
 
 
+def _held_pairs(basis: FockBasis) -> tuple:
+    """(pair, held): pair[a, b] is the row of the mode pair a < b (-1 elsewhere),
+    held[row] the C(M-2, N-2) states holding that pair, ascending."""
+    m, n = basis.n_modes, basis.n_particles
+    first, second = np.triu_indices(m, 1)
+    pair = np.full((m, m), -1, dtype=np.intp)
+    pair[first, second] = np.arange(len(first))
+    occ = basis.occupied
+    held = np.empty((len(first), comb(m - 2, n - 2) if n >= 2 else 0), dtype=np.int32)
+    for row, (p, q) in enumerate(zip(first, second)):
+        held[row] = np.flatnonzero(occ[p] & occ[q])
+    return pair, held
+
+
+def _parity(x: np.ndarray, n_bits: int) -> np.ndarray:
+    """Parity of the set bits of each x < 2^n_bits (x is overwritten)."""
+    shift = 1 << (n_bits - 1).bit_length()
+    while shift > 1:
+        shift //= 2
+        x ^= x >> shift
+    return x & 1
+
+
+def _held_without(rows: np.ndarray, held: np.ndarray, held_masks: np.ndarray,
+                  bits: np.ndarray) -> tuple:
+    """The states of held[rows[k]] with bits[k] empty, row by row, and their masks."""
+    masks = held_masks[rows]
+    keep = (masks & bits[:, None]) == 0
+    return held[rows][keep], masks[keep]
+
+
 def build_hamiltonian(basis: FockBasis, dispersion: Dispersion, epsilon: float,
                       vhat, coupling: float = 1.0) -> scipy.sparse.csr_matrix:
     """Sparse Hamiltonian on the N-particle sector.
 
     vhat maps |q| -> V̂(q) (real, even); the kinetic symbol is evaluated at
     ε·|p| per mode.  The four orderings of each term are summed onto a < b,
-    c < d, then applied to every state holding a and b at once.
+    c < d.  A term with (c, d) = (a, b) adds to the diagonal of the states
+    holding a and b, pair by pair in lexicographic order.  Every other term
+    has {c, d} disjoint from {a, b} (f_a + f_b = f_c + f_d, so c = a forces
+    d = b) and moves the states holding a and b with c, d empty onto those
+    holding c and d with a, b empty, the k-th source onto the k-th target,
+    with the sign parity(mask & (low_a ^ low_b ^ low_c ^ low_d)) plus the
+    bracket constant (module docstring).  Both lists are read from the
+    held-pair table (D·C(N, 2) entries, made per call), a chunk of terms at
+    a time, so the work arrays hold at most CHUNK entries.  The matrix is
+    assembled real and stored complex; no two terms reach the same entry,
+    so its CSR arrays are fixed by the entries alone.
     """
-    occ, below = basis.occupied, basis.below
+    m, n = basis.n_modes, basis.n_particles
     sym = dispersion.symbol_values(epsilon * np.abs(basis.momenta))
     partner, coef = _interaction_table(basis, vhat, coupling)
-    diagonal = sym @ occ
-    rows, cols, vals = [], [], []
-    for a in range(basis.n_modes):
-        for b in range(a + 1, basis.n_modes):
-            held = occ[a] & occ[b]
-            for c in np.flatnonzero(partner[a, b] > np.arange(basis.n_modes)).tolist():
-                d = int(partner[a, b, c])
-                # summed in the order the four orderings are enumerated
-                w = ((coef[a, b, c] - coef[a, b, d]) - coef[b, a, c]) + coef[b, a, d]
-                if w == 0.0:
-                    continue
-                if (c, d) == (a, b):
-                    diagonal[held] += w
-                    continue
-                src = np.flatnonzero(held & ~(occ[c] | occ[d]))
-                parity = (below[a, src] ^ below[b, src] ^ below[c, src] ^ below[d, src]
-                          ^ (1 + (a < c) + (a < d) + (b < c) + (b < d))) & 1
-                # the targets, in the order of their sources (module docstring)
-                rows.append(np.flatnonzero(occ[c] & occ[d] & ~(occ[a] | occ[b])))
-                cols.append(src)
-                vals.append(np.where(parity, -w, w))
-    states = np.arange(basis.size)
-    ij = (np.concatenate(rows + [states]).astype(np.int32),
-          np.concatenate(cols + [states]).astype(np.int32))
-    h = scipy.sparse.coo_matrix((np.concatenate(vals + [diagonal]), ij),
-                                shape=(basis.size,) * 2, dtype=complex).tocsr()
-    h.eliminate_zeros()
-    return h
+    modes = np.arange(m)
+    a, b, c = np.nonzero((partner > modes) & (modes[:, None, None] < modes[None, :, None]))
+    d = partner[a, b, c]
+    # summed in the order the four orderings are enumerated
+    w = ((coef[a, b, c] - coef[a, b, d]) - coef[b, a, c]) + coef[b, a, d]
+    pair, held = _held_pairs(basis)
+    diagonal = sym @ basis.occupied
+    for row, weight in zip(pair[a[c == a], b[c == a]], w[c == a]):
+        diagonal[held[row]] += weight
+    # zero diagonal entries are left out; the moved terms below have w != 0
+    states = np.flatnonzero(diagonal).astype(np.int32)
+    rows, cols, vals = [states], [states], [diagonal[states]]
+    moved = (c != a) & (w != 0.0)
+    n_moved = comb(m - 4, n - 2) if m >= 4 and n >= 2 else 0
+    if n_moved:
+        a, b, c, d, w = (x[moved] for x in (a, b, c, d, w))
+        # masks below 2^31 are read as int32: half the memory traffic
+        dtype = np.int32 if m < 32 else np.int64
+        bit = (np.int64(1) << modes).astype(dtype)
+        held_masks = basis.masks.astype(dtype)[held]
+        source, target = pair[a, b], pair[c, d]
+        # below[m, i] = popcount(mask_i & (bit_m - 1)); only its parity enters
+        flip = (bit[a] - 1) ^ (bit[b] - 1) ^ (bit[c] - 1) ^ (bit[d] - 1)
+        odd_bracket = ((1 + (a < c) + (a < d) + (b < c) + (b < d)) & 1).astype(dtype)
+        step = max(1, CHUNK // held.shape[1])
+        for t in (slice(lo, lo + step) for lo in range(0, len(w), step)):
+            src, src_masks = _held_without(source[t], held, held_masks, bit[c[t]] | bit[d[t]])
+            # the targets, in the order of their sources (module docstring)
+            dst, _ = _held_without(target[t], held, held_masks, bit[a[t]] | bit[b[t]])
+            odd = _parity(src_masks.reshape(-1, n_moved) & flip[t, None], m)
+            odd ^= odd_bracket[t, None]
+            rows.append(dst)
+            cols.append(src)
+            vals.append(np.where(odd, -w[t, None], w[t, None]).ravel())
+    h = scipy.sparse.coo_matrix((np.concatenate(vals),
+                                 (np.concatenate(rows), np.concatenate(cols))),
+                                shape=(basis.size,) * 2).tocsr()
+    return scipy.sparse.csr_matrix((h.data.astype(complex), h.indices, h.indptr),
+                                   shape=h.shape)
 
 
 def slater_vector(basis: FockBasis, mode_subset) -> np.ndarray:

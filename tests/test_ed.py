@@ -5,6 +5,7 @@ import scipy.sparse
 from rhflab.ed import (
     FockBasis,
     ModeMeanField,
+    _interaction_table,
     build_hamiltonian,
     evolve_exact,
     fermi_sea_modes,
@@ -63,9 +64,9 @@ def reference_hamiltonian(basis, dispersion, epsilon, vhat, coupling=1.0):
     index = _state_index(basis)
     masks = [int(m) for m in basis.masks]
     sym = dispersion.symbol_values(epsilon * np.abs(basis.momenta))
-    h = scipy.sparse.lil_matrix((basis.size, basis.size), dtype=complex)
+    entries = {}
     for i in range(basis.size):
-        h[i, i] += float(sum(sym[m] for m in basis.subsets[i]))
+        entries[i, i] = float(sum(sym[m] for m in basis.subsets[i]))
     for a, b, c, d, coef in reference_terms(basis, vhat, coupling):
         bit_a, bit_b, bit_c, bit_d = 1 << a, 1 << b, 1 << c, 1 << d
         for i, mask in enumerate(masks):
@@ -83,8 +84,63 @@ def reference_hamiltonian(basis, dispersion, epsilon, vhat, coupling=1.0):
             if m3 & bit_c:
                 continue
             sign *= _parity_below(m3, c)
-            h[index[m3 | bit_c], i] += coef * sign
-    return h.tocsr()
+            key = (index[m3 | bit_c], i)
+            entries[key] = entries.get(key, 0.0) + coef * sign
+    rows, cols = np.array(list(entries)).T
+    h = scipy.sparse.csr_matrix((list(entries.values()), (rows, cols)),
+                                shape=(basis.size,) * 2, dtype=complex)
+    h.eliminate_zeros()
+    return h
+
+
+def termwise_build_hamiltonian(basis, dispersion, epsilon, vhat, coupling=1.0):
+    """The per-term form build_hamiltonian replaced: one pass per (a, b, c) mode triple.
+
+    For each a < b and c < d it moves the states holding a and b with c, d
+    empty onto their targets in order (module docstring), with about ten
+    numpy calls on D-length occupation rows per term.
+    """
+    occ, below = basis.occupied, basis.below
+    sym = dispersion.symbol_values(epsilon * np.abs(basis.momenta))
+    partner, coef = _interaction_table(basis, vhat, coupling)
+    diagonal = sym @ occ
+    rows, cols, vals = [], [], []
+    for a in range(basis.n_modes):
+        for b in range(a + 1, basis.n_modes):
+            held = occ[a] & occ[b]
+            for c in np.flatnonzero(partner[a, b] > np.arange(basis.n_modes)).tolist():
+                d = int(partner[a, b, c])
+                # summed in the order the four orderings are enumerated
+                w = ((coef[a, b, c] - coef[a, b, d]) - coef[b, a, c]) + coef[b, a, d]
+                if w == 0.0:
+                    continue
+                if (c, d) == (a, b):
+                    diagonal[held] += w
+                    continue
+                src = np.flatnonzero(held & ~(occ[c] | occ[d]))
+                parity = (below[a, src] ^ below[b, src] ^ below[c, src] ^ below[d, src]
+                          ^ (1 + (a < c) + (a < d) + (b < c) + (b < d))) & 1
+                # the targets, in the order of their sources (module docstring)
+                rows.append(np.flatnonzero(occ[c] & occ[d] & ~(occ[a] | occ[b])))
+                cols.append(src)
+                vals.append(np.where(parity, -w, w))
+    states = np.arange(basis.size)
+    ij = (np.concatenate(rows + [states]).astype(np.int32),
+          np.concatenate(cols + [states]).astype(np.int32))
+    h = scipy.sparse.coo_matrix((np.concatenate(vals + [diagonal]), ij),
+                                shape=(basis.size,) * 2, dtype=complex).tocsr()
+    h.eliminate_zeros()
+    return h
+
+
+def assert_same_csr(h, ref):
+    """Bit-equal CSR: dtypes, indptr, indices and data bytes."""
+    assert h.format == ref.format == "csr"
+    assert h.dtype == ref.dtype
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(h, name), getattr(ref, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
 
 
 def reference_reduced_density_1(vector, basis):
@@ -198,15 +254,25 @@ SIZES = [(m, n) for m in (6, 8, 12, 16) for n in range(1, 6)]
 class TestAgainstLoopReference:
     """The array kernels against the loop forms they replaced (relative 1e-13)."""
 
-    @pytest.mark.parametrize("n_modes,n_particles", SIZES)
+    # N = M is a single state
+    @pytest.mark.parametrize("n_modes,n_particles", SIZES + [(6, 6), (12, 12)])
     def test_hamiltonian(self, n_modes, n_particles):
         basis = FockBasis(n_modes, n_particles, L)
         args = (basis, Dispersion.relativistic(1.0), 0.9, gauss_vhat(), 0.3)
         h = build_hamiltonian(*args)
+        assert_same_csr(h, termwise_build_hamiltonian(*args))
         ref = reference_hamiltonian(*args)
         assert h.nnz == ref.nnz
         scale = np.max(np.abs(ref.data))
         assert np.max(np.abs((h - ref).data), initial=0.0) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n_modes,n_particles", [(20, 5)])
+    def test_hamiltonian_across_chunks(self, n_modes, n_particles):
+        # the terms span 27 chunks here; the per-state reference would
+        # take 20 s, so the termwise form (checked against it above) stands in
+        basis = FockBasis(n_modes, n_particles, L)
+        args = (basis, Dispersion.relativistic(1.0), 0.9, gauss_vhat(), 0.3)
+        assert_same_csr(build_hamiltonian(*args), termwise_build_hamiltonian(*args))
 
     @pytest.mark.parametrize("n_modes,n_particles", SIZES)
     def test_reduced_density(self, n_modes, n_particles):
@@ -236,6 +302,7 @@ class TestAgainstLoopReference:
         basis = FockBasis(n_modes, n_particles, L)
         args = (basis, Dispersion.relativistic(1.0), 1.0, vhat, 0.5)
         h, ref = build_hamiltonian(*args), reference_hamiltonian(*args)
+        assert_same_csr(h, termwise_build_hamiltonian(*args))
         assert h.nnz == ref.nnz
         assert np.max(np.abs((h - ref).data), initial=0.0) <= 1e-13 * np.max(np.abs(ref.data))
         mf = ModeMeanField(*args)
