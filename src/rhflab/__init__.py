@@ -8,13 +8,12 @@ Vlasov solver, and an exact-diagonalization oracle for small particle numbers.
 __version__ = "0.1.0"
 
 from .grids import Dispersion, Grid, PotentialSpec
-from .orbitals import LowRankOperator, OrbitalSet
+from .orbitals import OrbitalSet
 
 __all__ = [
     "Dispersion",
     "Grid",
     "PotentialSpec",
-    "LowRankOperator",
     "OrbitalSet",
     "__version__",
 ]

@@ -22,7 +22,7 @@ from .containers import (
     read_orbital_header,
     read_phase_field_header,
 )
-from .runner import run_file, sweep
+from .runner import run, sweep
 from .scenarios import ScenarioError, load_scenario
 
 __all__ = ["main"]
@@ -35,7 +35,7 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out) if args.out else Path("runs") / scenario.name
-    result = run_file(args.scenario, out)
+    result = run(scenario, out)
     status = result.manifest["status"]
     print(f"{scenario.name}: {status} (artifacts in {out})")
     for name, ok in sorted(result.manifest["checks"].items()):

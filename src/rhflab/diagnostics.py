@@ -30,7 +30,7 @@ from .orbitals import OrbitalSet, apply_exchange, commutator_trace_norm, seam_ma
 
 __all__ = [
     "GrowthFit",
-    "WignerField",
+    "PhaseSpaceField",
     "commutator_channels",
     "comm_x_total",
     "comm_grad_total",
@@ -266,14 +266,23 @@ def integrated_growth_audit(times, comm_x, comm_grad, n_particles: int, m0: floa
 
 
 @dataclass
-class WignerField:
-    """Phase-space density on position × velocity nodes (1D)."""
+class PhaseSpaceField:
+    """Real phase-space density on position (periodic) × velocity nodes (1D).
+
+    The Wigner transform of an orbital set and the state of the Vlasov flow.
+    """
 
     values: np.ndarray       # (n_x, n_v), real
     x_grid: np.ndarray
-    v_grid: np.ndarray       # ascending, nodes at ε·(dual momenta)
+    v_grid: np.ndarray       # ascending; a Wigner transform's at ε·(dual momenta)
     box_length: float
     epsilon: float
+
+    @classmethod
+    def from_wigner(cls, w: "PhaseSpaceField") -> "PhaseSpaceField":
+        """An independent copy of a Wigner transform, as a Vlasov initial state."""
+        return cls(values=w.values.copy(), x_grid=w.x_grid.copy(),
+                   v_grid=w.v_grid.copy(), box_length=w.box_length, epsilon=w.epsilon)
 
     @property
     def dx(self) -> float:
@@ -287,16 +296,18 @@ class WignerField:
         return float(np.sum(self.values) * self.dx * self.dv)
 
     def position_marginal(self) -> np.ndarray:
+        """ρ(x) = ∫ W(x, v) dv."""
         return np.sum(self.values, axis=1) * self.dv
 
     def velocity_marginal(self) -> np.ndarray:
+        """∫ W(x, v) dx, for a Wigner transform the momentum density."""
         return np.sum(self.values, axis=0) * self.dx
 
 
 def momentum_density(orbs: OrbitalSet) -> np.ndarray:
     """Momentum occupation as a density over the v = ε·p nodes (ascending).
 
-    Normalized so Σ n(v_k) Δv = 1; this is the position marginal of the
+    Normalized so Σ n(v_k) Δv = 1; this is the velocity marginal of the
     Wigner transform.
     """
     grid = orbs.grid
@@ -310,7 +321,7 @@ def momentum_density(orbs: OrbitalSet) -> np.ndarray:
     return occ[order] / (2.0 * np.pi * grid.epsilon * orbs.n_particles)
 
 
-def wigner_transform(orbs: OrbitalSet, v_grid: np.ndarray | None = None) -> WignerField:
+def wigner_transform(orbs: OrbitalSet, v_grid: np.ndarray | None = None) -> PhaseSpaceField:
     """W(x,v) = N^{-1}(2π)^{-1} ∫ ω(x+εy/2, x-εy/2) e^{-ivy} dy, FFT-discretized.
 
     The relative coordinate y runs over the torus with spacing Δy = Δx/ε
@@ -355,5 +366,5 @@ def wigner_transform(orbs: OrbitalSet, v_grid: np.ndarray | None = None) -> Wign
             "(unmatched Nyquist lag); check resolution",
             stacklevel=2,
         )
-    return WignerField(values=w, x_grid=grid.x_axis.copy(), v_grid=v_nodes,
-                       box_length=grid.box_length, epsilon=eps)
+    return PhaseSpaceField(values=w, x_grid=grid.x_axis.copy(), v_grid=v_nodes,
+                           box_length=grid.box_length, epsilon=eps)

@@ -21,8 +21,9 @@ h(ω) is applied to an orbital block in one of two ways, chosen from the input
 alone.  The FFT path applies K as a Fourier multiplier, the direct term as a
 local field and the exchange as N² pair convolutions per block apply.  The
 dense path builds h(ω) once per mean field as the n×n Fock matrix of the SCF
-(`scf.fock_matrix`, trap included only with keep_trap) and applies it as one
-GEMM.  Dense is used only when all of these hold: the scheme is exponential
+(`scf.fock_matrix`, trap included only with keep_trap; K and V(x_i - x_j) are
+the SCF's, held by its memoised builders) and applies it as one GEMM.  Dense
+is used only when all of these hold: the scheme is exponential
 midpoint (one build serves the ~16 matvecs of a step), exchange is on and the
 potential interacts, n^d <= scf.DENSE_SIZE_CAP, and 4·n^d <= N²·log2(n^d),
 where the pair FFTs outweigh the build.  Everything else (Hartree, RK4, small
@@ -40,7 +41,7 @@ import numpy as np
 from .grids import Dispersion, Grid, PotentialSpec, convolve_potential
 from .krylov import expm_apply_block
 from .orbitals import OrbitalSet, hs_distance_squared, reorthonormalize
-from .scf import DENSE_SIZE_CAP, fock_matrix
+from .scf import DENSE_SIZE_CAP, _density_matrix, fock_matrix
 
 __all__ = [
     "EvolutionConfig",
@@ -154,8 +155,10 @@ def _mean_field_closure(source: np.ndarray, state: SimState):
 
 def _fock_closure(source: np.ndarray, state: SimState):
     """h(ω_source) built once as the dense Fock matrix, applied as one GEMM."""
-    h_t = fock_matrix(source, state.orbitals.grid, state.potential,
-                      state.config.dispersion, state.config.keep_trap).T
+    grid = state.orbitals.grid
+    pot = state.potential
+    h_t = fock_matrix(_density_matrix(source, grid), grid, pot, state.config.dispersion,
+                      pot.vext if state.config.keep_trap else None, source.shape[0]).T
 
     def apply_h_block(fields: np.ndarray) -> np.ndarray:
         return (fields.reshape(fields.shape[0], -1) @ h_t).reshape(fields.shape)

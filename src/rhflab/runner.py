@@ -38,10 +38,10 @@ from .diagnostics import (
 from .grids import potential_moment_refinement_check
 from .orbitals import OrbitalSet, boosted_fermi_sea, fermi_sea, hs_distance_squared, seam_mass
 from .propagate import EvolutionConfig, Observer, SimState, evolve
-from .scenarios import Scenario, load_scenario
+from .scenarios import Scenario
 from .scf import ScfConfig, hf_energy, scf_minimize
 
-__all__ = ["RunResult", "run", "run_file", "sweep", "WORKERS_ENV"]
+__all__ = ["RunResult", "run", "sweep", "WORKERS_ENV"]
 
 WORKERS_ENV = "RHFLAB_WORKERS"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -164,10 +164,6 @@ def run(scenario: Scenario, out_dir) -> RunResult:
     return RunResult(exit_code=1 if hard_failure else 0, out_dir=out_dir,
                      manifest=manifest, metrics=metrics,
                      final_orbitals=result.state.orbitals)
-
-
-def run_file(scenario_path, out_dir) -> RunResult:
-    return run(load_scenario(scenario_path), out_dir)
 
 
 def _scf_summary(scf_result):

@@ -20,13 +20,17 @@ from the n×N block (1-P)hU (`_commutator_norm`).  Residual k pairs iterate
 to rounding.  The last iterate has no next mean field and is paired with
 h(ω_k); `stationarity` is that norm for the returned (lowest-energy) state.
 
-The dense Fock builder is shared with the time stepper (`fock_matrix`),
-which caches its ω-independent parts, K (+ V_ext) and V(x_i - x_j), by
-grid, dispersion, potential and trap flag.
+One dense Fock builder, `fock_matrix`, serves this loop and the time
+stepper.  Its ω-independent parts come from two memoised builders, read-only:
+K by (grid, dispersion) and V(x_i - x_j) by grid and interaction
+coefficients (by content, so changed coefficients never read a stale
+matrix).  V_ext is added on the diagonal of each Fock matrix, so the SCF and
+a propagation that drops the trap share one K.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +49,9 @@ __all__ = [
     "DENSE_SIZE_CAP",
 ]
 
+# at the cap one dense matrix is 128 MiB; the memoised builders hold at most
+# three (two K for a pair evolution over the dispersion axis, one V(x_i - x_j))
 DENSE_SIZE_CAP = 4096
-# budget of the static-matrix cache; the newest entry is kept even above it
-STATIC_CACHE_BYTES = 64 * 2**20
-_static_cache: dict = {}
 
 
 @dataclass
@@ -112,25 +115,32 @@ def hf_energy(orbs: OrbitalSet, potential: PotentialSpec, dispersion: Dispersion
     return float(one_body + direct - exchange)
 
 
-def dense_one_body_matrix(grid: Grid, dispersion: Dispersion,
-                          vext: np.ndarray | None = None) -> np.ndarray:
-    """K + V_ext as a real symmetric float64 matrix on grid-value vectors.
+@functools.lru_cache(maxsize=2)
+def dense_one_body_matrix(grid: Grid, dispersion: Dispersion) -> np.ndarray:
+    """K as a real symmetric float64 matrix on grid-value vectors, read-only.
 
     K[i, j] = c[(i - j) mod n] with c = ifftn(symbol), real because the
     symbol depends on |p| only (the unmatched Nyquist mode adds ±1 terms).
+    Memoised by (grid, dispersion), both hashable by value.
     """
     if grid.size > DENSE_SIZE_CAP:
         raise ValueError(f"grid size {grid.size} exceeds dense SCF cap {DENSE_SIZE_CAP}")
-    h = _circulant(grid, np.fft.ifftn(dispersion.symbol(grid)).real)
-    if vext is not None:
-        h[np.diag_indices(grid.size)] += vext.reshape(-1)
-    return h
+    k = _circulant(grid, np.fft.ifftn(dispersion.symbol(grid)).real)
+    k.flags.writeable = False
+    return k
 
 
 def _lag_matrix(grid: Grid, potential: PotentialSpec) -> np.ndarray:
-    """V(x_i - x_j) from the interaction coefficients."""
-    v_lag = np.fft.ifftn(potential.vhat_eff).real * (grid.size / grid.box_length**grid.dim)
-    return _circulant(grid, v_lag)
+    """V(x_i - x_j) from the interaction coefficients, read-only, memoised by content."""
+    return _lag_matrix_of(grid, potential.vhat_eff.tobytes())
+
+
+@functools.lru_cache(maxsize=1)
+def _lag_matrix_of(grid: Grid, vhat_eff: bytes) -> np.ndarray:
+    vhat = np.frombuffer(vhat_eff).reshape(grid.shape)
+    v_lag = _circulant(grid, np.fft.ifftn(vhat).real * (grid.size / grid.box_length**grid.dim))
+    v_lag.flags.writeable = False
+    return v_lag
 
 
 def _circulant(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -140,59 +150,33 @@ def _circulant(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return coeffs[tuple(diff)]
 
 
-def _static_matrices(grid: Grid, dispersion: Dispersion, potential: PotentialSpec,
-                     include_vext: bool) -> tuple:
-    """(K [+ V_ext], V(x_i - x_j) or None), read-only and cached by content."""
-    vext = potential.vext if include_vext else None
-    key = (grid, dispersion, potential.vhat_eff.tobytes(),
-           None if vext is None else vext.tobytes())
-    hit = _static_cache.pop(key, None)
-    if hit is None:
-        h0 = dense_one_body_matrix(grid, dispersion, vext)
-        v_lag = _lag_matrix(grid, potential) if potential.has_interaction() else None
-        hit = (h0, v_lag)
-        for a in hit:
-            if a is not None:
-                a.flags.writeable = False
-    _static_cache[key] = hit  # (re)inserted last: the dict is in LRU order
-    held = sum(a.nbytes for entry in _static_cache.values() for a in entry if a is not None)
-    while held > STATIC_CACHE_BYTES and len(_static_cache) > 1:
-        oldest = _static_cache.pop(next(iter(_static_cache)))
-        held -= sum(a.nbytes for a in oldest if a is not None)
-    return hit
+def fock_matrix(dmat: np.ndarray, grid: Grid, potential: PotentialSpec,
+                dispersion: Dispersion, vext: np.ndarray | None,
+                n_particles: int) -> np.ndarray:
+    """Dense h(ω) = K [+ V_ext] + V*ρ - X(ω) on grid-value vectors.
 
-
-def _fock_matrix(h0: np.ndarray, v_lag_mat, dmat: np.ndarray, grid: Grid,
-                 potential: PotentialSpec, n_particles: int) -> np.ndarray:
-    """h(ω) on value vectors: h0 + diag(V*ρ) - X(ω)."""
+    dmat is ω on value vectors (`_density_matrix`); vext, when given, goes on
+    the diagonal as (K_ii + vext_i) + (V*ρ)_i.  A real dmat (the SCF) gives a
+    real h, a complex one (the propagation) a complex h.
+    """
+    k = dense_one_body_matrix(grid, dispersion)
     rho = dmat.diagonal().real / (n_particles * grid.cell_volume)
     v_rho = convolve_potential(rho.reshape(grid.shape), grid, potential).reshape(-1)
-    diag = h0.diagonal() + v_rho
-    if v_lag_mat is None:
-        h = h0.copy()
+    diag = k.diagonal() if vext is None else k.diagonal() + vext.reshape(-1)
+    diag = diag + v_rho
+    if not potential.has_interaction():
+        h = k.copy()
         np.fill_diagonal(h, diag)
         return h
-    # one buffer: X(ω) in place, then h0 - X off the diagonal and
-    # (h0 + V*ρ) - X on it, the same operations as building h0 + V*ρ first;
-    # a real h0 with a complex ω (the propagation) gives a complex h
-    h = np.multiply(v_lag_mat, dmat)
+    # one buffer: X(ω) in place, then K - X off the diagonal and
+    # (K [+ V_ext] + V*ρ) - X on it, the same operations as building the
+    # one-body part first
+    h = np.multiply(_lag_matrix(grid, potential), dmat)
     h /= n_particles
     diag = diag - h.diagonal()
-    np.subtract(h0, h, out=h)
+    np.subtract(k, h, out=h)
     np.fill_diagonal(h, diag)
     return h
-
-
-def fock_matrix(source: np.ndarray, grid: Grid, potential: PotentialSpec,
-                dispersion: Dispersion, include_vext: bool) -> np.ndarray:
-    """Dense h(ω) = K [+ V_ext] + V*ρ - X(ω) for ω = Σ_j |f_j><f_j|, f = source.
-
-    source is an (N, *grid.shape) orbital block; the result acts on
-    grid-value vectors.  The ω-independent parts come from the cache.
-    """
-    h0, v_lag = _static_matrices(grid, dispersion, potential, include_vext)
-    return _fock_matrix(h0, v_lag, _density_matrix(source, grid), grid, potential,
-                        source.shape[0])
 
 
 def _occupy(h: np.ndarray, n_particles: int, grid: Grid, aufbau: bool,
@@ -219,11 +203,11 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
     """
     if n_particles > grid.size:
         raise ValueError("more particles than grid degrees of freedom")
-    # built here rather than taken from the cache: a run keeps no SCF matrices
-    h0 = dense_one_body_matrix(grid, dispersion, potential.vext)
-    v_lag_mat = _lag_matrix(grid, potential) if potential.has_interaction() else None
-
-    phi = _occupy(h0, n_particles, grid, True, None)
+    vext = potential.vext
+    # first guess from K + V_ext, a local copy of the held K
+    h = dense_one_body_matrix(grid, dispersion).copy()
+    h[np.diag_indices(grid.size)] += vext.reshape(-1)
+    phi = _occupy(h, n_particles, grid, True, None)
     energy = hf_energy(OrbitalSet(phi, grid, validate=False), potential, dispersion)
     dmat = _density_matrix(phi, grid)
     d_mix = dmat.copy()
@@ -240,7 +224,7 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
 
     for it in range(1, config.max_iterations + 1):
         iterations = it
-        h = _fock_matrix(h0, v_lag_mat, d_mix, grid, potential, n_particles)
+        h = fock_matrix(d_mix, grid, potential, dispersion, vext, n_particles)
         residuals.append(_commutator_norm(h, phi, grid))
         phi = _occupy(h, n_particles, grid, config.aufbau, phi)
         new_energy = hf_energy(OrbitalSet(phi, grid, validate=False), potential, dispersion)
@@ -265,13 +249,13 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
 
     last = phi
     energy, phi = best
-    h_final = _fock_matrix(h0, v_lag_mat, _density_matrix(phi, grid), grid, potential,
-                           n_particles)
+    h_final = fock_matrix(_density_matrix(phi, grid), grid, potential, dispersion, vext,
+                          n_particles)
     stationarity = _commutator_norm(h_final, phi, grid)
     if phi is last:
         residuals.append(stationarity)
     else:  # dmat is the last iterate's density
-        h_last = _fock_matrix(h0, v_lag_mat, dmat, grid, potential, n_particles)
+        h_last = fock_matrix(dmat, grid, potential, dispersion, vext, n_particles)
         residuals.append(_commutator_norm(h_last, last, grid))
     orbs = OrbitalSet(phi, grid, validate=False)
     neps = n_particles * grid.epsilon

@@ -12,49 +12,15 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import PotentialSpec, convolve_potential
-from .diagnostics import WignerField
+from .diagnostics import PhaseSpaceField
 from .propagate import step_count
 
 __all__ = ["PhaseSpaceField", "vlasov_step", "vlasov_run", "vlasov_energy",
            "compare_to_wigner"]
-
-
-@dataclass
-class PhaseSpaceField:
-    """Real phase-space density over x (periodic) × v nodes."""
-
-    values: np.ndarray
-    x_grid: np.ndarray
-    v_grid: np.ndarray
-    box_length: float
-    epsilon: float
-
-    @classmethod
-    def from_wigner(cls, w: WignerField) -> "PhaseSpaceField":
-        return cls(values=w.values.copy(), x_grid=w.x_grid.copy(),
-                   v_grid=w.v_grid.copy(), box_length=w.box_length, epsilon=w.epsilon)
-
-    @property
-    def dx(self) -> float:
-        return float(self.x_grid[1] - self.x_grid[0])
-
-    @property
-    def dv(self) -> float:
-        return float(self.v_grid[1] - self.v_grid[0])
-
-    def mass(self) -> float:
-        return float(np.sum(self.values) * self.dx * self.dv)
-
-    def density(self) -> np.ndarray:
-        return np.sum(self.values, axis=1) * self.dv
-
-    def position_marginal(self) -> np.ndarray:
-        return self.density()
 
 
 @functools.lru_cache(maxsize=1)
@@ -92,7 +58,7 @@ def _shift_v(values: np.ndarray, displacement: np.ndarray, dv: float) -> np.ndar
 
 def _force(field: PhaseSpaceField, potential: PotentialSpec) -> np.ndarray:
     """-∂_x(V*ρ) on the x nodes, spectrally."""
-    rho = field.density()
+    rho = field.position_marginal()
     grid = potential.grid
     if grid.n != len(rho) or grid.dim != 1:
         raise ValueError("potential grid does not match the phase-space x grid")
@@ -141,12 +107,12 @@ def vlasov_energy(field: PhaseSpaceField, potential: PotentialSpec, m0: float) -
     """∫∫ sqrt(v²+m0²) W dx dv + ½ ∫ (V*ρ) ρ dx."""
     cell = field.dx * field.dv
     kinetic = float(np.sum(np.sqrt(field.v_grid**2 + m0**2) * field.values) * cell)
-    rho = field.density()
+    rho = field.position_marginal()
     conv = convolve_potential(rho, potential.grid, potential)
     return kinetic + 0.5 * float(np.sum(conv * rho) * field.dx)
 
 
-def compare_to_wigner(vlasov_field: PhaseSpaceField, wigner_field: WignerField) -> dict:
+def compare_to_wigner(vlasov_field: PhaseSpaceField, wigner_field: PhaseSpaceField) -> dict:
     """L² phase-space distance and position-marginal distance on matched grids."""
     if vlasov_field.values.shape != wigner_field.values.shape:
         raise ValueError("phase-space grids differ in shape")
@@ -156,6 +122,6 @@ def compare_to_wigner(vlasov_field: PhaseSpaceField, wigner_field: WignerField) 
     cell = vlasov_field.dx * vlasov_field.dv
     diff = vlasov_field.values - wigner_field.values
     l2 = float(np.sqrt(np.sum(diff**2) * cell))
-    rho_diff = vlasov_field.density() - wigner_field.position_marginal()
+    rho_diff = vlasov_field.position_marginal() - wigner_field.position_marginal()
     marginal = float(np.sqrt(np.sum(rho_diff**2) * vlasov_field.dx))
     return {"l2": l2, "marginal_l2": marginal}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rhflab import propagate
+from rhflab import propagate, scf
 from rhflab.grids import (
     Dispersion,
     Grid,
@@ -742,6 +742,23 @@ class TestDenseFock:
         assert moved > 1e-6
         floor = 2 * n_part * np.finfo(float).eps
         assert hs_distance_squared(dense.state.orbitals, fft.state.orbitals) <= 2 * floor
+
+    @pytest.mark.parametrize("keep_trap", [False, True])
+    def test_scf_and_propagation_build_static_matrices_once(self, keep_trap):
+        grid, n_part = DENSE_CASES[0]
+        scf.dense_one_body_matrix.cache_clear()
+        scf._lag_matrix_of.cache_clear()
+        state = self._setup(grid, n_part, keep_trap)
+        assert propagate._dense_fock_pays(state.config, state.potential, grid, n_part)
+        result = evolve(state)
+        assert not result.aborted
+        # one build each for the SCF, then a hit for each of the three Fock
+        # builds of every step
+        n_steps = propagate.step_count(0.0, state.config.t_final, state.config.dt)
+        for builder in (scf.dense_one_body_matrix, scf._lag_matrix_of):
+            info = builder.cache_info()
+            assert info.misses == 1
+            assert info.hits >= 3 * n_steps
 
     def test_selection(self):
         grid = Grid(1, 256, 4.0 * np.pi, 1.0 / 32.0)

@@ -3,23 +3,26 @@ import pytest
 
 from rhflab.grids import Dispersion, Grid, PotentialSpec, gaussian_vhat, plane_wave
 from rhflab.orbitals import (
-    LowRankOperator,
     OrbitalSet,
-    apply_density_matrix,
     apply_exchange,
     commutator_trace_norm,
-    commutator_with_momentum,
-    commutator_with_phase,
-    commutator_with_position,
     fermi_sea,
     gaussian_orbital,
     hs_distance_squared,
-    hs_norm,
     random_orbital_set,
     reduced_density,
     reorthonormalize,
     seam_mass,
     trace_norm,
+)
+
+from reference_orbitals import (
+    LowRankOperator,
+    apply_density_matrix,
+    commutator_with_momentum,
+    commutator_with_phase,
+    commutator_with_position,
+    hs_norm,
 )
 
 

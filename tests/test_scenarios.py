@@ -22,6 +22,7 @@ from rhflab.containers import (
     VLASOV_MAGIC,
     WIGNER_MAGIC,
 )
+from rhflab import scenarios
 from rhflab.grids import Grid
 from rhflab.orbitals import OrbitalSet, random_orbital_set
 from rhflab.runner import SWEEP_AXES, run, sweep
@@ -488,6 +489,17 @@ class TestCli:
         assert main(["checks", str(out / "checks" / "exp_bound.json")]) == 0
         printed = capsys.readouterr().out
         assert "[PASS] exp_bound" in printed
+
+    def test_run_parses_the_scenario_once(self, tmp_path, monkeypatch):
+        parsed = []
+
+        def counting_parse(*args, **kwargs):
+            parsed.append(args)
+            return parse_scenario(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "parse_scenario", counting_parse)
+        assert main(["run", SMOKE, "--out", str(tmp_path / "out")]) == 0
+        assert len(parsed) == 1
 
     def test_malformed_scenario_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"

@@ -111,7 +111,7 @@ def reference_scf_minimize(grid, potential, n_particles, dispersion, config):
     alpha = 1.0
     for it in range(1, config.max_iterations + 1):
         iterations = it
-        h = scf._fock_matrix(h0, v_lag_mat, d_mix, grid, potential, n_particles)
+        h = reference_fock_matrix(h0, v_lag_mat, d_mix, grid, potential, n_particles)
         residuals.append(commutator_norm(h, dmat))
         phi = scf._occupy(h, n_particles, grid, config.aufbau, phi)
         orbs = OrbitalSet(phi, grid, validate=False)
@@ -134,11 +134,11 @@ def reference_scf_minimize(grid, potential, n_particles, dispersion, config):
         energy = new_energy
         d_mix = (1.0 - alpha) * d_mix + alpha * dmat
         alpha = mixing
-    h_last = scf._fock_matrix(h0, v_lag_mat, dmat, grid, potential, n_particles)
+    h_last = reference_fock_matrix(h0, v_lag_mat, dmat, grid, potential, n_particles)
     residuals.append(commutator_norm(h_last, dmat))
     energy, orbs = best
     dmat = scf._density_matrix(orbs.orbitals, grid)
-    h_final = scf._fock_matrix(h0, v_lag_mat, dmat, grid, potential, n_particles)
+    h_final = reference_fock_matrix(h0, v_lag_mat, dmat, grid, potential, n_particles)
     neps = n_particles * grid.epsilon
     return ScfResult(orbitals=orbs, energy=energy, energies=energies, residuals=residuals,
                      iterations=iterations, converged=converged, oscillation=oscillation,
@@ -248,18 +248,64 @@ class TestFockMatrix:
         disp = Dispersion.relativistic(1.0)
         pot = PotentialSpec(grid, gaussian_vhat(grid, 0.8), vext=harmonic_trap(grid, 1.0),
                             coupling=coupling)
-        h0, v_lag = scf._static_matrices(grid, disp, pot, include_vext)
-        assert h0.dtype == np.float64
-        assert (v_lag is None) == (coupling == 0.0)
+        vext = pot.vext if include_vext else None
+        h0 = dense_one_body_matrix(grid, disp).copy()
+        if include_vext:
+            h0[np.diag_indices(grid.size)] += vext.reshape(-1)
+        v_lag = scf._lag_matrix(grid, pot) if coupling else None
         for seed in (45, 46):
             orbs = random_orbital_set(grid, 5, seed=seed)
             dmat = scf._density_matrix(orbs.orbitals, grid)
             # a complex ω is the propagation's case, a real one the SCF's
             for omega in (dmat, dmat.real.copy()):
-                got = scf._fock_matrix(h0, v_lag, omega, grid, pot, 5)
+                got = scf.fock_matrix(omega, grid, pot, disp, vext, 5)
                 ref = reference_fock_matrix(h0, v_lag, omega, grid, pot, 5)
                 assert got.dtype == ref.dtype
                 assert got.tobytes() == ref.tobytes()
+
+    def test_potentials_differing_in_coupling_get_their_own(self):
+        # V(x_i - x_j) is held by coefficient content: two potentials used
+        # alternately, or a coupling changed in place, never read a stale matrix
+        grid = Grid(1, 64, 2.0 * np.pi, 0.1)
+        disp = Dispersion.relativistic(1.0)
+        pots = [PotentialSpec(grid, gaussian_vhat(grid, 0.8), coupling=c) for c in (0.5, 0.7)]
+        dmat = scf._density_matrix(random_orbital_set(grid, 5, seed=47).orbitals, grid)
+        lags = (np.arange(grid.n)[:, None] - np.arange(grid.n)[None, :]) * grid.dx
+        k = dense_one_body_matrix(grid, disp)
+
+        def reference(pot):
+            v_lag = np.cos(np.multiply.outer(lags, grid.p_axis)) @ pot.vhat_eff
+            return reference_fock_matrix(k, v_lag / grid.box_length, dmat, grid, pot, 5)
+
+        fock = {}
+        for pot in pots + pots:
+            got = scf.fock_matrix(dmat, grid, pot, disp, None, 5)
+            assert np.max(np.abs(got - reference(pot))) <= 1e-13 * np.max(np.abs(got))
+            fock.setdefault(pot.coupling, got)
+        assert np.max(np.abs(fock[0.5] - fock[0.7])) > 1e-3
+        pots[0].coupling = 0.9
+        got = scf.fock_matrix(dmat, grid, pots[0], disp, None, 5)
+        assert np.max(np.abs(got - reference(pots[0]))) <= 1e-13 * np.max(np.abs(got))
+        assert np.max(np.abs(got - fock[0.5])) > 1e-3
+
+    def test_held_matrices_are_read_only(self):
+        grid = Grid(2, 16, 2.0 * np.pi, 0.25)
+        disp = Dispersion.relativistic(1.0)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 0.8), coupling=0.7)
+        k = dense_one_body_matrix(grid, disp)
+        v_lag = scf._lag_matrix(grid, pot)
+        for held in (k, v_lag):
+            assert held.dtype == np.float64
+            assert not held.flags.writeable
+            with pytest.raises(ValueError):
+                held[0, 0] = 1.0
+        # both memoised, V(x_i - x_j) by content: an equal potential finds it
+        assert dense_one_body_matrix(Grid(2, 16, 2.0 * np.pi, 0.25), disp) is k
+        twin = PotentialSpec(grid, gaussian_vhat(grid, 0.8), coupling=0.7)
+        assert scf._lag_matrix(grid, twin) is v_lag
+        # the Fock matrix handed out is the caller's own
+        h = scf.fock_matrix(np.eye(grid.size), grid, pot, disp, None, 5)
+        assert h.flags.writeable
 
 
 class TestDenseOneBodyMatrix:
@@ -272,9 +318,8 @@ class TestDenseOneBodyMatrix:
                                       Dispersion.nonrelativistic(0.8),
                                       Dispersion.massless()])
     def test_matches_fft_built_matrix(self, grid, disp):
-        vext = harmonic_trap(grid, 0.7)
-        got = dense_one_body_matrix(grid, disp, vext)
-        ref = reference_dense_one_body_matrix(grid, disp, vext)
+        got = dense_one_body_matrix(grid, disp)
+        ref = reference_dense_one_body_matrix(grid, disp)
         assert got.dtype == np.float64
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -378,7 +423,7 @@ class TestScfMinimize:
         pot = PotentialSpec(grid64, np.zeros(grid64.shape), vext=harmonic_trap(grid64, 1.0))
         n_part = 4
         res = scf_minimize(grid64, pot, n_part, disp, ScfConfig())
-        h = dense_one_body_matrix(grid64, disp, pot.vext)
+        h = dense_one_body_matrix(grid64, disp) + np.diag(pot.vext.reshape(-1))
         evals, evecs = np.linalg.eigh(h)
         expected_energy = float(np.sum(evals[:n_part]))
         assert abs(res.energy - expected_energy) <= 1e-8 * abs(expected_energy)
@@ -482,6 +527,32 @@ class TestScfMinimize:
         assert res.residuals[-1] > 1e-10
         assert res.energy == res.energies[-1]  # the best iterate is the last
         assert res.residuals[-1] == res.stationarity
+
+    @pytest.mark.parametrize("n, n_part", [(64, 4), (128, 8), (256, 16)])
+    def test_maximum_overlap_matches_aufbau(self, n, n_part):
+        # a trapped ground state has a non-degenerate Fermi level, so every
+        # iterate's occupied set stays the lowest N and the overlap rule
+        # (ScfConfig(aufbau=False)) runs the Aufbau loop
+        grid = Grid(1, n, 4.0 * np.pi, 1.0 / n_part)
+        disp = Dispersion.relativistic(1.0)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
+                            coupling=0.5)
+        aufbau = scf_minimize(grid, pot, n_part, disp, ScfConfig())
+        overlap = scf_minimize(grid, pot, n_part, disp, ScfConfig(aufbau=False))
+        assert aufbau.converged and overlap.converged
+        assert overlap.iterations == aufbau.iterations
+        assert overlap.energies == aufbau.energies
+        assert hs_distance_squared(overlap.orbitals, aufbau.orbitals) <= 1e-26
+
+    def test_maximum_overlap_follows_previous_orbitals(self):
+        grid = Grid(1, 8, 2.0 * np.pi, 0.5)
+        h = np.diag(np.arange(8.0))
+        prev = np.zeros((2, 8))
+        prev[0, 5] = prev[1, 2] = 1.0 / np.sqrt(grid.cell_volume)
+        picked = scf._occupy(h, 2, grid, False, prev)
+        lowest = scf._occupy(h, 2, grid, True, prev)
+        assert np.array_equal(np.argmax(np.abs(picked), axis=1), [2, 5])
+        assert np.array_equal(np.argmax(np.abs(lowest), axis=1), [0, 1])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rhflab.diagnostics import WignerField, wigner_transform
+from rhflab.diagnostics import wigner_transform
 from rhflab.grids import Grid, PotentialSpec, gaussian_vhat
 from rhflab import vlasov
 from rhflab.orbitals import OrbitalSet, gaussian_orbital
@@ -174,7 +174,7 @@ class TestCompare:
     def test_identical_fields_zero(self):
         grid, x, v = phase_grid()
         field = PhaseSpaceField(gaussian_blob(x, v), x, v, grid.box_length, grid.epsilon)
-        w = WignerField(field.values.copy(), x, v, grid.box_length, grid.epsilon)
+        w = PhaseSpaceField(field.values.copy(), x, v, grid.box_length, grid.epsilon)
         d = compare_to_wigner(field, w)
         assert d["l2"] == 0.0
         assert d["marginal_l2"] == 0.0
@@ -190,7 +190,7 @@ class TestCompare:
     def test_grid_mismatch_rejected(self):
         grid, x, v = phase_grid()
         field = PhaseSpaceField(gaussian_blob(x, v), x, v, grid.box_length, grid.epsilon)
-        w = WignerField(field.values[:64, :].copy(), x[:64], v, grid.box_length,
+        w = PhaseSpaceField(field.values[:64, :].copy(), x[:64], v, grid.box_length,
                         grid.epsilon)
         with pytest.raises(ValueError):
             compare_to_wigner(field, w)
