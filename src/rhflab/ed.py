@@ -70,7 +70,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .grids import Dispersion
-from .krylov import expm_apply
+from .krylov import expm_apply_block
 from .propagate import Observer, _exponential_midpoint, _time_loop, step_count
 
 __all__ = [
@@ -272,8 +272,11 @@ def fermi_sea_modes(basis: FockBasis, dispersion: Dispersion, epsilon: float) ->
 def evolve_exact(vector: np.ndarray, hamiltonian, t: float, epsilon: float,
                  tol: float = 1e-10) -> np.ndarray:
     """e^{-i H t / ε} vector by adaptive Lanczos; unitary to the tolerance."""
-    return expm_apply(hamiltonian.dot, np.asarray(vector, dtype=complex),
-                      t / epsilon, weight=1.0, tol=tol)
+    def matvec(rows: np.ndarray) -> np.ndarray:
+        return hamiltonian.dot(rows[0])[None, :]
+
+    row = np.asarray(vector, dtype=complex)[None, :]
+    return expm_apply_block(matvec, row, t / epsilon, weight=1.0, tol=tol)[0]
 
 
 def reduced_density_1(vector: np.ndarray, basis: FockBasis) -> np.ndarray:

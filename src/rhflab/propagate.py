@@ -22,7 +22,10 @@ alone.  The FFT path applies K as a Fourier multiplier, the direct term as a
 local field and the exchange as N² pair convolutions per block apply.  The
 dense path builds h(ω) once per mean field as the n×n Fock matrix of the SCF
 (`scf.fock_matrix`, trap included only with keep_trap; K and V(x_i - x_j) are
-the SCF's, held by its memoised builders) and applies it as one GEMM.  Dense
+the SCF's, held by its memoised builders) and applies it as one GEMM.  The
+build takes one n×n buffer: the product Φ^T·conj(Φ)·(dv/N) of the source
+orbitals, which becomes h in place.  The FFT path forms conj(source) and
+reads V̂ only when it applies the exchange.  Dense
 is used only when all of these hold: the scheme is exponential
 midpoint (one build serves the ~16 matvecs of a step), exchange is on and the
 potential interacts, n^d <= scf.DENSE_SIZE_CAP, and 4·n^d <= N²·log2(n^d),
@@ -157,8 +160,9 @@ def _fock_closure(source: np.ndarray, state: SimState):
     """h(ω_source) built once as the dense Fock matrix, applied as one GEMM."""
     grid = state.orbitals.grid
     pot = state.potential
-    h_t = fock_matrix(_density_matrix(source, grid), grid, pot, state.config.dispersion,
-                      pot.vext if state.config.keep_trap else None, source.shape[0]).T
+    omega_n = _density_matrix(source, grid, 1.0 / source.shape[0])
+    h_t = fock_matrix(omega_n, grid, pot, state.config.dispersion,
+                      pot.vext if state.config.keep_trap else None).T
 
     def apply_h_block(fields: np.ndarray) -> np.ndarray:
         return (fields.reshape(fields.shape[0], -1) @ h_t).reshape(fields.shape)
@@ -177,20 +181,25 @@ def _fft_closure(source: np.ndarray, state: SimState):
     if cfg.keep_trap:
         local = local + pot.vext
     symbol = cfg.dispersion.symbol(grid)
-    interacting = cfg.exchange_on and pot.has_interaction()
-    vhat = pot.vhat_eff
-    src_conj = np.conj(source)
 
     def apply_h_block(fields: np.ndarray) -> np.ndarray:
         out = grid.ifft(symbol * grid.fft(fields))
         out += local * fields
-        if interacting:
-            pair = src_conj[None, ...] * fields[:, None, ...]
-            conv = grid.ifft(vhat * grid.fft(pair))
-            out -= np.sum(source[None, ...] * conv, axis=1) / n_part
         return out
 
-    return apply_h_block
+    if not (cfg.exchange_on and pot.has_interaction()):
+        return apply_h_block
+    vhat = pot.vhat_eff
+    src_conj = np.conj(source)
+
+    def apply_hf_block(fields: np.ndarray) -> np.ndarray:
+        out = apply_h_block(fields)
+        pair = src_conj[None, ...] * fields[:, None, ...]
+        conv = grid.ifft(vhat * grid.fft(pair))
+        out -= np.sum(source[None, ...] * conv, axis=1) / n_part
+        return out
+
+    return apply_hf_block
 
 
 def _propagate_all(apply_h_block, orbs_arr: np.ndarray, tau: float, grid: Grid,

@@ -17,6 +17,7 @@ import numpy as np
 from .containers import fmt17
 from .grids import Dispersion, Grid, PotentialSpec, gaussian_vhat, harmonic_trap
 from .propagate import step_count
+from .scf import DENSE_SIZE_CAP
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "load_scenario"]
 
@@ -176,6 +177,10 @@ class Scenario:
             step_count(0.0, v[("evolution", "t_final")], v[("evolution", "dt")])
         except ValueError as exc:
             raise ScenarioError(f"[evolution] {exc}") from None
+        size = v[("grid", "points_per_dim")] ** v[("grid", "dim")]
+        if v[("preparation", "kind")] == "scf" and size > DENSE_SIZE_CAP:
+            raise ScenarioError(f"[preparation] kind=scf needs a grid of at most "
+                                f"{DENSE_SIZE_CAP} points (dense SCF), got {size}")
 
     # --- physics object construction -------------------------------------
 

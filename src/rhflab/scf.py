@@ -25,7 +25,11 @@ stepper.  Its ω-independent parts come from two memoised builders, read-only:
 K by (grid, dispersion) and V(x_i - x_j) by grid and interaction
 coefficients (by content, so changed coefficients never read a stale
 matrix).  V_ext is added on the diagonal of each Fock matrix, so the SCF and
-a propagation that drops the trap share one K.
+a propagation that drops the trap share one K.  A Fock matrix is built in
+one n^d×n^d buffer, the caller's ω/N: the density-matrix product writes
+Φ^T·conj(Φ)·(dv/N) into it with the factor on the N-row operand, V(x_i - x_j)
+multiplies it in place and K is subtracted in place.  So the loop mixes
+and holds its density matrices as ω/N and hands fock_matrix a copy.
 """
 
 from __future__ import annotations
@@ -150,17 +154,19 @@ def _circulant(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return coeffs[tuple(diff)]
 
 
-def fock_matrix(dmat: np.ndarray, grid: Grid, potential: PotentialSpec,
-                dispersion: Dispersion, vext: np.ndarray | None,
-                n_particles: int) -> np.ndarray:
-    """Dense h(ω) = K [+ V_ext] + V*ρ - X(ω) on grid-value vectors.
+def fock_matrix(omega_n: np.ndarray, grid: Grid, potential: PotentialSpec,
+                dispersion: Dispersion, vext: np.ndarray | None) -> np.ndarray:
+    """Dense h(ω) = K [+ V_ext] + V*ρ - X(ω) on grid-value vectors, in omega_n's buffer.
 
-    dmat is ω on value vectors (`_density_matrix`); vext, when given, goes on
-    the diagonal as (K_ii + vext_i) + (V*ρ)_i.  A real dmat (the SCF) gives a
-    real h, a complex one (the propagation) a complex h.
+    omega_n is ω/N on value vectors (`_density_matrix(phi, grid, 1/N)`), so
+    ρ is its diagonal over dv.  With an interaction the matrix is turned into
+    h in place and returned: the caller hands over a buffer it owns.  vext,
+    when given, goes on the diagonal as (K_ii + vext_i) + (V*ρ)_i.  A real
+    omega_n (the SCF) gives a real h, a complex one (the propagation) a
+    complex h.
     """
     k = dense_one_body_matrix(grid, dispersion)
-    rho = dmat.diagonal().real / (n_particles * grid.cell_volume)
+    rho = omega_n.diagonal().real / grid.cell_volume
     v_rho = convolve_potential(rho.reshape(grid.shape), grid, potential).reshape(-1)
     diag = k.diagonal() if vext is None else k.diagonal() + vext.reshape(-1)
     diag = diag + v_rho
@@ -168,11 +174,10 @@ def fock_matrix(dmat: np.ndarray, grid: Grid, potential: PotentialSpec,
         h = k.copy()
         np.fill_diagonal(h, diag)
         return h
-    # one buffer: X(ω) in place, then K - X off the diagonal and
-    # (K [+ V_ext] + V*ρ) - X on it, the same operations as building the
-    # one-body part first
-    h = np.multiply(_lag_matrix(grid, potential), dmat)
-    h /= n_particles
+    # one buffer: X(ω) = V(x_i - x_j)·ω/N in place, then K - X off the
+    # diagonal and (K [+ V_ext] + V*ρ) - X on it
+    h = omega_n
+    h *= _lag_matrix(grid, potential)
     diag = diag - h.diagonal()
     np.subtract(k, h, out=h)
     np.fill_diagonal(h, diag)
@@ -209,8 +214,9 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
     h[np.diag_indices(grid.size)] += vext.reshape(-1)
     phi = _occupy(h, n_particles, grid, True, None)
     energy = hf_energy(OrbitalSet(phi, grid, validate=False), potential, dispersion)
-    dmat = _density_matrix(phi, grid)
-    d_mix = dmat.copy()
+    # density matrices are mixed and held as ω/N, the form fock_matrix builds in
+    dmat = _density_matrix(phi, grid, 1.0 / n_particles)
+    d_mix = dmat
 
     energies = [energy]
     residuals = []
@@ -224,11 +230,11 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
 
     for it in range(1, config.max_iterations + 1):
         iterations = it
-        h = fock_matrix(d_mix, grid, potential, dispersion, vext, n_particles)
+        h = fock_matrix(d_mix.copy(), grid, potential, dispersion, vext)
         residuals.append(_commutator_norm(h, phi, grid))
         phi = _occupy(h, n_particles, grid, config.aufbau, phi)
         new_energy = hf_energy(OrbitalSet(phi, grid, validate=False), potential, dispersion)
-        dmat = _density_matrix(phi, grid)
+        dmat = _density_matrix(phi, grid, 1.0 / n_particles)
         energies.append(new_energy)
         if new_energy < best[0]:
             best = (new_energy, phi)
@@ -249,13 +255,13 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
 
     last = phi
     energy, phi = best
-    h_final = fock_matrix(_density_matrix(phi, grid), grid, potential, dispersion, vext,
-                          n_particles)
+    h_final = fock_matrix(_density_matrix(phi, grid, 1.0 / n_particles), grid, potential,
+                          dispersion, vext)
     stationarity = _commutator_norm(h_final, phi, grid)
     if phi is last:
         residuals.append(stationarity)
     else:  # dmat is the last iterate's density
-        h_last = fock_matrix(dmat, grid, potential, dispersion, vext, n_particles)
+        h_last = fock_matrix(dmat, grid, potential, dispersion, vext)
         residuals.append(_commutator_norm(h_last, last, grid))
     orbs = OrbitalSet(phi, grid, validate=False)
     neps = n_particles * grid.epsilon
@@ -286,7 +292,11 @@ def _commutator_norm(h: np.ndarray, phi: np.ndarray, grid: Grid) -> float:
     return float(np.sqrt(2.0) * np.linalg.norm(resid))
 
 
-def _density_matrix(phi: np.ndarray, grid: Grid) -> np.ndarray:
-    """Σ_j f_j(x) conj(f_j(y)) dv on value vectors, from an (N, *shape) block."""
+def _density_matrix(phi: np.ndarray, grid: Grid, scale: float = 1.0) -> np.ndarray:
+    """scale·Σ_j f_j(x) conj(f_j(y)) dv on value vectors, from an (N, *shape) block.
+
+    The factor scale·dv goes on the N-row operand of the product, so no pass
+    over the n^d×n^d result is spent on it.
+    """
     flat = phi.reshape(phi.shape[0], -1)
-    return (flat.T @ flat.conj()) * grid.cell_volume
+    return flat.T @ (flat.conj() * (grid.cell_volume * scale))

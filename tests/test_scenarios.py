@@ -27,6 +27,7 @@ from rhflab.grids import Grid
 from rhflab.orbitals import OrbitalSet, random_orbital_set
 from rhflab.runner import SWEEP_AXES, run, sweep
 from rhflab.scenarios import ScenarioError, load_scenario, parse_scenario
+from rhflab.scf import DENSE_SIZE_CAP
 
 SMOKE = "scenarios/smoke_1d.ini"
 REPO = Path(__file__).resolve().parents[1]
@@ -151,6 +152,12 @@ class TestRoundTripProperties:
     @given(values=SCENARIO_VALUES, n_steps=st.integers(0, 1000))
     def test_canonical_lines_reparse_to_the_same_hash(self, values, n_steps):
         values[("evolution", "t_final")] = n_steps * values[("evolution", "dt")]
+        size = values[("grid", "points_per_dim")] ** values[("grid", "dim")]
+        if values[("preparation", "kind")] == "scf" and size > DENSE_SIZE_CAP:
+            # no valid scenario to round-trip: the dense SCF is refused
+            with pytest.raises(ScenarioError, match="kind=scf"):
+                parse_scenario(smoke_text(values))
+            return
         scenario = parse_scenario(smoke_text(values))
         pairs = (line.split("=", 1) for line in scenario.canonical_lines())
         again = parse_scenario(smoke_text({tuple(name.split(".", 1)): token
@@ -274,6 +281,14 @@ class TestScenarioParse:
     def test_t_final_not_a_multiple_of_dt_rejected(self):
         with pytest.raises(ScenarioError, match="whole number of steps"):
             parse_scenario(smoke_text({("evolution", "t_final"): 0.005}))
+
+    def test_scf_above_dense_cap_rejected(self):
+        big = {("grid", "dim"): 2, ("grid", "points_per_dim"): 128,
+               ("preparation", "kind"): "scf"}
+        with pytest.raises(ScenarioError, match="kind=scf"):
+            parse_scenario(smoke_text(big))
+        # the FFT-path preparations have no such cap
+        parse_scenario(smoke_text({**big, ("preparation", "kind"): "fermi_sea"}))
 
     def test_hash_changes_iff_config_changes(self):
         a = parse_scenario(smoke_text())
@@ -509,6 +524,16 @@ class TestCli:
         assert main(["run", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "n_particles" in err
+
+    def test_oversize_scf_scenario_refused_before_any_work(self, tmp_path, capsys):
+        big = tmp_path / "big.ini"
+        big.write_text(smoke_text({("grid", "dim"): 2, ("grid", "points_per_dim"): 128,
+                                   ("preparation", "kind"): "scf"}))
+        out = tmp_path / "out"
+        assert main(["run", str(big), "--out", str(out)]) == 2
+        assert "kind=scf" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        assert not (out / "checks").exists()
 
     def test_sweep_cli(self, tmp_path):
         assert main(["sweep", SMOKE, "--axis", "coupling", "--values", "0.2,0.4",

@@ -48,16 +48,36 @@ def mean_field_apply(orbs: OrbitalSet, potential: PotentialSpec, dispersion: Dis
     return out
 
 
-def reference_fock_matrix(h0, v_lag_mat, dmat, grid, potential, n_particles):
-    """h0 + diag(V*ρ) - X(ω) built from a copy of h0 and a separate exchange array."""
-    rho = dmat.diagonal().real / (n_particles * grid.cell_volume)
+def reference_fock_matrix(h0, v_lag_mat, omega_n, grid, potential):
+    """h0 + diag(V*ρ) - X(ω) from a copy of h0 and a separate exchange array; omega_n = ω/N."""
+    rho = omega_n.diagonal().real / grid.cell_volume
     v_rho = convolve_potential(rho.reshape(grid.shape), grid, potential).reshape(-1)
     h = h0.copy()
     h[np.diag_indices(grid.size)] += v_rho
     if v_lag_mat is not None:
-        exchange = v_lag_mat * dmat
-        exchange /= n_particles
-        h = h - exchange  # in np.result_type(h0, dmat): a real h0 takes a complex ω
+        h = h - v_lag_mat * omega_n  # a real h0 takes a complex ω
+    return h
+
+
+def composed_fock_matrix(phi, grid, potential, dispersion, vext, n_particles):
+    """h(ω) for the projection onto the rows of phi as two separate builds.
+
+    The density matrix Σ_j f_j conj(f_j) dv first, scaled on the n^d×n^d
+    product, then X(ω) = V(x_i - x_j)·ω / N into a second buffer and the
+    one-body part (K [+ V_ext] + V*ρ) - X.
+    """
+    flat = phi.reshape(phi.shape[0], -1)
+    dmat = (flat.T @ flat.conj()) * grid.cell_volume
+    k = dense_one_body_matrix(grid, dispersion)
+    rho = dmat.diagonal().real / (n_particles * grid.cell_volume)
+    v_rho = convolve_potential(rho.reshape(grid.shape), grid, potential).reshape(-1)
+    diag = k.diagonal() if vext is None else k.diagonal() + vext.reshape(-1)
+    diag = diag + v_rho
+    h = np.multiply(scf._lag_matrix(grid, potential), dmat)
+    h /= n_particles
+    diag = diag - h.diagonal()
+    np.subtract(k, h, out=h)
+    np.fill_diagonal(h, diag)
     return h
 
 
@@ -111,7 +131,7 @@ def reference_scf_minimize(grid, potential, n_particles, dispersion, config):
     alpha = 1.0
     for it in range(1, config.max_iterations + 1):
         iterations = it
-        h = reference_fock_matrix(h0, v_lag_mat, d_mix, grid, potential, n_particles)
+        h = reference_fock_matrix(h0, v_lag_mat, d_mix / n_particles, grid, potential)
         residuals.append(commutator_norm(h, dmat))
         phi = scf._occupy(h, n_particles, grid, config.aufbau, phi)
         orbs = OrbitalSet(phi, grid, validate=False)
@@ -134,11 +154,11 @@ def reference_scf_minimize(grid, potential, n_particles, dispersion, config):
         energy = new_energy
         d_mix = (1.0 - alpha) * d_mix + alpha * dmat
         alpha = mixing
-    h_last = reference_fock_matrix(h0, v_lag_mat, dmat, grid, potential, n_particles)
+    h_last = reference_fock_matrix(h0, v_lag_mat, dmat / n_particles, grid, potential)
     residuals.append(commutator_norm(h_last, dmat))
     energy, orbs = best
     dmat = scf._density_matrix(orbs.orbitals, grid)
-    h_final = reference_fock_matrix(h0, v_lag_mat, dmat, grid, potential, n_particles)
+    h_final = reference_fock_matrix(h0, v_lag_mat, dmat / n_particles, grid, potential)
     neps = n_particles * grid.epsilon
     return ScfResult(orbitals=orbs, energy=energy, energies=energies, residuals=residuals,
                      iterations=iterations, converged=converged, oscillation=oscillation,
@@ -255,13 +275,36 @@ class TestFockMatrix:
         v_lag = scf._lag_matrix(grid, pot) if coupling else None
         for seed in (45, 46):
             orbs = random_orbital_set(grid, 5, seed=seed)
-            dmat = scf._density_matrix(orbs.orbitals, grid)
+            omega_n = scf._density_matrix(orbs.orbitals, grid, 1.0 / 5)
             # a complex ω is the propagation's case, a real one the SCF's
-            for omega in (dmat, dmat.real.copy()):
-                got = scf.fock_matrix(omega, grid, pot, disp, vext, 5)
-                ref = reference_fock_matrix(h0, v_lag, omega, grid, pot, 5)
+            for omega in (omega_n, omega_n.real.copy()):
+                ref = reference_fock_matrix(h0, v_lag, omega, grid, pot)
+                got = scf.fock_matrix(omega.copy(), grid, pot, disp, vext)
                 assert got.dtype == ref.dtype
                 assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("grid", [Grid(1, 64, 2.0 * np.pi, 0.1),
+                                      Grid(2, 16, 2.0 * np.pi, 0.25)])
+    @pytest.mark.parametrize("include_vext", [False, True])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_one_buffer_build_matches_composition(self, grid, include_vext, complex_):
+        # complex orbitals are the propagation's case, real ones the SCF's
+        disp = Dispersion.relativistic(1.0)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 0.8), vext=harmonic_trap(grid, 1.0),
+                            coupling=0.7)
+        vext = pot.vext if include_vext else None
+        for n_part, seed in ((5, 48), (8, 49)):
+            phi = random_orbital_set(grid, n_part, seed=seed).orbitals
+            if not complex_:
+                phi = np.linalg.qr(phi.real.reshape(n_part, -1).T)[0].T.reshape(phi.shape)
+                phi = phi / np.sqrt(grid.cell_volume)
+            omega_n = scf._density_matrix(phi, grid, 1.0 / n_part)
+            assert np.iscomplexobj(omega_n) == complex_
+            got = scf.fock_matrix(omega_n, grid, pot, disp, vext)
+            ref = composed_fock_matrix(phi, grid, pot, disp, vext, n_part)
+            assert got is omega_n
+            assert got.dtype == ref.dtype
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_potentials_differing_in_coupling_get_their_own(self):
         # V(x_i - x_j) is held by coefficient content: two potentials used
@@ -269,22 +312,23 @@ class TestFockMatrix:
         grid = Grid(1, 64, 2.0 * np.pi, 0.1)
         disp = Dispersion.relativistic(1.0)
         pots = [PotentialSpec(grid, gaussian_vhat(grid, 0.8), coupling=c) for c in (0.5, 0.7)]
-        dmat = scf._density_matrix(random_orbital_set(grid, 5, seed=47).orbitals, grid)
+        omega_n = scf._density_matrix(random_orbital_set(grid, 5, seed=47).orbitals, grid,
+                                      1.0 / 5)
         lags = (np.arange(grid.n)[:, None] - np.arange(grid.n)[None, :]) * grid.dx
         k = dense_one_body_matrix(grid, disp)
 
         def reference(pot):
             v_lag = np.cos(np.multiply.outer(lags, grid.p_axis)) @ pot.vhat_eff
-            return reference_fock_matrix(k, v_lag / grid.box_length, dmat, grid, pot, 5)
+            return reference_fock_matrix(k, v_lag / grid.box_length, omega_n, grid, pot)
 
         fock = {}
         for pot in pots + pots:
-            got = scf.fock_matrix(dmat, grid, pot, disp, None, 5)
+            got = scf.fock_matrix(omega_n.copy(), grid, pot, disp, None)
             assert np.max(np.abs(got - reference(pot))) <= 1e-13 * np.max(np.abs(got))
             fock.setdefault(pot.coupling, got)
         assert np.max(np.abs(fock[0.5] - fock[0.7])) > 1e-3
         pots[0].coupling = 0.9
-        got = scf.fock_matrix(dmat, grid, pots[0], disp, None, 5)
+        got = scf.fock_matrix(omega_n.copy(), grid, pots[0], disp, None)
         assert np.max(np.abs(got - reference(pots[0]))) <= 1e-13 * np.max(np.abs(got))
         assert np.max(np.abs(got - fock[0.5])) > 1e-3
 
@@ -304,7 +348,7 @@ class TestFockMatrix:
         twin = PotentialSpec(grid, gaussian_vhat(grid, 0.8), coupling=0.7)
         assert scf._lag_matrix(grid, twin) is v_lag
         # the Fock matrix handed out is the caller's own
-        h = scf.fock_matrix(np.eye(grid.size), grid, pot, disp, None, 5)
+        h = scf.fock_matrix(np.eye(grid.size), grid, pot, disp, None)
         assert h.flags.writeable
 
 
