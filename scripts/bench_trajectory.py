@@ -61,7 +61,11 @@ def summarize(values: list[float]) -> dict:
 
 def compare_pairs(change: Path, parent: Path, name: str, pairs: int, seed: int,
                   seconds: float, better: dict) -> tuple[dict, dict]:
-    """(machine line, K alternating pairs of perfbench runs of one workload and their summary)."""
+    """(machine line, record) of K alternating pairs of perfbench runs of one workload.
+
+    The record holds every pair's metric values and, per metric, each side's
+    median and quartiles and the change's win count.
+    """
     runs = []
     for k in range(pairs):
         order = [("parent", parent), ("change", change)]

@@ -44,7 +44,7 @@ import numpy as np
 from .grids import Dispersion, Grid, PotentialSpec, convolve_potential
 from .krylov import expm_apply_block
 from .orbitals import OrbitalSet, hs_distance_squared, reorthonormalize
-from .scf import DENSE_SIZE_CAP, _density_matrix, fock_matrix
+from .scf import DENSE_SIZE_CAP, _density_matrix_per_particle, fock_matrix
 
 __all__ = [
     "EvolutionConfig",
@@ -160,9 +160,8 @@ def _fock_closure(source: np.ndarray, state: SimState):
     """h(ω_source) built once as the dense Fock matrix, applied as one GEMM."""
     grid = state.orbitals.grid
     pot = state.potential
-    omega_n = _density_matrix(source, grid, 1.0 / source.shape[0])
-    h_t = fock_matrix(omega_n, grid, pot, state.config.dispersion,
-                      pot.vext if state.config.keep_trap else None).T
+    h_t = fock_matrix(_density_matrix_per_particle(source, grid), grid, pot,
+                      state.config.dispersion, pot.vext if state.config.keep_trap else None).T
 
     def apply_h_block(fields: np.ndarray) -> np.ndarray:
         return (fields.reshape(fields.shape[0], -1) @ h_t).reshape(fields.shape)

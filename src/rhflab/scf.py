@@ -158,7 +158,7 @@ def fock_matrix(omega_n: np.ndarray, grid: Grid, potential: PotentialSpec,
                 dispersion: Dispersion, vext: np.ndarray | None) -> np.ndarray:
     """Dense h(ω) = K [+ V_ext] + V*ρ - X(ω) on grid-value vectors, in omega_n's buffer.
 
-    omega_n is ω/N on value vectors (`_density_matrix(phi, grid, 1/N)`), so
+    omega_n is ω/N on value vectors (`_density_matrix_per_particle`), so
     ρ is its diagonal over dv.  With an interaction the matrix is turned into
     h in place and returned: the caller hands over a buffer it owns.  vext,
     when given, goes on the diagonal as (K_ii + vext_i) + (V*ρ)_i.  A real
@@ -215,7 +215,7 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
     phi = _occupy(h, n_particles, grid, True, None)
     energy = hf_energy(OrbitalSet(phi, grid, validate=False), potential, dispersion)
     # density matrices are mixed and held as ω/N, the form fock_matrix builds in
-    dmat = _density_matrix(phi, grid, 1.0 / n_particles)
+    dmat = _density_matrix_per_particle(phi, grid)
     d_mix = dmat
 
     energies = [energy]
@@ -234,7 +234,7 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
         residuals.append(_commutator_norm(h, phi, grid))
         phi = _occupy(h, n_particles, grid, config.aufbau, phi)
         new_energy = hf_energy(OrbitalSet(phi, grid, validate=False), potential, dispersion)
-        dmat = _density_matrix(phi, grid, 1.0 / n_particles)
+        dmat = _density_matrix_per_particle(phi, grid)
         energies.append(new_energy)
         if new_energy < best[0]:
             best = (new_energy, phi)
@@ -255,8 +255,8 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
 
     last = phi
     energy, phi = best
-    h_final = fock_matrix(_density_matrix(phi, grid, 1.0 / n_particles), grid, potential,
-                          dispersion, vext)
+    h_final = fock_matrix(_density_matrix_per_particle(phi, grid), grid, potential, dispersion,
+                          vext)
     stationarity = _commutator_norm(h_final, phi, grid)
     if phi is last:
         residuals.append(stationarity)
@@ -292,11 +292,11 @@ def _commutator_norm(h: np.ndarray, phi: np.ndarray, grid: Grid) -> float:
     return float(np.sqrt(2.0) * np.linalg.norm(resid))
 
 
-def _density_matrix(phi: np.ndarray, grid: Grid, scale: float = 1.0) -> np.ndarray:
-    """scale·Σ_j f_j(x) conj(f_j(y)) dv on value vectors, from an (N, *shape) block.
+def _density_matrix_per_particle(phi: np.ndarray, grid: Grid) -> np.ndarray:
+    """ω/N = N^{-1}·Σ_j f_j(x) conj(f_j(y)) dv on value vectors, from an (N, *shape) block.
 
-    The factor scale·dv goes on the N-row operand of the product, so no pass
-    over the n^d×n^d result is spent on it.
+    The factor dv/N goes on the N-row operand of the product, so no pass over
+    the n^d×n^d result is spent on it.
     """
     flat = phi.reshape(phi.shape[0], -1)
-    return flat.T @ (flat.conj() * (grid.cell_volume * scale))
+    return flat.T @ (flat.conj() * (grid.cell_volume * (1.0 / phi.shape[0])))

@@ -49,7 +49,10 @@ def mean_field_apply(orbs: OrbitalSet, potential: PotentialSpec, dispersion: Dis
 
 
 def reference_fock_matrix(h0, v_lag_mat, omega_n, grid, potential):
-    """h0 + diag(V*ρ) - X(ω) from a copy of h0 and a separate exchange array; omega_n = ω/N."""
+    """h0 + diag(V*ρ) - X(ω) from a copy of h0 and a separate exchange array.
+
+    omega_n is ω/N.
+    """
     rho = omega_n.diagonal().real / grid.cell_volume
     v_rho = convolve_potential(rho.reshape(grid.shape), grid, potential).reshape(-1)
     h = h0.copy()
@@ -59,6 +62,12 @@ def reference_fock_matrix(h0, v_lag_mat, omega_n, grid, potential):
     return h
 
 
+def reference_density_matrix(phi, grid):
+    """ω = Σ_j f_j(x) conj(f_j(y)) dv on value vectors, dv applied to the product."""
+    flat = phi.reshape(phi.shape[0], -1)
+    return (flat.T @ flat.conj()) * grid.cell_volume
+
+
 def composed_fock_matrix(phi, grid, potential, dispersion, vext, n_particles):
     """h(ω) for the projection onto the rows of phi as two separate builds.
 
@@ -66,8 +75,7 @@ def composed_fock_matrix(phi, grid, potential, dispersion, vext, n_particles):
     product, then X(ω) = V(x_i - x_j)·ω / N into a second buffer and the
     one-body part (K [+ V_ext] + V*ρ) - X.
     """
-    flat = phi.reshape(phi.shape[0], -1)
-    dmat = (flat.T @ flat.conj()) * grid.cell_volume
+    dmat = reference_density_matrix(phi, grid)
     k = dense_one_body_matrix(grid, dispersion)
     rho = dmat.diagonal().real / (n_particles * grid.cell_volume)
     v_rho = convolve_potential(rho.reshape(grid.shape), grid, potential).reshape(-1)
@@ -120,7 +128,7 @@ def reference_scf_minimize(grid, potential, n_particles, dispersion, config):
     phi = scf._occupy(h0, n_particles, grid, True, None)
     orbs = OrbitalSet(phi, grid, validate=False)
     energy = hf_energy(orbs, potential, dispersion)
-    dmat = scf._density_matrix(phi, grid)
+    dmat = reference_density_matrix(phi, grid)
     d_mix = dmat.copy()
     energies = [energy]
     residuals = []
@@ -136,7 +144,7 @@ def reference_scf_minimize(grid, potential, n_particles, dispersion, config):
         phi = scf._occupy(h, n_particles, grid, config.aufbau, phi)
         orbs = OrbitalSet(phi, grid, validate=False)
         new_energy = hf_energy(orbs, potential, dispersion)
-        dmat = scf._density_matrix(phi, grid)
+        dmat = reference_density_matrix(phi, grid)
         energies.append(new_energy)
         if new_energy < best[0]:
             best = (new_energy, orbs)
@@ -157,7 +165,7 @@ def reference_scf_minimize(grid, potential, n_particles, dispersion, config):
     h_last = reference_fock_matrix(h0, v_lag_mat, dmat / n_particles, grid, potential)
     residuals.append(commutator_norm(h_last, dmat))
     energy, orbs = best
-    dmat = scf._density_matrix(orbs.orbitals, grid)
+    dmat = reference_density_matrix(orbs.orbitals, grid)
     h_final = reference_fock_matrix(h0, v_lag_mat, dmat / n_particles, grid, potential)
     neps = n_particles * grid.epsilon
     return ScfResult(orbitals=orbs, energy=energy, energies=energies, residuals=residuals,
@@ -275,7 +283,7 @@ class TestFockMatrix:
         v_lag = scf._lag_matrix(grid, pot) if coupling else None
         for seed in (45, 46):
             orbs = random_orbital_set(grid, 5, seed=seed)
-            omega_n = scf._density_matrix(orbs.orbitals, grid, 1.0 / 5)
+            omega_n = scf._density_matrix_per_particle(orbs.orbitals, grid)
             # a complex ω is the propagation's case, a real one the SCF's
             for omega in (omega_n, omega_n.real.copy()):
                 ref = reference_fock_matrix(h0, v_lag, omega, grid, pot)
@@ -298,7 +306,7 @@ class TestFockMatrix:
             if not complex_:
                 phi = np.linalg.qr(phi.real.reshape(n_part, -1).T)[0].T.reshape(phi.shape)
                 phi = phi / np.sqrt(grid.cell_volume)
-            omega_n = scf._density_matrix(phi, grid, 1.0 / n_part)
+            omega_n = scf._density_matrix_per_particle(phi, grid)
             assert np.iscomplexobj(omega_n) == complex_
             got = scf.fock_matrix(omega_n, grid, pot, disp, vext)
             ref = composed_fock_matrix(phi, grid, pot, disp, vext, n_part)
@@ -312,8 +320,8 @@ class TestFockMatrix:
         grid = Grid(1, 64, 2.0 * np.pi, 0.1)
         disp = Dispersion.relativistic(1.0)
         pots = [PotentialSpec(grid, gaussian_vhat(grid, 0.8), coupling=c) for c in (0.5, 0.7)]
-        omega_n = scf._density_matrix(random_orbital_set(grid, 5, seed=47).orbitals, grid,
-                                      1.0 / 5)
+        orbs = random_orbital_set(grid, 5, seed=47)
+        omega_n = scf._density_matrix_per_particle(orbs.orbitals, grid)
         lags = (np.arange(grid.n)[:, None] - np.arange(grid.n)[None, :]) * grid.dx
         k = dense_one_body_matrix(grid, disp)
 
