@@ -1,8 +1,8 @@
 """Run the benchmark's workloads and keep their result lines.
 
     python3 scripts/bench_trajectory.py LABEL [--checkout DIR] [--seed 0] [--seconds 40]
-    python3 scripts/bench_trajectory.py LABEL --against DIR --pairs K --workload W
-        [--workload W2 ...] [--checkout DIR] [--seed 0] [--seconds 40]
+    python3 scripts/bench_trajectory.py LABEL --against DIR [--checkout DIR] [--seed 0]
+        [--seconds 40]
 
 For each workload in BENCHMARK.json the first form runs, in the checkout DIR
 (by default the repository holding this script),
@@ -15,9 +15,10 @@ line of its output) and the medians as measured, before the division by the
 host slowdown.
 
 The second form compares the checkout (the change) with the checkout DIR
-given to --against (its parent).  For each workload named it runs K pairs,
+given to --against (its parent).  For each workload it runs PAIRS pairs,
 one perfbench run of each side per pair, the parent first in even pairs and
-the change first in odd ones, all on one seed.  Per end-to-end metric it
+the change first in odd ones, all on one seed.  Ten pairs is the fewest on
+which a gain can be claimed: the change must win at least nine of them.  Per end-to-end metric it
 prints and stores each side's median and quartiles over the pairs and the
 change's win count: the pairs in which the change is better, ties counting
 for neither.  BENCH_<LABEL>.json then holds, per workload, every pair's
@@ -34,6 +35,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10
 
 
 def run_workload(checkout: Path, name: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -59,15 +61,15 @@ def summarize(values: list[float]) -> dict:
     return {"median": median, "q25": q1, "q75": q3}
 
 
-def compare_pairs(change: Path, parent: Path, name: str, pairs: int, seed: int,
+def compare_pairs(change: Path, parent: Path, name: str, seed: int,
                   seconds: float, better: dict) -> tuple[dict, dict]:
-    """(machine line, record) of K alternating pairs of perfbench runs of one workload.
+    """(machine line, record) of PAIRS alternating pairs of perfbench runs of one workload.
 
     The record holds every pair's metric values and, per metric, each side's
     median and quartiles and the change's win count.
     """
     runs = []
-    for k in range(pairs):
+    for k in range(PAIRS):
         order = [("parent", parent), ("change", change)]
         if k % 2:
             order.reverse()
@@ -77,7 +79,7 @@ def compare_pairs(change: Path, parent: Path, name: str, pairs: int, seed: int,
             pair[side] = {m: entry["value"] for m, entry in result["metrics"].items()}
             pair[side]["correct"] = result["correct"]
         runs.append(pair)
-        print(f"{name} pair {k + 1}/{pairs}: " + ", ".join(
+        print(f"{name} pair {k + 1}/{PAIRS}: " + ", ".join(
             f"{m} {pair['parent'][m]:.4g} -> {pair['change'][m]:.4g}" for m in better))
     summary = {}
     for metric, direction in better.items():
@@ -90,7 +92,7 @@ def compare_pairs(change: Path, parent: Path, name: str, pairs: int, seed: int,
         print(f"{name} {metric}: parent {stats['parent']['median']:.4g} "
               f"[{stats['parent']['q25']:.4g}, {stats['parent']['q75']:.4g}], change "
               f"{stats['change']['median']:.4g} [{stats['change']['q25']:.4g}, "
-              f"{stats['change']['q75']:.4g}], change better in {wins}/{pairs}")
+              f"{stats['change']['q75']:.4g}], change better in {wins}/{PAIRS}")
     return machine, {"pairs": runs, "summary": summary}
 
 
@@ -102,9 +104,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=40.0)
     ap.add_argument("--against", type=Path, default=None,
                     help="checkout of the parent to alternate runs with")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workload", action="append", default=None,
-                    help="workload to compare (repeatable; with --against)")
     args = ap.parse_args(argv)
     checkout = args.checkout.resolve()
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
@@ -112,18 +111,13 @@ def main(argv=None) -> int:
     record = {"label": args.label, "seed": args.seed, "seconds": args.seconds,
               "workloads": {}}
     if args.against is not None:
-        if not args.workload or args.pairs < 2:
-            ap.error("--against needs at least one --workload and --pairs >= 2")
-        unknown = set(args.workload) - set(workloads)
-        if unknown:
-            ap.error(f"unknown workload(s): {', '.join(sorted(unknown))}")
         parent = args.against.resolve()
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         record["commits"] = {"change": commit_of(checkout), "parent": commit_of(parent)}
-        record["pairs"] = args.pairs
-        for name in args.workload:
+        record["pairs"] = PAIRS
+        for name in workloads:
             machine, record["workloads"][name] = compare_pairs(
-                checkout, parent, name, args.pairs, args.seed, args.seconds, better)
+                checkout, parent, name, args.seed, args.seconds, better)
             record.setdefault("machine", machine["machine"])
             record.setdefault("env", machine["env"])
     else:
