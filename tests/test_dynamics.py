@@ -77,94 +77,6 @@ class TestKrylov:
         assert np.all(out == 0)
 
 
-def three_term_lanczos_block(matvec, v, tau, weight, tol_rows, m_max):
-    """The Lanczos solve with the three-term step as separate array updates.
-
-    Each iteration subtracts α q_m, then β_{m-1} q_{m-1}, then projects onto
-    the live basis, and normalizes by a complex-by-real division; the stopping
-    rule and the eigensolve skip are those of krylov._lanczos_block.
-    """
-    b, n = v.shape
-    beta0 = krylov._row_norms(v, weight)
-    basis = np.empty((b, m_max + 1, n), dtype=complex)
-    np.divide(v, np.where(beta0 > 0.0, beta0, 1.0)[:, None], out=basis[:, 0])
-    alphas = np.zeros((b, m_max))
-    betas = np.zeros((b, m_max))
-    lead = np.ones(b)
-    a_hi = np.full(b, -np.inf)
-    a_lo = np.full(b, np.inf)
-    b_hi = np.zeros(b)
-    for m in range(1, m_max + 1):
-        q = basis[:, m - 1]
-        w = np.ascontiguousarray(matvec(q), dtype=complex)
-        alpha = krylov._row_dots(q, w) * weight
-        alphas[:, m - 1] = alpha
-        w = w - alpha[:, None] * q
-        if m > 1:
-            w -= betas[:, m - 2, None] * basis[:, m - 2]
-        live_basis = basis[:, :m]
-        dots = np.conj(np.matmul(np.conj(w)[:, None, :],
-                                 live_basis.transpose(0, 2, 1)))
-        dots *= weight
-        w -= np.matmul(dots, live_basis)[:, 0]
-        beta = krylov._row_norms(w, weight)
-        np.maximum(a_hi, alpha, out=a_hi)
-        np.minimum(a_lo, alpha, out=a_lo)
-        if m == m_max or not np.any(
-                beta * tau * krylov._entry_floor(lead, a_hi, a_lo, b_hi, tau, m) > tol_rows):
-            phases = krylov._exp_first_column(alphas[:, :m], betas[:, : m - 1], tau)
-            err = np.abs(beta * phases[:, -1] * tau)
-            if m == m_max or np.all(err <= tol_rows):
-                out = np.matmul(phases[:, None, :], live_basis)[:, 0] * beta0[:, None]
-                return out, err
-        degenerate = beta <= 1e-14 * (np.abs(alpha) + 1.0)
-        if degenerate.any():
-            beta[degenerate] = 0.0
-            w[degenerate] = 0.0
-            np.divide(w, np.where(degenerate, 1.0, beta)[:, None], out=basis[:, m])
-        else:
-            np.divide(w, beta[:, None], out=basis[:, m])
-        betas[:, m - 1] = beta
-        np.maximum(b_hi, beta, out=b_hi)
-        lead *= beta
-        lead *= tau / m
-        np.minimum(lead, 1.0, out=lead)
-    raise AssertionError("unreachable")
-
-
-def single_projection_lanczos_block(matvec, v, tau, weight, tol_rows, m_max):
-    """The solve with one projection of w = Hq onto the live basis per iteration.
-
-    α is read off the projection's coefficients; no three-term step runs
-    first.  Kept to show what that saves in orthogonality (TestLanczosBasis).
-    """
-    b, n = v.shape
-    beta0 = krylov._row_norms(v, weight)
-    basis = np.empty((b, m_max + 1, n), dtype=complex)
-    np.divide(v, np.where(beta0 > 0.0, beta0, 1.0)[:, None], out=basis[:, 0])
-    alphas = np.zeros((b, m_max))
-    betas = np.zeros((b, m_max))
-    for m in range(1, m_max + 1):
-        live_basis = basis[:, :m]
-        w = matvec(live_basis[:, m - 1])
-        coeffs = np.conj(np.matmul(np.conj(w)[:, None, :], live_basis.transpose(0, 2, 1)))
-        coeffs *= weight
-        alpha = coeffs[:, 0, m - 1].real
-        alphas[:, m - 1] = alpha
-        w = w - np.matmul(coeffs, live_basis)[:, 0]
-        beta = krylov._row_norms(w, weight)
-        phases = krylov._exp_first_column(alphas[:, :m], betas[:, : m - 1], tau)
-        err = np.abs(beta * phases[:, -1] * tau)
-        if m == m_max or np.all(err <= tol_rows):
-            return np.matmul(phases[:, None, :], live_basis)[:, 0] * beta0[:, None], err
-        degenerate = beta <= 1e-14 * (np.abs(alpha) + 1.0)
-        beta[degenerate] = 0.0
-        w[degenerate] = 0.0
-        np.divide(w, np.where(degenerate, 1.0, beta)[:, None], out=basis[:, m])
-        betas[:, m - 1] = beta
-    raise AssertionError("unreachable")
-
-
 def reference_lanczos_block(matvec, v, tau, weight, tol_rows, m_max):
     """The slab-major Lanczos solve with a zeroed (m_max+1, b, n) basis."""
     b, n = v.shape
@@ -334,33 +246,6 @@ class TestLanczosAgainstReference:
         assert calls_new == calls_ref
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("b", [1, 16])
-    @pytest.mark.parametrize("tau", [0.05, 0.6, 30.0])
-    def test_single_solve_matches_three_term_solve(self, b, tau):
-        h, v = self._problem(b, seed=60 + b)
-        weight = 0.3
-        tol_rows = 1e-12 * np.maximum(krylov._row_norms(v, weight), 1.0)
-        mv_new, calls_new = self._counting(h)
-        mv_ref, calls_ref = self._counting(h)
-        for m_max in (4, 40):
-            out, err = krylov._lanczos_block(mv_new, v, tau, weight, tol_rows, m_max)
-            ref, ref_err = three_term_lanczos_block(mv_ref, v, tau, weight, tol_rows, m_max)
-            assert calls_new == calls_ref
-            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
-            assert np.allclose(err, ref_err, rtol=1e-6, atol=1e-13)
-
-    @pytest.mark.parametrize("b", [1, 16])
-    def test_substepped_propagation_matches_three_term_solve(self, b, monkeypatch):
-        h, v = self._problem(b, seed=70 + b)
-        mv_new, calls_new = self._counting(h)
-        out = expm_apply_block(mv_new, v, 30.0, weight=0.5)
-        monkeypatch.setattr(krylov, "_lanczos_block", three_term_lanczos_block)
-        mv_ref, calls_ref = self._counting(h)
-        ref = expm_apply_block(mv_ref, v, 30.0, weight=0.5)
-        assert len(calls_ref) > 40
-        assert calls_new == calls_ref
-        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
-
     def _dense_problem(self, b, seed):
         rng = np.random.default_rng(seed)
         h = rng.standard_normal((self.n, self.n)) + 1j * rng.standard_normal((self.n, self.n))
@@ -417,7 +302,7 @@ class TestLanczosAgainstReference:
         assert err.tobytes() == every_err.tobytes()
 
 
-def basis_overlap(lanczos_block, matvec, v, tau, weight):
+def basis_overlap(matvec, v, tau, weight):
     """Per row, weight·max|Q^H Q - I| over the nonzero Krylov vectors of one solve.
 
     The basis is read off the matvec inputs, which are its vectors in order.
@@ -429,7 +314,7 @@ def basis_overlap(lanczos_block, matvec, v, tau, weight):
         return matvec(rows)
 
     tol_rows = 1e-12 * np.maximum(krylov._row_norms(v, weight), 1.0)
-    lanczos_block(recording, v, tau, weight, tol_rows, 40)
+    krylov._lanczos_block(recording, v, tau, weight, tol_rows, 40)
     q = np.stack(seen, axis=1)
     overlaps = []
     for row in q:
@@ -466,8 +351,7 @@ class TestLanczosBasis:
         # row 1 is zero and row 2 lies in an invariant subspace (β_3 = 0)
         problem = TestLanczosAgainstReference()
         h, v = problem._problem(16, seed=90)
-        overlaps, _ = basis_overlap(krylov._lanczos_block, lambda rows: rows @ h.T,
-                                    v, tau, 0.3)
+        overlaps, _ = basis_overlap(lambda rows: rows @ h.T, v, tau, 0.3)
         assert np.max(overlaps) <= 1e-13
 
     def test_orthonormal_on_stationary_state(self, stationary_state):
@@ -478,13 +362,9 @@ class TestLanczosBasis:
         beta = np.sqrt(np.sum(np.abs(w - alpha[:, None] * phi) ** 2, axis=1) * dv)
         assert np.all(beta <= 1e-5 * alpha)
         tau = suggested_dt_cap(grid, Dispersion.relativistic(1.0)) / grid.epsilon
-        overlaps, m = basis_overlap(krylov._lanczos_block, matvec, phi, tau, dv)
+        overlaps, m = basis_overlap(matvec, phi, tau, dv)
         assert m >= 3
         assert np.max(overlaps) <= 1e-13
-        # one projection of Hq per iteration, without the three-term step,
-        # loses orthogonality by about u·‖Hq‖/β per iteration, compounding
-        single, _ = basis_overlap(single_projection_lanczos_block, matvec, phi, tau, dv)
-        assert np.max(single) > 1e-10
 
 
 class TestEntryFloor:

@@ -68,27 +68,6 @@ def reference_density_matrix(phi, grid):
     return (flat.T @ flat.conj()) * grid.cell_volume
 
 
-def composed_fock_matrix(phi, grid, potential, dispersion, vext, n_particles):
-    """h(ω) for the projection onto the rows of phi as two separate builds.
-
-    The density matrix Σ_j f_j conj(f_j) dv first, scaled on the n^d×n^d
-    product, then X(ω) = V(x_i - x_j)·ω / N into a second buffer and the
-    one-body part (K [+ V_ext] + V*ρ) - X.
-    """
-    dmat = reference_density_matrix(phi, grid)
-    k = dense_one_body_matrix(grid, dispersion)
-    rho = dmat.diagonal().real / (n_particles * grid.cell_volume)
-    v_rho = convolve_potential(rho.reshape(grid.shape), grid, potential).reshape(-1)
-    diag = k.diagonal() if vext is None else k.diagonal() + vext.reshape(-1)
-    diag = diag + v_rho
-    h = np.multiply(scf._lag_matrix(grid, potential), dmat)
-    h /= n_particles
-    diag = diag - h.diagonal()
-    np.subtract(k, h, out=h)
-    np.fill_diagonal(h, diag)
-    return h
-
-
 def reference_dense_one_body_matrix(grid, dispersion, vext=None):
     """K + V_ext as a complex matrix: K applied by FFT to every unit vector."""
     eye = np.eye(grid.size, dtype=complex).reshape(grid.size, *grid.shape)
@@ -301,6 +280,10 @@ class TestFockMatrix:
         pot = PotentialSpec(grid, gaussian_vhat(grid, 0.8), vext=harmonic_trap(grid, 1.0),
                             coupling=0.7)
         vext = pot.vext if include_vext else None
+        h0 = dense_one_body_matrix(grid, disp).copy()
+        if include_vext:
+            h0[np.diag_indices(grid.size)] += vext.reshape(-1)
+        v_lag = scf._lag_matrix(grid, pot)
         for n_part, seed in ((5, 48), (8, 49)):
             phi = random_orbital_set(grid, n_part, seed=seed).orbitals
             if not complex_:
@@ -309,7 +292,8 @@ class TestFockMatrix:
             omega_n = scf._density_matrix_per_particle(phi, grid)
             assert np.iscomplexobj(omega_n) == complex_
             got = scf.fock_matrix(omega_n, grid, pot, disp, vext)
-            ref = composed_fock_matrix(phi, grid, pot, disp, vext, n_part)
+            ref = reference_fock_matrix(h0, v_lag, reference_density_matrix(phi, grid) / n_part,
+                                        grid, pot)
             assert got is omega_n
             assert got.dtype == ref.dtype
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
