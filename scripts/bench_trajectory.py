@@ -3,6 +3,7 @@
     python3 scripts/bench_trajectory.py LABEL [--checkout DIR] [--seed 0] [--seconds 40]
     python3 scripts/bench_trajectory.py LABEL --against DIR [--checkout DIR] [--seed 0]
         [--seconds 40]
+    python3 scripts/bench_trajectory.py LABEL --crossover [--checkout DIR]
 
 For each workload in BENCHMARK.json the first form runs, in the checkout DIR
 (by default the repository holding this script),
@@ -23,12 +24,27 @@ prints and stores each side's median and quartiles over the pairs and the
 change's win count: the pairs in which the change is better, ties counting
 for neither.  BENCH_<LABEL>.json then holds, per workload, every pair's
 values and that summary, and the commit of each side.
+
+The third form times one exponential-midpoint HF step of the checkout on
+each mean-field path (dense, pair, loop; `scf.MeanField`) at n in
+CROSSOVER_NS and N in CROSSOVER_PARTICLES on 1D grids, and at 32² and 64²
+with N = 8, all at one BLAS thread.  Every case starts from a fixed kicked
+SCF state (the 64² state is the 32² one interpolated spectrally, because a
+dense SCF at 64² takes minutes); each repetition steps that same state once
+per path, the paths interleaved, and the block records the median, the
+quartiles and the path the rule picks.  It also fits the rule's constant
+c of c·n^d <= N²·log2(n^d) to these times (`fit_dense_cost`).
+
+Each form writes its own blocks into BENCH_<LABEL>.json and keeps the
+others an earlier run wrote there.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import statistics
 import subprocess
 import sys
@@ -36,6 +52,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
+CROSSOVER_NS = (64, 128, 256)
+CROSSOVER_PARTICLES = (2, 4, 8, 16)
+CROSSOVER_2D = ((32, 8), (64, 8))  # (n per axis, N)
+CROSSOVER_REPS = 7
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_workload(checkout: Path, name: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -96,6 +117,96 @@ def compare_pairs(change: Path, parent: Path, name: str, seed: int,
     return machine, {"pairs": runs, "summary": summary}
 
 
+def crossover(checkout: Path) -> dict:
+    """The crossover block: ms per midpoint step on each path (module docstring)."""
+    for name in BLAS_THREAD_VARS:  # read when numpy loads its BLAS
+        os.environ[name] = "1"
+    sys.path.insert(0, str(checkout / "src"))
+    import time
+
+    import numpy as np
+    from rhflab import propagate, scf
+    from rhflab.grids import Dispersion, Grid, PotentialSpec, gaussian_vhat, harmonic_trap
+    from rhflab.orbitals import OrbitalSet, reorthonormalize
+
+    disp = Dispersion.relativistic(1.0)
+
+    def setup(dim, n, n_part):
+        grid = Grid(dim, n, 4.0 * np.pi, 1.0 / n_part)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
+                            coupling=0.5)
+        return grid, pot
+
+    def ground_state(dim, n, n_part):
+        grid, pot = setup(dim, n, n_part)
+        if dim == 2 and n > 32:  # interpolate the 32² state: pad its spectrum
+            coarse = ground_state(dim, 32, n_part)
+            spec = np.fft.fftshift(np.fft.fft2(coarse), axes=(1, 2))
+            pad = (n - 32) // 2
+            spec = np.pad(spec, ((0, 0), (pad, pad), (pad, pad)))
+            fine = np.fft.ifft2(np.fft.ifftshift(spec, axes=(1, 2))) * (n / 32) ** 2
+            return reorthonormalize(OrbitalSet(fine, grid, validate=False)).orbitals
+        return scf.scf_minimize(grid, pot, n_part, disp, scf.ScfConfig()).orbitals.orbitals
+
+    cases = [(1, n, n_part) for n in CROSSOVER_NS for n_part in CROSSOVER_PARTICLES]
+    cases += [(2, n, n_part) for n, n_part in CROSSOVER_2D]
+    block = {"reps": CROSSOVER_REPS, "dt": 1e-3, "dense_cost": scf.DENSE_COST, "cases": []}
+    for dim, n, n_part in cases:
+        grid, pot = setup(dim, n, n_part)
+        kick = np.exp(1j * sum(2.0 * np.pi / grid.box_length * x for x in grid.x_mesh))
+        orbs = OrbitalSet(ground_state(dim, n, n_part) * kick, grid, validate=False)
+        config = propagate.EvolutionConfig(dt=1e-3, t_final=1e-3, dispersion=disp)
+        inputs = (grid, pot, disp, config.scheme, True, False, n_part)
+        states = {path: propagate.SimState(0.0, orbs, pot, config,
+                                           mean_field=scf.MeanField.for_evolution(
+                                               *inputs, path=path))
+                  for path in scf.PATHS}
+        times = {path: [] for path in states}
+        for path, state in states.items():  # warm-up
+            propagate.step(state)
+        for _ in range(CROSSOVER_REPS):
+            for path, state in states.items():
+                start = time.perf_counter()
+                propagate.step(state)
+                times[path].append(1e3 * (time.perf_counter() - start))
+        del states
+        case = {"dim": dim, "n": n, "N": n_part,
+                "rule": scf.MeanField.for_evolution(*inputs).path,
+                "ms": {path: summarize(ms) for path, ms in times.items()}}
+        block["cases"].append(case)
+        print(f"crossover {n}^{dim} N={n_part}: " + ", ".join(
+            f"{path} {stats['median']:.3g} ms" for path, stats in case["ms"].items())
+            + f"; rule picks {case['rule']}")
+    block["fit"] = fit_dense_cost(block["cases"])
+    print(f"crossover fit: {block['fit']}")
+    return block
+
+
+def fit_dense_cost(cases: list[dict]) -> dict:
+    """The c of dense iff c·n^d <= N²·log2(n^d) that costs the least median step time.
+
+    Each case is dense iff c <= x = N²·log2(n^d)/n^d; its FFT time is the
+    form the rule would run (pair in 1D, loop otherwise).  The cost of a c
+    is the time the cases lose over their faster path; every c in
+    (low, high] has the least cost.
+    """
+    points = []
+    for case in cases:
+        size = case["n"] ** case["dim"]
+        fft = case["ms"]["pair" if case["dim"] == 1 else "loop"]["median"]
+        points.append((case["N"] ** 2 * math.log2(size) / size,
+                       case["ms"]["dense"]["median"], fft))
+    points.sort()
+    edges = [0.0] + [x for x, _, _ in points] + [math.inf]
+    costs = []
+    for low, high in zip(edges, edges[1:]):  # c in (low, high]: dense where x >= high
+        lost = sum((dense if x >= high else fft) - min(dense, fft)
+                   for x, dense, fft in points)
+        costs.append((lost, low, high))
+    lost, low, high = min(costs)
+    return {"low": low, "high": high, "lost_ms": lost}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("label")
@@ -104,13 +215,21 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=40.0)
     ap.add_argument("--against", type=Path, default=None,
                     help="checkout of the parent to alternate runs with")
+    ap.add_argument("--crossover", action="store_true",
+                    help="time one step on each mean-field path in place of the workloads")
     args = ap.parse_args(argv)
     checkout = args.checkout.resolve()
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
-    record = {"label": args.label, "seed": args.seed, "seconds": args.seconds,
-              "workloads": {}}
-    if args.against is not None:
+    out = ROOT / f"BENCH_{args.label}.json"
+    record = json.loads(out.read_text()) if out.exists() else {}
+    record["label"] = args.label
+    if not args.crossover:
+        record.update({"seed": args.seed, "seconds": args.seconds, "workloads": {}})
+    if args.crossover:
+        record["crossover"] = crossover(checkout)
+        record["crossover"]["commit"] = commit_of(checkout)
+    elif args.against is not None:
         parent = args.against.resolve()
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         record["commits"] = {"change": commit_of(checkout), "parent": commit_of(parent)}
@@ -128,7 +247,6 @@ def main(argv=None) -> int:
             record["workloads"][name] = result
             print(f"{name}: " + ", ".join(f"{k} = {m['value']:.4g}"
                                           for k, m in result["metrics"].items()))
-    out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
     return 0

@@ -40,7 +40,6 @@ __all__ = [
     "growth_fit",
     "integrated_growth_audit",
     "wigner_transform",
-    "momentum_density",
     "default_phase_samples",
     "MARGIN_TOL",
     "SEAM_MASS_WARN",
@@ -302,23 +301,6 @@ class PhaseSpaceField:
     def velocity_marginal(self) -> np.ndarray:
         """∫ W(x, v) dx, for a Wigner transform the momentum density."""
         return np.sum(self.values, axis=0) * self.dx
-
-
-def momentum_density(orbs: OrbitalSet) -> np.ndarray:
-    """Momentum occupation as a density over the v = ε·p nodes (ascending).
-
-    Normalized so Σ n(v_k) Δv = 1; this is the velocity marginal of the
-    Wigner transform.
-    """
-    grid = orbs.grid
-    if grid.dim != 1:
-        raise ValueError("momentum density implemented for dim=1")
-    occ = np.zeros(grid.n)
-    for f in orbs.orbitals:
-        fh = grid.fft(f)
-        occ += np.abs(fh) ** 2 * grid.cell_volume**2
-    order = np.argsort(grid.p_axis)
-    return occ[order] / (2.0 * np.pi * grid.epsilon * orbs.n_particles)
 
 
 def wigner_transform(orbs: OrbitalSet, v_grid: np.ndarray | None = None) -> PhaseSpaceField:

@@ -20,7 +20,6 @@ __all__ = [
     "Dispersion",
     "PotentialSpec",
     "apply_kinetic",
-    "apply_inverse_sqrt_kinetic",
     "convolve_potential",
     "potential_moment",
     "potential_moment_refinement_check",
@@ -245,15 +244,6 @@ def apply_kinetic(f: np.ndarray, grid: Grid, dispersion: Dispersion) -> np.ndarr
     """Apply the kinetic operator as a Fourier multiplier."""
     grid.check_field(f)
     return grid.ifft(dispersion.symbol(grid) * grid.fft(f))
-
-
-def apply_inverse_sqrt_kinetic(f: np.ndarray, grid: Grid, m0: float) -> np.ndarray:
-    """Apply (-eps^2 Δ + m0^2)^{-1/2}; operator norm is 1/m0."""
-    if m0 <= 0:
-        raise ValueError(f"m0 must be positive, got {m0}")
-    grid.check_field(f)
-    symbol = 1.0 / np.sqrt(grid.epsilon**2 * grid.p_squared + m0**2)
-    return grid.ifft(symbol * grid.fft(f))
 
 
 def convolve_potential(density: np.ndarray, grid: Grid, potential: PotentialSpec) -> np.ndarray:

@@ -22,14 +22,13 @@ __all__ = [
     "OrbitalSet",
     "reduced_density",
     "apply_exchange",
+    "exchange_fields",
     "trace_norm",
     "commutator_trace_norm",
     "reorthonormalize",
     "hs_distance_squared",
     "fermi_sea",
     "fermi_sea_freqs",
-    "gaussian_orbital",
-    "random_orbital_set",
     "seam_mass",
 ]
 
@@ -70,18 +69,27 @@ def reduced_density(orbs: OrbitalSet) -> np.ndarray:
 def apply_exchange(orbs: OrbitalSet, potential: PotentialSpec, field: np.ndarray) -> np.ndarray:
     """Exchange operator (X f)(x) = N^{-1} Σ_j f_j(x) (V * (conj(f_j) f))(x).
 
-    field is one grid field or a (B, *grid.shape) block of them.  The loop
-    runs over the N orbitals f_j, each pass one FFT pair batched over the
-    block, so the working set stays the size of the block.
+    field is one grid field or a (B, *grid.shape) block of them
+    (`exchange_fields`).
     """
     grid = orbs.grid
     grid.check_field(field[0] if field.ndim == grid.dim + 1 else field)
+    return exchange_fields(orbs.orbitals, potential.vhat_eff, field, grid)
+
+
+def exchange_fields(orbitals: np.ndarray, vhat: np.ndarray, field: np.ndarray,
+                    grid: Grid) -> np.ndarray:
+    """N^{-1} Σ_j f_j (V * (conj(f_j) field)) over the N rows f_j of orbitals.
+
+    The loop runs over the N orbitals, each pass one FFT pair batched over
+    the field block, so the working set stays the size of the block.
+    """
     out = np.zeros(field.shape, dtype=complex)
-    for f_j in orbs.orbitals:
-        conv = grid.ifft(potential.vhat_eff * grid.fft(np.conj(f_j) * field))
+    for f_j in orbitals:
+        conv = grid.ifft(vhat * grid.fft(np.conj(f_j) * field))
         conv *= f_j
         out += conv
-    out /= orbs.n_particles
+    out /= orbitals.shape[0]
     return out
 
 
@@ -202,39 +210,6 @@ def boosted_fermi_sea(grid: Grid, n_particles: int, dispersion: Dispersion,
         phase = phase + (-amplitude / k) * np.cos(k * xm)
     boost = np.exp(1j * phase / grid.epsilon)
     return OrbitalSet(boost * sea.orbitals, grid, validate=False)
-
-
-def gaussian_orbital(grid: Grid, center=0.0, sigma=0.5, momentum_freqs=None) -> np.ndarray:
-    """Normalized periodized Gaussian, optionally carrying a plane-wave boost.
-
-    sigma is the position standard deviation of |f|^2 (on R; periodization
-    corrections are negligible for sigma << L).
-    """
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    if center.size == 1 and grid.dim > 1:
-        center = np.full(grid.dim, center[0])
-    f = np.ones(grid.shape, dtype=complex)
-    for a in range(grid.dim):
-        x = grid.x_mesh[a] - center[a]
-        acc = np.zeros(grid.shape)
-        for image in (-1, 0, 1):
-            acc = acc + np.exp(-((x + image * grid.box_length) ** 2) / (4.0 * sigma**2))
-        f = f * acc
-    if momentum_freqs is not None:
-        f = f * plane_wave(grid, momentum_freqs) * grid.box_length ** (grid.dim / 2.0)
-    return f / grid.norm(f)
-
-
-def random_orbital_set(grid: Grid, n_particles: int, seed: int = 0) -> OrbitalSet:
-    """Orthonormalized random fields (deterministic per seed); test utility."""
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((n_particles, *grid.shape)) + 1j * rng.standard_normal(
-        (n_particles, *grid.shape)
-    )
-    flat = raw.reshape(n_particles, -1)
-    q, _ = np.linalg.qr(flat.T)
-    orbs = (q.T / np.sqrt(grid.cell_volume)).reshape(n_particles, *grid.shape)
-    return OrbitalSet(orbs, grid, validate=False)
 
 
 def seam_mass(orbs: OrbitalSet, band: float = 0.05) -> float:

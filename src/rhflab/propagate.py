@@ -17,21 +17,18 @@ k = 0, every multiple of an observer's cadence and the last step it repairs
 the state (Löwdin, nothing for a pair, the polar factor in `ed`) and samples
 the due observers at t0 + k·dt.
 
-h(ω) is applied to an orbital block in one of two ways, chosen from the input
-alone.  The FFT path applies K as a Fourier multiplier, the direct term as a
-local field and the exchange as N² pair convolutions per block apply.  The
-dense path builds h(ω) once per mean field as the n×n Fock matrix of the SCF
-(`scf.fock_matrix`, trap included only with keep_trap; K and V(x_i - x_j) are
-the SCF's, held by its memoised builders) and applies it as one GEMM.  The
-build takes one n×n buffer: the product Φ^T·conj(Φ)·(dv/N) of the source
-orbitals, which becomes h in place.  The FFT path forms conj(source) and
-reads V̂ only when it applies the exchange.  Dense
-is used only when all of these hold: the scheme is exponential
-midpoint (one build serves the ~16 matvecs of a step), exchange is on and the
-potential interacts, n^d <= scf.DENSE_SIZE_CAP, and 4·n^d <= N²·log2(n^d),
-where the pair FFTs outweigh the build.  Everything else (Hartree, RK4, small
-N, large 2D/3D grids) runs the FFT path, which is also the test reference.
-The two paths agree to rounding; artifacts differ only in the last bits.
+h(ω) comes from one `scf.MeanField` per evolution, which picks its path
+once: the dense Fock matrix, or the FFT path with the exchange as the pair
+array (1D) or the per-orbital loop (2D/3D); the rule and the forms are in
+the `scf` module docstring.  `step` builds it on first use from the state's
+grid, potential, config (dispersion, scheme, exchange_on, keep_trap) and N,
+and carries it on the state it returns, so an evolution builds it once and
+a bare SimState steps as well.  A state whose potential or those config
+fields differ from the MeanField's inputs gets a fresh one.  On the dense
+path the MeanField owns K and V(x_i - x_j), so they live as long as the
+states that carry it; a flow on the FFT path holds neither.  `pair_evolve`
+builds both legs' MeanFields up front, the second sharing the first's K
+and V(x_i - x_j) where they are the same matrices.
 """
 
 from __future__ import annotations
@@ -41,10 +38,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grids import Dispersion, Grid, PotentialSpec, convolve_potential
+from .grids import Dispersion, Grid, PotentialSpec
 from .krylov import expm_apply_block
 from .orbitals import OrbitalSet, hs_distance_squared, reorthonormalize
-from .scf import DENSE_SIZE_CAP, _density_matrix_per_particle, fock_matrix
+from .scf import MeanField
 
 __all__ = [
     "EvolutionConfig",
@@ -102,6 +99,8 @@ class SimState:
     # pre-reorthonormalization audit values of the most recent step
     last_gram_deviation: float = 0.0
     last_projection_residual: float = 0.0
+    # the evolution's mean field, built by the first step (module docstring)
+    mean_field: MeanField | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -139,66 +138,14 @@ def suggested_dt_cap(grid: Grid, dispersion: Dispersion) -> float:
     return 0.1 * grid.epsilon / float(np.max(dispersion.symbol(grid)))
 
 
-def _dense_fock_pays(config: EvolutionConfig, potential: PotentialSpec, grid: Grid,
-                     n_particles: int) -> bool:
-    """Whether h(ω) is applied as a dense Fock matrix (see the module docstring)."""
-    return (config.scheme == "exponential_midpoint"
-            and config.exchange_on and potential.has_interaction()
-            and grid.size <= DENSE_SIZE_CAP
-            and 4 * grid.size <= n_particles**2 * np.log2(grid.size))
-
-
-def _mean_field_closure(source: np.ndarray, state: SimState):
-    """h(ω_source) as a block closure on (B, *shape) field stacks."""
-    if _dense_fock_pays(state.config, state.potential, state.orbitals.grid,
-                        source.shape[0]):
-        return _fock_closure(source, state)
-    return _fft_closure(source, state)
-
-
-def _fock_closure(source: np.ndarray, state: SimState):
-    """h(ω_source) built once as the dense Fock matrix, applied as one GEMM."""
-    grid = state.orbitals.grid
-    pot = state.potential
-    h_t = fock_matrix(_density_matrix_per_particle(source, grid), grid, pot,
-                      state.config.dispersion, pot.vext if state.config.keep_trap else None).T
-
-    def apply_h_block(fields: np.ndarray) -> np.ndarray:
-        return (fields.reshape(fields.shape[0], -1) @ h_t).reshape(fields.shape)
-
-    return apply_h_block
-
-
-def _fft_closure(source: np.ndarray, state: SimState):
-    """h(ω_source) with K and the N² exchange convolutions applied by FFT."""
-    grid = state.orbitals.grid
+def _mean_field(state: SimState, like: MeanField | None = None) -> MeanField:
+    """The MeanField the state carries, or a fresh one where it serves other inputs."""
     cfg = state.config
-    pot = state.potential
-    n_part = source.shape[0]
-    rho = np.sum(np.abs(source) ** 2, axis=0) / n_part
-    local = convolve_potential(rho, grid, pot)
-    if cfg.keep_trap:
-        local = local + pot.vext
-    symbol = cfg.dispersion.symbol(grid)
-
-    def apply_h_block(fields: np.ndarray) -> np.ndarray:
-        out = grid.ifft(symbol * grid.fft(fields))
-        out += local * fields
-        return out
-
-    if not (cfg.exchange_on and pot.has_interaction()):
-        return apply_h_block
-    vhat = pot.vhat_eff
-    src_conj = np.conj(source)
-
-    def apply_hf_block(fields: np.ndarray) -> np.ndarray:
-        out = apply_h_block(fields)
-        pair = src_conj[None, ...] * fields[:, None, ...]
-        conv = grid.ifft(vhat * grid.fft(pair))
-        out -= np.sum(source[None, ...] * conv, axis=1) / n_part
-        return out
-
-    return apply_hf_block
+    inputs = (state.orbitals.grid, state.potential, cfg.dispersion, cfg.scheme,
+              cfg.exchange_on, cfg.keep_trap, state.orbitals.n_particles)
+    if state.mean_field is not None and state.mean_field.inputs == inputs:
+        return state.mean_field
+    return MeanField.for_evolution(*inputs, like=like)
 
 
 def _propagate_all(apply_h_block, orbs_arr: np.ndarray, tau: float, grid: Grid,
@@ -226,25 +173,24 @@ def _exponential_midpoint(phi: np.ndarray, mean_field, propagate, dt: float) -> 
     return propagate(mean_field(half), phi, dt)
 
 
-def _step_exponential_midpoint(state: SimState) -> np.ndarray:
+def _step_exponential_midpoint(state: SimState, mean_field: MeanField) -> np.ndarray:
     cfg = state.config
     grid = state.orbitals.grid
     return _exponential_midpoint(
-        state.orbitals.orbitals, lambda source: _mean_field_closure(source, state),
+        state.orbitals.orbitals, mean_field.closure,
         lambda apply_h, phi, tau: _propagate_all(apply_h, phi, tau / grid.epsilon, grid,
                                                  cfg.krylov_tol),
         cfg.dt)
 
 
-def _step_rk4(state: SimState) -> np.ndarray:
+def _step_rk4(state: SimState, mean_field: MeanField) -> np.ndarray:
     cfg = state.config
     grid = state.orbitals.grid
     eps = grid.epsilon
     phi = state.orbitals.orbitals
 
     def rhs(arr: np.ndarray) -> np.ndarray:
-        apply_h_block = _mean_field_closure(arr, state)
-        return apply_h_block(arr) * (-1j / eps)
+        return mean_field.closure(arr)(arr) * (-1j / eps)
 
     k1 = rhs(phi)
     k2 = rhs(phi + 0.5 * cfg.dt * k1)
@@ -255,10 +201,11 @@ def _step_rk4(state: SimState) -> np.ndarray:
 
 def step(state: SimState) -> SimState:
     """Advance one dt; raises StepRejected when orthonormality degrades."""
+    mean_field = _mean_field(state)
     if state.config.scheme == "exponential_midpoint":
-        new_phi = _step_exponential_midpoint(state)
+        new_phi = _step_exponential_midpoint(state, mean_field)
     else:
-        new_phi = _step_rk4(state)
+        new_phi = _step_rk4(state, mean_field)
     new_orbs = OrbitalSet(new_phi, state.orbitals.grid, validate=False)
     gram = new_orbs.gram()
     eye = np.eye(new_orbs.n_particles)
@@ -275,7 +222,7 @@ def step(state: SimState) -> SimState:
         new_orbs = reorthonormalize(new_orbs)
     return replace(state, time=state.time + state.config.dt, orbitals=new_orbs,
                    step_index=idx, last_gram_deviation=dev,
-                   last_projection_residual=proj)
+                   last_projection_residual=proj, mean_field=mean_field)
 
 
 def _time_loop(state, n_steps: int, t0: float, dt: float, advance, repair,
@@ -359,6 +306,8 @@ def pair_evolve(state_a: SimState, state_b: SimState, comparator: str,
 
     dt = state_a.config.dt
     n_steps = step_count(state_a.time, state_a.config.t_final, dt)
+    state_a = replace(state_a, mean_field=_mean_field(state_a))
+    state_b = replace(state_b, mean_field=_mean_field(state_b, like=state_a.mean_field))
     distance = Observer("hs_distance_squared", cadence, lambda pair: {
         "hs_distance_squared": hs_distance_squared(pair[0].orbitals, pair[1].orbitals)})
     return _time_loop((state_a, state_b), n_steps, state_a.time, dt,

@@ -1,4 +1,4 @@
-"""Hartree-Fock ground-state preparation.
+"""Hartree-Fock ground-state preparation and the mean field h(ω) itself.
 
 Minimizes the relativistic Hartree-Fock energy over N-orbital Slater states
 by damped self-consistent iteration with Aufbau occupation: the mean-field
@@ -20,42 +20,66 @@ from the n×N block (1-P)hU (`_commutator_norm`).  Residual k pairs iterate
 to rounding.  The last iterate has no next mean field and is paired with
 h(ω_k); `stationarity` is that norm for the returned (lowest-energy) state.
 
-One dense Fock builder, `fock_matrix`, serves this loop and the time
-stepper.  Its ω-independent parts come from two memoised builders, read-only:
-K by (grid, dispersion) and V(x_i - x_j) by grid and interaction
-coefficients (by content, so changed coefficients never read a stale
-matrix).  V_ext is added on the diagonal of each Fock matrix, so the SCF and
-a propagation that drops the trap share one K.  A Fock matrix is built in
-one n^d×n^d buffer, the caller's ω/N: the density-matrix product writes
-Φ^T·conj(Φ)·(dv/N) into it with the factor on the N-row operand, V(x_i - x_j)
-multiplies it in place and K is subtracted in place.  So the loop mixes
-and holds its density matrices as ω/N and hands fock_matrix a copy.
+`MeanField` is h(ω) = K [+ V_ext] + V*ρ - X(ω) for one SCF or one
+evolution, built from (grid, potential, dispersion, exchange_on, keep_trap)
+and, for an evolution, the scheme and N that pick its path once
+(`MeanField.for_evolution`):
+
+  dense  h(ω) as the n^d×n^d Fock matrix, applied as one GEMM.  The
+         MeanField owns K and V(x_i - x_j); nothing else holds them, so they
+         are freed with it (an SCF's when `scf_minimize` returns).  A Fock
+         matrix is built in one buffer, the caller's ω/N: the density-matrix
+         product writes Φ^T·conj(Φ)·(dv/N) into it with the factor on the
+         N-row operand, V(x_i - x_j) multiplies it in place, K is subtracted
+         in place and the diagonal becomes (K_ii [+ V_ext,i]) + (V*ρ)_i - X_ii.
+         The SCF mixes and holds its density matrices as ω/N and hands
+         `MeanField.fock` a copy.
+  pair   the FFT path: K as a Fourier multiplier, the direct term as a
+         local field, the exchange as one FFT pair over the (B, N, n^d)
+         array of products conj(f_k)·g_b.
+  loop   the FFT path with the exchange as the loop over the N orbitals of
+         `orbitals.apply_exchange`, each pass batched over the block.
+
+An evolution runs dense when all of these hold: the scheme is exponential
+midpoint (one Fock build serves the ~16 matvecs of a step), exchange is on
+and the potential interacts, n^d <= DENSE_SIZE_CAP, and
+DENSE_COST·n^d <= N²·log2(n^d).  Otherwise it runs the FFT path: pair on 1D
+grids, loop on 2D/3D grids, where the pair array is the slower form.
+DENSE_COST = 0.75 is fitted to step times at one BLAS thread
+(`scripts/bench_trajectory.py --crossover`): every c in (0.625, 0.875]
+loses the least time over n ∈ {64, 128, 256}, N ∈ {2, 4, 8, 16} and 32²,
+64² at N = 8.  Dense wins from N = 2 at n <= 128 (the rule sends N = 2
+there to pair, losing under 1 ms a step), from N = 8 at n = 256, and on
+neither 2D grid at N = 8.  The paths agree to rounding; artifacts differ
+only in the last bits.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import Dispersion, Grid, PotentialSpec, convolve_potential
 from .diagnostics import comm_grad_total, comm_x_total
-from .orbitals import OrbitalSet, reduced_density
+from .orbitals import OrbitalSet, exchange_fields, reduced_density
 
 __all__ = [
     "ScfConfig",
     "ScfResult",
     "hf_energy",
     "scf_minimize",
-    "dense_one_body_matrix",
-    "fock_matrix",
+    "MeanField",
     "DENSE_SIZE_CAP",
+    "DENSE_COST",
 ]
 
-# at the cap one dense matrix is 128 MiB; the memoised builders hold at most
-# three (two K for a pair evolution over the dispersion axis, one V(x_i - x_j))
+# at the cap one dense matrix is 128 MiB; a dense MeanField holds two (K and
+# V(x_i - x_j)), and a pair evolution's two legs share what they have in common
 DENSE_SIZE_CAP = 4096
+# an evolution runs dense only where DENSE_COST·n^d <= N²·log2(n^d) (module docstring)
+DENSE_COST = 0.75
+PATHS = ("dense", "pair", "loop")
 
 
 @dataclass
@@ -119,69 +143,152 @@ def hf_energy(orbs: OrbitalSet, potential: PotentialSpec, dispersion: Dispersion
     return float(one_body + direct - exchange)
 
 
-@functools.lru_cache(maxsize=2)
-def dense_one_body_matrix(grid: Grid, dispersion: Dispersion) -> np.ndarray:
-    """K as a real symmetric float64 matrix on grid-value vectors, read-only.
+class MeanField:
+    """h(ω) = K [+ V_ext] + V*ρ - X(ω) on one grid, by one path (module docstring).
 
-    K[i, j] = c[(i - j) mod n] with c = ifftn(symbol), real because the
-    symbol depends on |p| only (the unmatched Nyquist mode adds ±1 terms).
-    Memoised by (grid, dispersion), both hashable by value.
+    exchange_on drops X(ω) when false (the Hartree flow), keep_trap drops
+    V_ext when false (a quench).  X(ω) runs only where the potential
+    interacts.  `closure` gives h(ω_source) on field blocks by the path;
+    `fock` and `one_body` are the dense path's matrices.  like, a MeanField
+    alive at the same time (the other leg of a pair evolution), lends its K
+    and V(x_i - x_j) where they are the same matrices.
     """
-    if grid.size > DENSE_SIZE_CAP:
-        raise ValueError(f"grid size {grid.size} exceeds dense SCF cap {DENSE_SIZE_CAP}")
-    k = _circulant(grid, np.fft.ifftn(dispersion.symbol(grid)).real)
-    k.flags.writeable = False
-    return k
 
+    def __init__(self, grid: Grid, potential: PotentialSpec, dispersion: Dispersion,
+                 path: str = "dense", exchange_on: bool = True, keep_trap: bool = True,
+                 like: "MeanField | None" = None):
+        if path not in PATHS:
+            raise ValueError(f"path must be one of {PATHS}, got {path!r}")
+        self.grid = grid
+        self.potential = potential
+        self.dispersion = dispersion
+        self.path = path
+        self.exchange = exchange_on and potential.has_interaction()
+        self.vext = potential.vext if keep_trap else None
+        self.inputs = None  # set by for_evolution
+        if path != "dense":
+            self._symbol = dispersion.symbol(grid)
+            self._vhat = potential.vhat_eff
+            return
+        if grid.size > DENSE_SIZE_CAP:
+            raise ValueError(f"grid size {grid.size} exceeds dense cap {DENSE_SIZE_CAP}")
+        lend = like if like is not None and like.path == "dense" and like.grid == grid else None
+        # K[i, j] = c[(i - j) mod n] with c = ifftn(symbol), real because the
+        # symbol depends on |p| only
+        self._k = (lend._k if lend is not None and lend.dispersion == dispersion
+                   else _circulant(grid, np.fft.ifftn(dispersion.symbol(grid)).real))
+        self._v_lag = None
+        if self.exchange:
+            self._v_lag = (lend._v_lag if lend is not None and lend.potential is potential
+                           and lend._v_lag is not None
+                           else _circulant(grid, np.fft.ifftn(potential.vhat_eff).real
+                                           * (grid.size / grid.box_length**grid.dim)))
+        diag = self._k.diagonal()
+        self._diag0 = diag.copy() if self.vext is None else diag + self.vext.reshape(-1)
 
-def _lag_matrix(grid: Grid, potential: PotentialSpec) -> np.ndarray:
-    """V(x_i - x_j) from the interaction coefficients, read-only, memoised by content."""
-    return _lag_matrix_of(grid, potential.vhat_eff.tobytes())
+    @classmethod
+    def for_evolution(cls, grid: Grid, potential: PotentialSpec, dispersion: Dispersion,
+                      scheme: str, exchange_on: bool, keep_trap: bool, n_particles: int,
+                      path: str | None = None, like: "MeanField | None" = None) -> "MeanField":
+        """The MeanField of one evolution; path None picks it by the rule (module docstring).
 
+        The inputs are kept as `inputs`, so a stepper can tell whether a
+        MeanField it carries still serves its state.
+        """
+        if path is None:
+            size = grid.size
+            dense = (scheme == "exponential_midpoint" and exchange_on
+                     and potential.has_interaction() and size <= DENSE_SIZE_CAP
+                     and DENSE_COST * size <= n_particles**2 * np.log2(size))
+            path = "dense" if dense else ("pair" if grid.dim == 1 else "loop")
+        mean_field = cls(grid, potential, dispersion, path, exchange_on, keep_trap, like)
+        mean_field.inputs = (grid, potential, dispersion, scheme, exchange_on, keep_trap,
+                             n_particles)
+        return mean_field
 
-@functools.lru_cache(maxsize=1)
-def _lag_matrix_of(grid: Grid, vhat_eff: bytes) -> np.ndarray:
-    vhat = np.frombuffer(vhat_eff).reshape(grid.shape)
-    v_lag = _circulant(grid, np.fft.ifftn(vhat).real * (grid.size / grid.box_length**grid.dim))
-    v_lag.flags.writeable = False
-    return v_lag
+    def one_body(self) -> np.ndarray:
+        """K [+ V_ext] as a new real matrix on grid-value vectors (dense path)."""
+        h = self._k.copy()
+        np.fill_diagonal(h, self._diag0)
+        return h
+
+    def fock(self, omega_n: np.ndarray) -> np.ndarray:
+        """Dense h(ω) on grid-value vectors, built in omega_n's buffer.
+
+        omega_n is ω/N on value vectors (`_density_matrix_per_particle`), so
+        ρ is its diagonal over dv.  With exchange the matrix is turned into h
+        in place and returned: the caller hands over a buffer it owns.  A
+        real omega_n (the SCF) gives a real h, a complex one (the
+        propagation) a complex h.
+        """
+        grid = self.grid
+        rho = omega_n.diagonal().real / grid.cell_volume
+        v_rho = convolve_potential(rho.reshape(grid.shape), grid, self.potential).reshape(-1)
+        diag = self._diag0 + v_rho
+        if self._v_lag is None:
+            h = self._k.copy()
+            np.fill_diagonal(h, diag)
+            return h
+        # one buffer: X(ω) = V(x_i - x_j)·ω/N in place, then K - X off the
+        # diagonal and (K [+ V_ext] + V*ρ) - X on it
+        h = omega_n
+        h *= self._v_lag
+        diag = diag - h.diagonal()
+        np.subtract(self._k, h, out=h)
+        np.fill_diagonal(h, diag)
+        return h
+
+    def closure(self, source: np.ndarray):
+        """h(ω_source) as a block closure on (B, *shape) field stacks."""
+        grid = self.grid
+        if self.path == "dense":
+            h_t = self.fock(_density_matrix_per_particle(source, grid)).T
+
+            def apply_fock_block(fields: np.ndarray) -> np.ndarray:
+                return (fields.reshape(fields.shape[0], -1) @ h_t).reshape(fields.shape)
+
+            return apply_fock_block
+        n_part = source.shape[0]
+        rho = np.sum(np.abs(source) ** 2, axis=0) / n_part
+        local = convolve_potential(rho, grid, self.potential)
+        if self.vext is not None:
+            local = local + self.vext
+        symbol = self._symbol
+
+        def apply_h_block(fields: np.ndarray) -> np.ndarray:
+            out = grid.ifft(symbol * grid.fft(fields))
+            out += local * fields
+            return out
+
+        if not self.exchange:
+            return apply_h_block
+        vhat = self._vhat
+        if self.path == "loop":
+            def apply_loop_block(fields: np.ndarray) -> np.ndarray:
+                out = apply_h_block(fields)
+                out -= exchange_fields(source, vhat, fields, grid)
+                return out
+
+            return apply_loop_block
+        src_conj = np.conj(source)
+
+        def apply_pair_block(fields: np.ndarray) -> np.ndarray:
+            out = apply_h_block(fields)
+            pair = src_conj[None, ...] * fields[:, None, ...]
+            conv = grid.ifft(vhat * grid.fft(pair))
+            out -= np.sum(source[None, ...] * conv, axis=1) / n_part
+            return out
+
+        return apply_pair_block
 
 
 def _circulant(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """The matrix M[i, j] = coeffs[(i - j) mod n], index differences taken per axis."""
+    """The read-only matrix M[i, j] = coeffs[(i - j) mod n], index differences per axis."""
     idx = np.indices(grid.shape).reshape(grid.dim, grid.size).astype(np.int32)
     diff = (idx[:, :, None] - idx[:, None, :]) % grid.n
-    return coeffs[tuple(diff)]
-
-
-def fock_matrix(omega_n: np.ndarray, grid: Grid, potential: PotentialSpec,
-                dispersion: Dispersion, vext: np.ndarray | None) -> np.ndarray:
-    """Dense h(ω) = K [+ V_ext] + V*ρ - X(ω) on grid-value vectors, in omega_n's buffer.
-
-    omega_n is ω/N on value vectors (`_density_matrix_per_particle`), so
-    ρ is its diagonal over dv.  With an interaction the matrix is turned into
-    h in place and returned: the caller hands over a buffer it owns.  vext,
-    when given, goes on the diagonal as (K_ii + vext_i) + (V*ρ)_i.  A real
-    omega_n (the SCF) gives a real h, a complex one (the propagation) a
-    complex h.
-    """
-    k = dense_one_body_matrix(grid, dispersion)
-    rho = omega_n.diagonal().real / grid.cell_volume
-    v_rho = convolve_potential(rho.reshape(grid.shape), grid, potential).reshape(-1)
-    diag = k.diagonal() if vext is None else k.diagonal() + vext.reshape(-1)
-    diag = diag + v_rho
-    if not potential.has_interaction():
-        h = k.copy()
-        np.fill_diagonal(h, diag)
-        return h
-    # one buffer: X(ω) = V(x_i - x_j)·ω/N in place, then K - X off the
-    # diagonal and (K [+ V_ext] + V*ρ) - X on it
-    h = omega_n
-    h *= _lag_matrix(grid, potential)
-    diag = diag - h.diagonal()
-    np.subtract(k, h, out=h)
-    np.fill_diagonal(h, diag)
-    return h
+    matrix = coeffs[tuple(diff)]
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _occupy(h: np.ndarray, n_particles: int, grid: Grid, aufbau: bool,
@@ -208,13 +315,11 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
     """
     if n_particles > grid.size:
         raise ValueError("more particles than grid degrees of freedom")
-    vext = potential.vext
-    # first guess from K + V_ext, a local copy of the held K
-    h = dense_one_body_matrix(grid, dispersion).copy()
-    h[np.diag_indices(grid.size)] += vext.reshape(-1)
-    phi = _occupy(h, n_particles, grid, True, None)
+    # K and V(x_i - x_j) live as long as this call
+    mean_field = MeanField(grid, potential, dispersion)
+    phi = _occupy(mean_field.one_body(), n_particles, grid, True, None)
     energy = hf_energy(OrbitalSet(phi, grid, validate=False), potential, dispersion)
-    # density matrices are mixed and held as ω/N, the form fock_matrix builds in
+    # density matrices are mixed and held as ω/N, the form MeanField.fock builds in
     dmat = _density_matrix_per_particle(phi, grid)
     d_mix = dmat
 
@@ -230,7 +335,7 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
 
     for it in range(1, config.max_iterations + 1):
         iterations = it
-        h = fock_matrix(d_mix.copy(), grid, potential, dispersion, vext)
+        h = mean_field.fock(d_mix.copy())
         residuals.append(_commutator_norm(h, phi, grid))
         phi = _occupy(h, n_particles, grid, config.aufbau, phi)
         new_energy = hf_energy(OrbitalSet(phi, grid, validate=False), potential, dispersion)
@@ -255,13 +360,12 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
 
     last = phi
     energy, phi = best
-    h_final = fock_matrix(_density_matrix_per_particle(phi, grid), grid, potential, dispersion,
-                          vext)
+    h_final = mean_field.fock(_density_matrix_per_particle(phi, grid))
     stationarity = _commutator_norm(h_final, phi, grid)
     if phi is last:
         residuals.append(stationarity)
     else:  # dmat is the last iterate's density
-        h_last = fock_matrix(dmat, grid, potential, dispersion, vext)
+        h_last = mean_field.fock(dmat)
         residuals.append(_commutator_norm(h_last, last, grid))
     orbs = OrbitalSet(phi, grid, validate=False)
     neps = n_particles * grid.epsilon

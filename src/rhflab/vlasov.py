@@ -15,12 +15,11 @@ import warnings
 
 import numpy as np
 
-from .grids import PotentialSpec, convolve_potential
+from .grids import PotentialSpec
 from .diagnostics import PhaseSpaceField
 from .propagate import step_count
 
-__all__ = ["PhaseSpaceField", "vlasov_step", "vlasov_run", "vlasov_energy",
-           "compare_to_wigner"]
+__all__ = ["PhaseSpaceField", "vlasov_step", "vlasov_run", "compare_to_wigner"]
 
 
 @functools.lru_cache(maxsize=1)
@@ -48,11 +47,20 @@ def _shift_x(values: np.ndarray, displacement: np.ndarray, dx: float) -> np.ndar
 
 
 def _shift_v(values: np.ndarray, displacement: np.ndarray, dv: float) -> np.ndarray:
-    """values(x, v - displacement(x)) by spectral shift per x-column (real transforms)."""
+    """values(x, v - displacement(x)) by spectral shift per x-column (real transforms).
+
+    The phase exp(-iθ), θ = displacement⊗k, is written as cos θ and -sin θ
+    into the two halves of one complex buffer, without a complex exp.
+    """
     n = values.shape[1]
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dv)
+    theta = np.outer(displacement, k)
+    phase = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=phase.real)
+    np.sin(theta, out=phase.imag)
+    np.negative(phase.imag, out=phase.imag)
     vhat = np.fft.rfft(values, axis=1)
-    vhat *= np.exp(-1j * np.outer(displacement, k))
+    vhat *= phase
     return np.fft.irfft(vhat, n=n, axis=1)
 
 
@@ -101,15 +109,6 @@ def vlasov_run(field: PhaseSpaceField, potential: PotentialSpec, m0: float,
     for _ in range(step_count(0.0, t_final, dt)):
         field = vlasov_step(field, potential, m0, dt)
     return field
-
-
-def vlasov_energy(field: PhaseSpaceField, potential: PotentialSpec, m0: float) -> float:
-    """∫∫ sqrt(v²+m0²) W dx dv + ½ ∫ (V*ρ) ρ dx."""
-    cell = field.dx * field.dv
-    kinetic = float(np.sum(np.sqrt(field.v_grid**2 + m0**2) * field.values) * cell)
-    rho = field.position_marginal()
-    conv = convolve_potential(rho, potential.grid, potential)
-    return kinetic + 0.5 * float(np.sum(conv * rho) * field.dx)
 
 
 def compare_to_wigner(vlasov_field: PhaseSpaceField, wigner_field: PhaseSpaceField) -> dict:

@@ -1,8 +1,9 @@
-"""Factored-operator references for the orbital and diagnostic tests.
+"""Factored-operator references and test states for the orbital tests.
 
 `LowRankOperator` holds Σ_k |left_k><right_k| with fields as factors, the
 form `rhflab.orbitals.trace_norm` reads; the commutators [x_a, ω], [ε∂_a, ω]
-and [e^{ip·x}, ω] are built in it as rank ≤ 2N operators.
+and [e^{ip·x}, ω] are built in it as rank ≤ 2N operators.  `gaussian_orbital`
+and `random_orbital_set` build the test states.
 """
 
 import numpy as np
@@ -97,3 +98,36 @@ def commutator_with_phase(orbs: OrbitalSet, freqs) -> LowRankOperator:
     left = np.concatenate([uf, -orbs.orbitals])
     right = np.concatenate([orbs.orbitals, ubar_f])
     return LowRankOperator(left, right, grid)
+
+
+def gaussian_orbital(grid: Grid, center=0.0, sigma=0.5, momentum_freqs=None) -> np.ndarray:
+    """Normalized periodized Gaussian, optionally carrying a plane-wave boost.
+
+    sigma is the position standard deviation of |f|^2 (on R; periodization
+    corrections are negligible for sigma << L).
+    """
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    if center.size == 1 and grid.dim > 1:
+        center = np.full(grid.dim, center[0])
+    f = np.ones(grid.shape, dtype=complex)
+    for a in range(grid.dim):
+        x = grid.x_mesh[a] - center[a]
+        acc = np.zeros(grid.shape)
+        for image in (-1, 0, 1):
+            acc = acc + np.exp(-((x + image * grid.box_length) ** 2) / (4.0 * sigma**2))
+        f = f * acc
+    if momentum_freqs is not None:
+        f = f * plane_wave(grid, momentum_freqs) * grid.box_length ** (grid.dim / 2.0)
+    return f / grid.norm(f)
+
+
+def random_orbital_set(grid: Grid, n_particles: int, seed: int = 0) -> OrbitalSet:
+    """Orthonormalized random fields (deterministic per seed); test utility."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((n_particles, *grid.shape)) + 1j * rng.standard_normal(
+        (n_particles, *grid.shape)
+    )
+    flat = raw.reshape(n_particles, -1)
+    q, _ = np.linalg.qr(flat.T)
+    orbs = (q.T / np.sqrt(grid.cell_volume)).reshape(n_particles, *grid.shape)
+    return OrbitalSet(orbs, grid, validate=False)

@@ -9,7 +9,6 @@ from rhflab.diagnostics import (
     growth_fit,
     integrated_growth_audit,
     kinetic_double_commutator_check,
-    momentum_density,
     wigner_transform,
 )
 from rhflab.grids import (
@@ -26,8 +25,6 @@ from rhflab.orbitals import (
     boosted_fermi_sea,
     commutator_trace_norm,
     fermi_sea,
-    gaussian_orbital,
-    random_orbital_set,
     trace_norm,
 )
 from rhflab.scf import ScfConfig, scf_minimize
@@ -37,7 +34,26 @@ from reference_orbitals import (
     commutator_with_momentum,
     commutator_with_phase,
     commutator_with_position,
+    gaussian_orbital,
+    random_orbital_set,
 )
+
+
+def momentum_density(orbs: OrbitalSet) -> np.ndarray:
+    """Momentum occupation as a density over the v = ε·p nodes (ascending).
+
+    Normalized so Σ n(v_k) Δv = 1; this is the velocity marginal of the
+    Wigner transform.
+    """
+    grid = orbs.grid
+    if grid.dim != 1:
+        raise ValueError("momentum density implemented for dim=1")
+    occ = np.zeros(grid.n)
+    for f in orbs.orbitals:
+        fh = grid.fft(f)
+        occ += np.abs(fh) ** 2 * grid.cell_volume**2
+    order = np.argsort(grid.p_axis)
+    return occ[order] / (2.0 * np.pi * grid.epsilon * orbs.n_particles)
 
 
 class TestCommutatorChannels:

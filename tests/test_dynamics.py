@@ -10,6 +10,7 @@ from rhflab.grids import (
     Dispersion,
     Grid,
     PotentialSpec,
+    convolve_potential,
     gaussian_vhat,
     harmonic_trap,
     plane_wave,
@@ -19,7 +20,6 @@ from rhflab.krylov import expm_apply_block
 from rhflab.orbitals import (
     OrbitalSet,
     fermi_sea,
-    gaussian_orbital,
     hs_distance_squared,
     reduced_density,
     reorthonormalize,
@@ -36,7 +36,9 @@ from rhflab.propagate import (
     step,
     suggested_dt_cap,
 )
-from rhflab.scf import DENSE_SIZE_CAP, ScfConfig, hf_energy, scf_minimize
+from rhflab.scf import DENSE_SIZE_CAP, MeanField, ScfConfig, hf_energy, scf_minimize
+
+from reference_orbitals import gaussian_orbital
 
 
 def make_state(grid, orbs, potential, **cfg):
@@ -335,7 +337,7 @@ def stationary_state():
     orbs = scf_minimize(grid, pot, 8, disp, ScfConfig(max_iterations=200)).orbitals
     state = make_state(grid, orbs, pot, dt=suggested_dt_cap(grid, disp), t_final=1.0,
                        dispersion=disp, keep_trap=True)
-    apply_h = propagate._mean_field_closure(orbs.orbitals, state)
+    apply_h = propagate._mean_field(state).closure(orbs.orbitals)
 
     def matvec(rows):
         return apply_h(rows.reshape(rows.shape[0], *grid.shape)).reshape(rows.shape)
@@ -769,44 +771,101 @@ DENSE_CASES = [
 ]
 
 
+def reference_fft_closure(source, state):
+    """h(ω_source) with K and the N² exchange convolutions applied by FFT.
+
+    The FFT closure the propagator built per mean field before `MeanField`
+    (the pair form on every grid).
+    """
+    grid = state.orbitals.grid
+    cfg = state.config
+    pot = state.potential
+    n_part = source.shape[0]
+    rho = np.sum(np.abs(source) ** 2, axis=0) / n_part
+    local = convolve_potential(rho, grid, pot)
+    if cfg.keep_trap:
+        local = local + pot.vext
+    symbol = cfg.dispersion.symbol(grid)
+
+    def apply_h_block(fields):
+        out = grid.ifft(symbol * grid.fft(fields))
+        out += local * fields
+        return out
+
+    if not (cfg.exchange_on and pot.has_interaction()):
+        return apply_h_block
+    vhat = pot.vhat_eff
+    src_conj = np.conj(source)
+
+    def apply_hf_block(fields):
+        out = apply_h_block(fields)
+        pair = src_conj[None, ...] * fields[:, None, ...]
+        conv = grid.ifft(vhat * grid.fft(pair))
+        out -= np.sum(source[None, ...] * conv, axis=1) / n_part
+        return out
+
+    return apply_hf_block
+
+
+def kicked_scf_state(grid, n_part, keep_trap=False, **cfg):
+    """Trapped SCF ground state, kicked by one momentum unit along every axis."""
+    disp = Dispersion.relativistic(1.0)
+    pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0),
+                        vext=harmonic_trap(grid, 1.0), coupling=0.5)
+    res = scf_minimize(grid, pot, n_part, disp, ScfConfig(max_iterations=200))
+    kick = plane_wave(grid, [1] * grid.dim) * grid.box_length ** (grid.dim / 2.0)
+    orbs = OrbitalSet(res.orbitals.orbitals * kick, grid, validate=False)
+    defaults = dict(dt=2e-3, t_final=0.02, dispersion=disp, keep_trap=keep_trap)
+    defaults.update(cfg)
+    return make_state(grid, orbs, pot, **defaults)
+
+
+def forced_path(state, path):
+    """The state carrying a MeanField on the given path in place of the rule's."""
+    cfg = state.config
+    mean_field = MeanField.for_evolution(
+        state.orbitals.grid, state.potential, cfg.dispersion, cfg.scheme, cfg.exchange_on,
+        cfg.keep_trap, state.orbitals.n_particles, path=path)
+    return replace(state, mean_field=mean_field)
+
+
+def random_block(grid, rows, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((rows, *grid.shape))
+            + 1j * rng.standard_normal((rows, *grid.shape)))
+
+
+def large_blocks(size):
+    """Live traced allocations that can hold a real size×size matrix."""
+    import tracemalloc
+
+    snapshot = tracemalloc.take_snapshot()
+    return [trace.size for trace in snapshot.traces if trace.size >= 8 * size * size]
+
+
 class TestDenseFock:
     """The dense Fock path against the FFT reference path."""
-
-    def _setup(self, grid, n_part, keep_trap):
-        """Trapped SCF ground state, kicked by one momentum unit along every axis."""
-        disp = Dispersion.relativistic(1.0)
-        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0),
-                            vext=harmonic_trap(grid, 1.0), coupling=0.5)
-        res = scf_minimize(grid, pot, n_part, disp, ScfConfig(max_iterations=200))
-        kick = plane_wave(grid, [1] * grid.dim) * grid.box_length ** (grid.dim / 2.0)
-        orbs = OrbitalSet(res.orbitals.orbitals * kick, grid, validate=False)
-        return make_state(grid, orbs, pot, dt=2e-3, t_final=0.02, dispersion=disp,
-                          keep_trap=keep_trap)
 
     @pytest.mark.parametrize("keep_trap", [False, True])
     @pytest.mark.parametrize("grid, n_part", DENSE_CASES)
     def test_block_apply_matches_fft(self, grid, n_part, keep_trap):
-        state = self._setup(grid, n_part, keep_trap)
+        state = kicked_scf_state(grid, n_part, keep_trap)
         source = state.orbitals.orbitals
-        rng = np.random.default_rng(11)
-        fields = (rng.standard_normal((5, *grid.shape))
-                  + 1j * rng.standard_normal((5, *grid.shape)))
-        for block in (source, fields):
-            ref = propagate._fft_closure(source, state)(block)
-            dense = propagate._fock_closure(source, state)(block)
-            assert np.max(np.abs(dense - ref)) <= 1e-13 * np.max(np.abs(ref))
+        dense = forced_path(state, "dense").mean_field.closure(source)
+        for block in (source, random_block(grid, 5, 11)):
+            ref = reference_fft_closure(source, state)(block)
+            assert np.max(np.abs(dense(block) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("keep_trap", [False, True])
     @pytest.mark.parametrize("grid, n_part", DENSE_CASES)
-    def test_evolve_matches_fft(self, grid, n_part, keep_trap, monkeypatch):
+    def test_evolve_matches_fft(self, grid, n_part, keep_trap):
         # the two paths agree to rounding: measured after 10 steps 2e-29 to
         # 5e-29; the bound is the 2N eps_machine (3.6e-15 at N=8) cancellation
         # floor of the former 2N - 2‖<F_a, F_b>‖² form of hs_distance_squared
-        state = self._setup(grid, n_part, keep_trap)
-        assert propagate._dense_fock_pays(state.config, state.potential, grid, n_part)
+        state = kicked_scf_state(grid, n_part, keep_trap)
         dense = evolve(state)
-        monkeypatch.setattr(propagate, "_dense_fock_pays", lambda *args: False)
-        fft = evolve(state)
+        assert dense.state.mean_field.path == "dense"
+        fft = evolve(forced_path(state, "pair" if grid.dim == 1 else "loop"))
         assert not dense.aborted and not fft.aborted
         moved = hs_distance_squared(fft.state.orbitals, state.orbitals)
         assert moved > 1e-6
@@ -814,46 +873,150 @@ class TestDenseFock:
         assert hs_distance_squared(dense.state.orbitals, fft.state.orbitals) <= 2 * floor
 
     @pytest.mark.parametrize("keep_trap", [False, True])
-    def test_scf_and_propagation_build_static_matrices_once(self, keep_trap):
+    def test_scf_and_propagation_build_static_matrices_once(self, keep_trap, monkeypatch):
+        # the SCF builds K and V(x_i - x_j) once for its own MeanField, the
+        # evolution once for the one MeanField its first step builds
         grid, n_part = DENSE_CASES[0]
-        scf.dense_one_body_matrix.cache_clear()
-        scf._lag_matrix_of.cache_clear()
-        state = self._setup(grid, n_part, keep_trap)
-        assert propagate._dense_fock_pays(state.config, state.potential, grid, n_part)
+        built = []
+        circulant = scf._circulant
+        monkeypatch.setattr(scf, "_circulant", lambda *args: built.append(1) or circulant(*args))
+        state = kicked_scf_state(grid, n_part, keep_trap)
+        assert len(built) == 2
         result = evolve(state)
         assert not result.aborted
-        # one build each for the SCF, then a hit for each of the three Fock
-        # builds of every step
-        n_steps = propagate.step_count(0.0, state.config.t_final, state.config.dt)
-        for builder in (scf.dense_one_body_matrix, scf._lag_matrix_of):
-            info = builder.cache_info()
-            assert info.misses == 1
-            assert info.hits >= 3 * n_steps
+        assert result.state.mean_field.path == "dense"
+        assert len(built) == 4
 
     def test_selection(self):
-        grid = Grid(1, 256, 4.0 * np.pi, 1.0 / 32.0)
+        # (dim, n, N, config, interacting) -> path; DENSE_COST = 0.75
+        table = [
+            ((1, 256, 32, {}, True), "dense"),
+            ((1, 256, 16, {}, True), "dense"),
+            ((1, 256, 8, {}, True), "dense"),      # 192 <= 64·8
+            ((1, 256, 4, {}, True), "pair"),       # 192 > 16·8
+            ((1, 128, 8, {}, True), "dense"),      # criterion 6
+            ((1, 128, 4, {}, True), "dense"),      # 96 <= 16·7
+            ((1, 128, 2, {}, True), "pair"),
+            ((1, 64, 4, {}, True), "dense"),
+            ((1, 256, 32, {"exchange_on": False}, True), "pair"),
+            ((1, 256, 32, {"scheme": "rk4_frozen_field"}, True), "pair"),
+            ((1, 256, 32, {}, False), "pair"),
+            ((2, 32, 8, {}, True), "loop"),        # 768 > 64·10
+            ((2, 32, 16, {}, True), "dense"),
+            ((2, 32, 16, {"exchange_on": False}, True), "loop"),
+            ((2, 64, 8, {}, True), "loop"),
+            # above the dense cap the FFT path runs even where the cost rule favours dense
+            ((2, 128, 80, {}, True), "loop"),
+            ((1, 8192, 64, {}, True), "pair"),
+            ((3, 8, 16, {}, True), "dense"),
+            ((3, 32, 256, {}, True), "loop"),
+        ]
         disp = Dispersion.relativistic(1.0)
-        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), coupling=0.5)
-        free = PotentialSpec(grid, np.zeros(grid.shape))
-        rng = np.random.default_rng(5)
+        for (dim, n, n_part, cfg, interacting), path in table:
+            grid = Grid(dim, n, 4.0 * np.pi, 0.1)
+            vhat = gaussian_vhat(grid, 1.0) if interacting else np.zeros(grid.shape)
+            config = EvolutionConfig(dt=1e-3, t_final=1e-3, dispersion=disp, **cfg)
+            got = MeanField.for_evolution(grid, PotentialSpec(grid, vhat, coupling=0.5), disp,
+                                          config.scheme, config.exchange_on, config.keep_trap,
+                                          n_part).path
+            assert got == path, (dim, n, n_part, cfg, interacting)
+            if grid.size > DENSE_SIZE_CAP:
+                assert scf.DENSE_COST * grid.size <= n_part**2 * np.log2(grid.size)
 
-        def closure(n_part, potential=pot, **cfg):
-            source = rng.standard_normal((n_part, *grid.shape)) + 0j
-            state = make_state(grid, OrbitalSet(source, grid, validate=False), potential,
-                               dt=1e-3, t_final=1e-3, dispersion=disp, **cfg)
-            return propagate._mean_field_closure(source, state).__qualname__.split(".")[0]
 
-        assert closure(32) == "_fock_closure"
-        assert closure(16) == "_fock_closure"
-        assert closure(8) == "_fft_closure"
-        assert closure(32, exchange_on=False) == "_fft_closure"
-        assert closure(32, scheme="rk4_frozen_field") == "_fft_closure"
-        assert closure(32, potential=free) == "_fft_closure"
-        # above the dense cap the FFT path runs even where the cost rule favours dense
-        config = EvolutionConfig(dt=1e-3, t_final=1e-3, dispersion=disp)
-        for big, n_part in ((Grid(1, 8192, 4.0 * np.pi, 0.1), 64),
-                            (Grid(2, 128, 4.0 * np.pi, 0.1), 80)):
-            assert big.size > DENSE_SIZE_CAP
-            assert 4 * big.size <= n_part**2 * np.log2(big.size)
-            big_pot = PotentialSpec(big, gaussian_vhat(big, 1.0), coupling=0.5)
-            assert not propagate._dense_fock_pays(config, big_pot, big, n_part)
+class TestMeanField:
+    """One MeanField per evolution: its paths, its lifetime and its reuse."""
+
+    def test_dense_closure_matches_fft(self):
+        state = kicked_scf_state(Grid(1, 128, 4.0 * np.pi, 1.0 / 8.0), 8)
+        source = state.orbitals.orbitals
+        dense = forced_path(state, "dense").mean_field.closure(source)
+        fft = forced_path(state, "pair").mean_field.closure(source)
+        for block in (source, random_block(state.orbitals.grid, 5, 12)):
+            ref = fft(block)
+            assert np.max(np.abs(dense(block) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_pair_matches_loop(self):
+        state = kicked_scf_state(Grid(2, 16, 4.0 * np.pi, 0.25), 4)
+        source = state.orbitals.orbitals
+        pair = forced_path(state, "pair").mean_field.closure(source)
+        loop = forced_path(state, "loop").mean_field.closure(source)
+        for block in (source, random_block(state.orbitals.grid, 5, 13)):
+            ref = pair(block)
+            assert np.max(np.abs(loop(block) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("keep_trap", [False, True])
+    def test_hartree_closure_bit_identical_to_reference(self, keep_trap):
+        state = kicked_scf_state(Grid(1, 64, 4.0 * np.pi, 1.0 / 8.0), 8, keep_trap,
+                                 exchange_on=False)
+        source = state.orbitals.orbitals
+        got = propagate._mean_field(state)
+        assert got.path == "pair"
+        for block in (source, random_block(state.orbitals.grid, 5, 14)):
+            ref = reference_fft_closure(source, state)(block)
+            assert got.closure(source)(block).tobytes() == ref.tobytes()
+
+    def test_bare_state_steps_and_carries_its_mean_field(self):
+        state = kicked_scf_state(Grid(1, 64, 4.0 * np.pi, 1.0 / 8.0), 8)
+        assert state.mean_field is None
+        first = step(state)
+        assert first.mean_field is not None
+        assert step(first).mean_field is first.mean_field
+        assert replace(first, time=1.0).mean_field is first.mean_field
+
+    def test_replaced_config_or_potential_gets_a_fresh_mean_field(self):
+        state = step(kicked_scf_state(Grid(1, 64, 4.0 * np.pi, 1.0 / 8.0), 8))
+        held = state.mean_field
+        # a field the MeanField does not read keeps it
+        assert step(replace(state, config=replace(state.config, dt=1e-3))).mean_field is held
+        for changed in (
+            replace(state, config=replace(state.config, dispersion=Dispersion.relativistic(2.0))),
+            replace(state, config=replace(state.config, keep_trap=True)),
+            replace(state, config=replace(state.config, exchange_on=False)),
+            replace(state, config=replace(state.config, scheme="rk4_frozen_field")),
+            replace(state, potential=PotentialSpec(state.orbitals.grid,
+                                                   state.potential.vhat, coupling=0.7)),
+        ):
+            fresh = step(changed).mean_field
+            cfg = changed.config
+            assert fresh is not held
+            assert fresh.potential is changed.potential
+            assert fresh.inputs[2:6] == (cfg.dispersion, cfg.scheme, cfg.exchange_on,
+                                         cfg.keep_trap)
+
+    def test_pair_legs_share_static_matrices(self):
+        state = kicked_scf_state(Grid(1, 64, 4.0 * np.pi, 1.0 / 8.0), 8, t_final=4e-3)
+        other = replace(state, config=replace(state.config,
+                                              dispersion=Dispersion.nonrelativistic(1.0)))
+        result = pair_evolve(state, other, "dispersion")
+        leg_a, leg_b = (s.mean_field for s in result.state)
+        assert leg_a.path == leg_b.path == "dense"
+        assert leg_a._v_lag is leg_b._v_lag
+        assert leg_a._k is not leg_b._k
+        result = pair_evolve(state, replace(state, config=replace(
+            state.config, scheme="rk4_frozen_field")), "scheme")
+        assert result.state[1].mean_field.path == "pair"
+
+    def test_no_dense_matrix_outlives_its_user(self):
+        # after an SCF, and through flows on the FFT path, no n^d×n^d array
+        # is alive: K and V(x_i - x_j) live only with a dense MeanField
+        import tracemalloc
+
+        grid = Grid(1, 256, 4.0 * np.pi, 1.0 / 4.0)
+        seen = []
+        probe = Observer("probe", 2, lambda s: seen.append(large_blocks(grid.size)) or {})
+        tracemalloc.start()
+        try:
+            state = kicked_scf_state(grid, 4, dt=1e-3, t_final=3e-3)
+            assert large_blocks(grid.size) == []
+            for exchange_on in (False, True):
+                flow = replace(state, config=replace(state.config, exchange_on=exchange_on))
+                result = evolve(flow, [probe])
+                assert not result.aborted
+                assert result.state.mean_field.path == "pair"
+            held = forced_path(state, "dense")
+            assert len(large_blocks(grid.size)) == 2  # its K and V(x_i - x_j)
+        finally:
+            tracemalloc.stop()
+        assert held.mean_field.path == "dense"
+        assert len(seen) == 6 and all(found == [] for found in seen)

@@ -5,7 +5,6 @@ from rhflab.grids import (
     Dispersion,
     Grid,
     PotentialSpec,
-    apply_inverse_sqrt_kinetic,
     apply_kinetic,
     convolve_potential,
     gaussian_vhat,
@@ -14,6 +13,15 @@ from rhflab.grids import (
     potential_moment,
     potential_moment_refinement_check,
 )
+
+
+def apply_inverse_sqrt_kinetic(f: np.ndarray, grid: Grid, m0: float) -> np.ndarray:
+    """Apply (-eps^2 Δ + m0^2)^{-1/2}; operator norm is 1/m0."""
+    if m0 <= 0:
+        raise ValueError(f"m0 must be positive, got {m0}")
+    grid.check_field(f)
+    symbol = 1.0 / np.sqrt(grid.epsilon**2 * grid.p_squared + m0**2)
+    return grid.ifft(symbol * grid.fft(f))
 
 
 class TestMakeGrid:

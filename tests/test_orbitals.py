@@ -7,9 +7,7 @@ from rhflab.orbitals import (
     apply_exchange,
     commutator_trace_norm,
     fermi_sea,
-    gaussian_orbital,
     hs_distance_squared,
-    random_orbital_set,
     reduced_density,
     reorthonormalize,
     seam_mass,
@@ -22,7 +20,9 @@ from reference_orbitals import (
     commutator_with_momentum,
     commutator_with_phase,
     commutator_with_position,
+    gaussian_orbital,
     hs_norm,
+    random_orbital_set,
 )
 
 

@@ -24,10 +24,12 @@ from rhflab.containers import (
 )
 from rhflab import scenarios
 from rhflab.grids import Grid
-from rhflab.orbitals import OrbitalSet, random_orbital_set
+from rhflab.orbitals import OrbitalSet
 from rhflab.runner import SWEEP_AXES, run, sweep
 from rhflab.scenarios import ScenarioError, load_scenario, parse_scenario
 from rhflab.scf import DENSE_SIZE_CAP
+
+from reference_orbitals import random_orbital_set
 
 SMOKE = "scenarios/smoke_1d.ini"
 REPO = Path(__file__).resolve().parents[1]

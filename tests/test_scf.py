@@ -18,18 +18,18 @@ from rhflab.orbitals import (
     fermi_sea,
     fermi_sea_freqs,
     hs_distance_squared,
-    random_orbital_set,
     reduced_density,
 )
 from rhflab import scf
 from rhflab.scf import (
+    MeanField,
     ScfConfig,
     ScfResult,
-    dense_one_body_matrix,
     hf_energy,
     scf_minimize,
 )
 from rhflab.diagnostics import comm_grad_total, comm_x_total
+from reference_orbitals import random_orbital_set
 
 
 def mean_field_apply(orbs: OrbitalSet, potential: PotentialSpec, dispersion: Dispersion,
@@ -60,6 +60,23 @@ def reference_fock_matrix(h0, v_lag_mat, omega_n, grid, potential):
     if v_lag_mat is not None:
         h = h - v_lag_mat * omega_n  # a real h0 takes a complex ω
     return h
+
+
+def dense_one_body_matrix(grid, dispersion):
+    """K as a real matrix, K[i, j] = c[(i - j) mod n] with c = ifftn(symbol).
+
+    The former memoised builder of the SCF's K.
+    """
+    return scf._circulant(grid, np.fft.ifftn(dispersion.symbol(grid)).real).copy()
+
+
+def lag_matrix(grid, potential):
+    """V(x_i - x_j) from the interaction coefficients.
+
+    The former memoised builder of the SCF's V(x_i - x_j).
+    """
+    return scf._circulant(grid, np.fft.ifftn(potential.vhat_eff).real
+                          * (grid.size / grid.box_length**grid.dim)).copy()
 
 
 def reference_density_matrix(phi, grid):
@@ -99,7 +116,7 @@ def reference_scf_minimize(grid, potential, n_particles, dispersion, config):
     the last iterate's own mean field.
     """
     h0 = reference_dense_one_body_matrix(grid, dispersion, potential.vext)
-    v_lag_mat = scf._lag_matrix(grid, potential) if potential.has_interaction() else None
+    v_lag_mat = lag_matrix(grid, potential) if potential.has_interaction() else None
 
     def commutator_norm(h, dmat):
         return float(np.linalg.norm(h @ dmat - dmat @ h, "fro"))
@@ -245,7 +262,7 @@ class TestHfEnergy:
 
 
 class TestFockMatrix:
-    """The one-buffer Fock build against the copy-and-subtract reference."""
+    """MeanField's one-buffer Fock build against the copy-and-subtract reference."""
 
     @pytest.mark.parametrize("grid", [Grid(1, 64, 2.0 * np.pi, 0.1),
                                       Grid(2, 16, 2.0 * np.pi, 0.25)])
@@ -255,18 +272,18 @@ class TestFockMatrix:
         disp = Dispersion.relativistic(1.0)
         pot = PotentialSpec(grid, gaussian_vhat(grid, 0.8), vext=harmonic_trap(grid, 1.0),
                             coupling=coupling)
-        vext = pot.vext if include_vext else None
-        h0 = dense_one_body_matrix(grid, disp).copy()
+        h0 = dense_one_body_matrix(grid, disp)
         if include_vext:
-            h0[np.diag_indices(grid.size)] += vext.reshape(-1)
-        v_lag = scf._lag_matrix(grid, pot) if coupling else None
+            h0[np.diag_indices(grid.size)] += pot.vext.reshape(-1)
+        v_lag = lag_matrix(grid, pot) if coupling else None
+        mean_field = MeanField(grid, pot, disp, keep_trap=include_vext)
         for seed in (45, 46):
             orbs = random_orbital_set(grid, 5, seed=seed)
             omega_n = scf._density_matrix_per_particle(orbs.orbitals, grid)
             # a complex ω is the propagation's case, a real one the SCF's
             for omega in (omega_n, omega_n.real.copy()):
                 ref = reference_fock_matrix(h0, v_lag, omega, grid, pot)
-                got = scf.fock_matrix(omega.copy(), grid, pot, disp, vext)
+                got = mean_field.fock(omega.copy())
                 assert got.dtype == ref.dtype
                 assert got.tobytes() == ref.tobytes()
 
@@ -279,11 +296,11 @@ class TestFockMatrix:
         disp = Dispersion.relativistic(1.0)
         pot = PotentialSpec(grid, gaussian_vhat(grid, 0.8), vext=harmonic_trap(grid, 1.0),
                             coupling=0.7)
-        vext = pot.vext if include_vext else None
-        h0 = dense_one_body_matrix(grid, disp).copy()
+        h0 = dense_one_body_matrix(grid, disp)
         if include_vext:
-            h0[np.diag_indices(grid.size)] += vext.reshape(-1)
-        v_lag = scf._lag_matrix(grid, pot)
+            h0[np.diag_indices(grid.size)] += pot.vext.reshape(-1)
+        v_lag = lag_matrix(grid, pot)
+        mean_field = MeanField(grid, pot, disp, keep_trap=include_vext)
         for n_part, seed in ((5, 48), (8, 49)):
             phi = random_orbital_set(grid, n_part, seed=seed).orbitals
             if not complex_:
@@ -291,7 +308,7 @@ class TestFockMatrix:
                 phi = phi / np.sqrt(grid.cell_volume)
             omega_n = scf._density_matrix_per_particle(phi, grid)
             assert np.iscomplexobj(omega_n) == complex_
-            got = scf.fock_matrix(omega_n, grid, pot, disp, vext)
+            got = mean_field.fock(omega_n)
             ref = reference_fock_matrix(h0, v_lag, reference_density_matrix(phi, grid) / n_part,
                                         grid, pot)
             assert got is omega_n
@@ -299,8 +316,9 @@ class TestFockMatrix:
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_potentials_differing_in_coupling_get_their_own(self):
-        # V(x_i - x_j) is held by coefficient content: two potentials used
-        # alternately, or a coupling changed in place, never read a stale matrix
+        # each MeanField builds V(x_i - x_j) from its own potential: two
+        # potentials used alternately, or a coupling changed before a new
+        # MeanField, never read another's matrix
         grid = Grid(1, 64, 2.0 * np.pi, 0.1)
         disp = Dispersion.relativistic(1.0)
         pots = [PotentialSpec(grid, gaussian_vhat(grid, 0.8), coupling=c) for c in (0.5, 0.7)]
@@ -315,12 +333,12 @@ class TestFockMatrix:
 
         fock = {}
         for pot in pots + pots:
-            got = scf.fock_matrix(omega_n.copy(), grid, pot, disp, None)
+            got = MeanField(grid, pot, disp, keep_trap=False).fock(omega_n.copy())
             assert np.max(np.abs(got - reference(pot))) <= 1e-13 * np.max(np.abs(got))
             fock.setdefault(pot.coupling, got)
         assert np.max(np.abs(fock[0.5] - fock[0.7])) > 1e-3
         pots[0].coupling = 0.9
-        got = scf.fock_matrix(omega_n.copy(), grid, pots[0], disp, None)
+        got = MeanField(grid, pots[0], disp, keep_trap=False).fock(omega_n.copy())
         assert np.max(np.abs(got - reference(pots[0]))) <= 1e-13 * np.max(np.abs(got))
         assert np.max(np.abs(got - fock[0.5])) > 1e-3
 
@@ -328,19 +346,20 @@ class TestFockMatrix:
         grid = Grid(2, 16, 2.0 * np.pi, 0.25)
         disp = Dispersion.relativistic(1.0)
         pot = PotentialSpec(grid, gaussian_vhat(grid, 0.8), coupling=0.7)
-        k = dense_one_body_matrix(grid, disp)
-        v_lag = scf._lag_matrix(grid, pot)
-        for held in (k, v_lag):
+        mean_field = MeanField(grid, pot, disp)
+        for held in (mean_field._k, mean_field._v_lag):
             assert held.dtype == np.float64
             assert not held.flags.writeable
             with pytest.raises(ValueError):
                 held[0, 0] = 1.0
-        # both memoised, V(x_i - x_j) by content: an equal potential finds it
-        assert dense_one_body_matrix(Grid(2, 16, 2.0 * np.pi, 0.25), disp) is k
-        twin = PotentialSpec(grid, gaussian_vhat(grid, 0.8), coupling=0.7)
-        assert scf._lag_matrix(grid, twin) is v_lag
+        # a MeanField alive beside it borrows the matrices they have in common
+        twin = MeanField(grid, pot, Dispersion.nonrelativistic(1.0), like=mean_field)
+        assert twin._v_lag is mean_field._v_lag and twin._k is not mean_field._k
+        other = PotentialSpec(grid, gaussian_vhat(grid, 0.8), coupling=0.7)
+        twin = MeanField(grid, other, disp, like=mean_field)
+        assert twin._k is mean_field._k and twin._v_lag is not mean_field._v_lag
         # the Fock matrix handed out is the caller's own
-        h = scf.fock_matrix(np.eye(grid.size), grid, pot, disp, None)
+        h = mean_field.fock(np.eye(grid.size))
         assert h.flags.writeable
 
 
@@ -354,10 +373,12 @@ class TestDenseOneBodyMatrix:
                                       Dispersion.nonrelativistic(0.8),
                                       Dispersion.massless()])
     def test_matches_fft_built_matrix(self, grid, disp):
-        got = dense_one_body_matrix(grid, disp)
-        ref = reference_dense_one_body_matrix(grid, disp)
-        assert got.dtype == np.float64
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 0.8), vext=harmonic_trap(grid, 1.0))
+        for keep_trap in (False, True):
+            got = MeanField(grid, pot, disp, keep_trap=keep_trap).one_body()
+            ref = reference_dense_one_body_matrix(grid, disp, pot.vext if keep_trap else None)
+            assert got.dtype == np.float64
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestCommutatorNorm:
@@ -459,7 +480,7 @@ class TestScfMinimize:
         pot = PotentialSpec(grid64, np.zeros(grid64.shape), vext=harmonic_trap(grid64, 1.0))
         n_part = 4
         res = scf_minimize(grid64, pot, n_part, disp, ScfConfig())
-        h = dense_one_body_matrix(grid64, disp) + np.diag(pot.vext.reshape(-1))
+        h = MeanField(grid64, pot, disp).one_body()
         evals, evecs = np.linalg.eigh(h)
         expected_energy = float(np.sum(evals[:n_part]))
         assert abs(res.energy - expected_energy) <= 1e-8 * abs(expected_energy)
