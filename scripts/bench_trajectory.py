@@ -26,17 +26,21 @@ for neither.  BENCH_<LABEL>.json then holds, per workload, every pair's
 values and that summary, and the commit of each side.
 
 The third form times one exponential-midpoint HF step of the checkout on
-each mean-field path (dense, pair, loop; `scf.MeanField`) at n in
-CROSSOVER_NS and N in CROSSOVER_PARTICLES on 1D grids, and at 32² and 64²
-with N = 8, all at one BLAS thread.  Every case starts from a fixed kicked
-SCF state (the 64² state is the 32² one interpolated spectrally, because a
-dense SCF at 64² takes minutes); each repetition steps that same state once
-per path, the paths interleaved, and the block records the median, the
-quartiles and the path the rule picks.  It also fits the rule's constant
-c of c·n^d <= N²·log2(n^d) to these times (`fit_dense_cost`).
+each mean-field path (dense, pair; `scf.MeanField`) at n in CROSSOVER_NS
+and N in CROSSOVER_PARTICLES on 1D grids, and at 32² and 64² with N = 8,
+all at one BLAS thread.  Every case starts from a fixed kicked SCF state
+(the 64² state is the 32² one interpolated spectrally, because a dense SCF
+at 64² takes minutes); each repetition steps that same state once per path,
+the paths interleaved, and the run records the median, the quartiles and
+the path the rule picks.  It also fits the rule's constant c of
+c·n^d <= N²·log2(n^d) to these times (`fit_dense_cost`).  The run, with
+the checkout's commit and the host's CPU count and versions, is appended
+to the list `crossover` of BENCH_<LABEL>.json, so every run made stays on
+record; the file's other keys are kept.
 
-Each form writes its own blocks into BENCH_<LABEL>.json and keeps the
-others an earlier run wrote there.
+The first two forms rewrite every key of BENCH_<LABEL>.json but
+`crossover`: the machine, the commits and the workloads are those of the
+runs just made.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import argparse
 import json
 import math
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -118,7 +123,7 @@ def compare_pairs(change: Path, parent: Path, name: str, seed: int,
 
 
 def crossover(checkout: Path) -> dict:
-    """The crossover block: ms per midpoint step on each path (module docstring)."""
+    """One crossover run: ms per midpoint step on each path (module docstring)."""
     for name in BLAS_THREAD_VARS:  # read when numpy loads its BLAS
         os.environ[name] = "1"
     sys.path.insert(0, str(checkout / "src"))
@@ -150,7 +155,10 @@ def crossover(checkout: Path) -> dict:
 
     cases = [(1, n, n_part) for n in CROSSOVER_NS for n_part in CROSSOVER_PARTICLES]
     cases += [(2, n, n_part) for n, n_part in CROSSOVER_2D]
-    block = {"reps": CROSSOVER_REPS, "dt": 1e-3, "dense_cost": scf.DENSE_COST, "cases": []}
+    block = {"commit": commit_of(checkout),
+             "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                      "numpy": np.__version__},
+             "reps": CROSSOVER_REPS, "dt": 1e-3, "dense_cost": scf.DENSE_COST, "cases": []}
     for dim, n, n_part in cases:
         grid, pot = setup(dim, n, n_part)
         kick = np.exp(1j * sum(2.0 * np.pi / grid.box_length * x for x in grid.x_mesh))
@@ -185,17 +193,15 @@ def crossover(checkout: Path) -> dict:
 def fit_dense_cost(cases: list[dict]) -> dict:
     """The c of dense iff c·n^d <= N²·log2(n^d) that costs the least median step time.
 
-    Each case is dense iff c <= x = N²·log2(n^d)/n^d; its FFT time is the
-    form the rule would run (pair in 1D, loop otherwise).  The cost of a c
-    is the time the cases lose over their faster path; every c in
-    (low, high] has the least cost.
+    Each case is dense iff c <= x = N²·log2(n^d)/n^d, pair otherwise.  The
+    cost of a c is the time the cases lose over their faster path; every c
+    in (low, high] has the least cost.
     """
     points = []
     for case in cases:
         size = case["n"] ** case["dim"]
-        fft = case["ms"]["pair" if case["dim"] == 1 else "loop"]["median"]
         points.append((case["N"] ** 2 * math.log2(size) / size,
-                       case["ms"]["dense"]["median"], fft))
+                       case["ms"]["dense"]["median"], case["ms"]["pair"]["median"]))
     points.sort()
     edges = [0.0] + [x for x, _, _ in points] + [math.inf]
     costs = []
@@ -205,6 +211,28 @@ def fit_dense_cost(cases: list[dict]) -> dict:
         costs.append((lost, low, high))
     lost, low, high = min(costs)
     return {"low": low, "high": high, "lost_ms": lost}
+
+
+def workload_record(args, checkout: Path) -> dict:
+    """The record of the first or second form: every workload's runs on this host."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    record = {"label": args.label, "seed": args.seed, "seconds": args.seconds, "workloads": {}}
+    if args.against is not None:
+        parent = args.against.resolve()
+        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        record["commits"] = {"change": commit_of(checkout), "parent": commit_of(parent)}
+        record["pairs"] = PAIRS
+    for name in (w["name"] for w in spec["workloads"]):
+        if args.against is not None:
+            machine, record["workloads"][name] = compare_pairs(
+                checkout, parent, name, args.seed, args.seconds, better)
+        else:
+            machine, result = run_workload(checkout, name, args.seed, args.seconds)
+            record["workloads"][name] = result
+            print(f"{name}: " + ", ".join(f"{k} = {m['value']:.4g}"
+                                          for k, m in result["metrics"].items()))
+        record["machine"], record["env"] = machine["machine"], machine["env"]
+    return record
 
 
 def main(argv=None) -> int:
@@ -219,34 +247,16 @@ def main(argv=None) -> int:
                     help="time one step on each mean-field path in place of the workloads")
     args = ap.parse_args(argv)
     checkout = args.checkout.resolve()
-    spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    workloads = [w["name"] for w in spec["workloads"]]
     out = ROOT / f"BENCH_{args.label}.json"
-    record = json.loads(out.read_text()) if out.exists() else {}
-    record["label"] = args.label
-    if not args.crossover:
-        record.update({"seed": args.seed, "seconds": args.seconds, "workloads": {}})
+    old = json.loads(out.read_text()) if out.exists() else {}
     if args.crossover:
-        record["crossover"] = crossover(checkout)
-        record["crossover"]["commit"] = commit_of(checkout)
-    elif args.against is not None:
-        parent = args.against.resolve()
-        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-        record["commits"] = {"change": commit_of(checkout), "parent": commit_of(parent)}
-        record["pairs"] = PAIRS
-        for name in workloads:
-            machine, record["workloads"][name] = compare_pairs(
-                checkout, parent, name, args.seed, args.seconds, better)
-            record.setdefault("machine", machine["machine"])
-            record.setdefault("env", machine["env"])
+        record = dict(old, label=args.label)
+        record["crossover"] = old.get("crossover", []) + [crossover(checkout)]
     else:
-        for name in workloads:
-            machine, result = run_workload(checkout, name, args.seed, args.seconds)
-            record.setdefault("machine", machine["machine"])
-            record.setdefault("env", machine["env"])
-            record["workloads"][name] = result
-            print(f"{name}: " + ", ".join(f"{k} = {m['value']:.4g}"
-                                          for k, m in result["metrics"].items()))
+        # the crossover runs are kept; every other key is the runs made now
+        record = workload_record(args, checkout)
+        if "crossover" in old:
+            record["crossover"] = old["crossover"]
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
     return 0

@@ -22,7 +22,6 @@ __all__ = [
     "OrbitalSet",
     "reduced_density",
     "apply_exchange",
-    "exchange_fields",
     "trace_norm",
     "commutator_trace_norm",
     "reorthonormalize",
@@ -69,27 +68,18 @@ def reduced_density(orbs: OrbitalSet) -> np.ndarray:
 def apply_exchange(orbs: OrbitalSet, potential: PotentialSpec, field: np.ndarray) -> np.ndarray:
     """Exchange operator (X f)(x) = N^{-1} Σ_j f_j(x) (V * (conj(f_j) f))(x).
 
-    field is one grid field or a (B, *grid.shape) block of them
-    (`exchange_fields`).
+    field is one grid field or a (B, *grid.shape) block of them.  The loop
+    runs over the N orbitals f_j, each pass one FFT pair batched over the
+    block, so the working set stays the size of the block.
     """
     grid = orbs.grid
     grid.check_field(field[0] if field.ndim == grid.dim + 1 else field)
-    return exchange_fields(orbs.orbitals, potential.vhat_eff, field, grid)
-
-
-def exchange_fields(orbitals: np.ndarray, vhat: np.ndarray, field: np.ndarray,
-                    grid: Grid) -> np.ndarray:
-    """N^{-1} Σ_j f_j (V * (conj(f_j) field)) over the N rows f_j of orbitals.
-
-    The loop runs over the N orbitals, each pass one FFT pair batched over
-    the field block, so the working set stays the size of the block.
-    """
     out = np.zeros(field.shape, dtype=complex)
-    for f_j in orbitals:
-        conv = grid.ifft(vhat * grid.fft(np.conj(f_j) * field))
+    for f_j in orbs.orbitals:
+        conv = grid.ifft(potential.vhat_eff * grid.fft(np.conj(f_j) * field))
         conv *= f_j
         out += conv
-    out /= orbitals.shape[0]
+    out /= orbs.n_particles
     return out
 
 

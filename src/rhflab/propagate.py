@@ -18,9 +18,8 @@ the state (Löwdin, nothing for a pair, the polar factor in `ed`) and samples
 the due observers at t0 + k·dt.
 
 h(ω) comes from one `scf.MeanField` per evolution, which picks its path
-once: the dense Fock matrix, or the FFT path with the exchange as the pair
-array (1D) or the per-orbital loop (2D/3D); the rule and the forms are in
-the `scf` module docstring.  `step` builds it on first use from the state's
+once: the dense Fock matrix, or the FFT path with the exchange as one pair
+array; the rule and the forms are in the `scf` module docstring.  `step` builds it on first use from the state's
 grid, potential, config (dispersion, scheme, exchange_on, keep_trap) and N,
 and carries it on the state it returns, so an evolution builds it once and
 a bare SimState steps as well.  A state whose potential or those config

@@ -22,7 +22,7 @@ h(ω_k); `stationarity` is that norm for the returned (lowest-energy) state.
 
 `MeanField` is h(ω) = K [+ V_ext] + V*ρ - X(ω) for one SCF or one
 evolution, built from (grid, potential, dispersion, exchange_on, keep_trap)
-and, for an evolution, the scheme and N that pick its path once
+and, for an evolution, the scheme and N that pick one of its two paths once
 (`MeanField.for_evolution`):
 
   dense  h(ω) as the n^d×n^d Fock matrix, applied as one GEMM.  The
@@ -34,23 +34,20 @@ and, for an evolution, the scheme and N that pick its path once
          in place and the diagonal becomes (K_ii [+ V_ext,i]) + (V*ρ)_i - X_ii.
          The SCF mixes and holds its density matrices as ω/N and hands
          `MeanField.fock` a copy.
-  pair   the FFT path: K as a Fourier multiplier, the direct term as a
-         local field, the exchange as one FFT pair over the (B, N, n^d)
-         array of products conj(f_k)·g_b.
-  loop   the FFT path with the exchange as the loop over the N orbitals of
-         `orbitals.apply_exchange`, each pass batched over the block.
+  pair   the FFT path on every grid: K as a Fourier multiplier, the direct
+         term as a local field, the exchange as one FFT pair over the
+         (B, N, n^d) array of products conj(f_k)·g_b.
 
 An evolution runs dense when all of these hold: the scheme is exponential
 midpoint (one Fock build serves the ~16 matvecs of a step), exchange is on
 and the potential interacts, n^d <= DENSE_SIZE_CAP, and
-DENSE_COST·n^d <= N²·log2(n^d).  Otherwise it runs the FFT path: pair on 1D
-grids, loop on 2D/3D grids, where the pair array is the slower form.
-DENSE_COST = 0.75 is fitted to step times at one BLAS thread
-(`scripts/bench_trajectory.py --crossover`): every c in (0.625, 0.875]
-loses the least time over n ∈ {64, 128, 256}, N ∈ {2, 4, 8, 16} and 32²,
-64² at N = 8.  Dense wins from N = 2 at n <= 128 (the rule sends N = 2
-there to pair, losing under 1 ms a step), from N = 8 at n = 256, and on
-neither 2D grid at N = 8.  The paths agree to rounding; artifacts differ
+DENSE_COST·n^d <= N²·log2(n^d).  Otherwise it runs pair.  DENSE_COST is
+fitted to step times at one BLAS thread (`scripts/bench_trajectory.py
+--crossover`, the `crossover` runs of BENCH_pr12.json) over n ∈ {64, 128,
+256}, N ∈ {2, 4, 8, 16} and 32², 64² at N = 8: the least lost time falls on
+c ∈ (0.625, 0.875].  Dense wins from N = 2 at n <= 128 (the rule sends
+N = 2 there to pair, losing under 1 ms a step), from N = 8 at n = 256, and
+on neither 2D grid at N = 8.  The paths agree to rounding; artifacts differ
 only in the last bits.
 """
 
@@ -62,7 +59,7 @@ import numpy as np
 
 from .grids import Dispersion, Grid, PotentialSpec, convolve_potential
 from .diagnostics import comm_grad_total, comm_x_total
-from .orbitals import OrbitalSet, exchange_fields, reduced_density
+from .orbitals import OrbitalSet, reduced_density
 
 __all__ = [
     "ScfConfig",
@@ -79,7 +76,7 @@ __all__ = [
 DENSE_SIZE_CAP = 4096
 # an evolution runs dense only where DENSE_COST·n^d <= N²·log2(n^d) (module docstring)
 DENSE_COST = 0.75
-PATHS = ("dense", "pair", "loop")
+PATHS = ("dense", "pair")
 
 
 @dataclass
@@ -200,7 +197,7 @@ class MeanField:
             dense = (scheme == "exponential_midpoint" and exchange_on
                      and potential.has_interaction() and size <= DENSE_SIZE_CAP
                      and DENSE_COST * size <= n_particles**2 * np.log2(size))
-            path = "dense" if dense else ("pair" if grid.dim == 1 else "loop")
+            path = "dense" if dense else "pair"
         mean_field = cls(grid, potential, dispersion, path, exchange_on, keep_trap, like)
         mean_field.inputs = (grid, potential, dispersion, scheme, exchange_on, keep_trap,
                              n_particles)
@@ -263,13 +260,6 @@ class MeanField:
         if not self.exchange:
             return apply_h_block
         vhat = self._vhat
-        if self.path == "loop":
-            def apply_loop_block(fields: np.ndarray) -> np.ndarray:
-                out = apply_h_block(fields)
-                out -= exchange_fields(source, vhat, fields, grid)
-                return out
-
-            return apply_loop_block
         src_conj = np.conj(source)
 
         def apply_pair_block(fields: np.ndarray) -> np.ndarray:

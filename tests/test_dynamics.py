@@ -19,6 +19,7 @@ from rhflab import krylov
 from rhflab.krylov import expm_apply_block
 from rhflab.orbitals import (
     OrbitalSet,
+    apply_exchange,
     fermi_sea,
     hs_distance_squared,
     reduced_density,
@@ -866,7 +867,7 @@ class TestDenseFock:
         state = kicked_scf_state(grid, n_part, keep_trap)
         dense = evolve(state)
         assert dense.state.mean_field.path == "dense"
-        fft = evolve(forced_path(state, "pair" if grid.dim == 1 else "loop"))
+        fft = evolve(forced_path(state, "pair"))
         assert not dense.aborted and not fft.aborted
         moved = hs_distance_squared(fft.state.orbitals, state.orbitals)
         assert moved > 1e-6
@@ -902,15 +903,15 @@ class TestDenseFock:
             ((1, 256, 32, {"exchange_on": False}, True), "pair"),
             ((1, 256, 32, {"scheme": "rk4_frozen_field"}, True), "pair"),
             ((1, 256, 32, {}, False), "pair"),
-            ((2, 32, 8, {}, True), "loop"),        # 768 > 64·10
+            ((2, 32, 8, {}, True), "pair"),        # 768 > 64·10
             ((2, 32, 16, {}, True), "dense"),
-            ((2, 32, 16, {"exchange_on": False}, True), "loop"),
-            ((2, 64, 8, {}, True), "loop"),
+            ((2, 32, 16, {"exchange_on": False}, True), "pair"),
+            ((2, 64, 8, {}, True), "pair"),
             # above the dense cap the FFT path runs even where the cost rule favours dense
-            ((2, 128, 80, {}, True), "loop"),
+            ((2, 128, 80, {}, True), "pair"),
             ((1, 8192, 64, {}, True), "pair"),
             ((3, 8, 16, {}, True), "dense"),
-            ((3, 32, 256, {}, True), "loop"),
+            ((3, 32, 256, {}, True), "pair"),
         ]
         disp = Dispersion.relativistic(1.0)
         for (dim, n, n_part, cfg, interacting), path in table:
@@ -929,13 +930,15 @@ class TestMeanField:
     """One MeanField per evolution: its paths, its lifetime and its reuse."""
 
     def test_pair_matches_loop(self):
+        # the 2D pair array against the per-orbital loop of apply_exchange
         state = kicked_scf_state(Grid(2, 16, 4.0 * np.pi, 0.25), 4)
         source = state.orbitals.orbitals
         pair = forced_path(state, "pair").mean_field.closure(source)
-        loop = forced_path(state, "loop").mean_field.closure(source)
+        hartree = propagate._mean_field(
+            replace(state, config=replace(state.config, exchange_on=False))).closure(source)
         for block in (source, random_block(state.orbitals.grid, 5, 13)):
-            ref = pair(block)
-            assert np.max(np.abs(loop(block) - ref)) <= 1e-13 * np.max(np.abs(ref))
+            ref = hartree(block) - apply_exchange(state.orbitals, state.potential, block)
+            assert np.max(np.abs(pair(block) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("keep_trap", [False, True])
     def test_hartree_closure_bit_identical_to_reference(self, keep_trap):
