@@ -2,7 +2,7 @@
 
     rhflab run SCENARIO [--out DIR]
     rhflab sweep SCENARIO --axis {N,m0,dt,coupling} --values 8,16,32 [--out DIR]
-    rhflab inspect CONTAINER
+    rhflab inspect CONTAINER.rhfs
     rhflab checks REPORT.json
 
 Worker count for sweeps comes from the RHFLAB_WORKERS environment variable
@@ -16,12 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .containers import (
-    ORBITAL_MAGIC,
-    load_json,
-    read_orbital_header,
-    read_phase_field_header,
-)
+from .containers import load_json, read_orbital_header
 from .runner import run, sweep
 from .scenarios import ScenarioError, load_scenario
 
@@ -61,18 +56,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    path = Path(args.container)
     try:
-        magic = path.open("rb").read(4)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if magic == ORBITAL_MAGIC:
-            head = read_orbital_header(path)
-        else:
-            head = read_phase_field_header(path)
-    except ValueError as exc:
+        head = read_orbital_header(args.container)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for key, value in head.items():
@@ -121,7 +107,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(fn=_cmd_sweep)
 
-    p_inspect = sub.add_parser("inspect", help="print a binary container header")
+    p_inspect = sub.add_parser("inspect", help="print an orbital container (.rhfs) header")
     p_inspect.add_argument("container")
     p_inspect.set_defaults(fn=_cmd_inspect)
 

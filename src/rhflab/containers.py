@@ -5,9 +5,6 @@ Binary layout (all little-endian), documented in docs/FORMATS.md:
   orbital container  magic "RHFS", version u32, dim u32, n u32, L f64,
                      epsilon f64, N u32, then N·n^dim complex128 values
                      (orbital-major, C order).
-  phase-space field  magic "WGNR" (Wigner) or "VLSV" (Vlasov), version u32,
-                     dim u32, n_x u32, n_v u32, L f64, epsilon f64, then
-                     n_x·n_v float64 values (x-major, C order).
 
 Floating-point text output is printed with 17 significant digits so re-runs
 round-trip bit-faithfully.
@@ -26,11 +23,8 @@ from .orbitals import OrbitalSet
 
 FORMAT_VERSION = 1
 _ORBITAL_HEADER = struct.Struct("<4sIIIddI")
-_FIELD_HEADER = struct.Struct("<4sIIIIdd")
 
 ORBITAL_MAGIC = b"RHFS"
-WIGNER_MAGIC = b"WGNR"
-VLASOV_MAGIC = b"VLSV"
 
 
 def fmt17(x: float) -> str:
@@ -69,38 +63,6 @@ def load_orbitals(path) -> OrbitalSet:
     count = head["n_particles"] * grid.size
     data = np.frombuffer(raw, dtype="<c16", count=count).astype(complex)
     return OrbitalSet(data.reshape(head["n_particles"], *grid.shape), grid, validate=False)
-
-
-def save_phase_field(path, values: np.ndarray, box_length: float, epsilon: float,
-                     magic: bytes = WIGNER_MAGIC) -> None:
-    if magic not in (WIGNER_MAGIC, VLASOV_MAGIC):
-        raise ValueError(f"unknown phase-field magic {magic!r}")
-    n_x, n_v = values.shape
-    header = _FIELD_HEADER.pack(magic, FORMAT_VERSION, 1, n_x, n_v, box_length, epsilon)
-    Path(path).write_bytes(header + np.ascontiguousarray(values).astype("<f8").tobytes())
-
-
-def read_phase_field_header(path) -> dict:
-    raw = Path(path).read_bytes()
-    if len(raw) < _FIELD_HEADER.size:
-        raise ValueError(f"{path}: truncated container")
-    magic, version, dim, n_x, n_v, length, eps = _FIELD_HEADER.unpack_from(raw)
-    if magic not in (WIGNER_MAGIC, VLASOV_MAGIC):
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported format version {version}")
-    return {
-        "magic": magic.decode(), "version": version, "dim": dim,
-        "n_x": n_x, "n_v": n_v, "box_length": length, "epsilon": eps,
-    }
-
-
-def load_phase_field(path) -> tuple[dict, np.ndarray]:
-    head = read_phase_field_header(path)
-    raw = Path(path).read_bytes()[_FIELD_HEADER.size:]
-    count = head["n_x"] * head["n_v"]
-    values = np.frombuffer(raw, dtype="<f8", count=count).reshape(head["n_x"], head["n_v"])
-    return head, values.copy()
 
 
 def write_csv(path, header: list[str], rows) -> None:

@@ -43,11 +43,13 @@ __all__ = [
     "default_phase_samples",
     "MARGIN_TOL",
     "SEAM_MASS_WARN",
+    "PHASE_SAMPLE_COUNT",
 ]
 
 MARGIN_TOL = -1e-9       # inequality margins must stay above this
 SEAM_MASS_WARN = 1e-3    # position-seam validity threshold
 GROWTH_FLOOR = 1e-14     # log-fit floor for degenerate (symmetric) channels
+PHASE_SAMPLE_COUNT = 16  # default_phase_samples' count; needs more than that many points
 
 
 def _warn_seam(orbs: OrbitalSet) -> float:
@@ -96,7 +98,7 @@ def comm_grad_total(orbs: OrbitalSet) -> float:
     return sum(_comm_grad(orbs, a) for a in range(orbs.grid.dim))
 
 
-def default_phase_samples(grid: Grid, count: int = 16) -> list[tuple]:
+def default_phase_samples(grid: Grid, count: int = PHASE_SAMPLE_COUNT) -> list[tuple]:
     """Deterministic dual-grid momenta for the phase bound: ±1..±count/2 on axis 0."""
     half = count // 2
     if half >= grid.n // 2:

@@ -28,6 +28,9 @@ __all__ = [
     "plane_wave",
 ]
 
+# a moment that moves by more than this fraction under dual refinement is unstable
+MOMENT_REFINEMENT_RTOL = 0.1
+
 
 class Grid:
     """Periodic grid with its Fourier dual.
@@ -46,15 +49,8 @@ class Grid:
     """
 
     def __init__(self, dim: int, points_per_dim: int, box_length: float, epsilon: float):
-        if dim not in (1, 2, 3):
-            raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+        self.check_args(dim, points_per_dim, box_length, epsilon)
         n = int(points_per_dim)
-        if n < 2 or (n & (n - 1)) != 0:
-            raise ValueError(f"points_per_dim must be a power of two >= 2, got {points_per_dim}")
-        if box_length <= 0:
-            raise ValueError(f"box_length must be positive, got {box_length}")
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
         self.dim = dim
         self.n = n
         self.box_length = float(box_length)
@@ -73,6 +69,19 @@ class Grid:
         self.p_squared = sum(pm**2 for pm in self.p_mesh) + np.zeros(self.shape)
         self.p_abs = np.sqrt(self.p_squared)
         self._axes = tuple(range(-dim, 0))
+
+    @staticmethod
+    def check_args(dim: int, points_per_dim: int, box_length: float, epsilon: float) -> None:
+        """The constructor's argument checks, without building any n^d array."""
+        if dim not in (1, 2, 3):
+            raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
+        n = int(points_per_dim)
+        if n < 2 or (n & (n - 1)) != 0:
+            raise ValueError(f"points_per_dim must be a power of two >= 2, got {points_per_dim}")
+        if box_length <= 0:
+            raise ValueError(f"box_length must be positive, got {box_length}")
+        if epsilon <= 0:
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
 
     def _along_axis(self, v: np.ndarray, axis: int) -> np.ndarray:
         shape = [1] * self.dim
@@ -135,10 +144,11 @@ class Dispersion:
 
     def __post_init__(self):
         if self.variant not in self.VARIANTS:
-            raise ValueError(f"unknown dispersion variant {self.variant!r}")
+            raise ValueError(f"dispersion must be one of {self.VARIANTS}, got {self.variant!r}")
         if self.variant in ("relativistic", "nonrelativistic"):
             if self.m0 is None or self.m0 <= 0:
-                raise ValueError(f"{self.variant} dispersion requires m0 > 0")
+                raise ValueError(f"m0 must be positive for the {self.variant} dispersion, "
+                                 f"got {self.m0}")
 
     @classmethod
     def relativistic(cls, m0: float) -> "Dispersion":
@@ -267,18 +277,19 @@ def potential_moment(potential: PotentialSpec, grid: Grid) -> float:
     )
 
 
-def potential_moment_refinement_check(vhat_fn, grid: Grid, coupling: float = 1.0,
-                                      rel_tol: float = 0.1) -> tuple[bool, float, float]:
+def potential_moment_refinement_check(vhat_fn, grid: Grid,
+                                      coupling: float = 1.0) -> tuple[bool, float, float]:
     """Compare the moment on `grid` against a dual-refined grid (2n points).
 
     vhat_fn maps |p| -> V̂ coefficient.  Returns (stable, moment, moment_refined);
-    stable is False when the refined value moved by more than rel_tol, the sign
-    of a moment that does not converge as the dual range grows.
+    stable is False when the refined value moved by more than
+    MOMENT_REFINEMENT_RTOL, the sign of a moment that does not converge as the
+    dual range grows.
     """
     fine = Grid(grid.dim, 2 * grid.n, grid.box_length, grid.epsilon)
     m_coarse = float(np.sum(np.abs(coupling * vhat_fn(grid.p_abs)) * (1.0 + grid.p_abs) ** 2)
                      * grid.dual_cell_volume)
     m_fine = float(np.sum(np.abs(coupling * vhat_fn(fine.p_abs)) * (1.0 + fine.p_abs) ** 2)
                    * fine.dual_cell_volume)
-    stable = abs(m_fine - m_coarse) <= rel_tol * max(abs(m_coarse), 1e-300)
+    stable = abs(m_fine - m_coarse) <= MOMENT_REFINEMENT_RTOL * max(abs(m_coarse), 1e-300)
     return stable, m_coarse, m_fine

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 GRAM_TOL = 1e-8  # construction guard; freshly orthonormalized sets sit at ~1e-12
+SEAM_BAND = 0.05  # seam_mass counts ρ within SEAM_BAND·L of the seam at ±L/2
 
 
 class OrbitalSet:
@@ -202,10 +203,10 @@ def boosted_fermi_sea(grid: Grid, n_particles: int, dispersion: Dispersion,
     return OrbitalSet(boost * sea.orbitals, grid, validate=False)
 
 
-def seam_mass(orbs: OrbitalSet, band: float = 0.05) -> float:
-    """Mass of ρ within a band·L-wide neighborhood of the position seam at ±L/2."""
+def seam_mass(orbs: OrbitalSet) -> float:
+    """Mass of ρ within a SEAM_BAND·L-wide neighborhood of the position seam at ±L/2."""
     grid = orbs.grid
-    cut = 0.5 * grid.box_length * (1.0 - band)
+    cut = 0.5 * grid.box_length * (1.0 - SEAM_BAND)
     mask = np.zeros(grid.shape, dtype=bool)
     for xm in grid.x_mesh:
         mask = mask | (np.abs(xm) >= cut)

@@ -19,15 +19,15 @@ the due observers at t0 + k·dt.
 
 h(ω) comes from one `scf.MeanField` per evolution, which picks its path
 once: the dense Fock matrix, or the FFT path with the exchange as one pair
-array; the rule and the forms are in the `scf` module docstring.  `step` builds it on first use from the state's
-grid, potential, config (dispersion, scheme, exchange_on, keep_trap) and N,
-and carries it on the state it returns, so an evolution builds it once and
-a bare SimState steps as well.  A state whose potential or those config
-fields differ from the MeanField's inputs gets a fresh one.  On the dense
-path the MeanField owns K and V(x_i - x_j), so they live as long as the
-states that carry it; a flow on the FFT path holds neither.  `pair_evolve`
-builds both legs' MeanFields up front, the second sharing the first's K
-and V(x_i - x_j) where they are the same matrices.
+array; the rule and the forms are in the `scf` module docstring.  `step`
+builds it on first use from the state's grid, potential, config
+(dispersion, scheme, exchange_on, keep_trap) and N, and carries it on the
+state it returns, so an evolution builds it once and a bare SimState steps
+as well.  A state whose potential or those config fields differ from the
+MeanField's inputs gets a fresh one.  On the dense path the MeanField owns
+K and V(x_i - x_j), so they live as long as the states that carry it; a
+flow on the FFT path holds neither.  Each leg of a `pair_evolve` builds its
+own at its first step, as `evolve` does.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ __all__ = [
     "suggested_dt_cap",
 ]
 
+SCHEMES = ("exponential_midpoint", "rk4_frozen_field")
 GRAM_STEP_TOL = 1e-6
 FIXED_POINT_PASSES = 2
 # t_final - t0 must be a whole number of steps to this relative tolerance
@@ -75,15 +76,14 @@ class EvolutionConfig:
     dispersion: Dispersion = None
     reortho_every: int = 10
     keep_trap: bool = False
-    krylov_tol: float = 1e-12
 
     def __post_init__(self):
         if self.dt <= 0:
-            raise ValueError("dt must be positive")
+            raise ValueError(f"dt must be positive, got {self.dt}")
         if self.reortho_every < 1:
-            raise ValueError("reortho_every must be >= 1")
-        if self.scheme not in ("exponential_midpoint", "rk4_frozen_field"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ValueError(f"reortho_every must be >= 1, got {self.reortho_every}")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.dispersion is None:
             raise ValueError("dispersion must be set")
 
@@ -137,25 +137,25 @@ def suggested_dt_cap(grid: Grid, dispersion: Dispersion) -> float:
     return 0.1 * grid.epsilon / float(np.max(dispersion.symbol(grid)))
 
 
-def _mean_field(state: SimState, like: MeanField | None = None) -> MeanField:
+def _mean_field(state: SimState) -> MeanField:
     """The MeanField the state carries, or a fresh one where it serves other inputs."""
     cfg = state.config
     inputs = (state.orbitals.grid, state.potential, cfg.dispersion, cfg.scheme,
               cfg.exchange_on, cfg.keep_trap, state.orbitals.n_particles)
     if state.mean_field is not None and state.mean_field.inputs == inputs:
         return state.mean_field
-    return MeanField.for_evolution(*inputs, like=like)
+    return MeanField.for_evolution(*inputs)
 
 
-def _propagate_all(apply_h_block, orbs_arr: np.ndarray, tau: float, grid: Grid,
-                   tol: float) -> np.ndarray:
+def _propagate_all(apply_h_block, orbs_arr: np.ndarray, tau: float,
+                   grid: Grid) -> np.ndarray:
     flat = orbs_arr.reshape(orbs_arr.shape[0], -1)
 
     def matvec(rows: np.ndarray) -> np.ndarray:
         shaped = rows.reshape(rows.shape[0], *grid.shape)
         return apply_h_block(shaped).reshape(rows.shape[0], -1)
 
-    out = expm_apply_block(matvec, flat, tau, weight=grid.cell_volume, tol=tol)
+    out = expm_apply_block(matvec, flat, tau, weight=grid.cell_volume)
     return out.reshape(orbs_arr.shape)
 
 
@@ -173,13 +173,11 @@ def _exponential_midpoint(phi: np.ndarray, mean_field, propagate, dt: float) -> 
 
 
 def _step_exponential_midpoint(state: SimState, mean_field: MeanField) -> np.ndarray:
-    cfg = state.config
     grid = state.orbitals.grid
     return _exponential_midpoint(
         state.orbitals.orbitals, mean_field.closure,
-        lambda apply_h, phi, tau: _propagate_all(apply_h, phi, tau / grid.epsilon, grid,
-                                                 cfg.krylov_tol),
-        cfg.dt)
+        lambda apply_h, phi, tau: _propagate_all(apply_h, phi, tau / grid.epsilon, grid),
+        state.config.dt)
 
 
 def _step_rk4(state: SimState, mean_field: MeanField) -> np.ndarray:
@@ -305,8 +303,6 @@ def pair_evolve(state_a: SimState, state_b: SimState, comparator: str,
 
     dt = state_a.config.dt
     n_steps = step_count(state_a.time, state_a.config.t_final, dt)
-    state_a = replace(state_a, mean_field=_mean_field(state_a))
-    state_b = replace(state_b, mean_field=_mean_field(state_b, like=state_a.mean_field))
     distance = Observer("hs_distance_squared", cadence, lambda pair: {
         "hs_distance_squared": hs_distance_squared(pair[0].orbitals, pair[1].orbitals)})
     return _time_loop((state_a, state_b), n_steps, state_a.time, dt,

@@ -37,9 +37,9 @@ from .diagnostics import (
 )
 from .grids import potential_moment_refinement_check
 from .orbitals import OrbitalSet, boosted_fermi_sea, fermi_sea, hs_distance_squared, seam_mass
-from .propagate import EvolutionConfig, Observer, SimState, evolve
+from .propagate import Observer, SimState, evolve
 from .scenarios import Scenario
-from .scf import ScfConfig, hf_energy, scf_minimize
+from .scf import hf_energy, scf_minimize
 
 __all__ = ["RunResult", "run", "sweep", "WORKERS_ENV"]
 
@@ -76,13 +76,7 @@ def _prepare(scenario: Scenario, grid, potential, dispersion, out_dir: Path):
             amplitude=scenario[("preparation", "boost_amplitude")],
             mode=scenario[("preparation", "boost_mode")],
         ), None
-    cfg = ScfConfig(
-        max_iterations=scenario[("preparation", "max_iterations")],
-        mixing=scenario[("preparation", "mixing")],
-        convergence_tol=scenario[("preparation", "convergence_tol")],
-        aufbau=scenario[("preparation", "aufbau")],
-    )
-    res = scf_minimize(grid, potential, n_particles, dispersion, cfg)
+    res = scf_minimize(grid, potential, n_particles, dispersion, scenario.build_scf_config())
     rows = [(i, e, r) for i, (e, r) in enumerate(zip(res.energies, res.residuals))]
     write_csv(out_dir / "scf_trace.csv", ["iteration", "energy", "residual"], rows)
     return res.orbitals, res
@@ -115,15 +109,7 @@ def run(scenario: Scenario, out_dir) -> RunResult:
     save_orbitals(out_dir / "initial_state.rhfs", orbitals)
     _write_sidecar(out_dir / "initial_state.rhfs", 0.0, config_hash)
 
-    config = EvolutionConfig(
-        dt=scenario[("evolution", "dt")],
-        t_final=scenario[("evolution", "t_final")],
-        scheme=scenario[("evolution", "scheme")],
-        exchange_on=scenario[("evolution", "exchange_on")],
-        dispersion=dispersion,
-        reortho_every=scenario[("evolution", "reortho_every")],
-        keep_trap=scenario[("evolution", "keep_trap")],
-    )
+    config = scenario.build_evolution_config(dispersion)
     state = SimState(time=0.0, orbitals=orbitals, potential=potential, config=config)
 
     observers, reports = _build_observers(scenario, grid, potential, dispersion, out_dir,

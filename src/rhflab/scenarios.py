@@ -1,7 +1,11 @@
 """Scenario files: flat typed key-value sections, strictly validated.
 
 Unknown sections or keys are errors; every value is parsed by the declared
-type of its key.  The config hash is a SHA-256 over the canonicalized
+type of its key.  `Scenario.validate` refuses, before any work, every value
+a run cannot honour: each rule applies through its owner (Grid's argument
+checks, Dispersion, ScfConfig, EvolutionConfig), and the rules no
+constructor holds are its own.  Every refusal names its field as
+"[section] key".  The config hash is a SHA-256 over the canonicalized
 section.key=value lines, so it changes iff any config field changes.
 """
 
@@ -15,9 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .containers import fmt17
+from .diagnostics import PHASE_SAMPLE_COUNT
 from .grids import Dispersion, Grid, PotentialSpec, gaussian_vhat, harmonic_trap
-from .propagate import step_count
-from .scf import DENSE_SIZE_CAP
+from .propagate import EvolutionConfig, step_count
+from .scf import DENSE_SIZE_CAP, ScfConfig
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "load_scenario"]
 
@@ -96,12 +101,18 @@ _SCHEMA = {
 }
 
 _CHOICES = {
-    ("model", "dispersion"): ("relativistic", "nonrelativistic", "massless"),
     ("potential", "kernel"): ("gaussian", "table", "none"),
     ("potential", "trap"): ("harmonic", "none"),
     ("preparation", "kind"): ("scf", "fermi_sea", "boosted_fermi_sea"),
-    ("evolution", "scheme"): ("exponential_midpoint", "rk4_frozen_field"),
 }
+
+
+def _owned(section: str, build, *args):
+    """build(*args), a ValueError from it refused as the [section] field it names."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ScenarioError(f"[{section}] {exc}") from None
 
 
 @dataclass
@@ -164,21 +175,39 @@ class Scenario:
                 raise ScenarioError(
                     f"[{section}] {key} must be one of {choices}, got {v[(section, key)]!r}"
                 )
+        n_particles = v[("model", "n_particles")]
+        if n_particles < 1:
+            raise ScenarioError(f"[model] n_particles must be >= 1, got {n_particles}")
+        dim, n = v[("grid", "dim")], v[("grid", "points_per_dim")]
+        _owned("grid", Grid.check_args, dim, n, v[("grid", "box_length")], self.epsilon())
+        size = n**dim
+        if n_particles > size:
+            raise ScenarioError(f"[model] n_particles must be at most the {size} grid "
+                                f"points, got {n_particles}")
+        kind = v[("preparation", "kind")]
+        if kind == "boosted_fermi_sea" and v[("preparation", "boost_mode")] == 0:
+            raise ScenarioError("[preparation] boost_mode must be nonzero for "
+                                "kind=boosted_fermi_sea")
+        dispersion = _owned("model", self.build_dispersion)
+        _owned("preparation", self.build_scf_config)
+        _owned("evolution", self.build_evolution_config, dispersion)
+        _owned("evolution", step_count, 0.0, v[("evolution", "t_final")],
+               v[("evolution", "dt")])
+        for key in _SCHEMA["diagnostics"]:
+            if v[("diagnostics", key)] < 0:
+                raise ScenarioError(f"[diagnostics] {key} must be >= 0 (0 disables), "
+                                    f"got {v[('diagnostics', key)]}")
+        if v[("diagnostics", "exp_bound")] > 0 and n <= PHASE_SAMPLE_COUNT:
+            raise ScenarioError(f"[diagnostics] exp_bound needs [grid] points_per_dim > "
+                                f"{PHASE_SAMPLE_COUNT} for its {PHASE_SAMPLE_COUNT} phase "
+                                f"samples, got {n}")
         if v[("potential", "kernel")] == "table":
-            if v[("grid", "dim")] != 1:
+            if dim != 1:
                 raise ScenarioError("[potential] kernel=table requires dim=1")
             if not v[("potential", "table")]:
                 raise ScenarioError("missing required field [potential] table")
-        if v[("model", "dispersion")] != "massless" and v[("model", "m0")] <= 0:
-            raise ScenarioError("[model] m0 must be positive for massive dispersions")
-        if v[("evolution", "dt")] <= 0 or v[("evolution", "t_final")] < 0:
-            raise ScenarioError("[evolution] dt must be positive and t_final >= 0")
-        try:
-            step_count(0.0, v[("evolution", "t_final")], v[("evolution", "dt")])
-        except ValueError as exc:
-            raise ScenarioError(f"[evolution] {exc}") from None
-        size = v[("grid", "points_per_dim")] ** v[("grid", "dim")]
-        if v[("preparation", "kind")] == "scf" and size > DENSE_SIZE_CAP:
+            self._table_rows()
+        if kind == "scf" and size > DENSE_SIZE_CAP:
             raise ScenarioError(f"[preparation] kind=scf needs a grid of at most "
                                 f"{DENSE_SIZE_CAP} points (dense SCF), got {size}")
 
@@ -198,12 +227,33 @@ class Scenario:
             return Dispersion.massless()
         return Dispersion(kind, self.values[("model", "m0")])
 
+    def build_scf_config(self) -> ScfConfig:
+        return ScfConfig(
+            max_iterations=self.values[("preparation", "max_iterations")],
+            mixing=self.values[("preparation", "mixing")],
+            convergence_tol=self.values[("preparation", "convergence_tol")],
+            aufbau=self.values[("preparation", "aufbau")],
+        )
+
+    def build_evolution_config(self, dispersion: Dispersion) -> EvolutionConfig:
+        return EvolutionConfig(
+            dt=self.values[("evolution", "dt")],
+            t_final=self.values[("evolution", "t_final")],
+            scheme=self.values[("evolution", "scheme")],
+            exchange_on=self.values[("evolution", "exchange_on")],
+            dispersion=dispersion,
+            reortho_every=self.values[("evolution", "reortho_every")],
+            keep_trap=self.values[("evolution", "keep_trap")],
+        )
+
     def build_potential(self, grid: Grid) -> PotentialSpec:
         kernel = self.values[("potential", "kernel")]
         if kernel == "gaussian":
             vhat = gaussian_vhat(grid, self.values[("potential", "width")])
         elif kernel == "table":
-            vhat = self._table_vhat(grid)
+            vhat = np.zeros(grid.shape)
+            for freq, val in self._table_rows():
+                vhat[freq % grid.n] = val  # FFT layout: frequency m sits at index m mod n
         else:
             vhat = np.zeros(grid.shape)
         vext = None
@@ -212,25 +262,32 @@ class Scenario:
         return PotentialSpec(grid, vhat, vext=vext,
                              coupling=self.values[("potential", "coupling")])
 
-    def _table_vhat(self, grid: Grid) -> np.ndarray:
+    def _table_rows(self) -> list[tuple[int, float]]:
+        """The (frequency, V̂) rows of the table file, each frequency on the dual grid."""
         path = Path(self.values[("potential", "table")])
         if not path.is_absolute() and self.source:
             path = Path(self.source).parent / path
-        vhat = np.zeros(grid.shape)
-        freq_index = {int(f): i for i, f in enumerate(grid.freq_axis)}
-        for line_no, line in enumerate(path.read_text().strip().splitlines(), 1):
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            raise ScenarioError(f"[potential] table {path}: {exc.strerror or exc}") from None
+        half = self.values[("grid", "points_per_dim")] // 2
+        rows = []
+        for line_no, line in enumerate(text.strip().splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             try:
                 freq_tok, val_tok = line.split(",")
                 freq, val = int(freq_tok), float(val_tok)
-            except ValueError as exc:
-                raise ScenarioError(f"{path}:{line_no}: bad table row {line!r}") from exc
-            if freq not in freq_index:
-                raise ScenarioError(f"{path}:{line_no}: frequency {freq} not on the dual grid")
-            vhat[freq_index[freq]] = val
-        return vhat
+            except ValueError:
+                raise ScenarioError(f"[potential] table {path}:{line_no}: bad table row "
+                                    f"{line!r}") from None
+            if not -half <= freq < half:
+                raise ScenarioError(f"[potential] table {path}:{line_no}: frequency {freq} "
+                                    f"not on the dual grid")
+            rows.append((freq, val))
+        return rows
 
 
 def parse_scenario(text: str, source: str = "") -> Scenario:

@@ -72,7 +72,7 @@ __all__ = [
 ]
 
 # at the cap one dense matrix is 128 MiB; a dense MeanField holds two (K and
-# V(x_i - x_j)), and a pair evolution's two legs share what they have in common
+# V(x_i - x_j)), and each leg of a pair evolution holds its own
 DENSE_SIZE_CAP = 4096
 # an evolution runs dense only where DENSE_COST·n^d <= N²·log2(n^d) (module docstring)
 DENSE_COST = 0.75
@@ -90,7 +90,7 @@ class ScfConfig:
         if not 0.0 < self.mixing <= 1.0:
             raise ValueError(f"mixing must lie in (0, 1], got {self.mixing}")
         if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
+            raise ValueError(f"convergence_tol must be positive, got {self.convergence_tol}")
 
 
 @dataclass
@@ -146,14 +146,11 @@ class MeanField:
     exchange_on drops X(ω) when false (the Hartree flow), keep_trap drops
     V_ext when false (a quench).  X(ω) runs only where the potential
     interacts.  `closure` gives h(ω_source) on field blocks by the path;
-    `fock` and `one_body` are the dense path's matrices.  like, a MeanField
-    alive at the same time (the other leg of a pair evolution), lends its K
-    and V(x_i - x_j) where they are the same matrices.
+    `fock` and `one_body` are the dense path's matrices.
     """
 
     def __init__(self, grid: Grid, potential: PotentialSpec, dispersion: Dispersion,
-                 path: str = "dense", exchange_on: bool = True, keep_trap: bool = True,
-                 like: "MeanField | None" = None):
+                 path: str = "dense", exchange_on: bool = True, keep_trap: bool = True):
         if path not in PATHS:
             raise ValueError(f"path must be one of {PATHS}, got {path!r}")
         self.grid = grid
@@ -169,24 +166,20 @@ class MeanField:
             return
         if grid.size > DENSE_SIZE_CAP:
             raise ValueError(f"grid size {grid.size} exceeds dense cap {DENSE_SIZE_CAP}")
-        lend = like if like is not None and like.path == "dense" and like.grid == grid else None
         # K[i, j] = c[(i - j) mod n] with c = ifftn(symbol), real because the
         # symbol depends on |p| only
-        self._k = (lend._k if lend is not None and lend.dispersion == dispersion
-                   else _circulant(grid, np.fft.ifftn(dispersion.symbol(grid)).real))
+        self._k = _circulant(grid, np.fft.ifftn(dispersion.symbol(grid)).real)
         self._v_lag = None
         if self.exchange:
-            self._v_lag = (lend._v_lag if lend is not None and lend.potential is potential
-                           and lend._v_lag is not None
-                           else _circulant(grid, np.fft.ifftn(potential.vhat_eff).real
-                                           * (grid.size / grid.box_length**grid.dim)))
+            self._v_lag = _circulant(grid, np.fft.ifftn(potential.vhat_eff).real
+                                     * (grid.size / grid.box_length**grid.dim))
         diag = self._k.diagonal()
         self._diag0 = diag.copy() if self.vext is None else diag + self.vext.reshape(-1)
 
     @classmethod
     def for_evolution(cls, grid: Grid, potential: PotentialSpec, dispersion: Dispersion,
                       scheme: str, exchange_on: bool, keep_trap: bool, n_particles: int,
-                      path: str | None = None, like: "MeanField | None" = None) -> "MeanField":
+                      path: str | None = None) -> "MeanField":
         """The MeanField of one evolution; path None picks it by the rule (module docstring).
 
         The inputs are kept as `inputs`, so a stepper can tell whether a
@@ -198,7 +191,7 @@ class MeanField:
                      and potential.has_interaction() and size <= DENSE_SIZE_CAP
                      and DENSE_COST * size <= n_particles**2 * np.log2(size))
             path = "dense" if dense else "pair"
-        mean_field = cls(grid, potential, dispersion, path, exchange_on, keep_trap, like)
+        mean_field = cls(grid, potential, dispersion, path, exchange_on, keep_trap)
         mean_field.inputs = (grid, potential, dispersion, scheme, exchange_on, keep_trap,
                              n_particles)
         return mean_field

@@ -79,6 +79,20 @@ class TestKrylov:
         out = expm_apply_row(np.eye(5), np.zeros(5, dtype=complex), 1.0)
         assert np.all(out == 0)
 
+    def test_unreachable_tolerance_raises(self):
+        # a spectrum of width 1e6 at tau = 1 outruns 64 halvings of the step
+        spectrum = np.linspace(0.0, 1e6, 64)
+        calls = []
+
+        def matvec(rows):
+            calls.append(rows.shape[0])
+            return rows * spectrum
+
+        with pytest.raises(krylov.KrylovError,
+                           match="did not reach tolerance 1e-12 within 64 substeps"):
+            expm_apply_block(matvec, np.ones((1, 64), dtype=complex), 1.0)
+        assert len(calls) == 280
+
 
 def reference_lanczos_block(matvec, v, tau, weight, tol_rows, m_max):
     """The slab-major Lanczos solve with a zeroed (m_max+1, b, n) basis."""
@@ -979,15 +993,15 @@ class TestMeanField:
             assert fresh.inputs[2:6] == (cfg.dispersion, cfg.scheme, cfg.exchange_on,
                                          cfg.keep_trap)
 
-    def test_pair_legs_share_static_matrices(self):
+    def test_pair_legs_carry_their_own_mean_fields(self):
         state = kicked_scf_state(Grid(1, 64, 4.0 * np.pi, 1.0 / 8.0), 8, t_final=4e-3)
         other = replace(state, config=replace(state.config,
                                               dispersion=Dispersion.nonrelativistic(1.0)))
         result = pair_evolve(state, other, "dispersion")
         leg_a, leg_b = (s.mean_field for s in result.state)
         assert leg_a.path == leg_b.path == "dense"
-        assert leg_a._v_lag is leg_b._v_lag
-        assert leg_a._k is not leg_b._k
+        assert (leg_a.dispersion, leg_b.dispersion) == (state.config.dispersion,
+                                                        other.config.dispersion)
         result = pair_evolve(state, replace(state, config=replace(
             state.config, scheme="rk4_frozen_field")), "scheme")
         assert result.state[1].mean_field.path == "pair"

@@ -1,6 +1,8 @@
+import configparser
 import importlib
 import importlib.util
 import string
+import struct
 import tempfile
 from pathlib import Path
 
@@ -11,21 +13,18 @@ from hypothesis.extra.numpy import arrays
 
 from rhflab.cli import main
 from rhflab.containers import (
+    FORMAT_VERSION,
     load_json,
     load_orbitals,
-    load_phase_field,
     read_csv,
     read_orbital_header,
-    read_phase_field_header,
     save_orbitals,
-    save_phase_field,
-    VLASOV_MAGIC,
-    WIGNER_MAGIC,
 )
 from rhflab import scenarios
 from rhflab.grids import Grid
 from rhflab.orbitals import OrbitalSet
 from rhflab.runner import SWEEP_AXES, run, sweep
+from rhflab.diagnostics import PHASE_SAMPLE_COUNT
 from rhflab.scenarios import ScenarioError, load_scenario, parse_scenario
 from rhflab.scf import DENSE_SIZE_CAP
 
@@ -33,6 +32,45 @@ from reference_orbitals import random_orbital_set
 
 SMOKE = "scenarios/smoke_1d.ini"
 REPO = Path(__file__).resolve().parents[1]
+
+# A phase-space container, a format no run writes: magic "WGNR" (Wigner) or
+# "VLSV" (Vlasov), version u32, dim u32, n_x u32, n_v u32, L f64, epsilon f64,
+# then n_x·n_v float64 values (x-major, C order), all little-endian.
+_FIELD_HEADER = struct.Struct("<4sIIIIdd")
+WIGNER_MAGIC = b"WGNR"
+VLASOV_MAGIC = b"VLSV"
+
+
+def save_phase_field(path, values: np.ndarray, box_length: float, epsilon: float,
+                     magic: bytes = WIGNER_MAGIC) -> None:
+    if magic not in (WIGNER_MAGIC, VLASOV_MAGIC):
+        raise ValueError(f"unknown phase-field magic {magic!r}")
+    n_x, n_v = values.shape
+    header = _FIELD_HEADER.pack(magic, FORMAT_VERSION, 1, n_x, n_v, box_length, epsilon)
+    Path(path).write_bytes(header + np.ascontiguousarray(values).astype("<f8").tobytes())
+
+
+def read_phase_field_header(path) -> dict:
+    raw = Path(path).read_bytes()
+    if len(raw) < _FIELD_HEADER.size:
+        raise ValueError(f"{path}: truncated container")
+    magic, version, dim, n_x, n_v, length, eps = _FIELD_HEADER.unpack_from(raw)
+    if magic not in (WIGNER_MAGIC, VLASOV_MAGIC):
+        raise ValueError(f"{path}: bad magic {magic!r}")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported format version {version}")
+    return {
+        "magic": magic.decode(), "version": version, "dim": dim,
+        "n_x": n_x, "n_v": n_v, "box_length": length, "epsilon": eps,
+    }
+
+
+def load_phase_field(path) -> tuple[dict, np.ndarray]:
+    head = read_phase_field_header(path)
+    raw = Path(path).read_bytes()[_FIELD_HEADER.size:]
+    count = head["n_x"] * head["n_v"]
+    values = np.frombuffer(raw, dtype="<f8", count=count).reshape(head["n_x"], head["n_v"])
+    return head, values.copy()
 
 
 def smoke_text(overrides=None, drop=()):
@@ -120,7 +158,9 @@ SCENARIO_VALUES = st.fixed_dictionaries({
     ("scenario", "name"): st.text(string.ascii_letters + string.digits + "_-", min_size=1,
                                   max_size=12),
     ("grid", "dim"): st.integers(1, 3),
-    ("grid", "points_per_dim"): st.integers(2, 512),
+    # every size from 2 to 512, the powers of two (the only valid ones) weighted up
+    ("grid", "points_per_dim"): st.one_of(choice(*(2**k for k in range(1, 10))),
+                                          st.integers(2, 512)),
     ("grid", "box_length"): positive,
     ("model", "n_particles"): st.integers(1, 64),
     ("model", "epsilon"): st.one_of(st.just("auto"), positive),
@@ -149,15 +189,33 @@ SCENARIO_VALUES = st.fixed_dictionaries({
 })
 
 
+def refused_fields(values) -> list[str]:
+    """What `Scenario.validate` refuses in drawn values the strategy can produce."""
+    n, dim = values[("grid", "points_per_dim")], values[("grid", "dim")]
+    kind = values[("preparation", "kind")]
+    refused = []
+    if n & (n - 1):
+        refused.append("points_per_dim")
+    if values[("model", "n_particles")] > n**dim:
+        refused.append("n_particles")
+    if kind == "boosted_fermi_sea" and values[("preparation", "boost_mode")] == 0:
+        refused.append("boost_mode")
+    if values[("diagnostics", "exp_bound")] > 0 and n <= PHASE_SAMPLE_COUNT:
+        refused.append("exp_bound")
+    if kind == "scf" and n**dim > DENSE_SIZE_CAP:
+        refused.append("kind=scf")
+    return refused
+
+
 class TestRoundTripProperties:
     @settings(max_examples=60, deadline=None)
     @given(values=SCENARIO_VALUES, n_steps=st.integers(0, 1000))
     def test_canonical_lines_reparse_to_the_same_hash(self, values, n_steps):
         values[("evolution", "t_final")] = n_steps * values[("evolution", "dt")]
-        size = values[("grid", "points_per_dim")] ** values[("grid", "dim")]
-        if values[("preparation", "kind")] == "scf" and size > DENSE_SIZE_CAP:
-            # no valid scenario to round-trip: the dense SCF is refused
-            with pytest.raises(ScenarioError, match="kind=scf"):
+        refused = refused_fields(values)
+        if refused:
+            # no valid scenario to round-trip: validation names a field it refuses
+            with pytest.raises(ScenarioError, match="|".join(refused)):
                 parse_scenario(smoke_text(values))
             return
         scenario = parse_scenario(smoke_text(values))
@@ -536,6 +594,63 @@ class TestCli:
         assert "kind=scf" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
         assert not (out / "checks").exists()
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({("grid", "points_per_dim"): "48"}, "[grid] points_per_dim"),
+        ({("grid", "dim"): "4", ("preparation", "kind"): "fermi_sea"}, "[grid] dim"),
+        ({("grid", "box_length"): "-1"}, "[grid] box_length"),
+        ({("model", "n_particles"): "0"}, "[model] n_particles"),
+        ({("model", "n_particles"): "100"}, "[model] n_particles"),
+        ({("preparation", "mixing"): "1.5"}, "[preparation] mixing"),
+        ({("preparation", "convergence_tol"): "0"}, "[preparation] convergence_tol"),
+        ({("preparation", "kind"): "boosted_fermi_sea", ("preparation", "boost_mode"): "0"},
+         "[preparation] boost_mode"),
+        ({("evolution", "reortho_every"): "0"}, "[evolution] reortho_every"),
+        ({("grid", "points_per_dim"): "16"}, "[diagnostics] exp_bound"),
+        ({("diagnostics", "conservation"): "-5"}, "[diagnostics] conservation"),
+        ({("potential", "kernel"): "table", ("potential", "table"): "bad_row.csv"},
+         "[potential] table"),
+        ({("potential", "kernel"): "table", ("potential", "table"): "missing.csv"},
+         "[potential] table"),
+    ])
+    def test_unrunnable_scenario_refused_before_any_work(self, tmp_path, capsys,
+                                                         overrides, field):
+        cfg = configparser.ConfigParser(interpolation=None)
+        cfg.read(SMOKE)
+        for (section, key), value in overrides.items():
+            cfg[section][key] = value
+        ini = tmp_path / "bad.ini"
+        with open(ini, "w") as fh:
+            cfg.write(fh)
+        (tmp_path / "bad_row.csv").write_text("0,1.0\n1;0.5\n")
+        out = tmp_path / "out"
+        assert main(["run", str(ini), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        assert not (out / "checks").exists()
+
+    def test_inspect_prints_the_orbital_header(self, tmp_path, capsys, grid32):
+        path = tmp_path / "state.rhfs"
+        save_orbitals(path, random_orbital_set(grid32, 3, seed=102))
+        assert main(["inspect", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            f"magic = RHFS\nversion = 1\ndim = 1\nn = 32\nbox_length = {grid32.box_length}\n"
+            f"epsilon = 0.25\nn_particles = 3\n")
+
+    @pytest.mark.parametrize("content, message", [
+        ("wigner", "bad magic b'WGNR'"), (b"", "truncated container"),
+        (None, "No such file")])
+    def test_inspect_refuses_what_is_not_an_orbital_container(self, tmp_path, capsys,
+                                                              content, message):
+        path = tmp_path / "field.bin"
+        if content == "wigner":
+            save_phase_field(path, np.ones((4, 4)), 2.0 * np.pi, 0.5)
+        elif content is not None:
+            path.write_bytes(content)
+        assert main(["inspect", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
 
     def test_sweep_cli(self, tmp_path):
         assert main(["sweep", SMOKE, "--axis", "coupling", "--values", "0.2,0.4",

@@ -352,12 +352,6 @@ class TestFockMatrix:
             assert not held.flags.writeable
             with pytest.raises(ValueError):
                 held[0, 0] = 1.0
-        # a MeanField alive beside it borrows the matrices they have in common
-        twin = MeanField(grid, pot, Dispersion.nonrelativistic(1.0), like=mean_field)
-        assert twin._v_lag is mean_field._v_lag and twin._k is not mean_field._k
-        other = PotentialSpec(grid, gaussian_vhat(grid, 0.8), coupling=0.7)
-        twin = MeanField(grid, other, disp, like=mean_field)
-        assert twin._k is mean_field._k and twin._v_lag is not mean_field._v_lag
         # the Fock matrix handed out is the caller's own
         h = mean_field.fock(np.eye(grid.size))
         assert h.flags.writeable
