@@ -103,15 +103,22 @@ def trace_norm(op, rank_cap: int = 4096) -> float:
     return float(np.sum(svals))
 
 
-def _one_sided_norm(orbs: OrbitalSet, flat: np.ndarray, a_flat: np.ndarray) -> float:
-    """‖(1-ω)Aω‖₁ from the flattened fields A f_j."""
+def _one_sided_norm(orbs: OrbitalSet, a_stack: np.ndarray) -> np.ndarray:
+    """‖(1-ω)A_k ω‖₁ for each block of flattened fields A_k f_j, shape (K, N, n^d).
+
+    One batched projection, QR and SVD over the K blocks.  a_stack (complex)
+    is overwritten with the residual blocks, so that a stack holds one
+    working copy, not two.
+    """
     dv = orbs.grid.cell_volume
-    coeffs = (flat.conj() @ a_flat.T) * dv          # <f_k, A f_j>
-    resid = a_flat - coeffs.T @ flat                # (1-ω) A f_j
-    # the N×N triangular factor of the tall block carries its singular
+    flat = orbs.orbitals.reshape(orbs.n_particles, -1)
+    coeffs = (flat.conj() @ a_stack.transpose(0, 2, 1)) * dv   # <f_k, A f_j>
+    a_stack -= coeffs.transpose(0, 2, 1) @ flat                 # (1-ω) A f_j
+    # the N×N triangular factor of each tall block carries its singular
     # values; reducing first is cheaper than an SVD of the whole block
-    svals = np.linalg.svd(np.linalg.qr(resid.T, mode="r"), compute_uv=False)
-    return float(np.sum(svals)) * np.sqrt(dv)
+    svals = np.linalg.svd(np.linalg.qr(a_stack.transpose(0, 2, 1), mode="r"),
+                          compute_uv=False)
+    return np.sum(svals, axis=-1) * np.sqrt(dv)
 
 
 def commutator_trace_norm(orbs: OrbitalSet, a_fields: np.ndarray) -> float:
@@ -131,8 +138,8 @@ def commutator_trace_norm(orbs: OrbitalSet, a_fields: np.ndarray) -> float:
     if a_fields.shape != orbs.orbitals.shape:
         raise ValueError(f"fields of shape {a_fields.shape} do not match the "
                          f"orbital block {orbs.orbitals.shape}")
-    flat = orbs.orbitals.reshape(n_part, -1)
-    return 2.0 * _one_sided_norm(orbs, flat, a_fields.reshape(n_part, -1))
+    a_stack = a_fields.astype(complex).reshape(1, n_part, -1)
+    return 2.0 * float(_one_sided_norm(orbs, a_stack)[0])
 
 
 def reorthonormalize(orbs: OrbitalSet, cond_cap: float = 1e8) -> OrbitalSet:

@@ -11,7 +11,8 @@ is equivalent for ω = Σ|f_j><f_j|.  Two schemes:
                         mean field re-evaluated at every stage (cross-check).
 
 One midpoint stepper, `_exponential_midpoint`, serves the grid step (Krylov
-propagator) and `ed.ModeMeanField.step` (dense expm).  One time loop,
+propagator) and `ed.ModeMeanField.step` (the spectral exponential of the
+Hermitian mode-space mean field, one eigh per call).  One time loop,
 `_time_loop`, serves `evolve`, `pair_evolve` and `ed.hf_mode_evolution`: at
 k = 0, every multiple of an observer's cadence and the last step it repairs
 the state (Löwdin, nothing for a pair, the polar factor in `ed`) and samples

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -360,6 +359,9 @@ def sweep(scenario: Scenario, axis: str, values: list, out_root) -> int:
     if n_workers == 1:
         results = [_run_sub(job) for job in jobs]
     else:
+        # imported here: a run that uses no pool does not load the process machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_run_sub, jobs))
 

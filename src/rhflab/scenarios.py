@@ -206,7 +206,7 @@ class Scenario:
                 raise ScenarioError("[potential] kernel=table requires dim=1")
             if not v[("potential", "table")]:
                 raise ScenarioError("missing required field [potential] table")
-            self._table_rows()
+            _owned("potential", PotentialSpec.check_even, self._table_vhat())
         if kind == "scf" and size > DENSE_SIZE_CAP:
             raise ScenarioError(f"[preparation] kind=scf needs a grid of at most "
                                 f"{DENSE_SIZE_CAP} points (dense SCF), got {size}")
@@ -251,9 +251,7 @@ class Scenario:
         if kernel == "gaussian":
             vhat = gaussian_vhat(grid, self.values[("potential", "width")])
         elif kernel == "table":
-            vhat = np.zeros(grid.shape)
-            for freq, val in self._table_rows():
-                vhat[freq % grid.n] = val  # FFT layout: frequency m sits at index m mod n
+            vhat = self._table_vhat()
         else:
             vhat = np.zeros(grid.shape)
         vext = None
@@ -262,8 +260,9 @@ class Scenario:
         return PotentialSpec(grid, vhat, vext=vext,
                              coupling=self.values[("potential", "coupling")])
 
-    def _table_rows(self) -> list[tuple[int, float]]:
-        """The (frequency, V̂) rows of the table file, each frequency on the dual grid."""
+    def _table_vhat(self) -> np.ndarray:
+        """The 1D V̂ of the table file on the dual grid (FFT layout), zero where
+        no row sets it; each row's frequency must lie on the dual grid."""
         path = Path(self.values[("potential", "table")])
         if not path.is_absolute() and self.source:
             path = Path(self.source).parent / path
@@ -271,8 +270,9 @@ class Scenario:
             text = path.read_text()
         except OSError as exc:
             raise ScenarioError(f"[potential] table {path}: {exc.strerror or exc}") from None
-        half = self.values[("grid", "points_per_dim")] // 2
-        rows = []
+        n = self.values[("grid", "points_per_dim")]
+        half = n // 2
+        vhat = np.zeros(n)
         for line_no, line in enumerate(text.strip().splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -286,8 +286,8 @@ class Scenario:
             if not -half <= freq < half:
                 raise ScenarioError(f"[potential] table {path}:{line_no}: frequency {freq} "
                                     f"not on the dual grid")
-            rows.append((freq, val))
-        return rows
+            vhat[freq % n] = val  # FFT layout: frequency m sits at index m mod n
+        return vhat
 
 
 def parse_scenario(text: str, source: str = "") -> Scenario:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from rhflab.ed import (
     FockBasis,
     ModeMeanField,
+    _hermitian_exponential,
     _interaction_table,
     build_hamiltonian,
     evolve_exact,
@@ -15,6 +17,7 @@ from rhflab.ed import (
     mean_field_gap,
 )
 from rhflab.grids import Dispersion
+from rhflab.propagate import _exponential_midpoint
 
 L = 2.0 * np.pi
 
@@ -463,8 +466,6 @@ class TestEvolveExact:
         assert abs(e1 - e0) <= 1e-9 * max(1.0, abs(e0))
 
     def test_matches_dense_expm(self):
-        import scipy.linalg
-
         basis = FockBasis(6, 2, L)
         h = build_hamiltonian(basis, Dispersion.relativistic(1.0), 1.0,
                               gauss_vhat(), coupling=0.5)
@@ -655,3 +656,38 @@ class TestHfModeEnergy:
         gamma /= np.trace(gamma).real / 3.0
         h = mf.mean_field(gamma)
         assert np.max(np.abs(h - h.conj().T)) <= 1e-12
+
+
+class TestModeExponential:
+    """The spectral step of ModeMeanField against the Padé exponential (expm).
+
+    A plane-wave Fermi sea keeps h diagonal to rounding; superposed modes
+    make it dense, the case criterion 8 never reaches.
+    """
+
+    dt = 0.05
+
+    @pytest.fixture
+    def case(self):
+        basis = FockBasis(16, 3, L)
+        mf = ModeMeanField(basis, Dispersion.relativistic(1.0), 0.5, gauss_vhat(), 4.0)
+        rng = np.random.default_rng(97)
+        q, _ = np.linalg.qr(rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3)))
+        orbitals = q.T.copy()
+        h = mf.mean_field(mf.gamma_of(orbitals))
+        assert np.max(np.abs(h - np.diag(h.diagonal()))) > 1e-2
+        return mf, orbitals, h
+
+    def test_step_matches_expm(self, case):
+        mf, orbitals, _ = case
+        eps = mf.epsilon
+        ref = _exponential_midpoint(
+            orbitals, lambda rows: mf.mean_field(mf.gamma_of(rows)),
+            lambda h, phi, tau: phi @ scipy.linalg.expm(-1j * tau * h / eps).T, self.dt)
+        assert np.max(np.abs(mf.step(orbitals, self.dt) - ref)) <= 1e-13
+
+    def test_propagator_unitary(self, case):
+        mf, _, h = case
+        u = _hermitian_exponential(h, self.dt / mf.epsilon)
+        assert np.max(np.abs(u @ u.conj().T - np.eye(16))) <= 1e-14
+        assert np.max(np.abs(u - scipy.linalg.expm(-1j * self.dt * h / mf.epsilon))) <= 1e-13

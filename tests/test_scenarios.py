@@ -1,8 +1,11 @@
 import configparser
 import importlib
 import importlib.util
+import os
 import string
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -20,6 +23,7 @@ from rhflab.containers import (
     read_orbital_header,
     save_orbitals,
 )
+import rhflab
 from rhflab import scenarios
 from rhflab.grids import Grid
 from rhflab.orbitals import OrbitalSet
@@ -383,10 +387,8 @@ class TestScenarioParse:
         table.write_text("1,0.5\n")
         text = smoke_text({("potential", "kernel"): "table",
                            ("potential", "table"): str(table)})
-        scenario = parse_scenario(text)
-        grid = scenario.build_grid()
-        with pytest.raises(ValueError, match="even"):
-            scenario.build_potential(grid)
+        with pytest.raises(ScenarioError, match=r"\[potential\] vhat must be even"):
+            parse_scenario(text)
 
 
 class TestRunner:
@@ -612,6 +614,8 @@ class TestCli:
          "[potential] table"),
         ({("potential", "kernel"): "table", ("potential", "table"): "missing.csv"},
          "[potential] table"),
+        ({("potential", "kernel"): "table", ("potential", "table"): "odd.csv"},
+         "[potential] vhat must be even"),
     ])
     def test_unrunnable_scenario_refused_before_any_work(self, tmp_path, capsys,
                                                          overrides, field):
@@ -623,11 +627,29 @@ class TestCli:
         with open(ini, "w") as fh:
             cfg.write(fh)
         (tmp_path / "bad_row.csv").write_text("0,1.0\n1;0.5\n")
+        (tmp_path / "odd.csv").write_text("0,1.0\n1,0.5\n")
         out = tmp_path / "out"
         assert main(["run", str(ini), "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
         assert not (out / "checks").exists()
+
+    def test_imports_load_no_linalg_and_no_process_pool(self):
+        # a fresh interpreter: this suite's own imports must not hide a load
+        code = ("import importlib, pkgutil, sys\n"
+                "import rhflab.cli\n"
+                "print('scipy.sparse' in sys.modules)\n"
+                "import rhflab\n"
+                "for module in pkgutil.iter_modules(rhflab.__path__):\n"
+                "    importlib.import_module('rhflab.' + module.name)\n"
+                "print(sorted(m for m in ('scipy.linalg', 'concurrent.futures.process')\n"
+                "             if m in sys.modules))\n")
+        src = str(Path(rhflab.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.split("\n")[:2] == ["False", "[]"]
 
     def test_inspect_prints_the_orbital_header(self, tmp_path, capsys, grid32):
         path = tmp_path / "state.rhfs"
