@@ -4,6 +4,7 @@
     python3 scripts/bench_trajectory.py LABEL --against DIR [--checkout DIR] [--seed 0]
         [--seconds 40]
     python3 scripts/bench_trajectory.py LABEL --crossover [--checkout DIR]
+    python3 scripts/bench_trajectory.py LABEL --layers [--checkout DIR]
 
 For each workload in BENCHMARK.json the first form runs, in the checkout DIR
 (by default the repository holding this script),
@@ -38,9 +39,18 @@ the checkout's commit and the host's CPU count and versions, is appended
 to the list `crossover` of BENCH_<LABEL>.json, so every run made stays on
 record; the file's other keys are kept.
 
+The fourth form times layers of the checkout by perfbench's layer names,
+at one BLAS thread, on the crossover's trapped 1D setup at n = LAYER_N and
+N in LAYER_PARTICLES: ms per `scf.scf_minimize`, and ms per energy of its
+ground state by `scf.hf_energy` and by `scf.MeanField.energy` on the dense
+path, given the real ω/N the SCF holds.  Each repetition runs every layer once, interleaved, and
+the run records per N and layer the median and quartiles of LAYER_REPS
+repetitions.  The run is appended to the list `layers` of
+BENCH_<LABEL>.json, as `--crossover` appends to `crossover`.
+
 The first two forms rewrite every key of BENCH_<LABEL>.json but
-`crossover`: the machine, the commits and the workloads are those of the
-runs just made.
+`crossover` and `layers`: the machine, the commits and the workloads are
+those of the runs just made.
 """
 
 from __future__ import annotations
@@ -61,7 +71,12 @@ CROSSOVER_NS = (64, 128, 256)
 CROSSOVER_PARTICLES = (2, 4, 8, 16)
 CROSSOVER_2D = ((32, 8), (64, 8))  # (n per axis, N)
 CROSSOVER_REPS = 7
+LAYER_N = 256
+LAYER_PARTICLES = (8, 16, 32)
+LAYER_REPS = 9
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# kept across runs of every form: each --crossover or --layers run is appended
+RECORD_LISTS = ("crossover", "layers")
 
 
 def run_workload(checkout: Path, name: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -122,11 +137,24 @@ def compare_pairs(change: Path, parent: Path, name: str, seed: int,
     return machine, {"pairs": runs, "summary": summary}
 
 
-def crossover(checkout: Path) -> dict:
-    """One crossover run: ms per midpoint step on each path (module docstring)."""
+def load_checkout(checkout: Path) -> None:
+    """Make the checkout's rhflab importable at one BLAS thread."""
     for name in BLAS_THREAD_VARS:  # read when numpy loads its BLAS
         os.environ[name] = "1"
     sys.path.insert(0, str(checkout / "src"))
+
+
+def host_record(checkout: Path) -> dict:
+    import numpy as np
+
+    return {"commit": commit_of(checkout),
+            "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                     "numpy": np.__version__}}
+
+
+def crossover(checkout: Path) -> dict:
+    """One crossover run: ms per midpoint step on each path (module docstring)."""
+    load_checkout(checkout)
     import time
 
     import numpy as np
@@ -155,10 +183,8 @@ def crossover(checkout: Path) -> dict:
 
     cases = [(1, n, n_part) for n in CROSSOVER_NS for n_part in CROSSOVER_PARTICLES]
     cases += [(2, n, n_part) for n, n_part in CROSSOVER_2D]
-    block = {"commit": commit_of(checkout),
-             "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                      "numpy": np.__version__},
-             "reps": CROSSOVER_REPS, "dt": 1e-3, "dense_cost": scf.DENSE_COST, "cases": []}
+    block = dict(host_record(checkout), reps=CROSSOVER_REPS, dt=1e-3,
+                 dense_cost=scf.DENSE_COST, cases=[])
     for dim, n, n_part in cases:
         grid, pot = setup(dim, n, n_part)
         kick = np.exp(1j * sum(2.0 * np.pi / grid.box_length * x for x in grid.x_mesh))
@@ -187,6 +213,51 @@ def crossover(checkout: Path) -> dict:
             + f"; rule picks {case['rule']}")
     block["fit"] = fit_dense_cost(block["cases"])
     print(f"crossover fit: {block['fit']}")
+    return block
+
+
+def layers(checkout: Path) -> dict:
+    """One layers run: ms per SCF and per energy evaluation (module docstring)."""
+    load_checkout(checkout)
+    import time
+
+    import numpy as np
+    from rhflab import scf
+    from rhflab.grids import Dispersion, Grid, PotentialSpec, gaussian_vhat, harmonic_trap
+    from rhflab.orbitals import OrbitalSet
+
+    disp = Dispersion.relativistic(1.0)
+    block = dict(host_record(checkout), reps=LAYER_REPS, n=LAYER_N, cases=[])
+    for n_part in LAYER_PARTICLES:
+        grid = Grid(1, LAYER_N, 4.0 * np.pi, 1.0 / n_part)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
+                            coupling=0.5)
+        config = scf.ScfConfig()
+        res = scf.scf_minimize(grid, pot, n_part, disp, config)
+        phi = res.orbitals.orbitals.real.copy()
+        orbs = OrbitalSet(phi, grid, validate=False)
+        omega_n = scf._density_matrix_per_particle(phi, grid)
+        mean_field = scf.MeanField(grid, pot, disp)
+        calls = {
+            "scf.scf_minimize": lambda: scf.scf_minimize(grid, pot, n_part, disp, config),
+            "scf.hf_energy": lambda: scf.hf_energy(orbs, pot, disp),
+            "scf.MeanField.energy": lambda: mean_field.energy(phi, omega_n),
+        }
+        times = {name: [] for name in calls}
+        for call in calls.values():  # warm-up
+            call()
+        for _ in range(LAYER_REPS):
+            for name, call in calls.items():
+                start = time.perf_counter()
+                call()
+                times[name].append(1e3 * (time.perf_counter() - start))
+        hf, dense = calls["scf.hf_energy"](), calls["scf.MeanField.energy"]()
+        case = {"N": n_part, "scf_iterations": res.iterations,
+                "energy_rel_diff": abs(dense - hf) / abs(hf),
+                "ms": {name: summarize(ms) for name, ms in times.items()}}
+        block["cases"].append(case)
+        print(f"layers n={LAYER_N} N={n_part}: " + ", ".join(
+            f"{name} {stats['median']:.3g} ms" for name, stats in case["ms"].items()))
     return block
 
 
@@ -243,20 +314,23 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=40.0)
     ap.add_argument("--against", type=Path, default=None,
                     help="checkout of the parent to alternate runs with")
-    ap.add_argument("--crossover", action="store_true",
-                    help="time one step on each mean-field path in place of the workloads")
+    form = ap.add_mutually_exclusive_group()
+    form.add_argument("--crossover", action="store_true",
+                      help="time one step on each mean-field path in place of the workloads")
+    form.add_argument("--layers", action="store_true",
+                      help="time the SCF and energy layers in place of the workloads")
     args = ap.parse_args(argv)
     checkout = args.checkout.resolve()
     out = ROOT / f"BENCH_{args.label}.json"
     old = json.loads(out.read_text()) if out.exists() else {}
-    if args.crossover:
+    if args.crossover or args.layers:
+        key, run = ("crossover", crossover) if args.crossover else ("layers", layers)
         record = dict(old, label=args.label)
-        record["crossover"] = old.get("crossover", []) + [crossover(checkout)]
+        record[key] = old.get(key, []) + [run(checkout)]
     else:
-        # the crossover runs are kept; every other key is the runs made now
+        # the crossover and layers runs are kept; every other key is the runs made now
         record = workload_record(args, checkout)
-        if "crossover" in old:
-            record["crossover"] = old["crossover"]
+        record.update((key, old[key]) for key in RECORD_LISTS if key in old)
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
     return 0

@@ -6,8 +6,9 @@ Binary layout (all little-endian), documented in docs/FORMATS.md:
                      epsilon f64, N u32, then N·n^dim complex128 values
                      (orbital-major, C order).
 
-Floating-point text output is printed with 17 significant digits so re-runs
-round-trip bit-faithfully.
+Floating-point text output reads back to the same double, so re-runs
+round-trip bit-faithfully: CSV floats are printed with 17 significant
+digits, JSON floats as the shortest repr of the double.
 """
 
 from __future__ import annotations
@@ -42,7 +43,12 @@ def save_orbitals(path, orbs: OrbitalSet) -> None:
 
 
 def read_orbital_header(path) -> dict:
-    raw = Path(path).read_bytes()
+    """The header fields of an orbital container, from its first bytes only."""
+    with open(path, "rb") as fh:
+        return _parse_orbital_header(path, fh.read(_ORBITAL_HEADER.size))
+
+
+def _parse_orbital_header(path, raw: bytes) -> dict:
     if len(raw) < _ORBITAL_HEADER.size:
         raise ValueError(f"{path}: truncated container")
     magic, version, dim, n, length, eps, n_particles = _ORBITAL_HEADER.unpack_from(raw)
@@ -57,11 +63,14 @@ def read_orbital_header(path) -> dict:
 
 
 def load_orbitals(path) -> OrbitalSet:
-    head = read_orbital_header(path)
-    raw = Path(path).read_bytes()[_ORBITAL_HEADER.size:]
+    raw = Path(path).read_bytes()
+    head = _parse_orbital_header(path, raw)
     grid = Grid(head["dim"], head["n"], head["box_length"], head["epsilon"])
     count = head["n_particles"] * grid.size
-    data = np.frombuffer(raw, dtype="<c16", count=count).astype(complex)
+    if len(raw) < _ORBITAL_HEADER.size + 16 * count:
+        raise ValueError(f"{path}: truncated container")
+    data = np.frombuffer(raw, dtype="<c16", count=count,
+                         offset=_ORBITAL_HEADER.size).astype(complex)
     return OrbitalSet(data.reshape(head["n_particles"], *grid.shape), grid, validate=False)
 
 
@@ -87,23 +96,24 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     return header, [ln.split(",") for ln in lines[1:]]
 
 
-def _round17(obj):
+def _plain(obj):
+    """obj with numpy scalars and arrays as the Python values json writes."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (float, np.floating)):
-        return float(fmt17(obj))
+        return float(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, dict):
-        return {k: _round17(v) for k, v in obj.items()}
+        return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_round17(v) for v in obj]
+        return [_plain(v) for v in obj]
     return obj
 
 
 def dump_json(path, obj) -> None:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    Path(path).write_text(json.dumps(_round17(obj), sort_keys=True, indent=2) + "\n")
+    """Deterministic JSON: sorted keys, each float as the shortest repr of its double."""
+    Path(path).write_text(json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n")
 
 
 def load_json(path):

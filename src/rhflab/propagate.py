@@ -24,11 +24,12 @@ array; the rule and the forms are in the `scf` module docstring.  `step`
 builds it on first use from the state's grid, potential, config
 (dispersion, scheme, exchange_on, keep_trap) and N, and carries it on the
 state it returns, so an evolution builds it once and a bare SimState steps
-as well.  A state whose potential or those config fields differ from the
-MeanField's inputs gets a fresh one.  On the dense path the MeanField owns
-K and V(x_i - x_j), so they live as long as the states that carry it; a
-flow on the FFT path holds neither.  Each leg of a `pair_evolve` builds its
-own at its first step, as `evolve` does.
+as well; `runner.run` seeds its initial state with it, so that the t = 0
+samples read the same MeanField.  A state whose potential or those config
+fields differ from the MeanField's inputs gets a fresh one.  On the dense
+path the MeanField owns K and V(x_i - x_j), so they live as long as the
+states that carry it; a flow on the FFT path holds neither.  Each leg of a
+`pair_evolve` builds its own at its first step, as `evolve` does.
 """
 
 from __future__ import annotations

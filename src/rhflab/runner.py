@@ -38,7 +38,7 @@ from .grids import potential_moment_refinement_check
 from .orbitals import OrbitalSet, boosted_fermi_sea, fermi_sea, hs_distance_squared, seam_mass
 from .propagate import Observer, SimState, evolve
 from .scenarios import Scenario
-from .scf import hf_energy, scf_minimize
+from .scf import MeanField, scf_minimize
 
 __all__ = ["RunResult", "run", "sweep", "WORKERS_ENV"]
 
@@ -109,7 +109,12 @@ def run(scenario: Scenario, out_dir) -> RunResult:
     _write_sidecar(out_dir / "initial_state.rhfs", 0.0, config_hash)
 
     config = scenario.build_evolution_config(dispersion)
-    state = SimState(time=0.0, orbitals=orbitals, potential=potential, config=config)
+    # the evolution's one MeanField, built before t = 0 so that every sample reads it
+    mean_field = MeanField.for_evolution(orbitals.grid, potential, config.dispersion,
+                                         config.scheme, config.exchange_on, config.keep_trap,
+                                         orbitals.n_particles)
+    state = SimState(time=0.0, orbitals=orbitals, potential=potential, config=config,
+                     mean_field=mean_field)
 
     observers, reports = _build_observers(scenario, grid, potential, dispersion, out_dir,
                                           config_hash)
@@ -173,12 +178,9 @@ def _build_observers(scenario: Scenario, grid, potential, dispersion, out_dir: P
 
     if diag("conservation") > 0:
         def conservation(state: SimState) -> dict:
-            cfg = state.config
             return {
-                # the functional conserved by the active flow
-                "energy": hf_energy(state.orbitals, state.potential, cfg.dispersion,
-                                    include_vext=cfg.keep_trap,
-                                    exchange_on=cfg.exchange_on),
+                # the functional conserved by the active flow, in its MeanField's form
+                "energy": state.mean_field.energy(state.orbitals.orbitals),
                 "trace": float(state.orbitals.n_particles),
                 "gram_deviation": state.last_gram_deviation,
                 "projection_residual": state.last_projection_residual,

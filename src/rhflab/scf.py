@@ -38,6 +38,14 @@ and, for an evolution, the scheme and N that pick one of its two paths once
          term as a local field, the exchange as one FFT pair over the
          (B, N, n^d) array of products conj(f_k)·g_b.
 
+`MeanField.energy` is the energy of the functional a MeanField serves (V_ext
+with keep_trap, the exchange where X runs).  The dense path reads it in one
+pass from K, V_ext, V(x_i - x_j) and ω/N; the pair path returns `hf_energy`,
+which transforms the N(N+1)/2 orbital pair products.  The SCF takes every
+iterate's energy from its MeanField and the ω/N it already holds for mixing,
+and a run's conservation samples read the evolution's MeanField, so a dense
+run's energies differ from `hf_energy` at rounding only.
+
 An evolution runs dense when all of these hold: the scheme is exponential
 midpoint (one Fock build serves the ~16 matvecs of a step), exchange is on
 and the potential interacts, n^d <= DENSE_SIZE_CAP, and
@@ -112,10 +120,11 @@ def hf_energy(orbs: OrbitalSet, potential: PotentialSpec, dispersion: Dispersion
     """tr[(K + V_ext) ω] + (2N)^{-1} ∬ V(x-y)(ω(x,x)ω(y,y) - |ω(x,y)|^2).
 
     Direct term computed spectrally from ρ; exchange (1/2) Σ_j <f_j, X f_j> as
-    (2N n^d)^{-1} Σ_{jk} Σ_p V̂(p) |FFT(conj(f_k) f_j)(p)|² dv, all N² pair
-    transforms in one batch.  The flags select the functional conserved by the
-    active flow: a quench drops V_ext, the Hartree equation drops the exchange
-    term.
+    (2N n^d)^{-1} Σ_{jk} Σ_p V̂(p) |FFT(conj(f_k) f_j)(p)|² dv, from the
+    N(N+1)/2 pair transforms k <= j in one batch.  The flags select the
+    functional conserved by the active flow: a quench drops V_ext, the Hartree
+    equation drops the exchange term.  This is the FFT path's form of
+    `MeanField.energy`.
     """
     grid = orbs.grid
     dv = grid.cell_volume
@@ -145,8 +154,9 @@ class MeanField:
 
     exchange_on drops X(ω) when false (the Hartree flow), keep_trap drops
     V_ext when false (a quench).  X(ω) runs only where the potential
-    interacts.  `closure` gives h(ω_source) on field blocks by the path;
-    `fock` and `one_body` are the dense path's matrices.
+    interacts.  `closure` gives h(ω_source) on field blocks by the path and
+    `energy` the energy of that functional; `fock` and `one_body` are the
+    dense path's matrices.
     """
 
     def __init__(self, grid: Grid, potential: PotentialSpec, dispersion: Dispersion,
@@ -228,6 +238,41 @@ class MeanField:
         np.fill_diagonal(h, diag)
         return h
 
+    def energy(self, phi: np.ndarray, omega_n: np.ndarray | None = None) -> float:
+        """The energy of the functional this MeanField serves, at the orbitals phi.
+
+        V_ext counts with keep_trap and the exchange where X runs, as in
+        `hf_energy` with those flags, which the pair path returns.  The dense
+        path reads K, V_ext and V(x_i - x_j) against omega_n, the ω/N of phi
+        (`_density_matrix_per_particle`, formed here when not given, never
+        written): N·(Σ K∘Re(ω/N) + Σ V_ext·diag(ω/N) + direct
+        - ½Σ V(x_i - x_j)·|ω/N|²), the direct term from ρ as in `hf_energy`.
+        """
+        grid = self.grid
+        if self.path != "dense":
+            return hf_energy(OrbitalSet(phi, grid, validate=False), self.potential,
+                             self.dispersion, include_vext=self.vext is not None,
+                             exchange_on=self.exchange)
+        if omega_n is None:
+            omega_n = _density_matrix_per_particle(phi, grid)
+        dv = grid.cell_volume
+        diag = omega_n.diagonal().real
+        # K is real symmetric and ω Hermitian, so tr(Kω) reads Re(ω) only
+        one_body = np.einsum("ij,ij->", self._k, omega_n.real)
+        if self.vext is not None:
+            one_body += np.dot(self.vext.reshape(-1), diag)
+        rho = diag / dv
+        v_rho = convolve_potential(rho.reshape(grid.shape), grid, self.potential)
+        direct = 0.5 * np.dot(v_rho.reshape(-1), rho) * dv
+        exchange = 0.0
+        if self._v_lag is not None:
+            # |ω/N|² summed over the real and imaginary parts, each read in place
+            parts = ((omega_n.real, omega_n.imag) if np.iscomplexobj(omega_n)
+                     else (omega_n,))
+            exchange = 0.5 * sum(np.einsum("ij,ij,ij->", self._v_lag, part, part)
+                                 for part in parts)
+        return float(phi.shape[0] * (one_body + direct - exchange))
+
     def closure(self, source: np.ndarray):
         """h(ω_source) as a block closure on (B, *shape) field stacks."""
         grid = self.grid
@@ -301,9 +346,10 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
     # K and V(x_i - x_j) live as long as this call
     mean_field = MeanField(grid, potential, dispersion)
     phi = _occupy(mean_field.one_body(), n_particles, grid, True, None)
-    energy = hf_energy(OrbitalSet(phi, grid, validate=False), potential, dispersion)
-    # density matrices are mixed and held as ω/N, the form MeanField.fock builds in
+    # density matrices are mixed and held as ω/N, the form MeanField.fock
+    # builds in and MeanField.energy reads
     dmat = _density_matrix_per_particle(phi, grid)
+    energy = mean_field.energy(phi, dmat)
     d_mix = dmat
 
     energies = [energy]
@@ -321,8 +367,8 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
         h = mean_field.fock(d_mix.copy())
         residuals.append(_commutator_norm(h, phi, grid))
         phi = _occupy(h, n_particles, grid, config.aufbau, phi)
-        new_energy = hf_energy(OrbitalSet(phi, grid, validate=False), potential, dispersion)
         dmat = _density_matrix_per_particle(phi, grid)
+        new_energy = mean_field.energy(phi, dmat)
         energies.append(new_energy)
         if new_energy < best[0]:
             best = (new_energy, phi)

@@ -1,5 +1,6 @@
 import configparser
 import importlib
+import json
 import importlib.util
 import os
 import string
@@ -17,6 +18,7 @@ from hypothesis.extra.numpy import arrays
 from rhflab.cli import main
 from rhflab.containers import (
     FORMAT_VERSION,
+    dump_json,
     load_json,
     load_orbitals,
     read_csv,
@@ -30,7 +32,8 @@ from rhflab.orbitals import OrbitalSet
 from rhflab.runner import SWEEP_AXES, run, sweep
 from rhflab.diagnostics import PHASE_SAMPLE_COUNT
 from rhflab.scenarios import ScenarioError, load_scenario, parse_scenario
-from rhflab.scf import DENSE_SIZE_CAP
+from rhflab import scf
+from rhflab.scf import DENSE_SIZE_CAP, hf_energy
 
 from reference_orbitals import random_orbital_set
 
@@ -298,6 +301,43 @@ class TestContainers:
         with pytest.raises(ValueError, match="magic"):
             read_orbital_header(path)
 
+    def test_short_data_section_refused(self, tmp_path, grid32):
+        path = tmp_path / "state.rhfs"
+        save_orbitals(path, random_orbital_set(grid32, 3, seed=102))
+        path.write_bytes(path.read_bytes()[:-8])
+        # the header alone is whole
+        assert read_orbital_header(path)["n_particles"] == 3
+        with pytest.raises(ValueError, match="truncated container"):
+            load_orbitals(path)
+        path.write_bytes(path.read_bytes()[:20])
+        for read in (read_orbital_header, load_orbitals):
+            with pytest.raises(ValueError, match="truncated container"):
+                read(path)
+
+    def test_json_floats_match_17_digit_form(self, tmp_path):
+        # JSON floats were once passed through %.17g before json wrote their
+        # repr; that round trip returns the same double, so the bytes agree
+        def round17(obj):
+            if isinstance(obj, (float, np.floating)):
+                return float(format(float(obj), ".17g"))
+            if isinstance(obj, dict):
+                return {k: round17(v) for k, v in obj.items()}
+            if isinstance(obj, (list, tuple, np.ndarray)):
+                return [round17(v) for v in obj]
+            return obj
+
+        rng = np.random.default_rng(103)
+        bits = rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64)
+        awkward = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                   0.1, 1 / 3, float("inf"), float("-inf"), float("nan")]
+        payload = {"bits": bits, "awkward": awkward,
+                   "float32": [np.float32(0.1), np.float32(1 / 3), np.float32(-1e-45),
+                               np.float32(3.4028235e38)],
+                   "scalar": np.float64(2.0 / 3.0)}
+        dump_json(tmp_path / "report.json", payload)
+        old = json.dumps(round17(payload), sort_keys=True, indent=2) + "\n"
+        assert (tmp_path / "report.json").read_text() == old
+
     def test_phase_field_round_trip(self, tmp_path):
         rng = np.random.default_rng(101)
         values = rng.standard_normal((16, 8))
@@ -453,6 +493,41 @@ class TestRunner:
         assert result.exit_code == 1
         manifest = load_json(tmp_path / "out" / "manifest.json")
         assert manifest["checks"]["scf_converged"] is False
+
+    def test_dense_run_conservation_reads_the_evolution_mean_field(self, tmp_path,
+                                                                     monkeypatch):
+        # the runner builds the evolution's dense MeanField before t = 0; the
+        # SCF builds K and V(x_i - x_j) once, the evolution once, and every
+        # conservation sample is hf_energy of the sampled (checkpointed) state
+        built = []
+        circulant = scf._circulant
+        monkeypatch.setattr(scf, "_circulant", lambda *args: built.append(1) or circulant(*args))
+        text = smoke_text({
+            ("grid", "points_per_dim"): 64,
+            ("model", "n_particles"): 8,
+            ("potential", "trap"): "harmonic",
+            ("preparation", "kind"): "scf",
+            ("diagnostics", "conservation"): 1,
+            ("diagnostics", "checkpoint"): 1,
+        })
+        scenario = parse_scenario(text)
+        out = tmp_path / "out"
+        result = run(scenario, out)
+        assert result.exit_code == 0
+        assert len(built) == 4
+        grid = scenario.build_grid()
+        potential = scenario.build_potential(grid)
+        assert scf.MeanField.for_evolution(
+            grid, potential, scenario.build_dispersion(), "exponential_midpoint", True, False,
+            8).path == "dense"
+        header, rows = read_csv(out / "conservation.csv")
+        energies = [float(row[header.index("energy")]) for row in rows]
+        states = sorted((out / "checkpoints").glob("*.rhfs"))
+        assert len(states) == len(energies) == 6
+        for path, energy in zip(states, energies):
+            ref = hf_energy(load_orbitals(path), potential, scenario.build_dispersion(),
+                            include_vext=False)
+            assert abs(energy - ref) <= 1e-13 * abs(ref)
 
     def test_rerun_byte_identical(self, tmp_path):
         scenario = load_scenario(SMOKE)

@@ -357,6 +357,80 @@ class TestFockMatrix:
         assert h.flags.writeable
 
 
+class TestMeanFieldEnergy:
+    """MeanField.energy on each path against hf_energy with the MeanField's flags."""
+
+    GRIDS = [(Grid(1, 64, 4.0 * np.pi, 1.0 / 6.0), 6), (Grid(1, 256, 4.0 * np.pi, 1.0 / 8.0), 8),
+             (Grid(2, 16, 4.0 * np.pi, 0.2), 5)]
+
+    @staticmethod
+    def states(grid, n_part):
+        """A real SCF state (the SCF's ω) and the same state kicked (a complex ω)."""
+        disp = Dispersion.relativistic(1.0)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
+                            coupling=0.5)
+        phi = scf_minimize(grid, pot, n_part, disp, ScfConfig(max_iterations=40)).orbitals
+        kick = plane_wave(grid, [1] * grid.dim) * grid.box_length ** (grid.dim / 2.0)
+        real = phi.orbitals.real.copy()
+        assert np.array_equal(real, phi.orbitals)
+        return real, phi.orbitals * kick
+
+    @pytest.mark.parametrize("grid, n_part", GRIDS)
+    @pytest.mark.parametrize("coupling", [0.0, 0.5])
+    def test_dense_matches_hf_energy(self, grid, n_part, coupling):
+        disp = Dispersion.relativistic(1.0)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
+                            coupling=coupling)
+        for phi in self.states(grid, n_part):
+            orbs = OrbitalSet(phi, grid, validate=False)
+            omega_n = scf._density_matrix_per_particle(phi, grid)
+            held = omega_n.copy()
+            for keep_trap in (False, True):
+                for exchange_on in (False, True):
+                    mean_field = MeanField(grid, pot, disp, exchange_on=exchange_on,
+                                           keep_trap=keep_trap)
+                    ref = hf_energy(orbs, pot, disp, include_vext=keep_trap,
+                                    exchange_on=exchange_on)
+                    for got in (mean_field.energy(phi), mean_field.energy(phi, omega_n)):
+                        assert abs(got - ref) <= 1e-13 * abs(ref)
+            # ω/N is read, never written
+            assert np.array_equal(omega_n, held)
+
+    @pytest.mark.parametrize("grid, n_part", GRIDS[::2])
+    def test_pair_path_is_hf_energy(self, grid, n_part):
+        disp = Dispersion.relativistic(1.0)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
+                            coupling=0.5)
+        for phi in self.states(grid, n_part):
+            orbs = OrbitalSet(phi, grid, validate=False)
+            for keep_trap in (False, True):
+                for exchange_on in (False, True):
+                    mean_field = MeanField(grid, pot, disp, path="pair",
+                                           exchange_on=exchange_on, keep_trap=keep_trap)
+                    assert mean_field.energy(phi) == hf_energy(
+                        orbs, pot, disp, include_vext=keep_trap, exchange_on=exchange_on)
+
+    def test_allocates_no_further_dense_matrix(self):
+        # beyond the ω/N it forms, the dense energy holds no n^d×n^d array
+        import tracemalloc
+
+        grid, n_part = self.GRIDS[1]
+        disp = Dispersion.relativistic(1.0)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
+                            coupling=0.5)
+        mean_field = MeanField(grid, pot, disp)
+        for phi in self.states(grid, n_part):
+            omega_n = scf._density_matrix_per_particle(phi, grid)
+            for given, allowed in ((omega_n, 0), (None, omega_n.nbytes)):
+                tracemalloc.start()
+                try:
+                    mean_field.energy(phi, given)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < allowed + 4 * grid.size * 8 * n_part
+
+
 class TestDenseOneBodyMatrix:
     """The real circulant K against K applied by FFT to every unit vector."""
 
