@@ -43,10 +43,10 @@ The fourth form times layers of the checkout by perfbench's layer names,
 at one BLAS thread, on the crossover's trapped 1D setup at n = LAYER_N and
 N in LAYER_PARTICLES: ms per `scf.scf_minimize`, and ms per energy of its
 ground state by `scf.hf_energy` and by `scf.MeanField.energy` on the dense
-path, given the real ω/N the SCF holds.  Each repetition runs every layer once, interleaved, and
-the run records per N and layer the median and quartiles of LAYER_REPS
-repetitions.  The run is appended to the list `layers` of
-BENCH_<LABEL>.json, as `--crossover` appends to `crossover`.
+path, given the real ω/N the SCF holds.  Each repetition runs every layer
+once, interleaved, and the run records per N and layer the median and
+quartiles of LAYER_REPS repetitions.  The run is appended to the list
+`layers` of BENCH_<LABEL>.json, as `--crossover` appends to `crossover`.
 
 The first two forms rewrite every key of BENCH_<LABEL>.json but
 `crossover` and `layers`: the machine, the commits and the workloads are
