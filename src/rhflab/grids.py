@@ -19,7 +19,6 @@ __all__ = [
     "Grid",
     "Dispersion",
     "PotentialSpec",
-    "apply_kinetic",
     "convolve_potential",
     "potential_moment",
     "potential_moment_refinement_check",
@@ -91,13 +90,6 @@ class Grid:
     def check_field(self, f: np.ndarray) -> None:
         if f.shape != self.shape:
             raise ValueError(f"field shape {f.shape} does not match grid shape {self.shape}")
-
-    def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
-        """Discrete L2 inner product <f, g> (conjugate-linear in f)."""
-        return complex(np.vdot(f, g)) * self.cell_volume
-
-    def norm(self, f: np.ndarray) -> float:
-        return float(np.sqrt(np.vdot(f, f).real * self.cell_volume))
 
     def fft(self, f: np.ndarray) -> np.ndarray:
         """FFT over the last dim axes: one field or a (..., *shape) stack of them.
@@ -253,12 +245,6 @@ def plane_wave(grid: Grid, freqs) -> np.ndarray:
     for a in range(grid.dim):
         phase = phase + (2.0 * np.pi * freqs[a] / grid.box_length) * grid.x_mesh[a]
     return np.exp(1j * phase) / grid.box_length ** (grid.dim / 2.0)
-
-
-def apply_kinetic(f: np.ndarray, grid: Grid, dispersion: Dispersion) -> np.ndarray:
-    """Apply the kinetic operator as a Fourier multiplier."""
-    grid.check_field(f)
-    return grid.ifft(dispersion.symbol(grid) * grid.fft(f))
 
 
 def convolve_potential(density: np.ndarray, grid: Grid, potential: PotentialSpec) -> np.ndarray:

@@ -57,9 +57,6 @@ class OrbitalSet:
         flat = self.orbitals.reshape(self.n_particles, -1)
         return (flat.conj() @ flat.T) * self.grid.cell_volume
 
-    def gram_deviation(self) -> float:
-        return float(np.max(np.abs(self.gram() - np.eye(self.n_particles))))
-
 
 def reduced_density(orbs: OrbitalSet) -> np.ndarray:
     """Particle density ρ(x) = N^{-1} Σ_j |f_j(x)|^2, integrating to 1."""

@@ -6,7 +6,8 @@ is equivalent for ω = Σ|f_j><f_j|.  Two schemes:
 
   exponential_midpoint  exp(-i dt h(t+dt/2)/ε) applied per orbital through a
                         Lanczos subspace, the half-step mean field obtained by
-                        two fixed-point passes (default scheme).
+                        one fixed-point pass: 2 mean-field builds and 2 Krylov
+                        solves a step (default scheme).
   rk4_frozen_field      classical RK4 on the coupled orbital system with the
                         mean field re-evaluated at every stage (cross-check).
 
@@ -60,7 +61,6 @@ __all__ = [
 
 SCHEMES = ("exponential_midpoint", "rk4_frozen_field")
 GRAM_STEP_TOL = 1e-6
-FIXED_POINT_PASSES = 2
 # t_final - t0 must be a whole number of steps to this relative tolerance
 STEP_COUNT_RTOL = 1e-9
 
@@ -165,12 +165,12 @@ def _exponential_midpoint(phi: np.ndarray, mean_field, propagate, dt: float) -> 
     """One exponential-midpoint step of the orbital rows phi.
 
     mean_field(orbitals) gives the generator h of their projection and
-    propagate(h, phi, tau) applies exp(-i tau h / ε) to phi; the half-step
-    orbitals come from FIXED_POINT_PASSES fixed-point passes.
+    propagate(h, phi, tau) applies exp(-i tau h / ε) to phi.  The half-step
+    orbitals come from one fixed-point pass, exp(-i (dt/2) h(phi) / ε) phi,
+    which is off by O(dt²) and so keeps the step second order: two builds
+    of h and two propagations a step.
     """
-    half = phi
-    for _ in range(FIXED_POINT_PASSES):
-        half = propagate(mean_field(half), phi, 0.5 * dt)
+    half = propagate(mean_field(phi), phi, 0.5 * dt)
     return propagate(mean_field(half), phi, dt)
 
 

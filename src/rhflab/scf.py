@@ -47,9 +47,9 @@ and a run's conservation samples read the evolution's MeanField, so a dense
 run's energies differ from `hf_energy` at rounding only.
 
 An evolution runs dense when all of these hold: the scheme is exponential
-midpoint (one Fock build serves the ~16 matvecs of a step), exchange is on
-and the potential interacts, n^d <= DENSE_SIZE_CAP, and
-DENSE_COST·n^d <= N²·log2(n^d).  Otherwise it runs pair.  DENSE_COST is
+midpoint (a step makes 2 Fock builds, each serving the ~5 matvecs of one
+Krylov solve), exchange is on and the potential interacts, n^d <=
+DENSE_SIZE_CAP, and DENSE_COST·n^d <= N²·log2(n^d).  Otherwise it runs pair.  DENSE_COST is
 fitted to step times at one BLAS thread (`scripts/bench_trajectory.py
 --crossover`, the `crossover` runs of BENCH_pr12.json) over n ∈ {64, 128,
 256}, N ∈ {2, 4, 8, 16} and 32², 64² at N = 8: the least lost time falls on

@@ -3,13 +3,35 @@
 `LowRankOperator` holds Σ_k |left_k><right_k| with fields as factors, the
 form `rhflab.orbitals.trace_norm` reads; the commutators [x_a, ω], [ε∂_a, ω]
 and [e^{ip·x}, ω] are built in it as rank ≤ 2N operators.  `gaussian_orbital`
-and `random_orbital_set` build the test states.
+and `random_orbital_set` build the test states.  `grid_inner`, `grid_norm`,
+`apply_kinetic` and `gram_deviation` are the grid-level forms only the tests
+use: the L2 inner product and norm, the kinetic multiplier on one field, and
+an orbital set's distance from orthonormality.
 """
 
 import numpy as np
 
-from rhflab.grids import Grid, plane_wave
+from rhflab.grids import Dispersion, Grid, plane_wave
 from rhflab.orbitals import OrbitalSet
+
+
+def grid_inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> complex:
+    """Discrete L2 inner product <f, g> (conjugate-linear in f)."""
+    return complex(np.vdot(f, g)) * grid.cell_volume
+
+
+def grid_norm(grid: Grid, f: np.ndarray) -> float:
+    return float(np.sqrt(np.vdot(f, f).real * grid.cell_volume))
+
+
+def apply_kinetic(f: np.ndarray, grid: Grid, dispersion: Dispersion) -> np.ndarray:
+    """Apply the kinetic operator as a Fourier multiplier."""
+    grid.check_field(f)
+    return grid.ifft(dispersion.symbol(grid) * grid.fft(f))
+
+
+def gram_deviation(orbs: OrbitalSet) -> float:
+    return float(np.max(np.abs(orbs.gram() - np.eye(orbs.n_particles))))
 
 
 def apply_density_matrix(orbs: OrbitalSet, field: np.ndarray) -> np.ndarray:
@@ -118,7 +140,7 @@ def gaussian_orbital(grid: Grid, center=0.0, sigma=0.5, momentum_freqs=None) -> 
         f = f * acc
     if momentum_freqs is not None:
         f = f * plane_wave(grid, momentum_freqs) * grid.box_length ** (grid.dim / 2.0)
-    return f / grid.norm(f)
+    return f / grid_norm(grid, f)
 
 
 def random_orbital_set(grid: Grid, n_particles: int, seed: int = 0) -> OrbitalSet:

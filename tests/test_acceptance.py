@@ -32,7 +32,6 @@ from rhflab.grids import (
     Dispersion,
     Grid,
     PotentialSpec,
-    apply_kinetic,
     gaussian_vhat,
     harmonic_trap,
 )
@@ -40,6 +39,8 @@ from rhflab.orbitals import hs_distance_squared, seam_mass
 from rhflab.propagate import EvolutionConfig, Observer, SimState, evolve, pair_evolve
 from rhflab.scf import ScfConfig, hf_energy, scf_minimize
 from rhflab.vlasov import PhaseSpaceField, vlasov_run, vlasov_step
+
+from reference_orbitals import apply_kinetic
 
 BOX = 4.0 * np.pi
 COUPLING = 0.5
