@@ -49,14 +49,16 @@ run's energies differ from `hf_energy` at rounding only.
 An evolution runs dense when all of these hold: the scheme is exponential
 midpoint (a step makes 2 Fock builds, each serving the ~5 matvecs of one
 Krylov solve), exchange is on and the potential interacts, n^d <=
-DENSE_SIZE_CAP, and DENSE_COST·n^d <= N²·log2(n^d).  Otherwise it runs pair.  DENSE_COST is
-fitted to step times at one BLAS thread (`scripts/bench_trajectory.py
---crossover`, the `crossover` runs of BENCH_pr12.json) over n ∈ {64, 128,
-256}, N ∈ {2, 4, 8, 16} and 32², 64² at N = 8: the least lost time falls on
-c ∈ (0.625, 0.875].  Dense wins from N = 2 at n <= 128 (the rule sends
-N = 2 there to pair, losing under 1 ms a step), from N = 8 at n = 256, and
-on neither 2D grid at N = 8.  The paths agree to rounding; artifacts differ
-only in the last bits.
+DENSE_SIZE_CAP, and DENSE_COST·n^d <= N²·log2(n^d).  Otherwise it runs pair.
+DENSE_COST is fitted to step times at one BLAS thread
+(`scripts/bench_trajectory.py --crossover`; the `crossover` runs of
+BENCH_pr12.json, taken at 3 builds a step, and of BENCH_pr16.json, at 2)
+over n ∈ {64, 128, 256}, N ∈ {2, 4, 8, 16} and 32², 64² at N = 8: in
+every run taken on a quiet host the least lost time falls on
+c ∈ (0.625, 0.875].  Dense wins from N = 2 at
+n <= 128 (the rule sends N = 2 there to pair, losing under 1 ms a step),
+from N = 8 at n = 256, and on neither 2D grid at N = 8.  The paths agree to
+rounding; artifacts differ only in the last bits.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rhflab import propagate, scf
+from rhflab import ed, propagate, scf
+from rhflab.ed import FockBasis, ModeMeanField, fermi_sea_modes, hf_mode_evolution
 from rhflab.grids import (
     Dispersion,
     Grid,
@@ -1029,3 +1030,101 @@ class TestMeanField:
             tracemalloc.stop()
         assert held.mean_field.path == "dense"
         assert len(seen) == 6 and all(found == [] for found in seen)
+
+
+def two_pass_midpoint(phi, mean_field, propagate_fn, dt):
+    """The exponential-midpoint step with two fixed-point passes for the half step.
+
+    The form the one-pass `propagate._exponential_midpoint` replaced, kept as
+    its reference: three builds of h and three propagations a step.
+    """
+    half = phi
+    for _ in range(2):
+        half = propagate_fn(mean_field(half), phi, 0.5 * dt)
+    return propagate_fn(mean_field(half), phi, dt)
+
+
+class TestOnePassMidpoint:
+    """One fixed-point pass per midpoint step against the two-pass reference.
+
+    A trapped HF ground state (n = 128, N = 8, dense path) released, and the
+    mode-space mean field of `ed`, which shares the stepper.
+    """
+
+    @pytest.fixture(scope="class")
+    def released(self):
+        grid = Grid(1, 128, 4.0 * np.pi, 1.0 / 16.0)
+        disp = Dispersion.relativistic(1.0)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
+                            coupling=0.5)
+        return scf_minimize(grid, pot, 8, disp, ScfConfig()).orbitals, pot, disp
+
+    @staticmethod
+    def run(released, dt, t_final, monkeypatch, stepper=None):
+        orbs, pot, disp = released
+        with monkeypatch.context() as patch:
+            if stepper is not None:
+                patch.setattr(propagate, "_exponential_midpoint", stepper)
+            state = make_state(orbs.grid, orbs, pot, dt=dt, t_final=t_final, dispersion=disp)
+            for _ in range(propagate.step_count(0.0, t_final, dt)):
+                state = step(state)
+        assert state.mean_field.path == "dense"
+        return state.orbitals
+
+    def test_released_quench_agrees(self, released, monkeypatch):
+        # measured tr|ω₁ - ω₂|² = 4.0e-16 at t = 0.2
+        one = self.run(released, 1e-3, 0.2, monkeypatch)
+        two = self.run(released, 1e-3, 0.2, monkeypatch, two_pass_midpoint)
+        assert 0.0 < hs_distance_squared(one, two) <= 4e-15
+
+    def test_both_second_order(self, released, monkeypatch):
+        # HS errors at t = 0.4 against the two-pass step at dt = 0.00125;
+        # measured orders 2.01/2.04 (one pass) and 2.02/2.07 (two passes), and
+        # one pass's error 1.37-1.40 times the two-pass error
+        ref = self.run(released, 0.00125, 0.4, monkeypatch, two_pass_midpoint)
+        errors = {}
+        for name, stepper in (("one", None), ("two", two_pass_midpoint)):
+            errors[name] = np.sqrt([
+                hs_distance_squared(self.run(released, dt, 0.4, monkeypatch, stepper), ref)
+                for dt in (0.02, 0.01, 0.005)])
+            orders = np.log2(errors[name][:-1] / errors[name][1:])
+            assert np.all((1.8 <= orders) & (orders <= 2.3)), (name, orders)
+        assert np.all(errors["one"] <= 2.0 * errors["two"])
+
+    def test_mode_evolution_at_criterion_8(self, monkeypatch):
+        # criterion 8's Fermi seas keep h diagonal: measured bit-identical
+        disp = Dispersion.relativistic(1.0)
+        vh = lambda q: np.exp(-0.5 * q**2)
+        for n_part in (2, 3):
+            basis = FockBasis(12, n_part, 2.0 * np.pi)
+            modes = fermi_sea_modes(basis, disp, 1.0)
+            args = (basis, disp, 1.0, vh, 0.2, modes, 1.0, 0.02)
+            _, one = hf_mode_evolution(*args, sample_every=5)
+            with monkeypatch.context() as patch:
+                patch.setattr(ed, "_exponential_midpoint", two_pass_midpoint)
+                _, two = hf_mode_evolution(*args, sample_every=5)
+            assert len(one) == len(two) == 11
+            assert max(np.sum(np.abs(a - b) ** 2) for a, b in zip(one, two)) <= 1e-26
+
+    def test_mode_step_on_superposed_state(self, monkeypatch):
+        # a superposed determinant makes h dense: tr|γ₁ - γ₂|² at t = 1 measured
+        # 1.27e-8 at dt = 0.02 and 7.9e-10 at dt = 0.01, falling as dt⁴
+        basis = FockBasis(16, 3, 2.0 * np.pi)
+        mf = ModeMeanField(basis, Dispersion.relativistic(1.0), 0.5,
+                           lambda q: np.exp(-0.5 * q**2), 4.0)
+        rng = np.random.default_rng(97)
+        q, _ = np.linalg.qr(rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3)))
+        gaps = []
+        for dt in (0.02, 0.01):
+            gammas = []
+            for stepper in (None, two_pass_midpoint):
+                with monkeypatch.context() as patch:
+                    if stepper is not None:
+                        patch.setattr(ed, "_exponential_midpoint", stepper)
+                    rows = q.T.copy()
+                    for _ in range(round(1.0 / dt)):
+                        rows = mf.step(rows, dt)
+                gammas.append(mf.gamma_of(rows))
+            gaps.append(np.sum(np.abs(gammas[0] - gammas[1]) ** 2))
+        assert 0.0 < gaps[0] <= 5e-8
+        assert gaps[1] <= gaps[0] / 10.0
