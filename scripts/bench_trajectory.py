@@ -45,8 +45,15 @@ N in LAYER_PARTICLES: ms per `scf.scf_minimize`, and ms per energy of its
 ground state by `scf.hf_energy` and by `scf.MeanField.energy` on the dense
 path, given the real ω/N the SCF holds.  Each repetition runs every layer
 once, interleaved, and the run records per N and layer the median and
-quartiles of LAYER_REPS repetitions.  The run is appended to the list
-`layers` of BENCH_<LABEL>.json, as `--crossover` appends to `crossover`.
+quartiles of LAYER_REPS repetitions.  Its ED slice times, the same way,
+ms per `ed.build_hamiltonian`, per `ed.evolve_exact` sample (one step of
+ED_SAMPLE_T from the Fermi sea) and per `ed.ModeMeanField.mean_field` (at
+the Fermi sea's density) for each case of ED_LAYER_CASES: 16 modes with
+N = 2..5 at the ed_oracle workload's ε = 1, coupling 0.2, and 20 modes with
+N = 7 at the resolved-gap test's ε = 0.25, coupling 2.  The run is appended
+to the list `layers` of BENCH_<LABEL>.json, as `--crossover` appends to
+`crossover`.  Both forms store the host's load averages (os.getloadavg)
+taken before and after the run in the block they append, as `loadavg`.
 
 The first two forms rewrite every key of BENCH_<LABEL>.json but
 `crossover` and `layers`: the machine, the commits and the workloads are
@@ -74,6 +81,10 @@ CROSSOVER_REPS = 7
 LAYER_N = 256
 LAYER_PARTICLES = (8, 16, 32)
 LAYER_REPS = 9
+# (modes, particles, ε, coupling) of the ED slice of --layers
+ED_LAYER_CASES = ((16, 2, 1.0, 0.2), (16, 3, 1.0, 0.2), (16, 4, 1.0, 0.2), (16, 5, 1.0, 0.2),
+                  (20, 7, 0.25, 2.0))
+ED_SAMPLE_T = 0.1
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # kept across runs of every form: each --crossover or --layers run is appended
 RECORD_LISTS = ("crossover", "layers")
@@ -216,11 +227,55 @@ def crossover(checkout: Path) -> dict:
     return block
 
 
-def layers(checkout: Path) -> dict:
-    """One layers run: ms per SCF and per energy evaluation (module docstring)."""
-    load_checkout(checkout)
+def interleaved_ms(calls: dict, reps: int) -> dict:
+    """Median and quartiles of ms per call, the calls run in turn in each of reps rounds."""
     import time
 
+    times = {name: [] for name in calls}
+    for call in calls.values():  # warm-up
+        call()
+    for _ in range(reps):
+        for name, call in calls.items():
+            start = time.perf_counter()
+            call()
+            times[name].append(1e3 * (time.perf_counter() - start))
+    return {name: summarize(ms) for name, ms in times.items()}
+
+
+def ed_layers() -> list[dict]:
+    """The ED slice of a layers run (module docstring)."""
+    import numpy as np
+    from rhflab import ed
+    from rhflab.grids import Dispersion
+
+    disp = Dispersion.relativistic(1.0)
+    vhat = lambda q: np.exp(-0.5 * q**2)
+    cases = []
+    for n_modes, n_part, eps, coupling in ED_LAYER_CASES:
+        basis = ed.FockBasis(n_modes, n_part, 2.0 * np.pi)
+        h = ed.build_hamiltonian(basis, disp, eps, vhat, coupling)
+        psi = ed.slater_vector(basis, ed.fermi_sea_modes(basis, disp, eps))
+        mean_field = ed.ModeMeanField(basis, disp, eps, vhat, coupling)
+        gamma = ed.reduced_density_1(psi, basis)
+        calls = {
+            "ed.build_hamiltonian": lambda: ed.build_hamiltonian(basis, disp, eps, vhat,
+                                                                 coupling),
+            "ed.evolve_exact": lambda: ed.evolve_exact(psi, h, ED_SAMPLE_T, eps),
+            "ed.ModeMeanField.mean_field": lambda: mean_field.mean_field(gamma),
+        }
+        case = {"M": n_modes, "N": n_part, "epsilon": eps, "coupling": coupling,
+                "basis_size": basis.size, "nnz": int(h.nnz),
+                "ms": interleaved_ms(calls, LAYER_REPS)}
+        del h  # let the Hamiltonian go before the next case builds its own
+        cases.append(case)
+        print(f"layers ED M={n_modes} N={n_part}: " + ", ".join(
+            f"{name} {stats['median']:.3g} ms" for name, stats in case["ms"].items()))
+    return cases
+
+
+def layers(checkout: Path) -> dict:
+    """One layers run: ms per SCF, per energy evaluation and per ED layer (module docstring)."""
+    load_checkout(checkout)
     import numpy as np
     from rhflab import scf
     from rhflab.grids import Dispersion, Grid, PotentialSpec, gaussian_vhat, harmonic_trap
@@ -243,21 +298,14 @@ def layers(checkout: Path) -> dict:
             "scf.hf_energy": lambda: scf.hf_energy(orbs, pot, disp),
             "scf.MeanField.energy": lambda: mean_field.energy(phi, omega_n),
         }
-        times = {name: [] for name in calls}
-        for call in calls.values():  # warm-up
-            call()
-        for _ in range(LAYER_REPS):
-            for name, call in calls.items():
-                start = time.perf_counter()
-                call()
-                times[name].append(1e3 * (time.perf_counter() - start))
+        ms = interleaved_ms(calls, LAYER_REPS)
         hf, dense = calls["scf.hf_energy"](), calls["scf.MeanField.energy"]()
         case = {"N": n_part, "scf_iterations": res.iterations,
-                "energy_rel_diff": abs(dense - hf) / abs(hf),
-                "ms": {name: summarize(ms) for name, ms in times.items()}}
+                "energy_rel_diff": abs(dense - hf) / abs(hf), "ms": ms}
         block["cases"].append(case)
         print(f"layers n={LAYER_N} N={n_part}: " + ", ".join(
             f"{name} {stats['median']:.3g} ms" for name, stats in case["ms"].items()))
+    block["ed_cases"] = ed_layers()
     return block
 
 
@@ -318,7 +366,7 @@ def main(argv=None) -> int:
     form.add_argument("--crossover", action="store_true",
                       help="time one step on each mean-field path in place of the workloads")
     form.add_argument("--layers", action="store_true",
-                      help="time the SCF and energy layers in place of the workloads")
+                      help="time the SCF, energy and ED layers in place of the workloads")
     args = ap.parse_args(argv)
     checkout = args.checkout.resolve()
     out = ROOT / f"BENCH_{args.label}.json"
@@ -326,7 +374,10 @@ def main(argv=None) -> int:
     if args.crossover or args.layers:
         key, run = ("crossover", crossover) if args.crossover else ("layers", layers)
         record = dict(old, label=args.label)
-        record[key] = old.get(key, []) + [run(checkout)]
+        before = os.getloadavg()
+        block = run(checkout)
+        block["loadavg"] = {"before": list(before), "after": list(os.getloadavg())}
+        record[key] = old.get(key, []) + [block]
     else:
         # the crossover and layers runs are kept; every other key is the runs made now
         record = workload_record(args, checkout)

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
 
+import rhflab
 from rhflab.ed import (
     FockBasis,
     ModeMeanField,
@@ -136,6 +142,25 @@ def termwise_build_hamiltonian(basis, dispersion, epsilon, vhat, coupling=1.0):
     return h
 
 
+def to_csr(h):
+    """The operator's entries as the complex CSR matrix build_hamiltonian returned before."""
+    return scipy.sparse.coo_matrix((h.values.astype(complex), (h.rows, h.cols)),
+                                   shape=h.shape).tocsr()
+
+
+def sparse_interaction(basis, vhat, coupling):
+    """The sparse M²×M² form ModeMeanField.interaction replaced."""
+    m = basis.n_modes
+    partner, coef = _interaction_table(basis, vhat, coupling)
+    a, b, c = np.nonzero(coef)
+    d = partner[a, b, c]
+    w = coef[a, b, c]
+    rows = np.concatenate([c * m + a, d * m + b, c * m + b, d * m + a])
+    cols = np.concatenate([b * m + d, a * m + c, a * m + d, b * m + c])
+    return scipy.sparse.csr_matrix((np.concatenate([w, w, -w, -w]), (rows, cols)),
+                                   shape=(m * m, m * m))
+
+
 def assert_same_csr(h, ref):
     """Bit-equal CSR: dtypes, indptr, indices and data bytes."""
     assert h.format == ref.format == "csr"
@@ -215,7 +240,7 @@ def dump_instance(path, basis, hamiltonian=None, max_size: int = 4096) -> None:
         "states": [list(s) for s in basis.subsets],
     }
     if hamiltonian is not None:
-        coo = hamiltonian.tocoo()
+        coo = to_csr(hamiltonian).tocoo()
         payload["hamiltonian"] = {
             "rows": [int(i) for i in coo.row],
             "cols": [int(j) for j in coo.col],
@@ -262,8 +287,11 @@ class TestAgainstLoopReference:
     def test_hamiltonian(self, n_modes, n_particles):
         basis = FockBasis(n_modes, n_particles, L)
         args = (basis, Dispersion.relativistic(1.0), 0.9, gauss_vhat(), 0.3)
-        h = build_hamiltonian(*args)
-        assert_same_csr(h, termwise_build_hamiltonian(*args))
+        op = build_hamiltonian(*args)
+        h, termwise = to_csr(op), termwise_build_hamiltonian(*args)
+        assert_same_csr(h, termwise)
+        v = random_state(basis, n_modes * 10 + n_particles)
+        assert np.max(np.abs(op @ v - termwise @ v)) <= 1e-13 * np.max(np.abs(termwise @ v))
         ref = reference_hamiltonian(*args)
         assert h.nnz == ref.nnz
         scale = np.max(np.abs(ref.data))
@@ -275,7 +303,11 @@ class TestAgainstLoopReference:
         # take 20 s, so the termwise form (checked against it above) stands in
         basis = FockBasis(n_modes, n_particles, L)
         args = (basis, Dispersion.relativistic(1.0), 0.9, gauss_vhat(), 0.3)
-        assert_same_csr(build_hamiltonian(*args), termwise_build_hamiltonian(*args))
+        op = build_hamiltonian(*args)
+        termwise = termwise_build_hamiltonian(*args)
+        assert_same_csr(to_csr(op), termwise)
+        v = random_state(basis, 7)
+        assert np.max(np.abs(op @ v - termwise @ v)) <= 1e-13 * np.max(np.abs(termwise @ v))
 
     @pytest.mark.parametrize("n_modes,n_particles", SIZES)
     def test_reduced_density(self, n_modes, n_particles):
@@ -304,7 +336,7 @@ class TestAgainstLoopReference:
         vhat = lambda q: max(0.0, 1.0 - abs(q) / 3.0)
         basis = FockBasis(n_modes, n_particles, L)
         args = (basis, Dispersion.relativistic(1.0), 1.0, vhat, 0.5)
-        h, ref = build_hamiltonian(*args), reference_hamiltonian(*args)
+        h, ref = to_csr(build_hamiltonian(*args)), reference_hamiltonian(*args)
         assert_same_csr(h, termwise_build_hamiltonian(*args))
         assert h.nnz == ref.nnz
         assert np.max(np.abs((h - ref).data), initial=0.0) <= 1e-13 * np.max(np.abs(ref.data))
@@ -320,7 +352,7 @@ class TestHamiltonian:
         disp = Dispersion.relativistic(1.0)
         eps = 0.5
         h = build_hamiltonian(basis, disp, eps, lambda q: 0.0)
-        dense = h.toarray()
+        dense = to_csr(h).toarray()
         off = dense - np.diag(dense.diagonal())
         assert np.max(np.abs(off)) == 0.0
         sym = np.sqrt(eps**2 * basis.momenta**2 + 1.0)
@@ -329,17 +361,46 @@ class TestHamiltonian:
 
     def test_hermitian(self):
         basis = FockBasis(8, 2, L)
-        h = build_hamiltonian(basis, Dispersion.relativistic(1.0), 0.5,
-                              gauss_vhat(), coupling=0.7).toarray()
+        h = to_csr(build_hamiltonian(basis, Dispersion.relativistic(1.0), 0.5,
+                                     gauss_vhat(), coupling=0.7)).toarray()
         assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
     def test_total_momentum_block_structure(self):
         basis = FockBasis(8, 2, L)
-        h = build_hamiltonian(basis, Dispersion.relativistic(1.0), 0.5,
-                              gauss_vhat(), coupling=0.7).tocoo()
+        h = to_csr(build_hamiltonian(basis, Dispersion.relativistic(1.0), 0.5,
+                                     gauss_vhat(), coupling=0.7)).tocoo()
         for i, j, v in zip(h.row, h.col, h.data):
             if abs(v) > 1e-12:
                 assert total_frequency(basis, i) == total_frequency(basis, j)
+
+    @pytest.mark.parametrize("n_modes,n_particles", [(8, 2), (12, 4), (16, 5)])
+    def test_sector_slices_and_blocks(self, n_modes, n_particles):
+        basis = FockBasis(n_modes, n_particles, L)
+        h = build_hamiltonian(basis, Dispersion.relativistic(1.0), 0.9, gauss_vhat(), 0.3)
+        dense = to_csr(h).toarray()
+        totals = [total_frequency(basis, i) for i in range(basis.size)]
+        assert np.array_equal(np.sort(h.states), np.arange(basis.size))
+        assert h.rows.dtype == h.cols.dtype == np.int32 and h.values.dtype == np.float64
+        for k in range(h.n_sectors):
+            states = h.sector_states(k)
+            assert np.all(np.diff(states) > 0)
+            assert {totals[i] for i in states} == {min(totals) + k}
+            entries = slice(h.entry_bounds[k], h.entry_bounds[k + 1])
+            assert {totals[i] for i in h.rows[entries]} <= {min(totals) + k}
+            assert {totals[i] for i in h.cols[entries]} <= {min(totals) + k}
+            block = h.block(k)
+            assert block.dtype == np.float64
+            assert np.array_equal(block, dense[np.ix_(states, states)].real)
+        assert h.entry_bounds[-1] == h.nnz
+
+    def test_fermi_sea_occupies_one_sector(self):
+        basis = FockBasis(16, 5, L)
+        disp = Dispersion.relativistic(1.0)
+        h = build_hamiltonian(basis, disp, 1.0, gauss_vhat(), 0.2)
+        occupied = h.occupied(slater_vector(basis, fermi_sea_modes(basis, disp, 1.0)))
+        assert len(occupied) == 1
+        assert len(h.sector_states(occupied[0])) == 184
+        assert basis.size == 4368
 
 
 class TestSlaterVector:
@@ -470,9 +531,26 @@ class TestEvolveExact:
         h = build_hamiltonian(basis, Dispersion.relativistic(1.0), 1.0,
                               gauss_vhat(), coupling=0.5)
         v0 = slater_vector(basis, (0, 1))
-        ref = scipy.linalg.expm(-1j * 0.8 * h.toarray()) @ v0
+        ref = scipy.linalg.expm(-1j * 0.8 * to_csr(h).toarray()) @ v0
         out = evolve_exact(v0, h, 0.8, 1.0)
         assert np.max(np.abs(out - ref)) <= 1e-9
+
+    def test_several_sectors_match_dense_expm(self):
+        # a random vector on three sectors: one solve per sector, the rest stays 0
+        basis = FockBasis(8, 3, L)
+        h = build_hamiltonian(basis, Dispersion.relativistic(1.0), 1.0,
+                              gauss_vhat(), coupling=0.5)
+        held = np.concatenate([h.sector_states(k) for k in (2, 5, 6)])
+        v0 = np.zeros(basis.size, dtype=complex)
+        v0[held] = random_state(basis, 11)[held]
+        v0 /= np.linalg.norm(v0)
+        assert len(h.occupied(v0)) == 3
+        ref = scipy.linalg.expm(-1j * 0.8 * to_csr(h).toarray()) @ v0
+        out = evolve_exact(v0, h, 0.8, 1.0)
+        assert np.max(np.abs(out - ref)) <= 1e-9
+        outside = np.setdiff1d(np.arange(basis.size), held)
+        assert np.all(out[outside] == 0.0)
+        assert np.all((h @ v0)[outside] == 0.0)
 
 
 class TestModeEvolutionStepCount:
@@ -686,8 +764,50 @@ class TestModeExponential:
             lambda h, phi, tau: phi @ scipy.linalg.expm(-1j * tau * h / eps).T, self.dt)
         assert np.max(np.abs(mf.step(orbitals, self.dt) - ref)) <= 1e-13
 
+    def test_steps_match_sparse_interaction(self, case):
+        # the dense interaction against the sparse form it replaced, along 20
+        # steps from a determinant that is not a plane wave
+        mf, orbitals, _ = case
+        sparse = sparse_interaction(mf.basis, mf.vhat, mf.coupling)
+        assert np.max(np.abs(mf.interaction - sparse.toarray())) <= 1e-13
+        m, eps = mf.basis.n_modes, mf.epsilon
+
+        def sparse_mean_field(rows):
+            return np.diag(mf.kinetic) + (sparse @ mf.gamma_of(rows).ravel()).reshape(m, m)
+
+        dense_rows, sparse_rows = orbitals, orbitals
+        for _ in range(20):
+            dense_rows = mf.step(dense_rows, self.dt)
+            sparse_rows = _exponential_midpoint(
+                sparse_rows, sparse_mean_field,
+                lambda h, phi, tau: phi @ _hermitian_exponential(h, tau / eps).T, self.dt)
+            h = mf.mean_field(mf.gamma_of(dense_rows))
+            assert np.max(np.abs(h - sparse_mean_field(dense_rows))) <= 1e-13
+            assert np.max(np.abs(dense_rows - sparse_rows)) <= 1e-13
+        assert np.max(np.abs(h - np.diag(h.diagonal()))) > 1e-2
+
     def test_propagator_unitary(self, case):
         mf, _, h = case
         u = _hermitian_exponential(h, self.dt / mf.epsilon)
         assert np.max(np.abs(u @ u.conj().T - np.eye(16))) <= 1e-14
         assert np.max(np.abs(u - scipy.linalg.expm(-1j * self.dt * h / mf.epsilon))) <= 1e-13
+
+
+class TestImports:
+    def test_ed_pass_loads_no_numpy_ma(self):
+        # a fresh interpreter: np.unique loads numpy.ma on its first call, and
+        # this suite's own imports would hide that load
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from rhflab.ed import FockBasis, reduced_density_1\n"
+                "loaded = 'numpy.ma' in sys.modules\n"
+                "basis = FockBasis(8, 3, 1.0)\n"
+                "basis.annihilation_table\n"
+                "reduced_density_1(np.ones(basis.size), basis)\n"
+                "print(loaded, 'numpy.ma' in sys.modules)\n")
+        src = str(Path(rhflab.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.split() == ["False", "False"]

@@ -719,8 +719,8 @@ class TestCli:
                 "import rhflab\n"
                 "for module in pkgutil.iter_modules(rhflab.__path__):\n"
                 "    importlib.import_module('rhflab.' + module.name)\n"
-                "print(sorted(m for m in ('scipy.linalg', 'concurrent.futures.process')\n"
-                "             if m in sys.modules))\n")
+                "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse',\n"
+                "                         'concurrent.futures.process') if m in sys.modules))\n")
         src = str(Path(rhflab.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
