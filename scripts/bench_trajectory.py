@@ -50,7 +50,21 @@ ms per `ed.build_hamiltonian`, per `ed.evolve_exact` sample (one step of
 ED_SAMPLE_T from the Fermi sea) and per `ed.ModeMeanField.mean_field` (at
 the Fermi sea's density) for each case of ED_LAYER_CASES: 16 modes with
 N = 2..5 at the ed_oracle workload's ε = 1, coupling 0.2, and 20 modes with
-N = 7 at the resolved-gap test's ε = 0.25, coupling 2.  The run is appended
+N = 7 at the resolved-gap test's ε = 0.25, coupling 2.  Its diagnostics
+slice times, the same way and on the SCF ground state at each N kicked by
+e^{2πix/L}, ms per `diagnostics.commutator_channels`, `exp_bound_check` (the
+runner's 16 phase samples), `exchange_double_commutator_check` as the dense
+rule picks its form and, where the checkout has both forms
+(`orbitals._dense_exchange`, `_loop_exchange`), with each forced
+(`[dense]`, `[loop]`),
+`kinetic_double_commutator_check` (m0 = 1), `wigner_transform` and
+`vlasov.vlasov_step` (dt = VLASOV_DT, from the state's Wigner transform).
+`commutator_channels` gets a new OrbitalSet per call, so it pays the base
+channels; every other check gets one set whose channels it has already read
+where the checkout keeps them (`OrbitalSet.base_channels`), so it is timed
+for its own work, and the slice's layers sum to one sample's cost on either
+side.  Beside each layer it records the tracemalloc live peak of one call,
+in KiB above what was live before it (`peak_kib`).  The run is appended
 to the list `layers` of BENCH_<LABEL>.json, as `--crossover` appends to
 `crossover`.  Both forms store the host's load averages (os.getloadavg)
 taken before and after the run in the block they append, as `loadavg`.
@@ -85,6 +99,7 @@ LAYER_REPS = 9
 ED_LAYER_CASES = ((16, 2, 1.0, 0.2), (16, 3, 1.0, 0.2), (16, 4, 1.0, 0.2), (16, 5, 1.0, 0.2),
                   (20, 7, 0.25, 2.0))
 ED_SAMPLE_T = 0.1
+VLASOV_DT = 0.0025  # the hartree_phase_space workload's Vlasov step
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # kept across runs of every form: each --crossover or --layers run is appended
 RECORD_LISTS = ("crossover", "layers")
@@ -273,6 +288,72 @@ def ed_layers() -> list[dict]:
     return cases
 
 
+def live_peak_kib(call) -> float:
+    """The tracemalloc peak of one call, in KiB above what was live before it."""
+    import tracemalloc
+
+    tracemalloc.start()
+    live = tracemalloc.get_traced_memory()[0]
+    call()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return (peak - live) / 1024.0
+
+
+def diagnostics_layers(grid, pot, orbitals_block, n_part: int) -> dict:
+    """The diagnostics slice of a layers run at one N (module docstring)."""
+    import warnings
+
+    import numpy as np
+    from rhflab import diagnostics, grids, orbitals, vlasov
+    from rhflab.orbitals import OrbitalSet
+
+    kick = np.exp(2j * np.pi / grid.box_length * grid.x_mesh[0])
+    block = orbitals_block * kick
+    orbs = OrbitalSet(block, grid, validate=False)
+    diagnostics.comm_x_total(orbs)  # kept where the checkout keeps channels
+    samples = diagnostics.default_phase_samples(grid)
+    field = vlasov.PhaseSpaceField.from_wigner(diagnostics.wigner_transform(orbs))
+
+    def exchange_form(form):
+        def call():
+            saved = diagnostics.apply_exchange
+            diagnostics.apply_exchange = getattr(orbitals, f"_{form}_exchange")
+            try:
+                return diagnostics.exchange_double_commutator_check(orbs, pot)
+            finally:
+                diagnostics.apply_exchange = saved
+        return call
+
+    name = "diagnostics.exchange_double_commutator_check"
+    calls = {
+        "diagnostics.commutator_channels": lambda: diagnostics.commutator_channels(
+            OrbitalSet(block, grid, validate=False)),
+        "diagnostics.exp_bound_check": lambda: diagnostics.exp_bound_check(orbs, samples),
+        name: lambda: diagnostics.exchange_double_commutator_check(orbs, pot),
+    }
+    forms = hasattr(orbitals, "_dense_exchange")
+    if forms:
+        calls[name + "[dense]"] = exchange_form("dense")
+        calls[name + "[loop]"] = exchange_form("loop")
+    calls.update({
+        "diagnostics.kinetic_double_commutator_check":
+            lambda: diagnostics.kinetic_double_commutator_check(orbs, 1.0),
+        "diagnostics.wigner_transform": lambda: diagnostics.wigner_transform(orbs),
+        "vlasov.vlasov_step": lambda: vlasov.vlasov_step(field, pot, 1.0, VLASOV_DT),
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # seam mass, Wigner residual, Vlasov CFL
+        ms = interleaved_ms(calls, LAYER_REPS)
+        peaks = {layer: live_peak_kib(call) for layer, call in calls.items()}
+    case = {"N": n_part, "exchange_form": None, "ms": ms, "peak_kib": peaks}
+    if forms:
+        case["exchange_form"] = "dense" if grids.dense_pays(grid.size, n_part) else "loop"
+    print(f"layers diagnostics n={grid.n} N={n_part}: " + ", ".join(
+        f"{layer.split('.', 1)[1]} {stats['median']:.3g} ms" for layer, stats in ms.items()))
+    return case
+
+
 def layers(checkout: Path) -> dict:
     """One layers run: ms per SCF, per energy evaluation and per ED layer (module docstring)."""
     load_checkout(checkout)
@@ -282,7 +363,8 @@ def layers(checkout: Path) -> dict:
     from rhflab.orbitals import OrbitalSet
 
     disp = Dispersion.relativistic(1.0)
-    block = dict(host_record(checkout), reps=LAYER_REPS, n=LAYER_N, cases=[])
+    block = dict(host_record(checkout), reps=LAYER_REPS, n=LAYER_N, cases=[],
+                 diagnostics_cases=[])
     for n_part in LAYER_PARTICLES:
         grid = Grid(1, LAYER_N, 4.0 * np.pi, 1.0 / n_part)
         pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
@@ -305,6 +387,8 @@ def layers(checkout: Path) -> dict:
         block["cases"].append(case)
         print(f"layers n={LAYER_N} N={n_part}: " + ", ".join(
             f"{name} {stats['median']:.3g} ms" for name, stats in case["ms"].items()))
+        block["diagnostics_cases"].append(
+            diagnostics_layers(grid, pot, res.orbitals.orbitals, n_part))
     block["ed_cases"] = ed_layers()
     return block
 
@@ -366,7 +450,8 @@ def main(argv=None) -> int:
     form.add_argument("--crossover", action="store_true",
                       help="time one step on each mean-field path in place of the workloads")
     form.add_argument("--layers", action="store_true",
-                      help="time the SCF, energy and ED layers in place of the workloads")
+                      help="time the SCF, energy, diagnostics and ED layers in place of "
+                           "the workloads")
     args = ap.parse_args(argv)
     checkout = args.checkout.resolve()
     out = ROOT / f"BENCH_{args.label}.json"

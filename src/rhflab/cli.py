@@ -6,14 +6,16 @@
     rhflab checks REPORT.json
 
 Worker count for sweeps comes from the RHFLAB_WORKERS environment variable
-(default 1).  Exit status is nonzero iff a run failed a hard diagnostic or a
-scenario failed to parse.
+(default 1).  Exit status is 1 iff a run failed a hard diagnostic, and 2 iff
+a scenario failed to parse or a run ended in an error (its manifest says
+which).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from .containers import load_json, read_orbital_header
@@ -33,7 +35,9 @@ def _cmd_run(args) -> int:
     result = run(scenario, out)
     status = result.manifest["status"]
     print(f"{scenario.name}: {status} (artifacts in {out})")
-    for name, ok in sorted(result.manifest["checks"].items()):
+    if status == "error":  # the manifest keeps no traceback; stderr gets it
+        traceback.print_exception(result.error, file=sys.stderr)
+    for name, ok in sorted(result.manifest.get("checks", {}).items()):
         print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
     return result.exit_code
 

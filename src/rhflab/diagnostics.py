@@ -16,18 +16,27 @@ be a projection, i.e. orthonormal orbitals, and A = ±A† or A unitary: x_a
 and the plane-wave phase are, ε∂_a and the double commutators
 [X, x_a], [sqrt(-ε²Δ+m0²), x_a] are skew-adjoint.  The propagator hands
 every observer a Löwdin-reorthonormalized state.
+
+The base channels tr|[x_a, ω]| and tr|[ε∂_a, ω]| are computed once per
+sampled state: every check reads them from `OrbitalSet.base_channels`, so
+the commutator series, the phase bound's right-hand side, the exchange
+bound's and the kinetic ratio's denominator share one evaluation, and the
+first check to read them pays for it.  The phase bound stacks only its
+phase blocks, from a plane-wave table kept per (grid, samples).  The
+exchange double commutator applies X to the (d+1)·N fields x_a f_j and f_j
+in one call, in the form the dense rule picks (`orbitals.apply_exchange`).
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import Grid, PotentialSpec, plane_wave
-from .orbitals import (OrbitalSet, _one_sided_norm, apply_exchange, commutator_trace_norm,
-                       seam_mass)
+from .orbitals import OrbitalSet, _one_sided_norm, apply_exchange, commutator_trace_norm, seam_mass
 
 __all__ = [
     "GrowthFit",
@@ -69,34 +78,23 @@ def _multiplier_fields(orbs: OrbitalSet, mult: np.ndarray) -> np.ndarray:
     return orbs.grid.ifft(mult * orbs.grid.fft(orbs.orbitals))
 
 
-def _comm_x(orbs: OrbitalSet, axis: int) -> float:
-    """tr|[x_a, ω]|; x_a is self-adjoint."""
-    return commutator_trace_norm(orbs, orbs.grid.x_mesh[axis] * orbs.orbitals)
-
-
-def _comm_grad(orbs: OrbitalSet, axis: int) -> float:
-    """tr|[ε∂_a, ω]|; ε∂_a is skew-adjoint."""
-    grid = orbs.grid
-    return commutator_trace_norm(
-        orbs, _multiplier_fields(orbs, 1j * grid.epsilon * grid.p_mesh[axis]))
-
-
 def commutator_channels(orbs: OrbitalSet) -> dict:
     """Per-axis tr|[x_a, ω]| and tr|[ε∂_a, ω]| plus the seam validity metric."""
     mass = _warn_seam(orbs)
     out = {"seam_mass": mass}
+    comm_x, comm_grad = orbs.base_channels
     for a in range(orbs.grid.dim):
-        out[f"comm_x_{a}"] = _comm_x(orbs, a)
-        out[f"comm_grad_{a}"] = _comm_grad(orbs, a)
+        out[f"comm_x_{a}"] = comm_x[a]
+        out[f"comm_grad_{a}"] = comm_grad[a]
     return out
 
 
 def comm_x_total(orbs: OrbitalSet) -> float:
-    return sum(_comm_x(orbs, a) for a in range(orbs.grid.dim))
+    return sum(orbs.base_channels[0])
 
 
 def comm_grad_total(orbs: OrbitalSet) -> float:
-    return sum(_comm_grad(orbs, a) for a in range(orbs.grid.dim))
+    return sum(orbs.base_channels[1])
 
 
 def default_phase_samples(grid: Grid, count: int = PHASE_SAMPLE_COUNT) -> list[tuple]:
@@ -113,32 +111,38 @@ def default_phase_samples(grid: Grid, count: int = PHASE_SAMPLE_COUNT) -> list[t
     return samples
 
 
+@functools.lru_cache(maxsize=1)
+def _phase_table(grid: Grid, freqs: tuple) -> np.ndarray:
+    """The unitary phases e^{ip·x} of the sampled momenta, (K, *grid.shape), read-only."""
+    scale = grid.box_length ** (grid.dim / 2.0)
+    table = np.empty((len(freqs), *grid.shape), dtype=complex)
+    for k, freq in enumerate(freqs):
+        table[k] = plane_wave(grid, freq) * scale
+    table.flags.writeable = False
+    return table
+
+
 def exp_bound_check(orbs: OrbitalSet, p_samples: list) -> dict:
     """Phase-commutator bound at each sampled dual momentum p.
 
     lhs = tr|[e^{ip·x}, ω]|, rhs = (1 + |p|)·Σ_a tr|[x_a, ω]|; the margin
-    rhs - lhs must not drop below -1e-9.  The d position blocks and one
-    block per sample go through one stacked norm kernel.
+    rhs - lhs must not drop below -1e-9.  One block per sample goes through
+    one stacked norm kernel; the position channels are the set's own.
     """
     grid = orbs.grid
-    freqs = [tuple(freq) for freq in p_samples]
-    # u = e^{ip·x} is unitary, so both sides have singular values
-    # sqrt(1 - s_k²), s_k those of <f_i, u f_j>: tr|[u, ω]| is twice one side
-    scale = grid.box_length ** (grid.dim / 2.0)
-    stack = np.empty((grid.dim + len(freqs), *orbs.orbitals.shape), dtype=complex)
-    for a, x in enumerate(grid.x_mesh):
-        np.multiply(x, orbs.orbitals, out=stack[a])
-    for k, freq in enumerate(freqs, grid.dim):
-        np.multiply(plane_wave(grid, freq) * scale, orbs.orbitals, out=stack[k])
-    norms = _one_sided_norm(orbs, stack.reshape(len(stack), orbs.n_particles, -1))
-    norms = (2.0 * norms).tolist()
-    base = sum(norms[:grid.dim])
+    freqs = tuple(tuple(freq) for freq in p_samples)
     samples = []
-    for freq, lhs in zip(freqs, norms[grid.dim:]):
-        p_abs = 2.0 * np.pi * float(np.linalg.norm(freq)) / grid.box_length
-        rhs = (1.0 + p_abs) * base
-        samples.append({"freq": list(freq), "p_abs": p_abs, "lhs": lhs, "rhs": rhs,
-                        "margin": rhs - lhs})
+    if freqs:
+        # u = e^{ip·x} is unitary, so both sides have singular values
+        # sqrt(1 - s_k²), s_k those of <f_i, u f_j>: tr|[u, ω]| is twice one side
+        stack = np.multiply(_phase_table(grid, freqs)[:, None], orbs.orbitals)
+        norms = 2.0 * _one_sided_norm(orbs, stack.reshape(len(freqs), orbs.n_particles, -1))
+        base = comm_x_total(orbs)
+        for freq, lhs in zip(freqs, norms.tolist()):
+            p_abs = 2.0 * np.pi * float(np.linalg.norm(freq)) / grid.box_length
+            rhs = (1.0 + p_abs) * base
+            samples.append({"freq": list(freq), "p_abs": p_abs, "lhs": lhs, "rhs": rhs,
+                            "margin": rhs - lhs})
     min_margin = min(s["margin"] for s in samples) if samples else 0.0
     return {"check": "exp_bound", "samples": samples, "min_margin": min_margin,
             "passed": bool(min_margin >= MARGIN_TOL)}
@@ -147,18 +151,20 @@ def exp_bound_check(orbs: OrbitalSet, p_samples: list) -> dict:
 def exchange_double_commutator_check(orbs: OrbitalSet, potential: PotentialSpec) -> dict:
     """Pauli-principle exchange bound tr|[ω,[X,x_a]]| <= (2‖V̂‖₁/N)·tr|[ω,x_a]|."""
     grid = orbs.grid
+    dim = grid.dim
     factor = 2.0 * potential.vhat_l1 / orbs.n_particles
-    samples = []
     # X x_a f_j for every axis and X f_j in one block
     fields = np.concatenate([x * orbs.orbitals for x in grid.x_mesh] + [orbs.orbitals])
-    exch = apply_exchange(orbs, potential, fields).reshape(grid.dim + 1, *orbs.orbitals.shape)
-    for a in range(grid.dim):
-        x = grid.x_mesh[a]
-        # [X, x] f_j; X and x are self-adjoint, so [X, x] is skew-adjoint and
-        # tr|[ω, [X, x]]| is twice one side
-        lhs = commutator_trace_norm(orbs, exch[a] - x * exch[-1])
-        rhs = factor * _comm_x(orbs, a)
-        samples.append({"axis": a, "lhs": lhs, "rhs": rhs, "margin": rhs - lhs})
+    exch = apply_exchange(orbs, potential, fields).reshape(dim + 1, *orbs.orbitals.shape)
+    # [X, x_a] f_j in place; X and x are self-adjoint, so [X, x] is
+    # skew-adjoint and tr|[ω, [X, x]]| is twice one side
+    for a, x in enumerate(grid.x_mesh):
+        exch[a] -= x * exch[-1]
+    lhs = 2.0 * _one_sided_norm(orbs, exch[:dim].reshape(dim, orbs.n_particles, -1))
+    samples = []
+    for a, (left, comm_x) in enumerate(zip(lhs.tolist(), orbs.base_channels[0])):
+        rhs = factor * comm_x
+        samples.append({"axis": a, "lhs": left, "rhs": rhs, "margin": rhs - left})
     min_margin = min(s["margin"] for s in samples)
     return {"check": "exchange_bound", "samples": samples, "min_margin": min_margin,
             "passed": bool(min_margin >= MARGIN_TOL)}
@@ -338,17 +344,24 @@ def wigner_transform(orbs: OrbitalSet, v_grid: np.ndarray | None = None) -> Phas
         v_grid = np.asarray(v_grid, dtype=float)
         if v_grid.shape != (n,) or np.max(np.abs(v_grid - v_nodes)) > 1e-12:
             raise ValueError("v_grid must be the ε-scaled dual momenta of the grid")
-    # lag values s_k = freq_k·dx in FFT-index order; shifts by ±s_k/2
+    # lag values s_k = freq_k·dx in FFT-index order; row k shifts by +s_k/2
     s_vals = grid.freq_axis * grid.dx
-    phase = np.exp(0.5j * np.outer(grid.p_axis, s_vals))  # (p index, lag index)
-    corr = np.zeros((n, n), dtype=complex)  # (x, lag)
+    phase = np.exp(0.5j * np.outer(s_vals, grid.p_axis))  # (lag index, p index)
+    # f(x - s/2) is row -s of the f(x + s'/2) table; the unmatched Nyquist
+    # lag -n/2 has no row +n/2 and gets its own n-point transform
+    reverse = -np.arange(n) % n
+    nyquist = n // 2
+    corr = np.zeros((n, n), dtype=complex)  # (lag, x)
     for f in orbs.orbitals:
         fh = grid.fft(f)
-        f_plus = np.fft.ifft(fh[:, None] * phase, axis=0)
-        f_minus = np.fft.ifft(fh[:, None] * np.conj(phase), axis=0)
-        corr += f_plus * np.conj(f_minus)
+        f_plus = np.fft.ifft(phase * fh)
+        f_minus = f_plus[reverse]
+        f_minus[nyquist] = np.fft.ifft(fh * np.conj(phase[nyquist]))
+        np.conjugate(f_minus, out=f_minus)
+        f_minus *= f_plus
+        corr += f_minus
     dy = grid.dx / eps
-    w = np.fft.fft(corr, axis=1) * (dy / (2.0 * np.pi * orbs.n_particles))
+    w = np.fft.fft(corr.T) * (dy / (2.0 * np.pi * orbs.n_particles))
     imag_peak = float(np.max(np.abs(w.imag)))
     w = w.real[:, order]
     peak = max(float(np.max(np.abs(w))), 1e-300)

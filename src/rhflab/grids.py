@@ -7,6 +7,14 @@ p = 2π·m/L with the integer frequencies in FFT layout
 {0, 1, ..., n/2-1, -n/2, ..., -1}, i.e. the unmatched Nyquist mode sits
 on the negative side.  Multiplier application is exact for trigonometric
 interpolants regardless of the node offset.
+
+The dense rule lives here because two layers share it: an N-orbital
+mean-field product on n^d points runs as one dense n^d×n^d matrix where
+`dense_pays` holds, n^d <= DENSE_SIZE_CAP and DENSE_COST·n^d <= N²·log2(n^d),
+and per orbital or per pair in FFTs elsewhere.  `scf.MeanField.for_evolution`
+picks an evolution's path by it, and `orbitals.apply_exchange` its form.
+`_circulant` builds the dense kernels: K from the kinetic symbol and
+V(x_i - x_j) from `PotentialSpec.lag_values`.
 """
 
 from __future__ import annotations
@@ -25,10 +33,18 @@ __all__ = [
     "gaussian_vhat",
     "harmonic_trap",
     "plane_wave",
+    "dense_pays",
+    "DENSE_SIZE_CAP",
+    "DENSE_COST",
 ]
 
 # a moment that moves by more than this fraction under dual refinement is unstable
 MOMENT_REFINEMENT_RTOL = 0.1
+# at the cap one dense matrix is 128 MiB; a dense MeanField holds two (K and
+# V(x_i - x_j)), and each leg of a pair evolution holds its own
+DENSE_SIZE_CAP = 4096
+# dense only where DENSE_COST·n^d <= N²·log2(n^d), fitted in scf's docstring
+DENSE_COST = 0.75
 
 
 class Grid:
@@ -220,6 +236,34 @@ class PotentialSpec:
 
     def has_interaction(self) -> bool:
         return bool(np.any(self.vhat_eff != 0.0))
+
+    def lag_values(self) -> np.ndarray:
+        """V at the lags k·dx per axis (FFT layout), the entries of V(x_i - x_j)."""
+        grid = self.grid
+        return np.fft.ifftn(self.vhat_eff).real * (grid.size / grid.box_length**grid.dim)
+
+
+def dense_pays(size: int, n_particles: int) -> bool:
+    """The dense rule: n^d <= DENSE_SIZE_CAP and DENSE_COST·n^d <= N²·log2(n^d)."""
+    return size <= DENSE_SIZE_CAP and DENSE_COST * size <= n_particles**2 * np.log2(size)
+
+
+def _circulant(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """The read-only matrix M[i, j] = coeffs[(i - j) mod n], index differences per axis.
+
+    coeffs padded by n - 1 wrapped entries before each axis holds every
+    difference i - j at offset n - 1 + i - j, so M is a strided view of it
+    (stride +1 in i, -1 in j per axis), copied once.
+    """
+    n = grid.n
+    padded = np.pad(coeffs, [(n - 1, 0)] * grid.dim, mode="wrap")
+    origin = padded[(slice(n - 1, None),) * grid.dim]
+    view = np.lib.stride_tricks.as_strided(
+        origin, shape=(n,) * (2 * grid.dim),
+        strides=origin.strides + tuple(-s for s in origin.strides), writeable=False)
+    matrix = view.copy().reshape(grid.size, grid.size)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def gaussian_vhat(grid: Grid, width: float = 1.0) -> np.ndarray:

@@ -10,13 +10,26 @@ A = ±A† or A unitary the two terms are equal, and each is the nuclear norm
 of one n^d × N residual block built from the fields A f_j
 (`commutator_trace_norm`); the diagnostics use that form, and `trace_norm`
 of the factored commutator Σ_k |left_k><right_k| is the general one.
+
+An OrbitalSet computes its base channels tr|[x_a, ω]| and tr|[ε∂_a, ω]|
+on first read (`OrbitalSet.base_channels`, one stacked norm-kernel call) and
+keeps them: a runner hands every check of one sampled state the same set,
+so the commutator series, the phase bound, the exchange bound and the
+kinetic ratio share one evaluation.
+
+The exchange operator X(ω) has two forms, picked by the dense rule
+(`grids.dense_pays`) that also picks an evolution's mean-field path:
+X = V(x_i - x_j)∘ω/N as one dense n^d×n^d matrix applied to a field block by
+one GEMM, and elsewhere a loop over the N orbitals, one FFT pair each.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .grids import Dispersion, Grid, PotentialSpec, plane_wave
+from .grids import Dispersion, Grid, PotentialSpec, _circulant, dense_pays, plane_wave
 
 __all__ = [
     "OrbitalSet",
@@ -57,6 +70,24 @@ class OrbitalSet:
         flat = self.orbitals.reshape(self.n_particles, -1)
         return (flat.conj() @ flat.T) * self.grid.cell_volume
 
+    @cached_property
+    def base_channels(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """(tr|[x_a, ω]| per axis, tr|[ε∂_a, ω]| per axis), computed on first read.
+
+        The 2d blocks x_a f_j and ε∂_a f_j go through one stacked norm
+        kernel; x_a is self-adjoint and ε∂_a skew-adjoint, so each trace
+        norm is twice one side (`commutator_trace_norm`).
+        """
+        grid = self.grid
+        dim = grid.dim
+        stack = np.empty((2 * dim, *self.orbitals.shape), dtype=complex)
+        fh = grid.fft(self.orbitals)
+        for a in range(dim):
+            np.multiply(grid.x_mesh[a], self.orbitals, out=stack[a])
+            stack[dim + a] = grid.ifft(1j * grid.epsilon * grid.p_mesh[a] * fh)
+        norms = 2.0 * _one_sided_norm(self, stack.reshape(2 * dim, self.n_particles, -1))
+        return tuple(norms[:dim].tolist()), tuple(norms[dim:].tolist())
+
 
 def reduced_density(orbs: OrbitalSet) -> np.ndarray:
     """Particle density ρ(x) = N^{-1} Σ_j |f_j(x)|^2, integrating to 1."""
@@ -66,12 +97,35 @@ def reduced_density(orbs: OrbitalSet) -> np.ndarray:
 def apply_exchange(orbs: OrbitalSet, potential: PotentialSpec, field: np.ndarray) -> np.ndarray:
     """Exchange operator (X f)(x) = N^{-1} Σ_j f_j(x) (V * (conj(f_j) f))(x).
 
-    field is one grid field or a (B, *grid.shape) block of them.  The loop
-    runs over the N orbitals f_j, each pass one FFT pair batched over the
-    block, so the working set stays the size of the block.
+    field is one grid field or a (B, *grid.shape) block of them.  The form
+    is picked by the dense rule (`grids.dense_pays`): `_dense_exchange`
+    where it holds, `_loop_exchange` elsewhere.
     """
     grid = orbs.grid
     grid.check_field(field[0] if field.ndim == grid.dim + 1 else field)
+    if dense_pays(grid.size, orbs.n_particles):
+        return _dense_exchange(orbs, potential, field)
+    return _loop_exchange(orbs, potential, field)
+
+
+def _dense_exchange(orbs: OrbitalSet, potential: PotentialSpec, field: np.ndarray) -> np.ndarray:
+    """X = V(x_i - x_j)∘ω/N on value vectors, applied to the block by one GEMM.
+
+    X is built in ω/N's buffer, as `scf.MeanField.fock` builds its exchange;
+    V(x_i - x_j) is built on each call, not kept.
+    """
+    grid = orbs.grid
+    x_mat = _density_matrix_per_particle(orbs.orbitals, grid)
+    x_mat *= _circulant(grid, potential.lag_values())
+    return (field.reshape(-1, grid.size) @ x_mat.T).reshape(field.shape)
+
+
+def _loop_exchange(orbs: OrbitalSet, potential: PotentialSpec, field: np.ndarray) -> np.ndarray:
+    """X by a loop over the N orbitals f_j, each pass one FFT pair batched over the block.
+
+    The working set stays the size of the block.
+    """
+    grid = orbs.grid
     out = np.zeros(field.shape, dtype=complex)
     for f_j in orbs.orbitals:
         conv = grid.ifft(potential.vhat_eff * grid.fft(np.conj(f_j) * field))
@@ -79,6 +133,16 @@ def apply_exchange(orbs: OrbitalSet, potential: PotentialSpec, field: np.ndarray
         out += conv
     out /= orbs.n_particles
     return out
+
+
+def _density_matrix_per_particle(phi: np.ndarray, grid: Grid) -> np.ndarray:
+    """ω/N = N^{-1}·Σ_j f_j(x) conj(f_j(y)) dv on value vectors, from an (N, *shape) block.
+
+    The factor dv/N goes on the N-row operand of the product, so no pass over
+    the n^d×n^d result is spent on it.
+    """
+    flat = phi.reshape(phi.shape[0], -1)
+    return flat.T @ (flat.conj() * (grid.cell_volume * (1.0 / phi.shape[0])))
 
 
 def trace_norm(op, rank_cap: int = 4096) -> float:

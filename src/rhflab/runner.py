@@ -7,10 +7,14 @@ A run produces a deterministic artifact set under the output directory:
   checks/exp_bound.json, checks/exchange_bound.json, checks/kinetic_ratio.json
   growth_fit.json, integrated_growth.json, manifest.json
 
-Exit status is nonzero iff a hard diagnostic failed (inequality margin below
+Exit status is 1 iff a hard diagnostic failed (inequality margin below
 tolerance, an SCF preparation that did not converge, or an aborted
-evolution).  Re-running a scenario at the same BLAS thread count reproduces
-every artifact byte for byte.
+evolution).  An exception raised during the run (a Krylov solve that cannot
+reach its tolerance, a singular Löwdin Gram matrix, an artifact write that
+fails) ends it with status `error` and exit status 2; its manifest records
+the exception's type and message and the artifacts written so far, and no
+traceback, absolute path or time.  Re-running a scenario at the same BLAS
+thread count reproduces every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -61,7 +65,8 @@ class RunResult:
     out_dir: Path
     manifest: dict
     metrics: dict  # SWEEP_METRICS name -> value, nan where the run has none
-    final_orbitals: OrbitalSet
+    final_orbitals: OrbitalSet | None  # None when the run ended in an error
+    error: Exception | None = None  # the exception that ended it, traceback attached
 
 
 def _prepare(scenario: Scenario, grid, potential, dispersion, out_dir: Path):
@@ -84,8 +89,38 @@ def _prepare(scenario: Scenario, grid, potential, dispersion, out_dir: Path):
 def run(scenario: Scenario, out_dir) -> RunResult:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    header = {
+        "scenario": scenario.name,
+        "config_hash": scenario.config_hash(),
+        # LAPACK results, and so artifact bytes, can depend on the thread count
+        "versions": {"rhflab": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__,
+                     "threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS}},
+        "config": scenario.canonical_lines(),
+    }
+    try:
+        return _run(scenario, out_dir, header)
+    except Exception as exc:  # every ending writes a manifest (module docstring)
+        message = str(exc)
+        for prefix in sorted({str(out_dir.resolve()), str(out_dir)}, key=len, reverse=True):
+            message = message.replace(prefix + os.sep, "").replace(prefix, ".")
+        manifest = dict(header, status="error",
+                        error={"type": type(exc).__name__, "message": message},
+                        artifacts=_artifacts(out_dir))
+        dump_json(out_dir / "manifest.json", manifest)
+        return RunResult(exit_code=2, out_dir=out_dir, manifest=manifest,
+                         metrics=dict.fromkeys(SWEEP_METRICS, float("nan")),
+                         final_orbitals=None, error=exc)
+
+
+def _artifacts(out_dir: Path) -> list[str]:
+    return sorted(str(p.relative_to(out_dir)) for p in out_dir.rglob("*")
+                  if p.is_file() and p.name != "manifest.json")
+
+
+def _run(scenario: Scenario, out_dir: Path, header: dict) -> RunResult:
     (out_dir / "checks").mkdir(exist_ok=True)
-    config_hash = scenario.config_hash()
+    config_hash = header["config_hash"]
     recorded_warnings: list[str] = []
 
     grid = scenario.build_grid()
@@ -132,24 +167,15 @@ def run(scenario: Scenario, out_dir) -> RunResult:
         checks_summary["scf_converged"] = bool(scf_result.converged)
     hard_failure = result.aborted or any(not ok for ok in checks_summary.values())
 
-    manifest = {
-        "scenario": scenario.name,
-        "config_hash": config_hash,
-        # LAPACK results, and so artifact bytes, can depend on the thread count
-        "versions": {"rhflab": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__,
-                     "threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS}},
-        "config": scenario.canonical_lines(),
-        "status": "aborted" if result.aborted else ("failed" if hard_failure else "ok"),
-        "abort_reason": result.abort_reason,
-        "checks": checks_summary,
-        "warnings": sorted(set(recorded_warnings)),
-        "preparation": _scf_summary(scf_result),
-        "artifacts": sorted(
-            str(p.relative_to(out_dir)) for p in out_dir.rglob("*")
-            if p.is_file() and p.name != "manifest.json"
-        ),
-    }
+    manifest = dict(
+        header,
+        status="aborted" if result.aborted else ("failed" if hard_failure else "ok"),
+        abort_reason=result.abort_reason,
+        checks=checks_summary,
+        warnings=sorted(set(recorded_warnings)),
+        preparation=_scf_summary(scf_result),
+        artifacts=_artifacts(out_dir),
+    )
     dump_json(out_dir / "manifest.json", manifest)
     return RunResult(exit_code=1 if hard_failure else 0, out_dir=out_dir,
                      manifest=manifest, metrics=metrics,
@@ -327,16 +353,13 @@ def _sweep_token(value) -> str:
 
 
 def _run_sub(args):
-    """(exit code, SWEEP_METRICS values, final orbitals or None) of one sub-run."""
-    scenario, out_dir = args
-    try:
-        result = run(scenario, out_dir)
-        return result.exit_code, list(result.metrics.values()), result.final_orbitals
-    except Exception as exc:  # sub-run failures are recorded, sweep continues
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        dump_json(Path(out_dir) / "manifest.json",
-                  {"status": "error", "error": str(exc)})
-        return 2, [float("nan")] * len(SWEEP_METRICS), None
+    """(exit code, SWEEP_METRICS values, final orbitals or None) of one sub-run.
+
+    A sub-run that raises writes its own error manifest (`run`), and the
+    sweep goes on.
+    """
+    result = run(*args)
+    return result.exit_code, list(result.metrics.values()), result.final_orbitals
 
 
 def sweep(scenario: Scenario, axis: str, values: list, out_root) -> int:

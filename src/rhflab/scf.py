@@ -26,12 +26,14 @@ and, for an evolution, the scheme and N that pick one of its two paths once
 (`MeanField.for_evolution`):
 
   dense  h(ω) as the n^d×n^d Fock matrix, applied as one GEMM.  The
-         MeanField owns K and V(x_i - x_j); nothing else holds them, so they
-         are freed with it (an SCF's when `scf_minimize` returns).  A Fock
-         matrix is built in one buffer, the caller's ω/N: the density-matrix
-         product writes Φ^T·conj(Φ)·(dv/N) into it with the factor on the
-         N-row operand, V(x_i - x_j) multiplies it in place, K is subtracted
-         in place and the diagonal becomes (K_ii [+ V_ext,i]) + (V*ρ)_i - X_ii.
+         MeanField owns K and V(x_i - x_j) (`grids._circulant`); nothing
+         else holds them, so they are freed with it (an SCF's when
+         `scf_minimize` returns).  A Fock matrix is built in one buffer, the
+         caller's ω/N (`orbitals._density_matrix_per_particle`): the
+         density-matrix product writes Φ^T·conj(Φ)·(dv/N) into it with the
+         factor on the N-row operand, V(x_i - x_j) multiplies it in place, K
+         is subtracted in place and the diagonal becomes
+         (K_ii [+ V_ext,i]) + (V*ρ)_i - X_ii.
          The SCF mixes and holds its density matrices as ω/N and hands
          `MeanField.fock` a copy.
   pair   the FFT path on every grid: K as a Fourier multiplier, the direct
@@ -48,8 +50,11 @@ run's energies differ from `hf_energy` at rounding only.
 
 An evolution runs dense when all of these hold: the scheme is exponential
 midpoint (a step makes 2 Fock builds, each serving the ~5 matvecs of one
-Krylov solve), exchange is on and the potential interacts, n^d <=
-DENSE_SIZE_CAP, and DENSE_COST·n^d <= N²·log2(n^d).  Otherwise it runs pair.
+Krylov solve), exchange is on and the potential interacts, and the dense
+rule holds: n^d <= DENSE_SIZE_CAP and DENSE_COST·n^d <= N²·log2(n^d)
+(`grids.dense_pays`, the rule `orbitals.apply_exchange` picks its form by,
+so the exchange check of a sampled state runs dense where the evolution
+does).  Otherwise it runs pair.
 DENSE_COST is fitted to step times at one BLAS thread
 (`scripts/bench_trajectory.py --crossover`; the `crossover` runs of
 BENCH_pr12.json, taken at 3 builds a step, and of BENCH_pr16.json, at 2)
@@ -67,9 +72,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Dispersion, Grid, PotentialSpec, convolve_potential
+from .grids import (DENSE_COST, DENSE_SIZE_CAP, Dispersion, Grid, PotentialSpec, _circulant,
+                    convolve_potential, dense_pays)
 from .diagnostics import comm_grad_total, comm_x_total
-from .orbitals import OrbitalSet, reduced_density
+from .orbitals import OrbitalSet, _density_matrix_per_particle, reduced_density
 
 __all__ = [
     "ScfConfig",
@@ -81,11 +87,6 @@ __all__ = [
     "DENSE_COST",
 ]
 
-# at the cap one dense matrix is 128 MiB; a dense MeanField holds two (K and
-# V(x_i - x_j)), and each leg of a pair evolution holds its own
-DENSE_SIZE_CAP = 4096
-# an evolution runs dense only where DENSE_COST·n^d <= N²·log2(n^d) (module docstring)
-DENSE_COST = 0.75
 PATHS = ("dense", "pair")
 
 
@@ -183,8 +184,7 @@ class MeanField:
         self._k = _circulant(grid, np.fft.ifftn(dispersion.symbol(grid)).real)
         self._v_lag = None
         if self.exchange:
-            self._v_lag = _circulant(grid, np.fft.ifftn(potential.vhat_eff).real
-                                     * (grid.size / grid.box_length**grid.dim))
+            self._v_lag = _circulant(grid, potential.lag_values())
         diag = self._k.diagonal()
         self._diag0 = diag.copy() if self.vext is None else diag + self.vext.reshape(-1)
 
@@ -198,10 +198,8 @@ class MeanField:
         MeanField it carries still serves its state.
         """
         if path is None:
-            size = grid.size
             dense = (scheme == "exponential_midpoint" and exchange_on
-                     and potential.has_interaction() and size <= DENSE_SIZE_CAP
-                     and DENSE_COST * size <= n_particles**2 * np.log2(size))
+                     and potential.has_interaction() and dense_pays(grid.size, n_particles))
             path = "dense" if dense else "pair"
         mean_field = cls(grid, potential, dispersion, path, exchange_on, keep_trap)
         mean_field.inputs = (grid, potential, dispersion, scheme, exchange_on, keep_trap,
@@ -312,15 +310,6 @@ class MeanField:
         return apply_pair_block
 
 
-def _circulant(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """The read-only matrix M[i, j] = coeffs[(i - j) mod n], index differences per axis."""
-    idx = np.indices(grid.shape).reshape(grid.dim, grid.size).astype(np.int32)
-    diff = (idx[:, :, None] - idx[:, None, :]) % grid.n
-    matrix = coeffs[tuple(diff)]
-    matrix.flags.writeable = False
-    return matrix
-
-
 def _occupy(h: np.ndarray, n_particles: int, grid: Grid, aufbau: bool,
             prev: np.ndarray | None) -> np.ndarray:
     """Diagonalize and pick N occupied orbitals (Aufbau or maximum overlap)."""
@@ -425,13 +414,3 @@ def _commutator_norm(h: np.ndarray, phi: np.ndarray, grid: Grid) -> float:
     resid = h @ u
     resid -= u @ (u.conj().T @ resid)
     return float(np.sqrt(2.0) * np.linalg.norm(resid))
-
-
-def _density_matrix_per_particle(phi: np.ndarray, grid: Grid) -> np.ndarray:
-    """ω/N = N^{-1}·Σ_j f_j(x) conj(f_j(y)) dv on value vectors, from an (N, *shape) block.
-
-    The factor dv/N goes on the N-row operand of the product, so no pass over
-    the n^d×n^d result is spent on it.
-    """
-    flat = phi.reshape(phi.shape[0], -1)
-    return flat.T @ (flat.conj() * (grid.cell_volume * (1.0 / phi.shape[0])))

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from rhflab import diagnostics, orbitals
 from rhflab.diagnostics import (
     commutator_channels,
     default_phase_samples,
@@ -15,6 +18,7 @@ from rhflab.grids import (
     Dispersion,
     Grid,
     PotentialSpec,
+    dense_pays,
     gaussian_vhat,
     harmonic_trap,
     plane_wave,
@@ -390,3 +394,207 @@ class TestOneSidedAgainstFactored:
             mult = -eps * (1j * eps * grid.p_mesh[a]) / np.sqrt(eps**2 * grid.p_squared + m0**2)
             fields = np.stack([grid.ifft(mult * grid.fft(f)) for f in orbs.orbitals])
             self.close(sample["lhs"], trace_norm(factored_skew_commutator(orbs, fields)))
+
+
+def reference_wigner_transform(orbs, drop_nyquist=False):
+    """The former Wigner loop: f(x + s/2) and f(x - s/2) as two (x, lag) tables per orbital.
+
+    Each table takes n transforms along x; drop_nyquist leaves the unmatched
+    lag -n/2 out of the correlation.  Returns the (x, v) values.
+    """
+    grid = orbs.grid
+    n = grid.n
+    order = np.argsort(grid.p_axis)
+    s_vals = grid.freq_axis * grid.dx
+    phase = np.exp(0.5j * np.outer(grid.p_axis, s_vals))  # (p index, lag index)
+    corr = np.zeros((n, n), dtype=complex)  # (x, lag)
+    for f in orbs.orbitals:
+        fh = grid.fft(f)
+        f_plus = np.fft.ifft(fh[:, None] * phase, axis=0)
+        f_minus = np.fft.ifft(fh[:, None] * np.conj(phase), axis=0)
+        corr += f_plus * np.conj(f_minus)
+    if drop_nyquist:
+        corr[:, n // 2] = 0.0
+    dy = grid.dx / grid.epsilon
+    w = np.fft.fft(corr, axis=1) * (dy / (2.0 * np.pi * orbs.n_particles))
+    return w.real[:, order]
+
+
+@pytest.mark.filterwarnings("ignore:Wigner transform imaginary residual")
+class TestWignerAgainstReference:
+    """One lag-first table per orbital against the former two-table loop."""
+
+    @pytest.mark.parametrize("n", [32, 256])
+    @pytest.mark.parametrize("n_part", [3, 4])
+    @pytest.mark.parametrize("kind", ["boosted", "random"])
+    def test_matches_two_table_loop(self, n, n_part, kind):
+        grid = Grid(1, n, 4.0 * np.pi, 1.0 / n_part)
+        if kind == "boosted":
+            orbs = boosted_fermi_sea(grid, n_part, Dispersion.relativistic(1.0), amplitude=0.4)
+        else:
+            orbs = random_orbital_set(grid, n_part, seed=90 + n_part)
+        ref = reference_wigner_transform(orbs)
+        w = wigner_transform(orbs)
+        # the same (x, v) layout, so that sums over W run in the same order
+        assert w.values.shape == ref.shape and w.values.strides == ref.strides
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(w.values - ref)) <= 1e-14 * scale
+        if kind == "random":
+            # the unmatched Nyquist lag carries weight here, so the
+            # comparison above covers its own transform
+            without = reference_wigner_transform(orbs, drop_nyquist=True)
+            assert np.max(np.abs(without - ref)) > 1e-6 * scale
+
+
+DENSE_EXCHANGE_CASES = [  # (grid, N): N on both sides of the dense rule
+    (Grid(1, 64, 4.0 * np.pi, 0.5), 2), (Grid(1, 64, 4.0 * np.pi, 0.125), 8),
+    (Grid(1, 256, 4.0 * np.pi, 0.25), 4), (Grid(1, 256, 4.0 * np.pi, 1.0 / 16), 16),
+    (Grid(2, 16, 4.0 * np.pi, 0.5), 4), (Grid(2, 16, 4.0 * np.pi, 0.35), 8),
+]
+
+
+@pytest.fixture(scope="module", params=DENSE_EXCHANGE_CASES,
+                ids=lambda c: f"{c[0].n}^{c[0].dim}-N{c[1]}")
+def exchange_case(request):
+    """A real SCF ground state and its kicked complex copy, with the potential."""
+    grid, n_part = request.param
+    pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
+                        coupling=0.5)
+    real = scf_minimize(grid, pot, n_part, Dispersion.relativistic(1.0), ScfConfig()).orbitals
+    assert np.max(np.abs(real.orbitals.imag)) == 0.0
+    kick = np.exp(1j * sum(2.0 * np.pi / grid.box_length * x for x in grid.x_mesh))
+    kicked = OrbitalSet(real.orbitals * kick, grid, validate=False)
+    return real, kicked, pot
+
+
+@pytest.mark.filterwarnings("ignore:state carries mass")
+class TestDenseExchange:
+    """X as one dense matrix against the per-orbital FFT loop, each form forced."""
+
+    rtol = 1e-13
+
+    def test_apply_exchange_forms_agree(self, exchange_case):
+        real, kicked, pot = exchange_case
+        grid = real.grid
+        rng = np.random.default_rng(95)
+        extra = (rng.standard_normal((3, *grid.shape))
+                 + 1j * rng.standard_normal((3, *grid.shape)))
+        for orbs in (real, kicked):
+            fields = np.concatenate([x * orbs.orbitals for x in grid.x_mesh] + [orbs.orbitals])
+            for block in (fields, extra, extra[0]):
+                loop = orbitals._loop_exchange(orbs, pot, block)
+                dense = orbitals._dense_exchange(orbs, pot, block)
+                assert dense.shape == block.shape
+                assert np.max(np.abs(dense - loop)) <= self.rtol * np.max(np.abs(loop))
+                picked = dense if dense_pays(grid.size, orbs.n_particles) else loop
+                assert np.array_equal(apply_exchange(orbs, pot, block), picked)
+
+    def test_check_lhs_forms_agree(self, exchange_case, monkeypatch):
+        real, kicked, pot = exchange_case
+        for orbs in (real, kicked):
+            reports = {}
+            for form in ("loop", "dense"):
+                monkeypatch.setattr(diagnostics, "apply_exchange",
+                                    getattr(orbitals, f"_{form}_exchange"))
+                reports[form] = exchange_double_commutator_check(orbs, pot)
+            for loop, dense in zip(reports["loop"]["samples"], reports["dense"]["samples"]):
+                assert loop["lhs"] > 1e-8
+                assert abs(dense["lhs"] - loop["lhs"]) <= self.rtol * loop["lhs"]
+                assert dense["rhs"] == loop["rhs"]
+
+
+def reference_exp_bound_check(orbs, p_samples):
+    """The former phase bound: its own position blocks stacked before the phase blocks."""
+    grid = orbs.grid
+    freqs = [tuple(freq) for freq in p_samples]
+    scale = grid.box_length ** (grid.dim / 2.0)
+    stack = np.empty((grid.dim + len(freqs), *orbs.orbitals.shape), dtype=complex)
+    for a, x in enumerate(grid.x_mesh):
+        np.multiply(x, orbs.orbitals, out=stack[a])
+    for k, freq in enumerate(freqs, grid.dim):
+        np.multiply(plane_wave(grid, freq) * scale, orbs.orbitals, out=stack[k])
+    norms = orbitals._one_sided_norm(orbs, stack.reshape(len(stack), orbs.n_particles, -1))
+    norms = (2.0 * norms).tolist()
+    base = sum(norms[:grid.dim])
+    samples = []
+    for freq, lhs in zip(freqs, norms[grid.dim:]):
+        p_abs = 2.0 * np.pi * float(np.linalg.norm(freq)) / grid.box_length
+        rhs = (1.0 + p_abs) * base
+        samples.append({"freq": list(freq), "p_abs": p_abs, "lhs": lhs, "rhs": rhs,
+                        "margin": rhs - lhs})
+    min_margin = min(s["margin"] for s in samples) if samples else 0.0
+    return {"check": "exp_bound", "samples": samples, "min_margin": min_margin,
+            "passed": bool(min_margin >= -1e-9)}
+
+
+def per_channel_norms(orbs):
+    """The former channels: one commutator_trace_norm call per axis and kind."""
+    grid = orbs.grid
+    comm_x = [commutator_trace_norm(orbs, x * orbs.orbitals) for x in grid.x_mesh]
+    comm_grad = [commutator_trace_norm(orbs, grid.ifft(1j * grid.epsilon * p
+                                                       * grid.fft(orbs.orbitals)))
+                 for p in grid.p_mesh]
+    return comm_x, comm_grad
+
+
+@pytest.mark.filterwarnings("ignore:state carries mass")
+class TestBaseChannels:
+    """tr|[x_a, ω]| and tr|[ε∂_a, ω]| computed once per OrbitalSet, every check reading them."""
+
+    def test_computed_once_per_set(self, one_sided_case, monkeypatch):
+        orbs, pot, _ = one_sided_case
+        kernel = orbitals._one_sided_norm
+        computed = []
+
+        def counting(orbs, a_stack):
+            if sys._getframe(1).f_code.co_name == "base_channels":
+                computed.append(orbs)
+            return kernel(orbs, a_stack)
+
+        monkeypatch.setattr(orbitals, "_one_sided_norm", counting)
+        fresh = OrbitalSet(orbs.orbitals, orbs.grid, validate=False)
+        commutator_channels(fresh)
+        exp_bound_check(fresh, default_phase_samples(fresh.grid, 8))
+        exchange_double_commutator_check(fresh, pot)
+        kinetic_double_commutator_check(fresh, 1.0)
+        assert computed == [fresh]
+        other = OrbitalSet(orbs.orbitals, orbs.grid, validate=False)
+        kinetic_double_commutator_check(other, 1.0)
+        commutator_channels(other)
+        assert computed == [fresh, other]
+
+    def test_checks_bit_identical_to_former_forms(self, one_sided_case):
+        orbs, pot, _ = one_sided_case
+        grid = orbs.grid
+        comm_x, comm_grad = per_channel_norms(orbs)
+        fresh = OrbitalSet(orbs.orbitals, grid, validate=False)
+        channels = commutator_channels(fresh)
+        for a in range(grid.dim):
+            assert channels[f"comm_x_{a}"] == comm_x[a]
+            assert channels[f"comm_grad_{a}"] == comm_grad[a]
+        samples = default_phase_samples(grid, 16 if grid.dim == 1 else 8)
+        for fresh_set in (fresh, OrbitalSet(orbs.orbitals, grid, validate=False)):
+            assert exp_bound_check(fresh_set, samples) == reference_exp_bound_check(orbs, samples)
+        m0 = 1.3
+        for sample in kinetic_double_commutator_check(fresh, m0)["samples"]:
+            assert sample["rhs_core"] == grid.epsilon / m0 * sum(comm_grad)
+        for a, sample in enumerate(exchange_double_commutator_check(fresh, pot)["samples"]):
+            assert sample["rhs"] == 2.0 * pot.vhat_l1 / orbs.n_particles * comm_x[a]
+
+    def test_empty_and_zero_phase_samples(self, grid32):
+        orbs = random_orbital_set(grid32, 3, seed=96)
+        assert exp_bound_check(orbs, []) == {"check": "exp_bound", "samples": [],
+                                             "min_margin": 0.0, "passed": True}
+        report = exp_bound_check(orbs, [(0,)])
+        assert report == reference_exp_bound_check(orbs, [(0,)])
+        assert report["samples"][0]["lhs"] <= 1e-12
+        assert report["passed"]
+
+    def test_phase_table_is_read_only_and_kept(self, grid32):
+        freqs = tuple(tuple(f) for f in default_phase_samples(grid32))
+        table = diagnostics._phase_table(grid32, freqs)
+        assert not table.flags.writeable
+        assert diagnostics._phase_table(Grid(1, 32, 2.0 * np.pi, 0.25), freqs) is table
+        scale = grid32.box_length ** 0.5
+        for row, freq in zip(table, freqs):
+            assert np.array_equal(row, plane_wave(grid32, freq) * scale)

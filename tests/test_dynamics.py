@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +22,7 @@ from rhflab.grids import (
     plane_wave,
 )
 from rhflab import krylov
+from rhflab import orbitals as orbitals_module
 from rhflab.krylov import expm_apply_block
 from rhflab.orbitals import (
     OrbitalSet,
@@ -939,6 +945,56 @@ class TestDenseFock:
             assert got == path, (dim, n, n_part, cfg, interacting)
             if grid.size > DENSE_SIZE_CAP:
                 assert scf.DENSE_COST * grid.size <= n_part**2 * np.log2(grid.size)
+
+    def test_one_rule_for_evolution_path_and_exchange_form(self, monkeypatch):
+        # MeanField.for_evolution's path and apply_exchange's form come from
+        # one rule; neither side builds a matrix or applies a form here
+        class Picked(Exception):
+            pass
+
+        def dense_form(*args):
+            raise Picked("dense")
+
+        def loop_form(*args):
+            raise Picked("loop")
+
+        def record_path(self, grid, potential, dispersion, path="dense", *args):
+            self.path = path
+
+        monkeypatch.setattr(MeanField, "__init__", record_path)
+        monkeypatch.setattr(orbitals_module, "_dense_exchange", dense_form)
+        monkeypatch.setattr(orbitals_module, "_loop_exchange", loop_form)
+        disp = Dispersion.relativistic(1.0)
+        grids = [(1, n) for n in (64, 256, 1024, 4096, 8192)]
+        grids += [(2, n) for n in (16, 32, 64, 128)] + [(3, n) for n in (8, 16, 32)]
+        picked = {"dense": 0, "loop": 0}
+        for dim, n in grids:
+            grid = Grid(dim, n, 4.0 * np.pi, 0.1)
+            pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), coupling=0.5)
+            for n_part in (2, 4, 8, 16, 32, 64, 128):
+                path = MeanField.for_evolution(grid, pot, disp, "exponential_midpoint", True,
+                                               False, n_part).path
+                # apply_exchange reads only the grid and N before it picks a form
+                orbs = SimpleNamespace(grid=grid, n_particles=n_part)
+                with pytest.raises(Picked) as form:
+                    apply_exchange(orbs, pot, np.zeros(grid.shape, dtype=complex))
+                assert (path, str(form.value)) in (("dense", "dense"), ("pair", "loop")), (
+                    dim, n, n_part)
+                picked[str(form.value)] += 1
+                if grid.size > DENSE_SIZE_CAP:
+                    assert path == "pair"
+        assert picked["dense"] > 10 and picked["loop"] > 10
+
+    def test_diagnostics_imports_no_scf(self):
+        code = ("import sys\n"
+                "import rhflab.diagnostics\n"
+                "print('rhflab.scf' in sys.modules)\n")
+        src = str(Path(propagate.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestMeanField:

@@ -26,9 +26,10 @@ from rhflab.containers import (
     save_orbitals,
 )
 import rhflab
-from rhflab import scenarios
+from rhflab import propagate, runner, scenarios
 from rhflab.grids import Grid
-from rhflab.orbitals import OrbitalSet
+from rhflab.krylov import KrylovError
+from rhflab.orbitals import OrbitalSet, fermi_sea
 from rhflab.runner import SWEEP_AXES, run, sweep
 from rhflab.diagnostics import PHASE_SAMPLE_COUNT
 from rhflab.scenarios import ScenarioError, load_scenario, parse_scenario
@@ -542,6 +543,84 @@ class TestRunner:
         assert a_files == b_files
         for rel in a_files:
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
+
+
+def singular_fermi_sea(scenario, grid, potential, dispersion, out_dir):
+    """A preparation whose last orbital repeats the first: its Gram matrix is singular."""
+    sea = fermi_sea(grid, scenario[("model", "n_particles")], dispersion).orbitals.copy()
+    sea[-1] = sea[0]
+    return OrbitalSet(sea, grid, validate=False), None
+
+
+class TestRunEndings:
+    """Every way a run ends writes a manifest; an exception gives status error and exit 2."""
+
+    def run_error(self, tmp_path, name, monkeypatch=None, patches=()):
+        out = tmp_path / name
+        for (module, attr), value in dict(patches).items():
+            monkeypatch.setattr(module, attr, value)
+        assert main(["run", SMOKE, "--out", str(out)]) == 2
+        text = (out / "manifest.json").read_text()
+        manifest = json.loads(text)
+        assert manifest["status"] == "error"
+        assert manifest["scenario"] == "smoke_1d"
+        assert manifest["config_hash"] == load_scenario(SMOKE).config_hash()
+        assert manifest["artifacts"] == sorted(
+            str(p.relative_to(out)) for p in out.rglob("*")
+            if p.is_file() and p.name != "manifest.json")
+        # deterministic: no traceback, no absolute path, no time
+        assert "Traceback" not in text and str(tmp_path) not in text
+        assert not any(key in manifest for key in ("time", "elapsed", "traceback"))
+        return manifest, text
+
+    def test_krylov_error(self, tmp_path, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise KrylovError("Krylov residual 1.0e-03 above tolerance after 8 substeps")
+
+        patches = {(propagate, "expm_apply_block"): unreachable}
+        manifest, text = self.run_error(tmp_path, "a", monkeypatch, patches)
+        assert manifest["error"] == {
+            "type": "KrylovError",
+            "message": "Krylov residual 1.0e-03 above tolerance after 8 substeps"}
+        assert "initial_state.rhfs" in manifest["artifacts"]
+        assert "final_state.rhfs" not in manifest["artifacts"]
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and "KrylovError: Krylov residual" in err
+        # a second run into another directory writes the same bytes
+        assert self.run_error(tmp_path, "b", monkeypatch, patches)[1] == text
+
+    def test_singular_gram_matrix(self, tmp_path, monkeypatch):
+        patches = {(runner, "_prepare"): singular_fermi_sea}
+        manifest, _ = self.run_error(tmp_path, "out", monkeypatch, patches)
+        assert manifest["error"]["type"] == "ValueError"
+        assert "Gram matrix is numerically singular" in manifest["error"]["message"]
+        assert manifest["artifacts"] == ["initial_state.rhfs", "initial_state.rhfs.meta.txt"]
+
+    def test_artifact_write_oserror(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "checks").write_text("")  # the checks directory cannot be made
+        manifest, _ = self.run_error(tmp_path, "out")
+        assert manifest["error"] == {"type": "FileExistsError",
+                                     "message": "[Errno 17] File exists: 'checks'"}
+        assert manifest["artifacts"] == ["checks"]
+
+    def test_sweep_keeps_the_sub_run_manifest(self, tmp_path, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise KrylovError("unreachable tolerance")
+
+        monkeypatch.setattr(propagate, "expm_apply_block", unreachable)
+        scenario = load_scenario(SMOKE)
+        assert sweep(scenario, "coupling", ["0.2", "0.4"], tmp_path / "sw") == 2
+        for sub in ("coupling_00_0.2", "coupling_01_0.4"):
+            manifest = load_json(tmp_path / "sw" / sub / "manifest.json")
+            assert manifest["status"] == "error"
+            assert manifest["error"] == {"type": "KrylovError",
+                                         "message": "unreachable tolerance"}
+            assert manifest["scenario"] == "smoke_1d"
+        header, rows = read_csv(tmp_path / "sw" / "sweep.csv")
+        assert [row[header.index("exit_code")] for row in rows] == ["2", "2"]
+        assert all(v == "nan" for row in rows for v in row[header.index("exit_code") + 1:])
 
 
 class TestSweep:
