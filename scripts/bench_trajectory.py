@@ -53,8 +53,8 @@ N = 2..5 at the ed_oracle workload's ε = 1, coupling 0.2, and 20 modes with
 N = 7 at the resolved-gap test's ε = 0.25, coupling 2.  Its diagnostics
 slice times, the same way and on the SCF ground state at each N kicked by
 e^{2πix/L}, ms per `diagnostics.commutator_channels`, `exp_bound_check` (the
-runner's 16 phase samples), `exchange_double_commutator_check` as the dense
-rule picks its form and, where the checkout has both forms
+runner's 16 phase samples), `exchange_double_commutator_check` in the
+form `orbitals.apply_exchange` picks and, where the checkout has both forms
 (`orbitals._dense_exchange`, `_loop_exchange`), with each forced
 (`[dense]`, `[loop]`),
 `kinetic_double_commutator_check` (m0 = 1), `wigner_transform` and
@@ -64,7 +64,15 @@ channels; every other check gets one set whose channels it has already read
 where the checkout keeps them (`OrbitalSet.base_channels`), so it is timed
 for its own work, and the slice's layers sum to one sample's cost on either
 side.  Beside each layer it records the tracemalloc live peak of one call,
-in KiB above what was live before it (`peak_kib`).  The run is appended
+in KiB above what was live before it (`peak_kib`).  Where the checkout
+has both forms, its exchange slice times the exchange check with each form
+forced, the same way, for each (d, n, N) of EXCHANGE_LAYER_CASES on a seeded
+random orthonormal state: both sides of each dimension's crossover, and
+64² above the check's size cap.  Per case it records the form
+`apply_exchange` picks, the medians and quartiles and each form's
+tracemalloc peak, and per dimension it fits the cost c of
+c·n^d <= N²·log2(n^d) to the cases within the cap (`fit_dense_cost`).
+The run is appended
 to the list `layers` of BENCH_<LABEL>.json, as `--crossover` appends to
 `crossover`.  Both forms store the host's load averages (os.getloadavg)
 taken before and after the run in the block they append, as `loadavg`.
@@ -100,6 +108,15 @@ ED_LAYER_CASES = ((16, 2, 1.0, 0.2), (16, 3, 1.0, 0.2), (16, 4, 1.0, 0.2), (16, 
                   (20, 7, 0.25, 2.0))
 ED_SAMPLE_T = 0.1
 VLASOV_DT = 0.0025  # the hartree_phase_space workload's Vlasov step
+# (d, n per axis, N) of the exchange slice of --layers
+EXCHANGE_LAYER_CASES = (
+    (1, 256, 2), (1, 256, 4), (1, 256, 5), (1, 256, 6), (1, 256, 7), (1, 256, 8), (1, 256, 16),
+    (1, 512, 8), (1, 512, 10), (1, 512, 12), (1, 512, 14),
+    (1, 1024, 12), (1, 1024, 16), (1, 1024, 18), (1, 1024, 20),
+    (2, 16, 3), (2, 16, 4), (2, 16, 5), (2, 16, 8),
+    (2, 32, 8), (2, 32, 10), (2, 32, 12), (2, 32, 16),
+    (3, 8, 2), (3, 8, 3), (3, 8, 4), (3, 8, 6),
+    (2, 64, 16), (2, 64, 32))
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # kept across runs of every form: each --crossover or --layers run is appended
 RECORD_LISTS = ("crossover", "layers")
@@ -300,12 +317,71 @@ def live_peak_kib(call) -> float:
     return (peak - live) / 1024.0
 
 
+def picked_exchange_form(orbs, pot) -> str:
+    """The form `orbitals.apply_exchange` picks for orbs, seen by stand-in forms."""
+    from rhflab import orbitals
+
+    saved = orbitals._dense_exchange, orbitals._loop_exchange
+    orbitals._dense_exchange = lambda *args: "dense"
+    orbitals._loop_exchange = lambda *args: "loop"
+    try:
+        return orbitals.apply_exchange(orbs, pot, orbs.orbitals)
+    finally:
+        orbitals._dense_exchange, orbitals._loop_exchange = saved
+
+
+def forced_exchange_check(form: str, orbs, pot):
+    """A call of the exchange check with apply_exchange replaced by one form."""
+    from rhflab import diagnostics, orbitals
+
+    def call():
+        saved = diagnostics.apply_exchange
+        diagnostics.apply_exchange = getattr(orbitals, f"_{form}_exchange")
+        try:
+            return diagnostics.exchange_double_commutator_check(orbs, pot)
+        finally:
+            diagnostics.apply_exchange = saved
+    return call
+
+
+def exchange_layers() -> dict:
+    """The exchange slice of a layers run (module docstring)."""
+    import numpy as np
+    from rhflab import orbitals
+    from rhflab.grids import Grid, PotentialSpec, gaussian_vhat
+    from rhflab.orbitals import OrbitalSet
+
+    rng = np.random.default_rng(0)
+    cases = []
+    for dim, n, n_part in EXCHANGE_LAYER_CASES:
+        grid = Grid(dim, n, 4.0 * np.pi, 1.0 / n_part)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0))
+        q = np.linalg.qr(rng.standard_normal((grid.size, n_part))
+                         + 1j * rng.standard_normal((grid.size, n_part)))[0]
+        orbs = OrbitalSet((q.T / np.sqrt(grid.cell_volume)).reshape(n_part, *grid.shape), grid,
+                          validate=False)
+        calls = {form: forced_exchange_check(form, orbs, pot) for form in ("dense", "loop")}
+        ms = interleaved_ms(calls, LAYER_REPS)
+        case = {"dim": dim, "n": n, "N": n_part, "picked": picked_exchange_form(orbs, pot),
+                "ms": ms, "peak_kib": {form: live_peak_kib(call) for form, call in calls.items()}}
+        cases.append(case)
+        print(f"layers exchange {n}^{dim} N={n_part}: dense {ms['dense']['median']:.3g} ms, "
+              f"loop {ms['loop']['median']:.3g} ms; picks {case['picked']}")
+    fits = {str(dim): fit_dense_cost([c for c in cases if c["dim"] == dim
+                                      and c["n"] ** dim <= orbitals.EXCHANGE_DENSE_CAP],
+                                     other="loop")
+            for dim in sorted({c["dim"] for c in cases})}
+    print("layers exchange fit: " + ", ".join(
+        f"d={dim} c in ({fit['low']:.3g}, {fit['high']:.3g}]" for dim, fit in fits.items()))
+    return {"cases": cases, "fit": fits}
+
+
 def diagnostics_layers(grid, pot, orbitals_block, n_part: int) -> dict:
     """The diagnostics slice of a layers run at one N (module docstring)."""
     import warnings
 
     import numpy as np
-    from rhflab import diagnostics, grids, orbitals, vlasov
+    from rhflab import diagnostics, orbitals, vlasov
     from rhflab.orbitals import OrbitalSet
 
     kick = np.exp(2j * np.pi / grid.box_length * grid.x_mesh[0])
@@ -314,16 +390,6 @@ def diagnostics_layers(grid, pot, orbitals_block, n_part: int) -> dict:
     diagnostics.comm_x_total(orbs)  # kept where the checkout keeps channels
     samples = diagnostics.default_phase_samples(grid)
     field = vlasov.PhaseSpaceField.from_wigner(diagnostics.wigner_transform(orbs))
-
-    def exchange_form(form):
-        def call():
-            saved = diagnostics.apply_exchange
-            diagnostics.apply_exchange = getattr(orbitals, f"_{form}_exchange")
-            try:
-                return diagnostics.exchange_double_commutator_check(orbs, pot)
-            finally:
-                diagnostics.apply_exchange = saved
-        return call
 
     name = "diagnostics.exchange_double_commutator_check"
     calls = {
@@ -334,8 +400,8 @@ def diagnostics_layers(grid, pot, orbitals_block, n_part: int) -> dict:
     }
     forms = hasattr(orbitals, "_dense_exchange")
     if forms:
-        calls[name + "[dense]"] = exchange_form("dense")
-        calls[name + "[loop]"] = exchange_form("loop")
+        calls[name + "[dense]"] = forced_exchange_check("dense", orbs, pot)
+        calls[name + "[loop]"] = forced_exchange_check("loop", orbs, pot)
     calls.update({
         "diagnostics.kinetic_double_commutator_check":
             lambda: diagnostics.kinetic_double_commutator_check(orbs, 1.0),
@@ -348,7 +414,7 @@ def diagnostics_layers(grid, pot, orbitals_block, n_part: int) -> dict:
         peaks = {layer: live_peak_kib(call) for layer, call in calls.items()}
     case = {"N": n_part, "exchange_form": None, "ms": ms, "peak_kib": peaks}
     if forms:
-        case["exchange_form"] = "dense" if grids.dense_pays(grid.size, n_part) else "loop"
+        case["exchange_form"] = picked_exchange_form(orbs, pot)
     print(f"layers diagnostics n={grid.n} N={n_part}: " + ", ".join(
         f"{layer.split('.', 1)[1]} {stats['median']:.3g} ms" for layer, stats in ms.items()))
     return case
@@ -358,7 +424,7 @@ def layers(checkout: Path) -> dict:
     """One layers run: ms per SCF, per energy evaluation and per ED layer (module docstring)."""
     load_checkout(checkout)
     import numpy as np
-    from rhflab import scf
+    from rhflab import orbitals, scf
     from rhflab.grids import Dispersion, Grid, PotentialSpec, gaussian_vhat, harmonic_trap
     from rhflab.orbitals import OrbitalSet
 
@@ -390,21 +456,23 @@ def layers(checkout: Path) -> dict:
         block["diagnostics_cases"].append(
             diagnostics_layers(grid, pot, res.orbitals.orbitals, n_part))
     block["ed_cases"] = ed_layers()
+    if hasattr(orbitals, "_dense_exchange"):
+        block["exchange"] = exchange_layers()
     return block
 
 
-def fit_dense_cost(cases: list[dict]) -> dict:
-    """The c of dense iff c·n^d <= N²·log2(n^d) that costs the least median step time.
+def fit_dense_cost(cases: list[dict], other: str = "pair") -> dict:
+    """The c of dense iff c·n^d <= N²·log2(n^d) that costs the least median time.
 
-    Each case is dense iff c <= x = N²·log2(n^d)/n^d, pair otherwise.  The
-    cost of a c is the time the cases lose over their faster path; every c
-    in (low, high] has the least cost.
+    Each case is dense iff c <= x = N²·log2(n^d)/n^d, `other` (the pair
+    path, the loop form) otherwise.  The cost of a c is the time the cases
+    lose over their faster path; every c in (low, high] has the least cost.
     """
     points = []
     for case in cases:
         size = case["n"] ** case["dim"]
         points.append((case["N"] ** 2 * math.log2(size) / size,
-                       case["ms"]["dense"]["median"], case["ms"]["pair"]["median"]))
+                       case["ms"]["dense"]["median"], case["ms"][other]["median"]))
     points.sort()
     edges = [0.0] + [x for x, _, _ in points] + [math.inf]
     costs = []

@@ -32,12 +32,15 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out = Path(args.out) if args.out else Path("runs") / scenario.name
-    result = run(scenario, out)
+    try:
+        result = run(scenario, out)
+    except Exception:  # run wrote the error manifest, which keeps no traceback
+        traceback.print_exc()
+        print(f"{scenario.name}: error (artifacts in {out})")
+        return 2
     status = result.manifest["status"]
     print(f"{scenario.name}: {status} (artifacts in {out})")
-    if status == "error":  # the manifest keeps no traceback; stderr gets it
-        traceback.print_exception(result.error, file=sys.stderr)
-    for name, ok in sorted(result.manifest.get("checks", {}).items()):
+    for name, ok in sorted(result.manifest["checks"].items()):
         print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
     return result.exit_code
 

@@ -24,7 +24,7 @@ bound's and the kinetic ratio's denominator share one evaluation, and the
 first check to read them pays for it.  The phase bound stacks only its
 phase blocks, from a plane-wave table kept per (grid, samples).  The
 exchange double commutator applies X to the (d+1)·N fields x_a f_j and f_j
-in one call, in the form the dense rule picks (`orbitals.apply_exchange`).
+in one call, in the form `orbitals.apply_exchange` picks.
 """
 
 from __future__ import annotations

@@ -8,13 +8,15 @@ p = 2π·m/L with the integer frequencies in FFT layout
 on the negative side.  Multiplier application is exact for trigonometric
 interpolants regardless of the node offset.
 
-The dense rule lives here because two layers share it: an N-orbital
-mean-field product on n^d points runs as one dense n^d×n^d matrix where
-`dense_pays` holds, n^d <= DENSE_SIZE_CAP and DENSE_COST·n^d <= N²·log2(n^d),
-and per orbital or per pair in FFTs elsewhere.  `scf.MeanField.for_evolution`
-picks an evolution's path by it, and `orbitals.apply_exchange` its form.
+The dense rule lives here because two layers share its form: an
+N-orbital mean-field product on n^d points runs as one dense n^d×n^d matrix
+where `dense_pays` holds, n^d <= cap and cost·n^d <= N²·log2(n^d), and per
+orbital or per pair in FFTs elsewhere.  `scf.MeanField.for_evolution`
+picks an evolution's path by it with DENSE_SIZE_CAP and DENSE_COST, and
+`orbitals.apply_exchange` its form with its own measured cap and costs.
 `_circulant` builds the dense kernels: K from the kinetic symbol and
-V(x_i - x_j) from `PotentialSpec.lag_values`.
+V(x_i - x_j) from `PotentialSpec.lag_values`; `_circulant_view` is the same
+matrix as a strided view, for one elementwise product without the copy.
 """
 
 from __future__ import annotations
@@ -243,25 +245,30 @@ class PotentialSpec:
         return np.fft.ifftn(self.vhat_eff).real * (grid.size / grid.box_length**grid.dim)
 
 
-def dense_pays(size: int, n_particles: int) -> bool:
-    """The dense rule: n^d <= DENSE_SIZE_CAP and DENSE_COST·n^d <= N²·log2(n^d)."""
-    return size <= DENSE_SIZE_CAP and DENSE_COST * size <= n_particles**2 * np.log2(size)
+def dense_pays(size: int, n_particles: int, cap: int = DENSE_SIZE_CAP,
+               cost: float = DENSE_COST) -> bool:
+    """The dense rule: n^d <= cap and cost·n^d <= N²·log2(n^d)."""
+    return size <= cap and cost * size <= n_particles**2 * np.log2(size)
 
 
-def _circulant(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """The read-only matrix M[i, j] = coeffs[(i - j) mod n], index differences per axis.
+def _circulant_view(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """M[i, j] = coeffs[(i - j) mod n] as a read-only (n,)*2d view, index differences per axis.
 
     coeffs padded by n - 1 wrapped entries before each axis holds every
     difference i - j at offset n - 1 + i - j, so M is a strided view of it
-    (stride +1 in i, -1 in j per axis), copied once.
+    (stride +1 in i, -1 in j per axis) over (2n - 1)^d entries.
     """
     n = grid.n
     padded = np.pad(coeffs, [(n - 1, 0)] * grid.dim, mode="wrap")
     origin = padded[(slice(n - 1, None),) * grid.dim]
-    view = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         origin, shape=(n,) * (2 * grid.dim),
         strides=origin.strides + tuple(-s for s in origin.strides), writeable=False)
-    matrix = view.copy().reshape(grid.size, grid.size)
+
+
+def _circulant(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """The read-only n^d×n^d matrix of `_circulant_view`, copied once."""
+    matrix = _circulant_view(grid, coeffs).copy().reshape(grid.size, grid.size)
     matrix.flags.writeable = False
     return matrix
 

@@ -17,10 +17,15 @@ keeps them: a runner hands every check of one sampled state the same set,
 so the commutator series, the phase bound, the exchange bound and the
 kinetic ratio share one evaluation.
 
-The exchange operator X(ω) has two forms, picked by the dense rule
-(`grids.dense_pays`) that also picks an evolution's mean-field path:
-X = V(x_i - x_j)∘ω/N as one dense n^d×n^d matrix applied to a field block by
-one GEMM, and elsewhere a loop over the N orbitals, one FFT pair each.
+The exchange operator X(ω) has two forms: X = V(x_i - x_j)∘ω/N as one
+dense n^d×n^d matrix applied to a field block by one GEMM, and a loop over
+the N orbitals, one FFT pair each.  `apply_exchange` picks by the dense rule
+(`grids.dense_pays`) with the exchange check's own cap and costs, measured
+on the check's block of (d+1)·N fields (`scripts/bench_trajectory.py
+--layers`, its exchange slice).  They differ from the evolution's: the
+dense form's fixed cost, building X, is paid once per check rather than
+once per ~5 matvecs, and the loop's cost per point grows with d.  The cap
+keeps the dense X at 16 MiB.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import Dispersion, Grid, PotentialSpec, _circulant, dense_pays, plane_wave
+from .grids import Dispersion, Grid, PotentialSpec, _circulant_view, dense_pays, plane_wave
 
 __all__ = [
     "OrbitalSet",
@@ -47,6 +52,11 @@ __all__ = [
 GRAM_TOL = 1e-8  # construction guard; freshly orthonormalized sets sit at ~1e-12
 SEAM_BAND = 0.05  # seam_mass counts ρ within SEAM_BAND·L of the seam at ±L/2
 
+
+# the exchange check's dense form holds one complex n^d×n^d X: 16 MiB here
+EXCHANGE_DENSE_CAP = 1024
+# per dimension d = 1, 2, 3: dense where cost·n^d <= N²·log2(n^d) (module docstring)
+EXCHANGE_DENSE_COST = (2.0, 0.75, 0.25)
 
 class OrbitalSet:
     """N orthonormal complex fields on a grid; immutable after construction."""
@@ -98,12 +108,14 @@ def apply_exchange(orbs: OrbitalSet, potential: PotentialSpec, field: np.ndarray
     """Exchange operator (X f)(x) = N^{-1} Σ_j f_j(x) (V * (conj(f_j) f))(x).
 
     field is one grid field or a (B, *grid.shape) block of them.  The form
-    is picked by the dense rule (`grids.dense_pays`): `_dense_exchange`
+    is picked by the dense rule with EXCHANGE_DENSE_CAP and the grid
+    dimension's EXCHANGE_DENSE_COST (module docstring): `_dense_exchange`
     where it holds, `_loop_exchange` elsewhere.
     """
     grid = orbs.grid
     grid.check_field(field[0] if field.ndim == grid.dim + 1 else field)
-    if dense_pays(grid.size, orbs.n_particles):
+    if dense_pays(grid.size, orbs.n_particles, EXCHANGE_DENSE_CAP,
+                  EXCHANGE_DENSE_COST[grid.dim - 1]):
         return _dense_exchange(orbs, potential, field)
     return _loop_exchange(orbs, potential, field)
 
@@ -111,12 +123,14 @@ def apply_exchange(orbs: OrbitalSet, potential: PotentialSpec, field: np.ndarray
 def _dense_exchange(orbs: OrbitalSet, potential: PotentialSpec, field: np.ndarray) -> np.ndarray:
     """X = V(x_i - x_j)∘ω/N on value vectors, applied to the block by one GEMM.
 
-    X is built in ω/N's buffer, as `scf.MeanField.fock` builds its exchange;
-    V(x_i - x_j) is built on each call, not kept.
+    X is built in ω/N's buffer, as `scf.MeanField.fock` builds its exchange,
+    by one product with V(x_i - x_j) as a strided view, so the one n^d×n^d
+    matrix this form holds is X.
     """
     grid = orbs.grid
     x_mat = _density_matrix_per_particle(orbs.orbitals, grid)
-    x_mat *= _circulant(grid, potential.lag_values())
+    cells = x_mat.reshape((grid.n,) * (2 * grid.dim))
+    np.multiply(cells, _circulant_view(grid, potential.lag_values()), out=cells)
     return (field.reshape(-1, grid.size) @ x_mat.T).reshape(field.shape)
 
 

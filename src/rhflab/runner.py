@@ -11,15 +11,17 @@ Exit status is 1 iff a hard diagnostic failed (inequality margin below
 tolerance, an SCF preparation that did not converge, or an aborted
 evolution).  An exception raised during the run (a Krylov solve that cannot
 reach its tolerance, a singular Löwdin Gram matrix, an artifact write that
-fails) ends it with status `error` and exit status 2; its manifest records
-the exception's type and message and the artifacts written so far, and no
-traceback, absolute path or time.  Re-running a scenario at the same BLAS
+fails) still writes a manifest, with status `error`, the exception's type
+and message and the artifacts written so far, and no traceback, absolute
+path or time; then the exception propagates, and `rhflab run` and a sweep
+record exit status 2.  Re-running a scenario at the same BLAS
 thread count reproduces every artifact byte for byte.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,8 +67,7 @@ class RunResult:
     out_dir: Path
     manifest: dict
     metrics: dict  # SWEEP_METRICS name -> value, nan where the run has none
-    final_orbitals: OrbitalSet | None  # None when the run ended in an error
-    error: Exception | None = None  # the exception that ended it, traceback attached
+    final_orbitals: OrbitalSet
 
 
 def _prepare(scenario: Scenario, grid, potential, dispersion, out_dir: Path):
@@ -101,16 +102,26 @@ def run(scenario: Scenario, out_dir) -> RunResult:
     try:
         return _run(scenario, out_dir, header)
     except Exception as exc:  # every ending writes a manifest (module docstring)
-        message = str(exc)
-        for prefix in sorted({str(out_dir.resolve()), str(out_dir)}, key=len, reverse=True):
-            message = message.replace(prefix + os.sep, "").replace(prefix, ".")
         manifest = dict(header, status="error",
-                        error={"type": type(exc).__name__, "message": message},
+                        error={"type": type(exc).__name__,
+                               "message": _relative_paths(str(exc), out_dir)},
                         artifacts=_artifacts(out_dir))
         dump_json(out_dir / "manifest.json", manifest)
-        return RunResult(exit_code=2, out_dir=out_dir, manifest=manifest,
-                         metrics=dict.fromkeys(SWEEP_METRICS, float("nan")),
-                         final_orbitals=None, error=exc)
+        raise
+
+
+def _relative_paths(message: str, out_dir: Path) -> str:
+    """message with each absolute path under the output directory made relative to it.
+
+    Only a whole path is rewritten, one that starts the message or follows a
+    blank or a quote: a path inside the directory loses the directory's
+    prefix, and the directory itself becomes '.'.
+    """
+    for root in sorted({str(out_dir.absolute()), str(out_dir.resolve())}, key=len, reverse=True):
+        pattern = (r"(?<![^\s'\"])" + re.escape(root)
+                   + r"(?:" + re.escape(os.sep) + r"|(?=[\s'\":]|$))")
+        message = re.sub(pattern, lambda m: "" if m.group().endswith(os.sep) else ".", message)
+    return message
 
 
 def _artifacts(out_dir: Path) -> list[str]:
@@ -353,12 +364,11 @@ def _sweep_token(value) -> str:
 
 
 def _run_sub(args):
-    """(exit code, SWEEP_METRICS values, final orbitals or None) of one sub-run.
-
-    A sub-run that raises writes its own error manifest (`run`), and the
-    sweep goes on.
-    """
-    result = run(*args)
+    """(exit code, SWEEP_METRICS values, final orbitals or None) of one sub-run."""
+    try:
+        result = run(*args)
+    except Exception:  # run wrote the error manifest; the sweep goes on
+        return 2, [float("nan")] * len(SWEEP_METRICS), None
     return result.exit_code, list(result.metrics.values()), result.final_orbitals
 
 

@@ -52,9 +52,9 @@ An evolution runs dense when all of these hold: the scheme is exponential
 midpoint (a step makes 2 Fock builds, each serving the ~5 matvecs of one
 Krylov solve), exchange is on and the potential interacts, and the dense
 rule holds: n^d <= DENSE_SIZE_CAP and DENSE_COST·n^d <= N²·log2(n^d)
-(`grids.dense_pays`, the rule `orbitals.apply_exchange` picks its form by,
-so the exchange check of a sampled state runs dense where the evolution
-does).  Otherwise it runs pair.
+(`grids.dense_pays`, whose form `orbitals.apply_exchange` also picks by,
+with the exchange check's own measured cap and costs).  Otherwise it runs
+pair.
 DENSE_COST is fitted to step times at one BLAS thread
 (`scripts/bench_trajectory.py --crossover`; the `crossover` runs of
 BENCH_pr12.json, taken at 3 builds a step, and of BENCH_pr16.json, at 2)

@@ -446,7 +446,7 @@ class TestWignerAgainstReference:
             assert np.max(np.abs(without - ref)) > 1e-6 * scale
 
 
-DENSE_EXCHANGE_CASES = [  # (grid, N): N on both sides of the dense rule
+DENSE_EXCHANGE_CASES = [  # (grid, N): N on both sides of apply_exchange's rule
     (Grid(1, 64, 4.0 * np.pi, 0.5), 2), (Grid(1, 64, 4.0 * np.pi, 0.125), 8),
     (Grid(1, 256, 4.0 * np.pi, 0.25), 4), (Grid(1, 256, 4.0 * np.pi, 1.0 / 16), 16),
     (Grid(2, 16, 4.0 * np.pi, 0.5), 4), (Grid(2, 16, 4.0 * np.pi, 0.35), 8),
@@ -486,7 +486,9 @@ class TestDenseExchange:
                 dense = orbitals._dense_exchange(orbs, pot, block)
                 assert dense.shape == block.shape
                 assert np.max(np.abs(dense - loop)) <= self.rtol * np.max(np.abs(loop))
-                picked = dense if dense_pays(grid.size, orbs.n_particles) else loop
+                picked = dense if dense_pays(
+                    grid.size, orbs.n_particles, orbitals.EXCHANGE_DENSE_CAP,
+                    orbitals.EXCHANGE_DENSE_COST[grid.dim - 1]) else loop
                 assert np.array_equal(apply_exchange(orbs, pot, block), picked)
 
     def test_check_lhs_forms_agree(self, exchange_case, monkeypatch):

@@ -17,6 +17,7 @@ from rhflab.grids import (
     Grid,
     PotentialSpec,
     convolve_potential,
+    dense_pays,
     gaussian_vhat,
     harmonic_trap,
     plane_wave,
@@ -946,9 +947,10 @@ class TestDenseFock:
             if grid.size > DENSE_SIZE_CAP:
                 assert scf.DENSE_COST * grid.size <= n_part**2 * np.log2(grid.size)
 
-    def test_one_rule_for_evolution_path_and_exchange_form(self, monkeypatch):
+    def test_evolution_path_and_exchange_form_rules(self, monkeypatch):
         # MeanField.for_evolution's path and apply_exchange's form come from
-        # one rule; neither side builds a matrix or applies a form here
+        # one rule, grids.dense_pays, with their own caps and costs; neither
+        # side builds a matrix or applies a form here
         class Picked(Exception):
             pass
 
@@ -965,25 +967,37 @@ class TestDenseFock:
         monkeypatch.setattr(orbitals_module, "_dense_exchange", dense_form)
         monkeypatch.setattr(orbitals_module, "_loop_exchange", loop_form)
         disp = Dispersion.relativistic(1.0)
-        grids = [(1, n) for n in (64, 256, 1024, 4096, 8192)]
+        grids = [(1, n) for n in (64, 256, 512, 1024, 2048, 4096, 8192)]
         grids += [(2, n) for n in (16, 32, 64, 128)] + [(3, n) for n in (8, 16, 32)]
         picked = {"dense": 0, "loop": 0}
         for dim, n in grids:
             grid = Grid(dim, n, 4.0 * np.pi, 0.1)
             pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), coupling=0.5)
-            for n_part in (2, 4, 8, 16, 32, 64, 128):
+            check_cost = orbitals_module.EXCHANGE_DENSE_COST[dim - 1]
+            for n_part in (2, 4, 5, 8, 16, 32, 64, 128):
                 path = MeanField.for_evolution(grid, pot, disp, "exponential_midpoint", True,
                                                False, n_part).path
+                assert path == ("dense" if dense_pays(grid.size, n_part) else "pair")
                 # apply_exchange reads only the grid and N before it picks a form
                 orbs = SimpleNamespace(grid=grid, n_particles=n_part)
                 with pytest.raises(Picked) as form:
                     apply_exchange(orbs, pot, np.zeros(grid.shape, dtype=complex))
-                assert (path, str(form.value)) in (("dense", "dense"), ("pair", "loop")), (
-                    dim, n, n_part)
+                dense = (grid.size <= orbitals_module.EXCHANGE_DENSE_CAP
+                         and check_cost * grid.size <= n_part**2 * math.log2(grid.size))
+                assert str(form.value) == ("dense" if dense else "loop"), (dim, n, n_part)
                 picked[str(form.value)] += 1
                 if grid.size > DENSE_SIZE_CAP:
                     assert path == "pair"
+                if grid.size > orbitals_module.EXCHANGE_DENSE_CAP:  # X would pass 16 MiB
+                    assert str(form.value) == "loop"
         assert picked["dense"] > 10 and picked["loop"] > 10
+        # the measured sides at the workloads' n = 256 (the --layers exchange slice)
+        for n_part, form in ((4, "loop"), (5, "loop"), (16, "dense"), (32, "dense")):
+            grid = Grid(1, 256, 4.0 * np.pi, 0.1)
+            with pytest.raises(Picked, match=form):
+                apply_exchange(SimpleNamespace(grid=grid, n_particles=n_part),
+                               PotentialSpec(grid, gaussian_vhat(grid, 1.0)),
+                               np.zeros(grid.shape, dtype=complex))
 
     def test_diagnostics_imports_no_scf(self):
         code = ("import sys\n"

@@ -605,6 +605,40 @@ class TestRunEndings:
                                      "message": "[Errno 17] File exists: 'checks'"}
         assert manifest["artifacts"] == ["checks"]
 
+    def test_library_run_raises_after_writing_the_manifest(self, tmp_path, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise KrylovError("unreachable tolerance")
+
+        monkeypatch.setattr(propagate, "expm_apply_block", unreachable)
+        with pytest.raises(KrylovError, match="unreachable tolerance"):
+            run(load_scenario(SMOKE), tmp_path / "out")
+        manifest = load_json(tmp_path / "out" / "manifest.json")
+        assert manifest["status"] == "error"
+        assert manifest["error"] == {"type": "KrylovError", "message": "unreachable tolerance"}
+
+    def test_relative_out_keeps_the_message(self, tmp_path, monkeypatch):
+        # a relative output directory is no absolute path, so its name is
+        # left alone where it occurs inside a word of the message
+        message = "Krylov residual 1.0e-03 above tolerance within 8 substeps"
+
+        def unreachable(*args, **kwargs):
+            raise KrylovError(message)
+
+        monkeypatch.setattr(propagate, "expm_apply_block", unreachable)
+        smoke = str(Path(SMOKE).resolve())
+        monkeypatch.chdir(tmp_path)
+        for out in ("in", "tol"):
+            assert main(["run", smoke, "--out", out]) == 2
+            manifest = load_json(tmp_path / out / "manifest.json")
+            assert manifest["error"] == {"type": "KrylovError", "message": message}
+
+    def test_paths_made_relative_only_whole(self, tmp_path):
+        out = tmp_path / "out"
+        message = (f"'{out}/checks/a.json' and {out} at {out}: kept: '{out}er/b' "
+                   f"/x{out}/c {out}.d")
+        assert runner._relative_paths(message, out) == (
+            f"'checks/a.json' and . at .: kept: '{out}er/b' /x{out}/c {out}.d")
+
     def test_sweep_keeps_the_sub_run_manifest(self, tmp_path, monkeypatch):
         def unreachable(*args, **kwargs):
             raise KrylovError("unreachable tolerance")
