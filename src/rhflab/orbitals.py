@@ -55,8 +55,9 @@ SEAM_BAND = 0.05  # seam_mass counts ρ within SEAM_BAND·L of the seam at ±L/2
 
 # the exchange check's dense form holds one complex n^d×n^d X: 16 MiB here
 EXCHANGE_DENSE_CAP = 1024
-# per dimension d = 1, 2, 3: dense where cost·n^d <= N²·log2(n^d) (module docstring)
-EXCHANGE_DENSE_COST = (2.0, 0.75, 0.25)
+# per dimension d = 1, 2, 3: dense where cost·n^d <= N²·log2(n^d), each inside
+# the interval fitted to the check's forms (module docstring)
+EXCHANGE_DENSE_COST = (3.3, 1.2, 0.5)
 
 class OrbitalSet:
     """N orthonormal complex fields on a grid; immutable after construction."""
