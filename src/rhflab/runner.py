@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 import re
+import traceback
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -368,6 +369,7 @@ def _run_sub(args):
     try:
         result = run(*args)
     except Exception:  # run wrote the error manifest; the sweep goes on
+        traceback.print_exc()
         return 2, [float("nan")] * len(SWEEP_METRICS), None
     return result.exit_code, list(result.metrics.values()), result.final_orbitals
 

@@ -639,7 +639,7 @@ class TestRunEndings:
         assert runner._relative_paths(message, out) == (
             f"'checks/a.json' and . at .: kept: '{out}er/b' /x{out}/c {out}.d")
 
-    def test_sweep_keeps_the_sub_run_manifest(self, tmp_path, monkeypatch):
+    def test_sweep_keeps_the_sub_run_manifest(self, tmp_path, monkeypatch, capsys):
         def unreachable(*args, **kwargs):
             raise KrylovError("unreachable tolerance")
 
@@ -655,6 +655,8 @@ class TestRunEndings:
         header, rows = read_csv(tmp_path / "sw" / "sweep.csv")
         assert [row[header.index("exit_code")] for row in rows] == ["2", "2"]
         assert all(v == "nan" for row in rows for v in row[header.index("exit_code") + 1:])
+        # the manifests keep no traceback; stderr gets one per sub-run
+        assert capsys.readouterr().err.count("KrylovError: unreachable tolerance") == 2
 
 
 class TestSweep:
