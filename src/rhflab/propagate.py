@@ -4,10 +4,11 @@ The density-matrix equation iε ∂_t ω = [h(t), ω] is realized on orbitals as
 iε ∂_t f_j = h(t) f_j, which preserves the projection property exactly and
 is equivalent for ω = Σ|f_j><f_j|.  Two schemes:
 
-  exponential_midpoint  exp(-i dt h(t+dt/2)/ε) applied per orbital through a
-                        Lanczos subspace, the half-step mean field obtained by
-                        one fixed-point pass: 2 mean-field builds and 2 Krylov
-                        solves a step (default scheme).
+  exponential_midpoint  exp(-i dt h(t+dt/2)/ε) applied to the N-orbital block
+                        through one Lanczos recurrence on I_N ⊗ h, the
+                        half-step mean field obtained by one fixed-point
+                        pass: 2 mean-field builds and 2 Krylov solves a step
+                        (default scheme).
   rk4_frozen_field      classical RK4 on the coupled orbital system with the
                         mean field re-evaluated at every stage (cross-check).
 

@@ -102,100 +102,173 @@ class TestKrylov:
         assert len(calls) == 280
 
 
-def reference_lanczos_block(matvec, v, tau, weight, tol_rows, m_max):
-    """The slab-major Lanczos solve with a zeroed (m_max+1, b, n) basis."""
-    b, n = v.shape
-    beta0 = krylov._row_norms(v, weight)
-    live = beta0 > 0.0
-    safe0 = np.where(live, beta0, 1.0)
-    basis = np.zeros((m_max + 1, b, n), dtype=complex)
-    basis[0] = v / safe0[:, None]
-    alphas = np.zeros((m_max, b))
-    betas = np.zeros((m_max, b))
-    for m in range(1, m_max + 1):
-        w = matvec(basis[m - 1])
-        alpha = (np.sum(np.conj(basis[m - 1]) * w, axis=1) * weight).real
-        alphas[m - 1] = alpha
-        w = w - alpha[:, None] * basis[m - 1]
-        if m > 1:
-            w = w - betas[m - 2][:, None] * basis[m - 2]
-        dots = np.einsum("mbn,bn->mb", np.conj(basis[:m]), w) * weight
-        w = w - np.einsum("mb,mbn->bn", dots, basis[:m])
-        beta = krylov._row_norms(w, weight)
-        t_mat = np.zeros((b, m, m))
-        idx = np.arange(m)
-        t_mat[:, idx, idx] = alphas[:m].T
-        if m > 1:
-            off = np.arange(m - 1)
-            t_mat[:, off, off + 1] = betas[: m - 1].T
-            t_mat[:, off + 1, off] = betas[: m - 1].T
-        lam, q = np.linalg.eigh(t_mat)
-        phases = np.einsum(
-            "bij,bj,bj->bi", q, np.exp(-1j * tau * lam), np.conj(q[:, 0, :])
-        )
-        err = np.abs(beta * phases[:, -1] * tau)
-        err = np.where(live, err, 0.0)
-        degenerate = beta <= 1e-14 * (np.abs(alpha) + 1.0)
-        if np.all(err <= tol_rows) or m == m_max:
-            out = np.einsum("bm,mbn->bn", phases, basis[:m]) * beta0[:, None]
-            return out, err
-        betas[m - 1] = np.where(degenerate, 0.0, beta)
-        safe = np.where(degenerate, 1.0, beta)
-        basis[m] = np.where(degenerate[:, None], 0.0, w / safe[:, None])
-    raise AssertionError("unreachable")
+def _row_dots(a, b):
+    """Re <a_r, b_r> per row, as real dot products of the float views."""
+    return np.matmul(a.view(float)[:, None, :], b.view(float)[:, :, None])[:, 0, 0]
 
 
-def eigh_each_iteration_lanczos_block(matvec, v, tau, weight, tol_rows, m_max):
-    """The row-major solve that assembles T_m and runs eigh at every iteration.
+def _row_norms(w, weight):
+    return np.sqrt(_row_dots(w, w) * weight)
 
-    Inner products and norms are sums of complex products, and the three-term
-    and reorthogonalization updates allocate a new array each.
+
+def per_row_exp_first_column(alphas, betas, tau):
+    """exp(-i·tau·T) e_1 per row, T from the (b, m) diagonals and (b, m-1) off-diagonals."""
+    b, m = alphas.shape
+    t_mat = np.zeros((b, m, m))
+    flat = t_mat.reshape(b, m * m)
+    flat[:, :: m + 1] = alphas
+    flat[:, 1 :: m + 1] = betas
+    flat[:, m :: m + 1] = betas
+    lam, q_t = np.linalg.eigh(t_mat)
+    return np.einsum(
+        "bij,bj,bj->bi", q_t, np.exp(-1j * tau * lam), np.conj(q_t[:, 0, :])
+    )
+
+
+def per_row_entry_floor(lead, a_hi, a_lo, b_hi, tau, m):
+    """krylov._entry_floor per row."""
+    x = tau * (0.5 * (a_hi - a_lo) + 2.0 * b_hi)
+    norm_t = tau * (np.maximum(a_hi, -a_lo) + 2.0 * b_hi)
+    bound = lead * np.cos(np.minimum(x, np.pi))
+    allowance = krylov.EIGH_ALLOWANCE * m * np.finfo(float).eps * (1.0 + norm_t + lead)
+    return np.maximum(bound - allowance, 0.0)
+
+
+def per_row_lanczos_block(matvec, v, tau, weight, tol_rows, m_max):
+    """One Krylov solve per row of v; returns (result, err_rows).
+
+    The per-row recurrences the block solve replaced: one α, β, T_m and
+    eigensolve per row, a degenerate row continuing with a zero vector, and
+    err_rows the estimate for each normalized row.
     """
-    def row_norms(w):
-        return np.sqrt(np.sum(np.abs(w) ** 2, axis=1).real * weight)
-
     b, n = v.shape
-    beta0 = row_norms(v)
-    live = beta0 > 0.0
-    safe0 = np.where(live, beta0, 1.0)
+    beta0 = _row_norms(v, weight)
     basis = np.empty((b, m_max + 1, n), dtype=complex)
-    basis[:, 0] = v / safe0[:, None]
-    alphas = np.zeros((m_max, b))
-    betas = np.zeros((m_max, b))
+    np.divide(v, np.where(beta0 > 0.0, beta0, 1.0)[:, None], out=basis[:, 0])
+    alphas = np.zeros((b, m_max))
+    betas = np.zeros((b, m_max))
+    lead = np.ones(b)
+    a_hi = np.full(b, -np.inf)
+    a_lo = np.full(b, np.inf)
+    b_hi = np.zeros(b)
     for m in range(1, m_max + 1):
-        q = basis[:, m - 1]
-        w = matvec(q)
-        alpha = (np.sum(np.conj(q) * w, axis=1) * weight).real
-        alphas[m - 1] = alpha
-        w = w - alpha[:, None] * q
-        if m > 1:
-            w = w - betas[m - 2][:, None] * basis[:, m - 2]
         live_basis = basis[:, :m]
-        dots = np.conj(np.matmul(np.conj(w)[:, None, :],
-                                 live_basis.transpose(0, 2, 1))) * weight
-        w = w - np.matmul(dots, live_basis)[:, 0]
-        beta = row_norms(w)
-        t_mat = np.zeros((b, m, m))
-        idx = np.arange(m)
-        t_mat[:, idx, idx] = alphas[:m].T
-        if m > 1:
-            off = np.arange(m - 1)
-            t_mat[:, off, off + 1] = betas[: m - 1].T
-            t_mat[:, off + 1, off] = betas[: m - 1].T
-        lam, q_t = np.linalg.eigh(t_mat)
-        phases = np.einsum(
-            "bij,bj,bj->bi", q_t, np.exp(-1j * tau * lam), np.conj(q_t[:, 0, :])
-        )
-        err = np.abs(beta * phases[:, -1] * tau)
-        err = np.where(live, err, 0.0)
+        q = live_basis[:, m - 1]
+        w = np.ascontiguousarray(matvec(q), dtype=complex)
+        alpha = _row_dots(q, w) * weight
+        alphas[:, m - 1] = alpha
+        lo = max(m - 2, 0)
+        coef = np.concatenate((betas[:, lo:m - 1], alpha[:, None]), axis=1)
+        w = w - np.matmul(coef[:, None, :], live_basis[:, lo:])[:, 0]
+        dots = np.conj(np.matmul(np.conj(w)[:, None, :], live_basis.transpose(0, 2, 1)))
+        dots *= weight
+        w -= np.matmul(dots, live_basis)[:, 0]
+        beta = _row_norms(w, weight)
+        np.maximum(a_hi, alpha, out=a_hi)
+        np.minimum(a_lo, alpha, out=a_lo)
+        if m == m_max or not np.any(
+                beta * tau * per_row_entry_floor(lead, a_hi, a_lo, b_hi, tau, m) > tol_rows):
+            phases = per_row_exp_first_column(alphas[:, :m], betas[:, : m - 1], tau)
+            err = np.abs(beta * phases[:, -1] * tau)
+            if m == m_max or np.all(err <= tol_rows):
+                out = np.matmul(phases[:, None, :], live_basis)[:, 0] * beta0[:, None]
+                return out, err
         degenerate = beta <= 1e-14 * (np.abs(alpha) + 1.0)
-        if np.all(err <= tol_rows) or m == m_max:
-            out = np.matmul(phases[:, None, :], live_basis)[:, 0] * beta0[:, None]
-            return out, err
-        betas[m - 1] = np.where(degenerate, 0.0, beta)
-        safe = np.where(degenerate, 1.0, beta)
-        basis[:, m] = np.where(degenerate[:, None], 0.0, w / safe[:, None])
+        if degenerate.any():
+            beta[degenerate] = 0.0
+            w[degenerate] = 0.0
+        scale = 1.0 / np.where(degenerate, 1.0, beta)
+        np.multiply(w.view(float), scale[:, None], out=basis[:, m].view(float))
+        betas[:, m - 1] = beta
+        np.maximum(b_hi, beta, out=b_hi)
+        lead *= beta
+        lead *= tau / m
+        np.minimum(lead, 1.0, out=lead)
     raise AssertionError("unreachable")
+
+
+def per_row_solve(matvec, v, tau, weight, tol, m_max):
+    """per_row_lanczos_block behind the block solve's signature.
+
+    Every row's tolerance is tol/RMS‖v‖: each normalized row is held to
+    the relative tolerance that the block is held to as a whole, which for
+    orthonormal rows is the tolerance expm_apply_block gave each row before
+    the block solve.  The err returned is 0 where every row met it and inf
+    otherwise.
+    """
+    tol_rows = np.full(len(v), tol / rms_row_norm(v, weight))
+    out, err = per_row_lanczos_block(matvec, v, tau, weight, tol_rows, m_max)
+    return out, 0.0 if np.all(err <= tol_rows) else np.inf
+
+
+def eigh_each_iteration_lanczos_block(matvec, v, tau, weight, tol, m_max):
+    """The block solve written plainly: T_m assembled and eigensolved at every iteration.
+
+    Inner products and norms are sums of complex products over the flattened
+    block, and the updates allocate a new array each.
+    """
+    def norm(w):
+        return np.sqrt(np.sum(np.abs(w) ** 2).real * weight)
+
+    shape = v.shape
+    beta0 = norm(v)
+    basis = np.empty((m_max + 1, v.size), dtype=complex)
+    basis[0] = v.reshape(-1) / beta0
+    alphas = np.zeros(m_max)
+    betas = np.zeros(m_max)
+    for m in range(1, m_max + 1):
+        q = basis[m - 1]
+        w = matvec(q.reshape(shape)).reshape(-1)
+        alpha = (np.sum(np.conj(q) * w) * weight).real
+        alphas[m - 1] = alpha
+        w = w - alpha * q
+        if m > 1:
+            w = w - betas[m - 2] * basis[m - 2]
+        live = basis[:m]
+        dots = (np.conj(live) @ w) * weight
+        w = w - dots @ live
+        beta = norm(w)
+        t_mat = np.diag(alphas[:m]) + np.diag(betas[: m - 1], 1) + np.diag(betas[: m - 1], -1)
+        lam, q_t = np.linalg.eigh(t_mat)
+        phases = q_t @ (np.exp(-1j * tau * lam) * q_t[0])
+        breakdown = beta <= 1e-14 * (abs(alpha) + 1.0)
+        err = 0.0 if breakdown else beta0 * abs(beta * phases[-1] * tau)
+        if breakdown or err <= tol or m == m_max:
+            return (beta0 * (phases @ live)).reshape(shape), err
+        betas[m - 1] = beta
+        basis[m] = w / beta
+    raise AssertionError("unreachable")
+
+
+def exact_expm_block(h, v, tau):
+    """exp(-i·tau·h) on every row of v, from a dense eigendecomposition of h."""
+    lam, u = np.linalg.eigh(h)
+    return ((u * np.exp(-1j * tau * lam)) @ u.conj().T @ v.T).T
+
+
+def rms_row_norm(v, weight):
+    return float(np.sqrt(np.mean(_row_norms(v, weight) ** 2)))
+
+
+def block_error(out, ref, weight):
+    """The weighted norm of the block out - ref."""
+    return float(np.sqrt(np.sum(np.abs(out - ref) ** 2) * weight))
+
+
+def counting_solves(monkeypatch, solve):
+    """Patches krylov._lanczos_block with solve, counting matvecs per solve."""
+    solves = []
+
+    def counting(matvec, v, *args):
+        def counted(rows):
+            solves[-1] += 1
+            return matvec(rows)
+
+        solves.append(0)
+        return solve(counted, v, *args)
+
+    monkeypatch.setattr(krylov, "_lanczos_block", counting)
+    return solves
 
 
 @pytest.fixture
@@ -213,7 +286,7 @@ def eigh_calls(monkeypatch):
 
 
 class TestLanczosAgainstReference:
-    """The row-major Lanczos solve against the slab-major reference above."""
+    """The block Lanczos solve against the exact exponential and the per-row solves."""
 
     n = 48
 
@@ -227,7 +300,7 @@ class TestLanczosAgainstReference:
         v = rng.standard_normal((b, self.n)) + 1j * rng.standard_normal((b, self.n))
         if b > 1:
             v[1] = 0.0
-            # a row inside the invariant subspace: beta vanishes at m = 3
+            # a row inside the invariant subspace
             v[2, 3:] = 0.0
         return h, v
 
@@ -241,35 +314,67 @@ class TestLanczosAgainstReference:
 
         return matvec, calls
 
+    @pytest.mark.parametrize("b", [1, 16, 32])
+    @pytest.mark.parametrize("tau", [0.05, 30.0])
+    def test_matches_exact_exponential(self, b, tau):
+        # tau = 30 is large enough that m_max = 40 forces substep halving
+        h, v = self._problem(b, seed=100 + b)
+        weight = 0.3
+        matvec, calls = self._counting(h)
+        out = expm_apply_block(matvec, v, tau, weight=weight)
+        ref = exact_expm_block(h, v, tau)
+        assert (len(calls) > 40) == (tau > 1.0)
+        assert block_error(out, ref, weight) <= 1e-12 * rms_row_norm(v, weight)
+        if b > 1:
+            assert np.all(out[1] == 0.0)
+
     @pytest.mark.parametrize("b", [1, 16])
     @pytest.mark.parametrize("tau", [0.05, 0.6])
     def test_single_solve_matches(self, b, tau):
+        # against the per-row solves, to 1e-11; at m_max = 4 neither converges,
+        # and only a single row has the same polynomial in both.  One row takes
+        # the same matvecs; the block is held to tol as a whole, √b tighter than
+        # each row's tol, and may take one matvec more
         h, v = self._problem(b, seed=60 + b)
         weight = 0.3
-        tol_rows = 1e-12 * np.maximum(krylov._row_norms(v, weight), 1.0)
+        tol = 1e-12 * rms_row_norm(v, weight)
         mv_new, calls_new = self._counting(h)
         mv_ref, calls_ref = self._counting(h)
-        for m_max in (4, 40):
-            out, err = krylov._lanczos_block(mv_new, v, tau, weight, tol_rows, m_max)
-            ref, ref_err = reference_lanczos_block(mv_ref, v, tau, weight, tol_rows, m_max)
-            assert calls_new == calls_ref
-            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
-            assert np.allclose(err, ref_err, rtol=1e-6, atol=1e-13)
+        for m_max in (4, 40) if b == 1 else (40,):
+            out, err = krylov._lanczos_block(mv_new, v, tau, weight, tol, m_max)
+            ref, ref_err = per_row_solve(mv_ref, v, tau, weight, tol, m_max)
+            assert 0 <= len(calls_new) - len(calls_ref) <= (b > 1)
+            assert np.max(np.abs(out - ref)) <= 1e-11 * np.max(np.abs(ref))
+        assert err <= tol and ref_err == 0.0
         if b > 1:
             assert np.all(out[1] == 0.0)
 
     @pytest.mark.parametrize("b", [1, 16])
     def test_substepped_propagation_matches(self, b, monkeypatch):
-        # tau large enough that m_max = 40 forces substep halving
+        # tau large enough that m_max = 40 forces substep halving; matvecs per
+        # solve as in test_single_solve_matches
         h, v = self._problem(b, seed=70 + b)
-        mv_new, calls_new = self._counting(h)
-        out = expm_apply_block(mv_new, v, 30.0, weight=0.5)
-        monkeypatch.setattr(krylov, "_lanczos_block", reference_lanczos_block)
-        mv_ref, calls_ref = self._counting(h)
-        ref = expm_apply_block(mv_ref, v, 30.0, weight=0.5)
-        assert len(calls_ref) > 40
-        assert calls_new == calls_ref
+        solves = counting_solves(monkeypatch, krylov._lanczos_block)
+        out = expm_apply_block(lambda rows: rows @ h.T, v, 30.0, weight=0.5)
+        ref_solves = counting_solves(monkeypatch, per_row_solve)
+        ref = expm_apply_block(lambda rows: rows @ h.T, v, 30.0, weight=0.5)
+        assert sum(ref_solves) > 40
+        assert len(solves) == len(ref_solves)
+        assert all(0 <= m - m_ref <= (b > 1) for m, m_ref in zip(solves, ref_solves))
+        assert np.max(np.abs(out - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_invariant_start_returns_at_breakdown(self):
+        # every row lies in the 3-dimensional invariant subspace, so the Krylov
+        # space of I_b⊗h is invariant after 3 matvecs and the solve is exact
+        h, v = self._problem(16, seed=91)
+        v[:, 3:] = 0.0
+        matvec, calls = self._counting(h)
+        out, err = krylov._lanczos_block(matvec, v, 0.6, 0.3, 1e-30, 40)
+        assert len(calls) == 3
+        assert err == 0.0
+        ref = exact_expm_block(h, v, 0.6)
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.all(out[1] == 0.0) and np.all(out[:, 3:] == 0.0)
 
     def _dense_problem(self, b, seed):
         rng = np.random.default_rng(seed)
@@ -278,18 +383,18 @@ class TestLanczosAgainstReference:
         v = rng.standard_normal((b, self.n)) + 1j * rng.standard_normal((b, self.n))
         return h, v
 
-    def _against_eigh_each_iteration(self, h, v, tau, m_max, eigh_calls):
+    def _against_eigh_each_iteration(self, h, v, tau, m_max, eigh_calls, same_result=True):
         weight = 0.3
-        tol_rows = 1e-12 * np.maximum(krylov._row_norms(v, weight), 1.0)
+        tol = 1e-12 * rms_row_norm(v, weight)
         mv_new, calls_new = self._counting(h)
         mv_ref, calls_ref = self._counting(h)
-        out, err = krylov._lanczos_block(mv_new, v, tau, weight, tol_rows, m_max)
+        out, err = krylov._lanczos_block(mv_new, v, tau, weight, tol, m_max)
         solved = len(eigh_calls)
-        ref, ref_err = eigh_each_iteration_lanczos_block(mv_ref, v, tau, weight,
-                                                         tol_rows, m_max)
+        ref, ref_err = eigh_each_iteration_lanczos_block(mv_ref, v, tau, weight, tol, m_max)
         assert calls_new == calls_ref
         assert len(eigh_calls) - solved == len(calls_ref)
-        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        if same_result:
+            assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.allclose(err, ref_err, rtol=1e-6, atol=1e-13)
         return solved, len(calls_new)
 
@@ -304,9 +409,15 @@ class TestLanczosAgainstReference:
     @pytest.mark.parametrize("m_max", [1, 4, 40])
     def test_large_tau_solves_every_iteration(self, m_max, eigh_calls):
         # τ‖T_m‖ is large, so the bound is vacuous from m = 2 on; at m = 1 the
-        # entry is a pure phase and the bound is exact
+        # entry is a pure phase and the bound is exact.  At m_max = 40 the solve
+        # is far from converged (err ≫ tol: expm_apply_block halves the step)
+        # and its result is not reproducible to rounding: every eigenvalue of
+        # I_b⊗h is b-fold, so rounding seeds directions in the other copies,
+        # which grow once the Ritz values converge and which reorthogonalization
+        # keeps (two forms differ by 1e-5 there, and by 1e-13 up to m = 25)
         h, v = self._dense_problem(32, seed=81)
-        solved, matvecs = self._against_eigh_each_iteration(h, v, 30.0, m_max, eigh_calls)
+        solved, matvecs = self._against_eigh_each_iteration(h, v, 30.0, m_max, eigh_calls,
+                                                            same_result=m_max < 40)
         assert matvecs == m_max
         assert solved == max(m_max - 1, 1)
 
@@ -314,45 +425,41 @@ class TestLanczosAgainstReference:
     def test_skipped_eigensolves_change_no_bit(self, b, tau, monkeypatch, eigh_calls):
         h, v = self._problem(b, seed=82)
         weight = 0.3
-        tol_rows = 1e-12 * np.maximum(krylov._row_norms(v, weight), 1.0)
+        tol = 1e-12 * rms_row_norm(v, weight)
         mv, calls = self._counting(h)
-        out, err = krylov._lanczos_block(mv, v, tau, weight, tol_rows, 40)
+        out, err = krylov._lanczos_block(mv, v, tau, weight, tol, 40)
         skipping = len(eigh_calls)
         # an infinite allowance makes the bound vacuous: eigh at every iteration
         monkeypatch.setattr(krylov, "EIGH_ALLOWANCE", np.inf)
-        every, every_err = krylov._lanczos_block(mv, v, tau, weight, tol_rows, 40)
+        every, every_err = krylov._lanczos_block(mv, v, tau, weight, tol, 40)
         assert len(eigh_calls) - skipping == len(calls) // 2
         assert skipping < len(calls) // 2
         assert out.tobytes() == every.tobytes()
-        assert err.tobytes() == every_err.tobytes()
+        assert np.float64(err).tobytes() == np.float64(every_err).tobytes()
 
 
 def basis_overlap(matvec, v, tau, weight):
-    """Per row, weight·max|Q^H Q - I| over the nonzero Krylov vectors of one solve.
+    """weight·max|Q^H Q - I| over the Krylov vectors of one block solve.
 
     The basis is read off the matvec inputs, which are its vectors in order.
     """
     seen = []
 
     def recording(rows):
-        seen.append(np.array(rows))
+        seen.append(np.array(rows).reshape(-1))
         return matvec(rows)
 
-    tol_rows = 1e-12 * np.maximum(krylov._row_norms(v, weight), 1.0)
-    krylov._lanczos_block(recording, v, tau, weight, tol_rows, 40)
-    q = np.stack(seen, axis=1)
-    overlaps = []
-    for row in q:
-        live = row[np.any(row != 0.0, axis=1)]
-        gram = weight * (live.conj() @ live.T)
-        overlaps.append(np.max(np.abs(gram - np.eye(len(live))), initial=0.0))
-    return np.array(overlaps), q.shape[1]
+    tol = 1e-12 * rms_row_norm(v, weight)
+    krylov._lanczos_block(recording, v, tau, weight, tol, 40)
+    q = np.stack(seen)
+    gram = weight * (q.conj() @ q.T)
+    return float(np.max(np.abs(gram - np.eye(len(q))))), len(q)
 
 
 @pytest.fixture(scope="module")
 def stationary_state():
     """A trapped HF ground state kept in its trap: each orbital is an
-    eigenvector of h(ω) up to the SCF residual, so β_1 ≪ α_1."""
+    eigenvector of h(ω) up to the SCF residual."""
     grid = Grid(1, 128, 4.0 * np.pi, 1.0 / 16.0)
     disp = Dispersion.relativistic(1.0)
     pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
@@ -373,7 +480,7 @@ class TestLanczosBasis:
 
     @pytest.mark.parametrize("tau", [0.05, 0.6, 30.0])
     def test_orthonormal_on_reference_problem(self, tau):
-        # row 1 is zero and row 2 lies in an invariant subspace (β_3 = 0)
+        # row 1 is zero and row 2 lies in an invariant subspace
         problem = TestLanczosAgainstReference()
         h, v = problem._problem(16, seed=90)
         overlaps, _ = basis_overlap(lambda rows: rows @ h.T, v, tau, 0.3)
@@ -410,23 +517,33 @@ class TestEntryFloor:
         # shift·tau up to 50: a shift changes the entry by a global phase only
         alphas = alphas + shift / tau
         lead = min(1.0, np.prod(tau * betas) / math.factorial(m - 1))
-        floor = krylov._entry_floor(np.array([lead]), alphas.max(keepdims=True),
-                                    alphas.min(keepdims=True),
-                                    np.array([betas.max() if m > 1 else 0.0]), tau, m)[0]
-        entry = abs(krylov._exp_first_column(alphas[None], betas[None], tau)[0, -1])
+        floor = krylov._entry_floor(lead, alphas.max(), alphas.min(),
+                                    betas.max() if m > 1 else 0.0, tau, m)
+        entry = abs(krylov._exp_first_column(alphas, betas, tau)[-1])
         assert floor <= entry
         if m == 1:
             assert floor > 0.99
 
     def test_floor_is_tight_for_small_tau(self):
-        alphas = np.array([[0.3, -0.2, 0.5, 0.1]])
-        betas = np.array([[0.7, 0.4, 0.9]])
+        alphas = np.array([0.3, -0.2, 0.5, 0.1])
+        betas = np.array([0.7, 0.4, 0.9])
         tau = 1e-3
         lead = np.prod(tau * betas) / math.factorial(3)
-        floor = krylov._entry_floor(np.array([lead]), alphas.max(axis=1), alphas.min(axis=1),
-                                    betas.max(axis=1), tau, 4)[0]
-        entry = abs(krylov._exp_first_column(alphas, betas, tau)[0, -1])
+        floor = krylov._entry_floor(lead, alphas.max(), alphas.min(), betas.max(), tau, 4)
+        entry = abs(krylov._exp_first_column(alphas, betas, tau)[-1])
         assert 0.995 * entry <= floor <= entry
+
+
+def trapped_hartree_state(dt, keep_trap):
+    """A trapped ground state under the Hartree flow (exchange off), n=128, N=8."""
+    grid = Grid(1, 128, 4.0 * np.pi, 1.0 / 16.0)
+    disp = Dispersion.relativistic(1.0)
+    pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
+                        coupling=0.5)
+    orbs = scf_minimize(grid, pot, 8, disp, ScfConfig(max_iterations=200)).orbitals
+    return make_state(grid, orbs, pot, dt=dt or suggested_dt_cap(grid, disp),
+                      t_final=1.0, dispersion=disp, exchange_on=False,
+                      keep_trap=keep_trap)
 
 
 class TestEigensolvesPerSolve:
@@ -434,37 +551,57 @@ class TestEigensolvesPerSolve:
                              ids=["released", "trapped-at-cap"])
     def test_one_eigensolve_per_converged_solve(self, dt, keep_trap, monkeypatch,
                                                 eigh_calls):
-        # a trapped ground state under the Hartree flow (exchange off), released
-        # at dt = 1e-3 or kept in the trap at the suggested dt cap: every solve
-        # stops before m_max, and only its last iteration runs an eigensolve
-        grid = Grid(1, 128, 4.0 * np.pi, 1.0 / 16.0)
-        disp = Dispersion.relativistic(1.0)
-        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
-                            coupling=0.5)
-        orbs = scf_minimize(grid, pot, 8, disp, ScfConfig(max_iterations=200)).orbitals
-        state = make_state(grid, orbs, pot, dt=dt or suggested_dt_cap(grid, disp),
-                           t_final=1.0, dispersion=disp, exchange_on=False,
-                           keep_trap=keep_trap)
-        solves = []
-        lanczos_block = krylov._lanczos_block
-
-        def counting(matvec, v, *args):
-            def counted(rows):
-                solves[-1] += 1
-                return matvec(rows)
-
-            solves.append(0)
-            return lanczos_block(counted, v, *args)
-
-        monkeypatch.setattr(krylov, "_lanczos_block", counting)
+        # released at dt = 1e-3 or kept in the trap at the suggested dt cap:
+        # every solve stops before m_max, and only its last iteration runs an
+        # eigensolve
+        state = trapped_hartree_state(dt, keep_trap)
+        solves = counting_solves(monkeypatch, krylov._lanczos_block)
         eigh_calls.clear()
         new = step(state)
         assert len(eigh_calls) == len(solves) == 2  # one half-step and one full-step solve
         assert all(1 < m < 40 for m in solves), solves
-        monkeypatch.setattr(krylov, "_lanczos_block", eigh_each_iteration_lanczos_block)
+        ref_solves = counting_solves(monkeypatch, eigh_each_iteration_lanczos_block)
         ref = step(state)
+        assert ref_solves == solves
         assert len(eigh_calls) - len(solves) == sum(solves)
         assert hs_distance_squared(new.orbitals, ref.orbitals) <= 1e-26
+
+    def test_released_step_matches_per_row(self, monkeypatch):
+        # equal matvecs on a moving state; the stationary one is the known
+        # cost of one Krylov space for the block (module docstring of krylov)
+        state = trapped_hartree_state(1e-3, False)
+        solves = counting_solves(monkeypatch, krylov._lanczos_block)
+        new = step(state)
+        ref_solves = counting_solves(monkeypatch, per_row_solve)
+        ref = step(state)
+        assert ref_solves == solves
+        assert hs_distance_squared(new.orbitals, ref.orbitals) <= 1e-26
+
+
+class TestProjectionInvariant:
+    def test_block_keeps_projection_no_worse_than_per_row(self, monkeypatch):
+        # released HF quench, n=128, N=8, 20 steps with no reorthonormalization:
+        # one polynomial p(h) for every orbital keeps ω a projection at least
+        # as well as one polynomial per orbital
+        grid = Grid(1, 128, 4.0 * np.pi, 1.0 / 8.0)
+        disp = Dispersion.relativistic(1.0)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
+                            coupling=0.5)
+        orbs = scf_minimize(grid, pot, 8, disp, ScfConfig()).orbitals
+        start = make_state(grid, orbs, pot, dt=1e-3, t_final=0.02, dispersion=disp,
+                           reortho_every=1000)
+
+        def largest_residual():
+            state, worst = start, 0.0
+            for _ in range(20):
+                state = step(state)
+                worst = max(worst, state.last_projection_residual)
+            return worst
+
+        block = largest_residual()
+        monkeypatch.setattr(krylov, "_lanczos_block", per_row_solve)
+        per_row = largest_residual()
+        assert 0.0 < block <= per_row
 
 
 class TestStep:
