@@ -45,8 +45,10 @@ N in LAYER_PARTICLES: ms per `scf.scf_minimize`, and ms per energy of its
 ground state by `scf.hf_energy` and by `scf.MeanField.energy` on the dense
 path, given the real ω/N the SCF holds.  Each repetition runs every layer
 once, interleaved, and the run records per N and layer the median and
-quartiles of LAYER_REPS repetitions.  Its ED slice times, the same way,
-ms per `ed.build_hamiltonian`, per `ed.evolve_exact` sample (one step of
+quartiles of LAYER_REPS repetitions, and beside each layer the tracemalloc
+live peak of one call, in KiB above what was live before it (`peak_kib`);
+every slice below records both.  Its ED slice times, the same way, ms per
+`ed.build_hamiltonian`, per `ed.evolve_exact` sample (one step of
 ED_SAMPLE_T from the Fermi sea) and per `ed.ModeMeanField.mean_field` (at
 the Fermi sea's density) for each case of ED_LAYER_CASES: 16 modes with
 N = 2..5 at the ed_oracle workload's ε = 1, coupling 0.2, and 20 modes with
@@ -63,12 +65,20 @@ form `orbitals.apply_exchange` picks and, where the checkout has both forms
 channels; every other check gets one set whose channels it has already read
 where the checkout keeps them (`OrbitalSet.base_channels`), so it is timed
 for its own work, and the slice's layers sum to one sample's cost on either
-side.  Beside each layer it records the tracemalloc live peak of one call,
-in KiB above what was live before it (`peak_kib`).  Where the checkout
-has both forms, its exchange slice times the exchange check with each form
-forced, the same way, for each (d, n, N) of EXCHANGE_LAYER_CASES on a seeded
-random orthonormal state: both sides of each dimension's crossover, and
-64² above the check's size cap.  Per case it records the form
+side.  Its propagation slice times, for each (d, n, N) of PROPAGATION_CASES
+on the trapped setup, ms per `propagate.step` (exponential midpoint,
+dt = PROPAGATION_DT) and per block h-apply on the N orbitals (`krylov.matvec`,
+the MeanField's closure of the state), for each flow of PROPAGATION_FLOWS
+(Hartree, HF on the pair path, HF on the dense path), from two starts: the
+SCF ground state kicked by `kick` and released from the trap (`released`), and
+the ground state kept in its trap (`stationary`), on which a step barely
+moves the orbitals.  Per case it also records the Krylov matvecs per solve
+of one step.  PROPAGATION_RK4 is timed the same way under RK4 with HF on
+the pair path.  Where the checkout has both forms, its exchange slice
+times the exchange check with each form forced, the same way, for each
+(d, n, N) of EXCHANGE_LAYER_CASES on a seeded random orthonormal state:
+both sides of each dimension's crossover, and 64² above the check's size
+cap.  Per case it records the form
 `apply_exchange` picks, the medians and quartiles and each form's
 tracemalloc peak, and per dimension it fits the cost c of
 c·n^d <= N²·log2(n^d) to the cases within the cap (`fit_dense_cost`).
@@ -108,6 +118,14 @@ ED_LAYER_CASES = ((16, 2, 1.0, 0.2), (16, 3, 1.0, 0.2), (16, 4, 1.0, 0.2), (16, 
                   (20, 7, 0.25, 2.0))
 ED_SAMPLE_T = 0.1
 VLASOV_DT = 0.0025  # the hartree_phase_space workload's Vlasov step
+# (d, n per axis, N) of the propagation slice of --layers, and its RK4 case
+PROPAGATION_CASES = tuple((1, n, n_part) for n in (128, 256) for n_part in (4, 8, 16, 32)) + (
+    (2, 64, 8),)
+PROPAGATION_RK4 = (1, 256, 12)
+PROPAGATION_DT = 1e-3
+# flow of the propagation slice -> (exchange_on, MeanField path)
+PROPAGATION_FLOWS = {"hartree": (False, "pair"), "hf-pair": (True, "pair"),
+                     "hf-dense": (True, "dense")}
 # (d, n per axis, N) of the exchange slice of --layers
 EXCHANGE_LAYER_CASES = (
     (1, 256, 2), (1, 256, 4), (1, 256, 5), (1, 256, 6), (1, 256, 7), (1, 256, 8), (1, 256, 16),
@@ -195,43 +213,64 @@ def host_record(checkout: Path) -> dict:
                      "numpy": np.__version__}}
 
 
+def trapped_setup(dim: int, n: int, n_part: int):
+    """(grid, potential) of the trapped setup the crossover and layers runs share."""
+    import numpy as np
+    from rhflab.grids import Grid, PotentialSpec, gaussian_vhat, harmonic_trap
+
+    grid = Grid(dim, n, 4.0 * np.pi, 1.0 / n_part)
+    pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
+                        coupling=0.5)
+    return grid, pot
+
+
+def ground_state(dim: int, n: int, n_part: int):
+    """The SCF ground state of the trapped setup as an (N, *grid.shape) array.
+
+    On 2D grids above 32² it is the 32² state interpolated spectrally, because
+    a dense SCF at 64² takes minutes.
+    """
+    import numpy as np
+    from rhflab import scf
+    from rhflab.grids import Dispersion
+    from rhflab.orbitals import OrbitalSet, reorthonormalize
+
+    grid, pot = trapped_setup(dim, n, n_part)
+    if dim == 2 and n > 32:  # interpolate the 32² state: pad its spectrum
+        coarse = ground_state(dim, 32, n_part)
+        spec = np.fft.fftshift(np.fft.fft2(coarse), axes=(1, 2))
+        pad = (n - 32) // 2
+        spec = np.pad(spec, ((0, 0), (pad, pad), (pad, pad)))
+        fine = np.fft.ifft2(np.fft.ifftshift(spec, axes=(1, 2))) * (n / 32) ** 2
+        return reorthonormalize(OrbitalSet(fine, grid, validate=False)).orbitals
+    return scf.scf_minimize(grid, pot, n_part, Dispersion.relativistic(1.0),
+                            scf.ScfConfig()).orbitals.orbitals
+
+
+def kick(grid):
+    """e^{2πi·Σx/L}: one momentum quantum along every axis."""
+    import numpy as np
+
+    return np.exp(1j * sum(2.0 * np.pi / grid.box_length * x for x in grid.x_mesh))
+
+
 def crossover(checkout: Path) -> dict:
     """One crossover run: ms per midpoint step on each path (module docstring)."""
     load_checkout(checkout)
     import time
 
-    import numpy as np
     from rhflab import propagate, scf
-    from rhflab.grids import Dispersion, Grid, PotentialSpec, gaussian_vhat, harmonic_trap
-    from rhflab.orbitals import OrbitalSet, reorthonormalize
+    from rhflab.grids import Dispersion
+    from rhflab.orbitals import OrbitalSet
 
     disp = Dispersion.relativistic(1.0)
-
-    def setup(dim, n, n_part):
-        grid = Grid(dim, n, 4.0 * np.pi, 1.0 / n_part)
-        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
-                            coupling=0.5)
-        return grid, pot
-
-    def ground_state(dim, n, n_part):
-        grid, pot = setup(dim, n, n_part)
-        if dim == 2 and n > 32:  # interpolate the 32² state: pad its spectrum
-            coarse = ground_state(dim, 32, n_part)
-            spec = np.fft.fftshift(np.fft.fft2(coarse), axes=(1, 2))
-            pad = (n - 32) // 2
-            spec = np.pad(spec, ((0, 0), (pad, pad), (pad, pad)))
-            fine = np.fft.ifft2(np.fft.ifftshift(spec, axes=(1, 2))) * (n / 32) ** 2
-            return reorthonormalize(OrbitalSet(fine, grid, validate=False)).orbitals
-        return scf.scf_minimize(grid, pot, n_part, disp, scf.ScfConfig()).orbitals.orbitals
-
     cases = [(1, n, n_part) for n in CROSSOVER_NS for n_part in CROSSOVER_PARTICLES]
     cases += [(2, n, n_part) for n, n_part in CROSSOVER_2D]
     block = dict(host_record(checkout), reps=CROSSOVER_REPS, dt=1e-3,
                  dense_cost=scf.DENSE_COST, cases=[])
     for dim, n, n_part in cases:
-        grid, pot = setup(dim, n, n_part)
-        kick = np.exp(1j * sum(2.0 * np.pi / grid.box_length * x for x in grid.x_mesh))
-        orbs = OrbitalSet(ground_state(dim, n, n_part) * kick, grid, validate=False)
+        grid, pot = trapped_setup(dim, n, n_part)
+        orbs = OrbitalSet(ground_state(dim, n, n_part) * kick(grid), grid, validate=False)
         config = propagate.EvolutionConfig(dt=1e-3, t_final=1e-3, dispersion=disp)
         inputs = (grid, pot, disp, config.scheme, True, False, n_part)
         states = {path: propagate.SimState(0.0, orbs, pot, config,
@@ -297,7 +336,8 @@ def ed_layers() -> list[dict]:
         }
         case = {"M": n_modes, "N": n_part, "epsilon": eps, "coupling": coupling,
                 "basis_size": basis.size, "nnz": int(h.nnz),
-                "ms": interleaved_ms(calls, LAYER_REPS)}
+                "ms": interleaved_ms(calls, LAYER_REPS),
+                "peak_kib": {name: live_peak_kib(call) for name, call in calls.items()}}
         del h  # let the Hamiltonian go before the next case builds its own
         cases.append(case)
         print(f"layers ED M={n_modes} N={n_part}: " + ", ".join(
@@ -420,21 +460,97 @@ def diagnostics_layers(grid, pot, orbitals_block, n_part: int) -> dict:
     return case
 
 
+def krylov_counts(state) -> tuple[int, int]:
+    """(Krylov solves, matvecs) of one propagate.step of state."""
+    from rhflab import propagate
+
+    counts = [0, 0]
+    solve = propagate.expm_apply_block
+
+    def counting(matvec, v, tau, **kwargs):
+        def counted(rows):
+            counts[1] += 1
+            return matvec(rows)
+
+        counts[0] += 1
+        return solve(counted, v, tau, **kwargs)
+
+    propagate.expm_apply_block = counting
+    try:
+        propagate.step(state)
+    finally:
+        propagate.expm_apply_block = solve
+    return counts[0], counts[1]
+
+
+def propagation_layers() -> list[dict]:
+    """The propagation slice of a layers run (module docstring)."""
+    import warnings
+
+    from rhflab import propagate, scf
+    from rhflab.grids import Dispersion
+    from rhflab.orbitals import OrbitalSet
+
+    disp = Dispersion.relativistic(1.0)
+    runs = [(case, "exponential_midpoint", PROPAGATION_FLOWS) for case in PROPAGATION_CASES]
+    runs.append((PROPAGATION_RK4, "rk4_frozen_field", {"hf-pair": (True, "pair")}))
+    cases = []
+    for (dim, n, n_part), scheme, flows in runs:
+        grid, pot = trapped_setup(dim, n, n_part)
+        phi = ground_state(dim, n, n_part)
+        starts = {"released": (phi * kick(grid), False), "stationary": (phi, True)}
+        states = {}
+        for flow, (exchange_on, path) in flows.items():
+            for start, (block, keep_trap) in starts.items():
+                config = propagate.EvolutionConfig(
+                    dt=PROPAGATION_DT, t_final=PROPAGATION_DT, scheme=scheme,
+                    exchange_on=exchange_on, dispersion=disp, keep_trap=keep_trap)
+                mean_field = scf.MeanField.for_evolution(
+                    grid, pot, disp, scheme, exchange_on, keep_trap, n_part, path=path)
+                orbs = OrbitalSet(block, grid, validate=False)
+                states[flow, start] = propagate.SimState(0.0, orbs, pot, config,
+                                                         mean_field=mean_field)
+        calls = {}
+        for (flow, start), state in states.items():
+            apply_h = state.mean_field.closure(state.orbitals.orbitals)
+            calls[flow, start, "propagate.step"] = lambda state=state: propagate.step(state)
+            calls[flow, start, "krylov.matvec"] = (
+                lambda apply_h=apply_h, block=state.orbitals.orbitals: apply_h(block))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # dt above the suggested cap
+            ms = interleaved_ms(calls, LAYER_REPS)
+            peaks = {key: live_peak_kib(call) for key, call in calls.items()}
+            for (flow, start), state in states.items():
+                solves, matvecs = krylov_counts(state)
+                case = {"dim": dim, "n": n, "N": n_part, "scheme": scheme, "flow": flow,
+                        "path": state.mean_field.path, "start": start,
+                        "matvecs_per_solve": matvecs / solves if solves else None,
+                        "ms": {layer: ms[flow, start, layer]
+                               for layer in ("propagate.step", "krylov.matvec")},
+                        "peak_kib": {layer: peaks[flow, start, layer]
+                                     for layer in ("propagate.step", "krylov.matvec")}}
+                cases.append(case)
+                per_solve = (f", {case['matvecs_per_solve']:.3g} matvecs/solve"
+                             if solves else "")
+                print(f"layers propagation {n}^{dim} N={n_part} {scheme} {flow} {start}: "
+                      f"step {case['ms']['propagate.step']['median']:.3g} ms, h-apply "
+                      f"{case['ms']['krylov.matvec']['median']:.3g} ms{per_solve}")
+        del states, calls
+    return cases
+
+
 def layers(checkout: Path) -> dict:
-    """One layers run: ms per SCF, per energy evaluation and per ED layer (module docstring)."""
+    """One layers run: every slice (module docstring)."""
     load_checkout(checkout)
-    import numpy as np
     from rhflab import orbitals, scf
-    from rhflab.grids import Dispersion, Grid, PotentialSpec, gaussian_vhat, harmonic_trap
+    from rhflab.grids import Dispersion
     from rhflab.orbitals import OrbitalSet
 
     disp = Dispersion.relativistic(1.0)
     block = dict(host_record(checkout), reps=LAYER_REPS, n=LAYER_N, cases=[],
                  diagnostics_cases=[])
     for n_part in LAYER_PARTICLES:
-        grid = Grid(1, LAYER_N, 4.0 * np.pi, 1.0 / n_part)
-        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
-                            coupling=0.5)
+        grid, pot = trapped_setup(1, LAYER_N, n_part)
         config = scf.ScfConfig()
         res = scf.scf_minimize(grid, pot, n_part, disp, config)
         phi = res.orbitals.orbitals.real.copy()
@@ -449,13 +565,15 @@ def layers(checkout: Path) -> dict:
         ms = interleaved_ms(calls, LAYER_REPS)
         hf, dense = calls["scf.hf_energy"](), calls["scf.MeanField.energy"]()
         case = {"N": n_part, "scf_iterations": res.iterations,
-                "energy_rel_diff": abs(dense - hf) / abs(hf), "ms": ms}
+                "energy_rel_diff": abs(dense - hf) / abs(hf), "ms": ms,
+                "peak_kib": {name: live_peak_kib(call) for name, call in calls.items()}}
         block["cases"].append(case)
         print(f"layers n={LAYER_N} N={n_part}: " + ", ".join(
             f"{name} {stats['median']:.3g} ms" for name, stats in case["ms"].items()))
         block["diagnostics_cases"].append(
             diagnostics_layers(grid, pot, res.orbitals.orbitals, n_part))
     block["ed_cases"] = ed_layers()
+    block["propagation_cases"] = propagation_layers()
     if hasattr(orbitals, "_dense_exchange"):
         block["exchange"] = exchange_layers()
     return block
@@ -518,8 +636,8 @@ def main(argv=None) -> int:
     form.add_argument("--crossover", action="store_true",
                       help="time one step on each mean-field path in place of the workloads")
     form.add_argument("--layers", action="store_true",
-                      help="time the SCF, energy, diagnostics and ED layers in place of "
-                           "the workloads")
+                      help="time the SCF, energy, diagnostics, ED, propagation and "
+                           "exchange layers in place of the workloads")
     args = ap.parse_args(argv)
     checkout = args.checkout.resolve()
     out = ROOT / f"BENCH_{args.label}.json"

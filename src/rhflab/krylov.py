@@ -6,22 +6,27 @@ block (b = 1).  So the block is one vector of I_b ⊗ H, and a solve runs one
 Lanczos recurrence on the flattened block: one α and one β per iteration,
 one (m_max+1, b·n) basis, and one m×m eigensolve per check.  The three-term
 step, the Gram-Schmidt projection and the final combination are single
-BLAS products over the whole block.  Per-row recurrences (one α, β, T_m
-and eigensolve per row) are gone: the same polynomial p(H) now acts on
-every row, so their small-array bookkeeping, which cost more than the
-matvecs on the Hartree flow, has nothing left to do.  Krylov vectors of
-I_b ⊗ H are blocks of vectors of H, so the space is rich enough: on the
-benchmark's quenches and the ED oracle a solve takes as many matvecs as the
-per-row solves did.
+BLAS products over the whole block.  There are no per-row recurrences (one
+α, β, T_m and eigensolve per row), whose small-array bookkeeping cost more
+than the matvecs on the Hartree flow: one polynomial p(H) serves every
+row.  On the benchmark's three workloads a solve takes as many matvecs as
+per-row solves (5.0, 5.5 and 5.75 per solve).
 
 Tolerance: a solve stops once the weighted error estimate of the whole
 block is at most tol × the RMS row norm.  For orthonormal orbitals that
-bounds every orbital's error by tol, as the per-row solves did; for ed's
-single row it is the per-row tolerance itself.  The cost is on stationary
-states: the per-row recurrences had one Krylov space per eigenvector, which
-is invariant after one matvec, where the block is a sum of N eigenvectors
-of distinct energies and needs about as many matvecs as a moving state (a
-trapped HF ground state takes 5-6 per solve instead of 3).
+bounds every orbital's error by tol, as per-row solves do; for ed's single
+row it is the per-row tolerance itself.  Held as a whole, the block can
+take one matvec more than per-row solves (released N = 4 blocks and 64²
+at N = 8: 4.5 against 4 per solve).  The larger cost is on stationary
+states: per-row solves have one Krylov space per eigenvector, invariant
+after one matvec, where the block is a sum of N eigenvectors of distinct
+energies and needs about as many matvecs as a moving state (a trapped HF
+ground state at N = 32 takes 5.5-6 per solve instead of 3; the
+propagation slice of `scripts/bench_trajectory.py --layers`).  Every
+eigenvalue of I_b ⊗ H is b-fold, so once the Ritz values converge,
+rounding seeds directions in the other copies that reorthogonalization
+keeps: a solve that reaches m_max that way, short of its tolerance, is not
+reproducible to rounding, and the substep halving rejects it.
 
 Iteration m takes w = Hq_{m-1} through two reductions.  The three-term
 step subtracts α q_{m-1} + β_{m-1} q_{m-2} as one product; one classical
@@ -31,10 +36,10 @@ rounding of order u·‖Hq‖ (u the unit roundoff), so the new vector keeps an
 overlap of about u·‖Hq‖/β with the basis, and the large coefficient α
 times the overlaps already there feeds the next iteration's, so the loss
 compounds by ‖Hq‖/β per iteration (the tests check
-weight·max|Q^H Q - I| ≤ 1e-13, also on a stationary state, where β_1 is
-the SCF residual).  After the three-term step the remainder is of size β,
-so the projection's own rounding is of order u·β and the overlaps stay of
-order u ("twice is enough").  A β that is rounding, β ≤ 1e-14·(|α| + 1),
+weight·max|Q^H Q - I| ≤ 1e-13, also on a stationary state).  After the
+three-term step the remainder is of size β, so the projection's own
+rounding is of order u·β and the overlaps stay of order u ("twice is
+enough").  A β that is rounding, β ≤ 1e-14·(|α| + 1),
 is a happy breakdown: the Krylov space is invariant to working precision,
 so exp(-iτT_m) on it is exact and the solve returns with error 0.
 

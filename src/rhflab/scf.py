@@ -57,7 +57,8 @@ with the exchange check's own measured cap and costs).  Otherwise it runs
 pair.
 DENSE_COST is fitted to step times at one BLAS thread
 (`scripts/bench_trajectory.py --crossover`; the `crossover` runs of
-BENCH_pr12.json, taken at 3 builds a step, and of BENCH_pr16.json, at 2)
+BENCH_pr12.json, taken at 3 builds a step, of BENCH_pr16.json, at 2, and
+of BENCH_pr19.json, with one Lanczos recurrence per block solve)
 over n ∈ {64, 128, 256}, N ∈ {2, 4, 8, 16} and 32², 64² at N = 8: in
 every run taken on a quiet host the least lost time falls on
 c ∈ (0.625, 0.875].  Dense wins from N = 2 at
