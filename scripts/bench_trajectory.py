@@ -59,8 +59,11 @@ runner's 16 phase samples), `exchange_double_commutator_check` in the
 form `orbitals.apply_exchange` picks and, where the checkout has both forms
 (`orbitals._dense_exchange`, `_loop_exchange`), with each forced
 (`[dense]`, `[loop]`),
-`kinetic_double_commutator_check` (m0 = 1), `wigner_transform` and
-`vlasov.vlasov_step` (dt = VLASOV_DT, from the state's Wigner transform).
+`kinetic_double_commutator_check` (m0 = 1), `wigner_transform`,
+`vlasov.vlasov_step` (dt = VLASOV_DT, from the state's Wigner transform) and
+`vlasov.vlasov_run` over VLASOV_STEPS steps of VLASOV_DT from the same field,
+recorded in ms per step, since a run fuses the half x-shifts of adjacent
+steps and a single step cannot show that.
 `commutator_channels` gets a new OrbitalSet per call, so it pays the base
 channels; every other check gets one set whose channels it has already read
 where the checkout keeps them (`OrbitalSet.base_channels`), so it is timed
@@ -118,6 +121,7 @@ ED_LAYER_CASES = ((16, 2, 1.0, 0.2), (16, 3, 1.0, 0.2), (16, 4, 1.0, 0.2), (16, 
                   (20, 7, 0.25, 2.0))
 ED_SAMPLE_T = 0.1
 VLASOV_DT = 0.0025  # the hartree_phase_space workload's Vlasov step
+VLASOV_STEPS = 120  # and the steps of its Vlasov leg
 # (d, n per axis, N) of the propagation slice of --layers, and its RK4 case
 PROPAGATION_CASES = tuple((1, n, n_part) for n in (128, 256) for n_part in (4, 8, 16, 32)) + (
     (2, 64, 8),)
@@ -447,11 +451,15 @@ def diagnostics_layers(grid, pot, orbitals_block, n_part: int) -> dict:
             lambda: diagnostics.kinetic_double_commutator_check(orbs, 1.0),
         "diagnostics.wigner_transform": lambda: diagnostics.wigner_transform(orbs),
         "vlasov.vlasov_step": lambda: vlasov.vlasov_step(field, pot, 1.0, VLASOV_DT),
+        "vlasov.vlasov_run": lambda: vlasov.vlasov_run(field, pot, 1.0, VLASOV_DT,
+                                                       VLASOV_STEPS * VLASOV_DT),
     })
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # seam mass, Wigner residual, Vlasov CFL
         ms = interleaved_ms(calls, LAYER_REPS)
         peaks = {layer: live_peak_kib(call) for layer, call in calls.items()}
+    ms["vlasov.vlasov_run"] = {key: value / VLASOV_STEPS
+                               for key, value in ms["vlasov.vlasov_run"].items()}
     case = {"N": n_part, "exchange_form": None, "ms": ms, "peak_kib": peaks}
     if forms:
         case["exchange_form"] = picked_exchange_form(orbs, pot)

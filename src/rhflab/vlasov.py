@@ -4,13 +4,25 @@
 integrated by Strang splitting with spectral (semi-Lagrangian) shifts:
 half transport in x per v-row, full force advection in v per x-column,
 half transport in x.  Shifts are exact for band-limited data and conserve
-total mass to rounding.  The external trap on the PotentialSpec is not part
-of the phase-space flow (the force is the self-consistent -∂_x(V*ρ) only).
+total mass to rounding.
+
+The closing half x-shift of one step and the opening half x-shift of the
+next multiply the same x-Fourier coefficients, so a run fuses them into one
+full x-shift (Cheng & Knorr, J. Comput. Phys. 22, 330, 1976): n steps are a
+half x-shift, n kicks in v with a full x-shift between each two, and a
+closing half x-shift, 2n+1 shifts in place of 3n.  The full shift composes
+the two halves as they act on real data.  irfft keeps only the real part of
+the Nyquist bin (even n), so the full-step table is the half-step table with
+its Nyquist row replaced by its real part, squared elementwise.
+`vlasov_step` is the one-step case of the same loop.  The CFL-style warnings
+and the non-finite abort are evaluated at every step.
+
+The external trap on the PotentialSpec is not part of the phase-space flow
+(the force is the self-consistent -∂_x(V*ρ) only).
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 
 import numpy as np
@@ -22,28 +34,21 @@ from .propagate import step_count
 __all__ = ["PhaseSpaceField", "vlasov_step", "vlasov_run", "compare_to_wigner"]
 
 
-@functools.lru_cache(maxsize=1)
-def _x_phase(n: int, dx: float, displacement: bytes) -> np.ndarray:
-    """exp(-i k⊗displacement) over the rfft bins k, read-only.
-
-    Keyed by bytes, so both half x-shifts of a Strang step share one table.
-    """
+def _x_phase(n: int, dx: float, displacement: np.ndarray) -> np.ndarray:
+    """exp(-i k⊗displacement) over the rfft bins k."""
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dx)
-    phase = np.exp(-1j * np.outer(k, np.frombuffer(displacement)))
-    phase.flags.writeable = False
-    return phase
+    return np.exp(-1j * np.outer(k, displacement))
 
 
-def _shift_x(values: np.ndarray, displacement: np.ndarray, dx: float) -> np.ndarray:
-    """values(x - displacement(v), v) by spectral shift per v-row.
+def _shift_x(values: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """values(x - displacement(v), v) by spectral shift per v-row, phase from _x_phase.
 
     Real transforms: the Nyquist bin keeps only its real part, as the real
     part of a full complex shift would.
     """
-    n = values.shape[0]
     vhat = np.fft.rfft(values, axis=0)
-    vhat *= _x_phase(n, dx, np.asarray(displacement, dtype=float).tobytes())
-    return np.fft.irfft(vhat, n=n, axis=0)
+    vhat *= phase
+    return np.fft.irfft(vhat, n=values.shape[0], axis=0)
 
 
 def _shift_v(values: np.ndarray, displacement: np.ndarray, dv: float) -> np.ndarray:
@@ -68,47 +73,60 @@ def _force(field: PhaseSpaceField, potential: PotentialSpec) -> np.ndarray:
     """-∂_x(V*ρ) on the x nodes, spectrally."""
     rho = field.position_marginal()
     grid = potential.grid
-    if grid.n != len(rho) or grid.dim != 1:
+    if grid.n != len(rho) or grid.dim != 1 or grid.box_length != field.box_length:
         raise ValueError("potential grid does not match the phase-space x grid")
     conv_hat = potential.vhat_eff * np.fft.fft(rho)
     return -np.fft.ifft(1j * grid.p_axis * conv_hat).real
 
 
+def _strang_steps(field: PhaseSpaceField, potential: PotentialSpec, m0: float,
+                  dt: float, steps: int) -> PhaseSpaceField:
+    """`steps` Strang steps of dt with adjacent half x-shifts fused (module docstring).
+
+    Warns on CFL-style displacement above one cell; stacklevel 3 points the
+    warnings at the caller of vlasov_step or vlasov_run.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if steps == 0:
+        return field
+    dx, dv = field.dx, field.dv
+    v = field.v_grid
+    u = v / np.sqrt(v**2 + m0**2)
+    drift = dt * np.max(np.abs(u))
+    half = _x_phase(len(field.x_grid), dx, 0.5 * dt * u)
+    full = half.copy()
+    if len(field.x_grid) % 2 == 0:
+        full[-1] = full[-1].real
+    full *= full
+    values = _shift_x(field.values, half)
+    for k in range(steps):
+        if drift > dx:
+            warnings.warn(f"transport displacement {drift:.3e} exceeds dx={dx:.3e}",
+                          stacklevel=3)
+        work = PhaseSpaceField(values, field.x_grid, v, field.box_length, field.epsilon)
+        force = _force(work, potential)
+        if dt * np.max(np.abs(force)) > dv:
+            warnings.warn(
+                f"force displacement {dt * np.max(np.abs(force)):.3e} exceeds dv={dv:.3e}",
+                stacklevel=3,
+            )
+        values = _shift_x(_shift_v(values, dt * force, dv), full if k < steps - 1 else half)
+        if not np.all(np.isfinite(values)):
+            raise RuntimeError("Vlasov step produced non-finite values; aborting")
+    return PhaseSpaceField(values, field.x_grid, v, field.box_length, field.epsilon)
+
+
 def vlasov_step(field: PhaseSpaceField, potential: PotentialSpec, m0: float,
                 dt: float) -> PhaseSpaceField:
     """One Strang step; warns on CFL-style displacement above one cell."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    v = field.v_grid
-    u = v / np.sqrt(v**2 + m0**2)
-    if dt * np.max(np.abs(u)) > field.dx:
-        warnings.warn(
-            f"transport displacement {dt * np.max(np.abs(u)):.3e} exceeds dx={field.dx:.3e}",
-            stacklevel=2,
-        )
-    half = _shift_x(field.values, 0.5 * dt * u, field.dx)
-    work = PhaseSpaceField(half, field.x_grid, field.v_grid, field.box_length,
-                           field.epsilon)
-    force = _force(work, potential)
-    if dt * np.max(np.abs(force)) > field.dv:
-        warnings.warn(
-            f"force displacement {dt * np.max(np.abs(force)):.3e} exceeds dv={field.dv:.3e}",
-            stacklevel=2,
-        )
-    kicked = _shift_v(half, dt * force, field.dv)
-    out = _shift_x(kicked, 0.5 * dt * u, field.dx)
-    if not np.all(np.isfinite(out)):
-        raise RuntimeError("Vlasov step produced non-finite values; aborting")
-    return PhaseSpaceField(out, field.x_grid, field.v_grid, field.box_length,
-                           field.epsilon)
+    return _strang_steps(field, potential, m0, dt, 1)
 
 
 def vlasov_run(field: PhaseSpaceField, potential: PotentialSpec, m0: float,
                dt: float, t_final: float) -> PhaseSpaceField:
     """Strang steps of dt from 0 to t_final; refuses a span dt does not divide."""
-    for _ in range(step_count(0.0, t_final, dt)):
-        field = vlasov_step(field, potential, m0, dt)
-    return field
+    return _strang_steps(field, potential, m0, dt, step_count(0.0, t_final, dt))
 
 
 def compare_to_wigner(vlasov_field: PhaseSpaceField, wigner_field: PhaseSpaceField) -> dict:
