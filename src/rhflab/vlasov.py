@@ -55,15 +55,16 @@ def _shift_v(values: np.ndarray, displacement: np.ndarray, dv: float) -> np.ndar
     """values(x, v - displacement(x)) by spectral shift per x-column (real transforms).
 
     The phase exp(-iθ), θ = displacement⊗k, is written as cos θ and -sin θ
-    into the two halves of one complex buffer, without a complex exp.
+    into the two halves of one complex buffer, without a complex exp; θ is
+    formed in the imaginary half, so no separate θ array is held.
     """
     n = values.shape[1]
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=dv)
-    theta = np.outer(displacement, k)
-    phase = np.empty(theta.shape, dtype=complex)
+    phase = np.empty((len(displacement), len(k)), dtype=complex)
+    theta = np.multiply.outer(displacement, k, out=phase.imag)
     np.cos(theta, out=phase.real)
-    np.sin(theta, out=phase.imag)
-    np.negative(phase.imag, out=phase.imag)
+    np.sin(theta, out=theta)
+    np.negative(theta, out=theta)
     vhat = np.fft.rfft(values, axis=1)
     vhat *= phase
     return np.fft.irfft(vhat, n=n, axis=1)
@@ -94,12 +95,13 @@ def _strang_steps(field: PhaseSpaceField, potential: PotentialSpec, m0: float,
     v = field.v_grid
     u = v / np.sqrt(v**2 + m0**2)
     drift = dt * np.max(np.abs(u))
-    half = _x_phase(len(field.x_grid), dx, 0.5 * dt * u)
-    full = half.copy()
-    if len(field.x_grid) % 2 == 0:
-        full[-1] = full[-1].real
-    full *= full
-    values = _shift_x(field.values, half)
+    n = len(field.x_grid)
+    phase = _x_phase(n, dx, 0.5 * dt * u)
+    values = _shift_x(field.values, phase)
+    if steps > 1:  # the full-step table, squared in place: one table is held at a time
+        if n % 2 == 0:
+            phase[-1] = phase[-1].real
+        phase *= phase
     for k in range(steps):
         if drift > dx:
             warnings.warn(f"transport displacement {drift:.3e} exceeds dx={dx:.3e}",
@@ -111,7 +113,9 @@ def _strang_steps(field: PhaseSpaceField, potential: PotentialSpec, m0: float,
                 f"force displacement {dt * np.max(np.abs(force)):.3e} exceeds dv={dv:.3e}",
                 stacklevel=3,
             )
-        values = _shift_x(_shift_v(values, dt * force, dv), full if k < steps - 1 else half)
+        if 0 < k == steps - 1:  # the closing half shift
+            phase = _x_phase(n, dx, 0.5 * dt * u)
+        values = _shift_x(_shift_v(values, dt * force, dv), phase)
         if not np.all(np.isfinite(values)):
             raise RuntimeError("Vlasov step produced non-finite values; aborting")
     return PhaseSpaceField(values, field.x_grid, v, field.box_length, field.epsilon)
