@@ -5,6 +5,7 @@
         [--seconds 40]
     python3 scripts/bench_trajectory.py LABEL --crossover [--checkout DIR]
     python3 scripts/bench_trajectory.py LABEL --layers [--checkout DIR]
+    python3 scripts/bench_trajectory.py LABEL --fit [--checkout DIR]
 
 For each workload in BENCHMARK.json the first form runs, in the checkout DIR
 (by default the repository holding this script),
@@ -28,13 +29,15 @@ values and that summary, and the commit of each side.
 
 The third form times one exponential-midpoint HF step of the checkout on
 each mean-field path (dense, pair; `scf.MeanField`) at n in CROSSOVER_NS
-and N in CROSSOVER_PARTICLES on 1D grids, and at 32² and 64² with N = 8,
-all at one BLAS thread.  Every case starts from a fixed kicked SCF state
-(the 64² state is the 32² one interpolated spectrally, because a dense SCF
-at 64² takes minutes); each repetition steps that same state once per path,
-the paths interleaved, and the run records the median, the quartiles and
-the path the rule picks.  It also fits the rule's constant c of
-c·n^d <= N²·log2(n^d) to these times (`fit_dense_cost`).  The run, with
+and N in CROSSOVER_PARTICLES on 1D grids and at each (d, n, N) of
+CROSSOVER_EXTRA, all at one BLAS thread; above the dense size cap only the
+pair path runs.  Every case starts from a fixed kicked SCF state (above
+SCF_GRID_N points per axis, the state on that grid interpolated spectrally,
+because a dense SCF there takes minutes); each repetition steps that same
+state once per path, the paths interleaved, and the run records the
+median, the quartiles, the path the rule picks and the case's rows B = N
+and applies per build k.  It also fits the dense rule's constant per
+dimension to these times (`fit_dense_cost`).  The run, with
 the checkout's commit and the host's CPU count and versions, is appended
 to the list `crossover` of BENCH_<LABEL>.json, so every run made stays on
 record; the file's other keys are kept.
@@ -56,9 +59,10 @@ N = 7 at the resolved-gap test's ε = 0.25, coupling 2.  Its diagnostics
 slice times, the same way and on the SCF ground state at each N kicked by
 e^{2πix/L}, ms per `diagnostics.commutator_channels`, `exp_bound_check` (the
 runner's 16 phase samples), `exchange_double_commutator_check` in the
-form `orbitals.apply_exchange` picks and, where the checkout has both forms
-(`orbitals._dense_exchange`, `_loop_exchange`), with each forced
-(`[dense]`, `[loop]`),
+form `orbitals.apply_exchange` picks and with each form forced: `[dense]`
+and `[fft]` (`orbitals._exchange_matrix`, `_fft_exchange`), or on a
+checkout that had them, `[dense]` and `[loop]` (`orbitals._dense_exchange`,
+`_loop_exchange`),
 `kinetic_double_commutator_check` (m0 = 1), `wigner_transform`,
 `vlasov.vlasov_step` (dt = VLASOV_DT, from the state's Wigner transform) and
 `vlasov.vlasov_run` over VLASOV_STEPS steps of VLASOV_DT from the same field,
@@ -77,22 +81,34 @@ SCF ground state kicked by `kick` and released from the trap (`released`), and
 the ground state kept in its trap (`stationary`), on which a step barely
 moves the orbitals.  Per case it also records the Krylov matvecs per solve
 of one step.  PROPAGATION_RK4 is timed the same way under RK4 with HF on
-the pair path.  Where the checkout has both forms, its exchange slice
+the pair path.  Where the checkout has two forms, its exchange slice
 times the exchange check with each form forced, the same way, for each
 (d, n, N) of EXCHANGE_LAYER_CASES on a seeded random orthonormal state:
-both sides of each dimension's crossover, and 64² above the check's size
-cap.  Per case it records the form
-`apply_exchange` picks, the medians and quartiles and each form's
-tracemalloc peak, and per dimension it fits the cost c of
-c·n^d <= N²·log2(n^d) to the cases within the cap (`fit_dense_cost`).
+both sides of each dimension's crossover.  Per case it records the form
+`apply_exchange` picks, the rows B = (d+1)·N and applies k = 1, the
+medians and quartiles and each form's tracemalloc peak, and it fits the
+dense rule's constant per dimension (`fit_dense_cost`).  Where the checkout
+has `orbitals._fft_exchange`, its exchange chunk slice times that form on
+B fields for each (d, n, N, B) of EXCHANGE_CHUNK_CASES at every chunk size
+a budget of CHUNK_BUDGETS_KIB gives, and records per budget the mean
+relative time above each case's fastest chunk (`chunk_budget_losses`).
 The run is appended
 to the list `layers` of BENCH_<LABEL>.json, as `--crossover` appends to
 `crossover`.  Both forms store the host's load averages (os.getloadavg)
 taken before and after the run in the block they append, as `loadavg`.
 
+The fifth form runs nothing: it gathers every case timed on both sides
+in this repository's BENCH_*.json files (`recorded_cases`: the crossover
+cases as the evolution's, with B = N and k = MATVECS_PER_SOLVE, and the
+exchange slices' as the check's), fits one constant per dimension of the
+rule dense iff r = (N + k·B)·n^d / (k·B·N·log2(n^d)) <= c (`dense_ratio`),
+and prints and stores as `fit` the median ms the checkout's DENSE_COST and
+the two rules it replaced lose over the faster side, summed over the
+cases, with every (caller, d, n, N) whose pick the two differ on.
+
 The first two forms rewrite every key of BENCH_<LABEL>.json but
-`crossover` and `layers`: the machine, the commits and the workloads are
-those of the runs just made.
+`crossover`, `layers` and `fit`: the machine, the commits and the
+workloads are those of the runs just made.
 """
 
 from __future__ import annotations
@@ -111,8 +127,12 @@ ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
 CROSSOVER_NS = (64, 128, 256)
 CROSSOVER_PARTICLES = (2, 4, 8, 16)
-CROSSOVER_2D = ((32, 8), (64, 8))  # (n per axis, N)
+# (d, n per axis, N) beyond the 1D grid above; above the dense cap only pair runs
+CROSSOVER_EXTRA = ((1, 1024, 12), (2, 32, 8), (2, 64, 8), (2, 64, 16), (2, 64, 32), (3, 32, 16))
 CROSSOVER_REPS = 7
+# per d: the coarsest grid a ground state is computed on by SCF; finer grids
+# get it interpolated spectrally, because a dense SCF there takes minutes
+SCF_GRID_N = {1: 1 << 30, 2: 32, 3: 8}
 LAYER_N = 256
 LAYER_PARTICLES = (8, 16, 32)
 LAYER_REPS = 9
@@ -138,10 +158,20 @@ EXCHANGE_LAYER_CASES = (
     (2, 16, 3), (2, 16, 4), (2, 16, 5), (2, 16, 8),
     (2, 32, 8), (2, 32, 10), (2, 32, 12), (2, 32, 16),
     (3, 8, 2), (3, 8, 3), (3, 8, 4), (3, 8, 6),
-    (2, 64, 16), (2, 64, 32))
+    (2, 64, 16), (2, 64, 32), (2, 64, 48))
+# (d, n per axis, N, B) of the exchange chunk slice of --layers: the FFT form
+# on B fields at every chunk size a budget from 16 KiB to 4 MiB gives
+EXCHANGE_CHUNK_CASES = (
+    (1, 256, 4, 4), (1, 256, 8, 8), (1, 256, 16, 16), (1, 256, 4, 12), (1, 256, 8, 24),
+    (1, 512, 8, 24), (1, 1024, 12, 12), (1, 1024, 12, 36), (2, 16, 4, 12), (2, 32, 8, 8),
+    (2, 32, 8, 24), (2, 64, 8, 8), (2, 64, 16, 16), (3, 8, 4, 16), (3, 16, 8, 8))
+CHUNK_BUDGETS_KIB = tuple(16 << k for k in range(9))
+# applies per build of the evolution's X, for a checkout that does not name it
+MATVECS_PER_SOLVE = 5
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# kept across runs of every form: each --crossover or --layers run is appended
-RECORD_LISTS = ("crossover", "layers")
+# kept across runs of every form: each --crossover or --layers run is appended,
+# and --fit replaces its block
+KEPT_KEYS = ("crossover", "layers", "fit")
 
 
 def run_workload(checkout: Path, name: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -231,8 +261,8 @@ def trapped_setup(dim: int, n: int, n_part: int):
 def ground_state(dim: int, n: int, n_part: int):
     """The SCF ground state of the trapped setup as an (N, *grid.shape) array.
 
-    On 2D grids above 32² it is the 32² state interpolated spectrally, because
-    a dense SCF at 64² takes minutes.
+    Above SCF_GRID_N[dim] points per axis it is the state on that grid
+    interpolated spectrally, because a dense SCF there takes minutes.
     """
     import numpy as np
     from rhflab import scf
@@ -240,12 +270,14 @@ def ground_state(dim: int, n: int, n_part: int):
     from rhflab.orbitals import OrbitalSet, reorthonormalize
 
     grid, pot = trapped_setup(dim, n, n_part)
-    if dim == 2 and n > 32:  # interpolate the 32² state: pad its spectrum
-        coarse = ground_state(dim, 32, n_part)
-        spec = np.fft.fftshift(np.fft.fft2(coarse), axes=(1, 2))
-        pad = (n - 32) // 2
-        spec = np.pad(spec, ((0, 0), (pad, pad), (pad, pad)))
-        fine = np.fft.ifft2(np.fft.ifftshift(spec, axes=(1, 2))) * (n / 32) ** 2
+    coarse_n = SCF_GRID_N[dim]
+    if n > coarse_n:  # interpolate the coarse state: pad its spectrum
+        axes = tuple(range(1, dim + 1))
+        coarse = ground_state(dim, coarse_n, n_part)
+        spec = np.fft.fftshift(np.fft.fftn(coarse, axes=axes), axes=axes)
+        pad = (n - coarse_n) // 2
+        spec = np.pad(spec, ((0, 0),) + ((pad, pad),) * dim)
+        fine = np.fft.ifftn(np.fft.ifftshift(spec, axes=axes), axes=axes) * (n / coarse_n) ** dim
         return reorthonormalize(OrbitalSet(fine, grid, validate=False)).orbitals
     return scf.scf_minimize(grid, pot, n_part, Dispersion.relativistic(1.0),
                             scf.ScfConfig()).orbitals.orbitals
@@ -263,24 +295,27 @@ def crossover(checkout: Path) -> dict:
     load_checkout(checkout)
     import time
 
-    from rhflab import propagate, scf
+    from rhflab import grids, propagate, scf
     from rhflab.grids import Dispersion
     from rhflab.orbitals import OrbitalSet
 
     disp = Dispersion.relativistic(1.0)
     cases = [(1, n, n_part) for n in CROSSOVER_NS for n_part in CROSSOVER_PARTICLES]
-    cases += [(2, n, n_part) for n, n_part in CROSSOVER_2D]
+    cases += list(CROSSOVER_EXTRA)
+    applies = getattr(scf, "MATVECS_PER_SOLVE", MATVECS_PER_SOLVE)
     block = dict(host_record(checkout), reps=CROSSOVER_REPS, dt=1e-3,
-                 dense_cost=scf.DENSE_COST, cases=[])
+                 dense_cost=grids.DENSE_COST, cases=[])
     for dim, n, n_part in cases:
         grid, pot = trapped_setup(dim, n, n_part)
         orbs = OrbitalSet(ground_state(dim, n, n_part) * kick(grid), grid, validate=False)
         config = propagate.EvolutionConfig(dt=1e-3, t_final=1e-3, dispersion=disp)
         inputs = (grid, pot, disp, config.scheme, True, False, n_part)
+        paths = [path for path in scf.PATHS
+                 if path != "dense" or grid.size <= grids.DENSE_SIZE_CAP]
         states = {path: propagate.SimState(0.0, orbs, pot, config,
                                            mean_field=scf.MeanField.for_evolution(
                                                *inputs, path=path))
-                  for path in scf.PATHS}
+                  for path in paths}
         times = {path: [] for path in states}
         for path, state in states.items():  # warm-up
             propagate.step(state)
@@ -290,13 +325,13 @@ def crossover(checkout: Path) -> dict:
                 propagate.step(state)
                 times[path].append(1e3 * (time.perf_counter() - start))
         del states
-        case = {"dim": dim, "n": n, "N": n_part,
+        case = {"dim": dim, "n": n, "N": n_part, "rows": n_part, "applies": applies,
                 "rule": scf.MeanField.for_evolution(*inputs).path,
                 "ms": {path: summarize(ms) for path, ms in times.items()}}
         block["cases"].append(case)
         print(f"crossover {n}^{dim} N={n_part}: " + ", ".join(
             f"{path} {stats['median']:.3g} ms" for path, stats in case["ms"].items())
-            + f"; rule picks {case['rule']}")
+            + f"; rule picks {case['rule']}", flush=True)
     block["fit"] = fit_dense_cost(block["cases"])
     print(f"crossover fit: {block['fit']}")
     return block
@@ -361,40 +396,64 @@ def live_peak_kib(call) -> float:
     return (peak - live) / 1024.0
 
 
-def picked_exchange_form(orbs, pot) -> str:
-    """The form `orbitals.apply_exchange` picks for orbs, seen by stand-in forms."""
+def exchange_forms() -> tuple[str, ...]:
+    """The names of the checkout's exchange check forms, dense first; () if it has one form.
+
+    ("dense", "fft") where one rule picks `orbitals._exchange_matrix` or
+    `_fft_exchange`; ("dense", "loop") where `orbitals._dense_exchange` and
+    `_loop_exchange` are the forms.
+    """
     from rhflab import orbitals
 
+    if hasattr(orbitals, "_fft_exchange"):
+        return ("dense", "fft")
+    if hasattr(orbitals, "_dense_exchange"):
+        return ("dense", "loop")
+    return ()
+
+
+def picked_exchange_form(orbs, pot) -> str:
+    """The form `orbitals.apply_exchange` picks for the check on orbs."""
+    from rhflab import orbitals
+
+    if hasattr(orbitals, "_fft_exchange"):
+        rows = (orbs.grid.dim + 1) * orbs.n_particles
+        return "dense" if orbitals.dense_pays(orbs.grid, orbs.n_particles, rows, 1) else "fft"
     saved = orbitals._dense_exchange, orbitals._loop_exchange
     orbitals._dense_exchange = lambda *args: "dense"
     orbitals._loop_exchange = lambda *args: "loop"
-    try:
+    try:  # stand-in forms see the pick
         return orbitals.apply_exchange(orbs, pot, orbs.orbitals)
     finally:
         orbitals._dense_exchange, orbitals._loop_exchange = saved
 
 
 def forced_exchange_check(form: str, orbs, pot):
-    """A call of the exchange check with apply_exchange replaced by one form."""
+    """A call of the exchange check with its exchange form forced."""
     from rhflab import diagnostics, orbitals
 
+    if hasattr(orbitals, "_fft_exchange"):
+        home, name, forced = orbitals, "dense_pays", lambda *args: form == "dense"
+    else:
+        home, name, forced = diagnostics, "apply_exchange", getattr(orbitals, f"_{form}_exchange")
+
     def call():
-        saved = diagnostics.apply_exchange
-        diagnostics.apply_exchange = getattr(orbitals, f"_{form}_exchange")
+        saved = getattr(home, name)
+        setattr(home, name, forced)
         try:
             return diagnostics.exchange_double_commutator_check(orbs, pot)
         finally:
-            diagnostics.apply_exchange = saved
+            setattr(home, name, saved)
     return call
 
 
 def exchange_layers() -> dict:
     """The exchange slice of a layers run (module docstring)."""
     import numpy as np
-    from rhflab import orbitals
     from rhflab.grids import Grid, PotentialSpec, gaussian_vhat
     from rhflab.orbitals import OrbitalSet
 
+    dense, fft = exchange_forms()
     rng = np.random.default_rng(0)
     cases = []
     for dim, n, n_part in EXCHANGE_LAYER_CASES:
@@ -404,20 +463,58 @@ def exchange_layers() -> dict:
                          + 1j * rng.standard_normal((grid.size, n_part)))[0]
         orbs = OrbitalSet((q.T / np.sqrt(grid.cell_volume)).reshape(n_part, *grid.shape), grid,
                           validate=False)
-        calls = {form: forced_exchange_check(form, orbs, pot) for form in ("dense", "loop")}
+        calls = {form: forced_exchange_check(form, orbs, pot) for form in (dense, fft)}
         ms = interleaved_ms(calls, LAYER_REPS)
-        case = {"dim": dim, "n": n, "N": n_part, "picked": picked_exchange_form(orbs, pot),
-                "ms": ms, "peak_kib": {form: live_peak_kib(call) for form, call in calls.items()}}
+        case = {"dim": dim, "n": n, "N": n_part, "rows": (dim + 1) * n_part, "applies": 1,
+                "picked": picked_exchange_form(orbs, pot), "ms": ms,
+                "peak_kib": {form: live_peak_kib(call) for form, call in calls.items()}}
         cases.append(case)
-        print(f"layers exchange {n}^{dim} N={n_part}: dense {ms['dense']['median']:.3g} ms, "
-              f"loop {ms['loop']['median']:.3g} ms; picks {case['picked']}")
-    fits = {str(dim): fit_dense_cost([c for c in cases if c["dim"] == dim
-                                      and c["n"] ** dim <= orbitals.EXCHANGE_DENSE_CAP],
-                                     other="loop")
-            for dim in sorted({c["dim"] for c in cases})}
-    print("layers exchange fit: " + ", ".join(
-        f"d={dim} c in ({fit['low']:.3g}, {fit['high']:.3g}]" for dim, fit in fits.items()))
+        print(f"layers exchange {n}^{dim} N={n_part}: dense {ms[dense]['median']:.3g} ms, "
+              f"{fft} {ms[fft]['median']:.3g} ms; picks {case['picked']}", flush=True)
+    fits = fit_dense_cost(cases)
+    print(f"layers exchange fit: {fits}")
     return {"cases": cases, "fit": fits}
+
+
+def exchange_chunk_layers() -> list[dict]:
+    """The exchange chunk slice of a layers run: `orbitals._fft_exchange` per chunk size."""
+    import numpy as np
+    from rhflab.grids import Grid, PotentialSpec, gaussian_vhat
+    from rhflab.orbitals import _fft_exchange
+
+    rng = np.random.default_rng(0)
+    cases = []
+    for dim, n, n_part, rows in EXCHANGE_CHUNK_CASES:
+        grid = Grid(dim, n, 4.0 * np.pi, 1.0 / n_part)
+        vhat = PotentialSpec(grid, gaussian_vhat(grid, 1.0)).vhat_eff
+        source, fields = (rng.standard_normal((k, *grid.shape))
+                          + 1j * rng.standard_normal((k, *grid.shape)) for k in (n_part, rows))
+        per_orbital = 16 * rows * grid.size
+        chunks = sorted({max(1, min(n_part, (kib << 10) // per_orbital))
+                         for kib in CHUNK_BUDGETS_KIB})
+        calls = {chunk: (lambda chunk=chunk: _fft_exchange(grid, source, vhat, fields,
+                                                           chunk * per_orbital))
+                 for chunk in chunks}
+        ms = interleaved_ms(calls, LAYER_REPS)
+        cases.append({"dim": dim, "n": n, "N": n_part, "rows": rows,
+                      "ms": {str(chunk): stats for chunk, stats in ms.items()}})
+        print(f"layers exchange chunks {n}^{dim} N={n_part} B={rows}: " + ", ".join(
+            f"{chunk} {stats['median']:.3g} ms" for chunk, stats in ms.items()), flush=True)
+    return cases
+
+
+def chunk_budget_losses(cases: list[dict]) -> dict:
+    """Per budget in KiB, the mean relative time above each case's fastest chunk."""
+    losses = {}
+    for kib in CHUNK_BUDGETS_KIB:
+        rel = []
+        for case in cases:
+            ms = {int(chunk): stats["median"] for chunk, stats in case["ms"].items()}
+            per_orbital = 16 * case["rows"] * case["n"] ** case["dim"]
+            chunk = max(1, min(case["N"], (kib << 10) // per_orbital))
+            rel.append(ms[chunk] / min(ms.values()) - 1.0)
+        losses[str(kib)] = sum(rel) / len(rel)
+    return losses
 
 
 def diagnostics_layers(grid, pot, orbitals_block, n_part: int) -> dict:
@@ -425,7 +522,7 @@ def diagnostics_layers(grid, pot, orbitals_block, n_part: int) -> dict:
     import warnings
 
     import numpy as np
-    from rhflab import diagnostics, orbitals, vlasov
+    from rhflab import diagnostics, vlasov
     from rhflab.orbitals import OrbitalSet
 
     kick = np.exp(2j * np.pi / grid.box_length * grid.x_mesh[0])
@@ -442,10 +539,9 @@ def diagnostics_layers(grid, pot, orbitals_block, n_part: int) -> dict:
         "diagnostics.exp_bound_check": lambda: diagnostics.exp_bound_check(orbs, samples),
         name: lambda: diagnostics.exchange_double_commutator_check(orbs, pot),
     }
-    forms = hasattr(orbitals, "_dense_exchange")
-    if forms:
-        calls[name + "[dense]"] = forced_exchange_check("dense", orbs, pot)
-        calls[name + "[loop]"] = forced_exchange_check("loop", orbs, pot)
+    forms = exchange_forms()
+    for form in forms:
+        calls[f"{name}[{form}]"] = forced_exchange_check(form, orbs, pot)
     calls.update({
         "diagnostics.kinetic_double_commutator_check":
             lambda: diagnostics.kinetic_double_commutator_check(orbs, 1.0),
@@ -582,32 +678,121 @@ def layers(checkout: Path) -> dict:
             diagnostics_layers(grid, pot, res.orbitals.orbitals, n_part))
     block["ed_cases"] = ed_layers()
     block["propagation_cases"] = propagation_layers()
-    if hasattr(orbitals, "_dense_exchange"):
+    if exchange_forms():
         block["exchange"] = exchange_layers()
+    if hasattr(orbitals, "_fft_exchange"):
+        block["exchange_chunks"] = exchange_chunk_layers()
+        block["chunk_budget_losses"] = chunk_budget_losses(block["exchange_chunks"])
+        print(f"layers chunk budget losses: {block['chunk_budget_losses']}")
     return block
 
 
-def fit_dense_cost(cases: list[dict], other: str = "pair") -> dict:
-    """The c of dense iff c·n^d <= N²·log2(n^d) that costs the least median time.
+def dense_ratio(case: dict) -> float:
+    """r = (N + k·B)·n^d / (k·B·N·log2(n^d)) of a case with B rows and k applies per build.
 
-    Each case is dense iff c <= x = N²·log2(n^d)/n^d, `other` (the pair
-    path, the loop form) otherwise.  The cost of a c is the time the cases
-    lose over their faster path; every c in (low, high] has the least cost.
+    The dense rule (`grids.dense_pays`) picks dense iff r <= DENSE_COST[d-1].
     """
-    points = []
-    for case in cases:
-        size = case["n"] ** case["dim"]
-        points.append((case["N"] ** 2 * math.log2(size) / size,
-                       case["ms"]["dense"]["median"], case["ms"][other]["median"]))
-    points.sort()
-    edges = [0.0] + [x for x, _, _ in points] + [math.inf]
-    costs = []
-    for low, high in zip(edges, edges[1:]):  # c in (low, high]: dense where x >= high
-        lost = sum((dense if x >= high else fft) - min(dense, fft)
-                   for x, dense, fft in points)
-        costs.append((lost, low, high))
-    lost, low, high = min(costs)
-    return {"low": low, "high": high, "lost_ms": lost}
+    size = case["n"] ** case["dim"]
+    rows, applies = case["rows"], case["applies"]
+    return (case["N"] + applies * rows) * size / (applies * rows * case["N"] * math.log2(size))
+
+
+def fft_median(case: dict) -> float:
+    """The median ms of a case's FFT side: pair (evolution), fft or loop (exchange check)."""
+    return next(case["ms"][side]["median"] for side in ("pair", "fft", "loop")
+                if side in case["ms"])
+
+
+def lost_ms(case: dict, dense: bool) -> float:
+    """The median ms a case loses over its faster side when run dense or not."""
+    dense_ms, fft_ms = case["ms"]["dense"]["median"], fft_median(case)
+    return (dense_ms if dense else fft_ms) - min(dense_ms, fft_ms)
+
+
+def fit_dense_cost(cases: list[dict]) -> dict:
+    """Per dimension, the c of dense iff r <= c (`dense_ratio`) that costs the least median time.
+
+    Cases without a dense time (above the size cap) are left out.  The cost of
+    a c is the time the cases lose over their faster side; every c in
+    [low, high) has the least cost.
+    """
+    fits = {}
+    for dim in sorted({case["dim"] for case in cases}):
+        timed = [case for case in cases if case["dim"] == dim and "dense" in case["ms"]]
+        ratios = sorted({dense_ratio(case) for case in timed})
+        costs = []
+        for low, high in zip([0.0] + ratios, ratios + [math.inf]):  # dense where r <= low
+            costs.append((sum(lost_ms(case, dense_ratio(case) <= low) for case in timed),
+                          low, high))
+        lost, low, high = min(costs)
+        fits[str(dim)] = {"low": low, "high": high, "lost_ms": lost}
+    return fits
+
+
+def retired_rule_dense(case: dict) -> bool:
+    """The pick of the two rules one dense rule replaced: c·n^d <= N²·log2(n^d).
+
+    The evolution's had cap 4096 and c = 0.75, the exchange check's cap 1024
+    and c = 3.3, 1.2, 0.5 for d = 1, 2, 3.
+    """
+    size = case["n"] ** case["dim"]
+    cap, cost = ((4096, 0.75) if case["caller"] == "evolution"
+                 else (1024, (3.3, 1.2, 0.5)[case["dim"] - 1]))
+    return size <= cap and cost * size <= case["N"] ** 2 * math.log2(size)
+
+
+def recorded_cases() -> list[dict]:
+    """Every timed case on both sides in this repository's BENCH_*.json files.
+
+    The `crossover` cases are the evolution's (B = N, k = MATVECS_PER_SOLVE
+    where a case does not record them), the `layers` exchange cases the
+    check's (B = (d+1)·N, k = 1).
+    """
+    cases = []
+    for path in sorted(ROOT.glob("BENCH_*.json")):
+        record = json.loads(path.read_text())
+        for run in record.get("crossover", []):
+            cases += [dict(case, source=path.name, caller="evolution",
+                           rows=case.get("rows", case["N"]),
+                           applies=case.get("applies", MATVECS_PER_SOLVE))
+                      for case in run["cases"] if "dense" in case["ms"]]
+        for run in record.get("layers", []):
+            cases += [dict(case, source=path.name, caller="check",
+                           rows=case.get("rows", (case["dim"] + 1) * case["N"]),
+                           applies=case.get("applies", 1))
+                      for case in run.get("exchange", {}).get("cases", [])]
+    return cases
+
+
+def fit(checkout: Path) -> dict:
+    """The fit of one dense rule to every recorded case, against the checkout's and the retired rules."""
+    load_checkout(checkout)
+    from rhflab import grids
+
+    cases = recorded_cases()
+    rule = [case["n"] ** case["dim"] <= grids.DENSE_SIZE_CAP
+            and dense_ratio(case) <= grids.DENSE_COST[case["dim"] - 1] for case in cases]
+    block = {"commit": commit_of(checkout), "dense_cost": list(grids.DENSE_COST),
+             "cases": len(cases), "fit": fit_dense_cost(cases),
+             "lost_ms": {"rule": sum(lost_ms(c, d) for c, d in zip(cases, rule)),
+                         "retired_rules": sum(lost_ms(c, retired_rule_dense(c)) for c in cases)},
+             "moved": {}}
+    for case, dense in zip(cases, rule):
+        if dense != retired_rule_dense(case):
+            key = f"{case['caller']} {case['n']}^{case['dim']} N={case['N']}"
+            moved = block["moved"].setdefault(key, {"now": "dense" if dense else "fft",
+                                                    "dense_faster": 0, "fft_faster": 0})
+            moved["dense_faster" if lost_ms(case, True) == 0 else "fft_faster"] += 1
+    for dim, stats in block["fit"].items():
+        print(f"fit d={dim}: c in [{stats['low']:.4g}, {stats['high']:.4g}), "
+              f"lost {stats['lost_ms']:.4g} ms")
+    print(f"{len(cases)} cases: DENSE_COST {block['dense_cost']} loses "
+          f"{block['lost_ms']['rule']:.4g} ms, the retired rules "
+          f"{block['lost_ms']['retired_rules']:.4g} ms")
+    for key, moved in block["moved"].items():
+        print(f"moved {key} to {moved['now']}: dense faster in {moved['dense_faster']}, "
+              f"FFT faster in {moved['fft_faster']} runs")
+    return block
 
 
 def workload_record(args, checkout: Path) -> dict:
@@ -646,11 +831,15 @@ def main(argv=None) -> int:
     form.add_argument("--layers", action="store_true",
                       help="time the SCF, energy, diagnostics, ED, propagation and "
                            "exchange layers in place of the workloads")
+    form.add_argument("--fit", action="store_true",
+                      help="fit the dense rule to every recorded crossover and exchange case")
     args = ap.parse_args(argv)
     checkout = args.checkout.resolve()
     out = ROOT / f"BENCH_{args.label}.json"
     old = json.loads(out.read_text()) if out.exists() else {}
-    if args.crossover or args.layers:
+    if args.fit:
+        record = dict(old, label=args.label, fit=fit(checkout))
+    elif args.crossover or args.layers:
         key, run = ("crossover", crossover) if args.crossover else ("layers", layers)
         record = dict(old, label=args.label)
         before = os.getloadavg()
@@ -660,7 +849,7 @@ def main(argv=None) -> int:
     else:
         # the crossover and layers runs are kept; every other key is the runs made now
         record = workload_record(args, checkout)
-        record.update((key, old[key]) for key in RECORD_LISTS if key in old)
+        record.update((key, old[key]) for key in KEPT_KEYS if key in old)
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
     return 0

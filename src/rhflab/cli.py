@@ -7,7 +7,8 @@
 
 Worker count for sweeps comes from the RHFLAB_WORKERS environment variable
 (default 1).  Exit status is 1 iff a run failed a hard diagnostic, and 2 iff
-a scenario failed to parse or a run ended in an error (its manifest says
+a scenario failed to parse, its output directory cannot be created (both
+refused before any work) or a run ended in an error (its manifest says
 which).
 """
 
@@ -25,13 +26,25 @@ from .scenarios import ScenarioError, load_scenario
 __all__ = ["main"]
 
 
-def _cmd_run(args) -> int:
+def _scenario_and_out(args, default_out) -> tuple:
+    """(scenario, its output directory, made), or (None, None) after one error line on stderr.
+
+    default_out maps the scenario to the directory used when --out is not given.
+    """
     try:
         scenario = load_scenario(args.scenario)
+        out = Path(args.out) if args.out else Path("runs") / default_out(scenario)
+        out.mkdir(parents=True, exist_ok=True)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return None, None
+    return scenario, out
+
+
+def _cmd_run(args) -> int:
+    scenario, out = _scenario_and_out(args, lambda scenario: scenario.name)
+    if scenario is None:
         return 2
-    out = Path(args.out) if args.out else Path("runs") / scenario.name
     try:
         result = run(scenario, out)
     except Exception:  # run wrote the error manifest, which keeps no traceback
@@ -46,13 +59,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except (ScenarioError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    scenario, out = _scenario_and_out(args, lambda scenario: f"{scenario.name}_sweep_{args.axis}")
+    if scenario is None:
         return 2
     values = [tok for tok in args.values.split(",") if tok]
-    out = Path(args.out) if args.out else Path("runs") / f"{scenario.name}_sweep_{args.axis}"
     try:
         code = sweep(scenario, args.axis, values, out)
     except (ScenarioError, ValueError) as exc:

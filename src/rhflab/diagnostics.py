@@ -24,7 +24,8 @@ bound's and the kinetic ratio's denominator share one evaluation, and the
 first check to read them pays for it.  The phase bound stacks only its
 phase blocks, from a plane-wave table kept per (grid, samples).  The
 exchange double commutator applies X to the (d+1)·N fields x_a f_j and f_j
-in one call, in the form `orbitals.apply_exchange` picks.
+in one call of `orbitals.apply_exchange`: the dense X or the FFT form, as
+the dense rule `grids.dense_pays` picks for that block and one apply.
 """
 
 from __future__ import annotations
@@ -313,10 +314,6 @@ class PhaseSpaceField:
     def position_marginal(self) -> np.ndarray:
         """ρ(x) = ∫ W(x, v) dv."""
         return np.sum(self.values, axis=1) * self.dv
-
-    def velocity_marginal(self) -> np.ndarray:
-        """∫ W(x, v) dx, for a Wigner transform the momentum density."""
-        return np.sum(self.values, axis=0) * self.dx
 
 
 def wigner_transform(orbs: OrbitalSet, v_grid: np.ndarray | None = None) -> PhaseSpaceField:

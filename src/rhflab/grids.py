@@ -8,12 +8,23 @@ p = 2π·m/L with the integer frequencies in FFT layout
 on the negative side.  Multiplier application is exact for trigonometric
 interpolants regardless of the node offset.
 
-The dense rule lives here because two layers share its form: an
-N-orbital mean-field product on n^d points runs as one dense n^d×n^d matrix
-where `dense_pays` holds, n^d <= cap and cost·n^d <= N²·log2(n^d), and per
-orbital or per pair in FFTs elsewhere.  `scf.MeanField.for_evolution`
-picks an evolution's path by it with DENSE_SIZE_CAP and DENSE_COST, and
-`orbitals.apply_exchange` its form with its own measured cap and costs.
+The dense rule lives here because both users of the exchange operator
+X(ω)f = N⁻¹Σ_j f_j·V*(conj(f_j)f) pick its form by it: an evolution's
+mean field (`scf.MeanField.for_evolution`) and the exchange check
+(`orbitals.apply_exchange`).  X runs as one dense n^d×n^d matrix
+(`orbitals._exchange_matrix`, built from ω/N at cost ~N·n^{2d} and applied
+to B rows at ~B·n^{2d}) or in FFTs (`orbitals._fft_exchange`, ~B·N·n^d·log2(n^d)
+per apply).  With k applies per build, `dense_pays(grid, N, B, k)` holds iff
+n^d <= DENSE_SIZE_CAP and (N + k·B)·n^d <= DENSE_COST[d-1]·k·B·N·log2(n^d).
+The evolution passes B = N and k = `scf.MATVECS_PER_SOLVE`, the check
+B = (d+1)·N and k = 1.  DENSE_COST holds one constant per dimension, fitted
+to the evolution's step times and the check's times on both forms at one
+BLAS thread (`scripts/bench_trajectory.py --fit`, over the 463 cases of the
+`crossover` and `layers` runs in the committed BENCH_*.json files): the
+least lost time falls on c ∈ [7.68, 8) in 1D, [11.4, 12.8) in 2D and
+[11.9, 17.8) in 3D.  The forms agree to rounding.  One cap serves both callers: at 64² the check holds one complex
+X (256 MiB), half what a dense evolution on that grid holds (K and
+V(x_i - x_j), real, and a complex h).
 `_circulant` builds the dense kernels: K from the kinetic symbol and
 V(x_i - x_j) from `PotentialSpec.lag_values`; `_circulant_view` is the same
 matrix as a strided view, for one elementwise product without the copy.
@@ -42,11 +53,11 @@ __all__ = [
 
 # a moment that moves by more than this fraction under dual refinement is unstable
 MOMENT_REFINEMENT_RTOL = 0.1
-# at the cap one dense matrix is 128 MiB; a dense MeanField holds two (K and
+# at the cap one real dense matrix is 128 MiB; a dense MeanField holds two (K and
 # V(x_i - x_j)), and each leg of a pair evolution holds its own
 DENSE_SIZE_CAP = 4096
-# dense only where DENSE_COST·n^d <= N²·log2(n^d), fitted in scf's docstring
-DENSE_COST = 0.75
+# per dimension d = 1, 2, 3: the fitted constant of the dense rule (module docstring)
+DENSE_COST = (7.75, 12.5, 15.0)
 
 
 class Grid:
@@ -245,10 +256,14 @@ class PotentialSpec:
         return np.fft.ifftn(self.vhat_eff).real * (grid.size / grid.box_length**grid.dim)
 
 
-def dense_pays(size: int, n_particles: int, cap: int = DENSE_SIZE_CAP,
-               cost: float = DENSE_COST) -> bool:
-    """The dense rule: n^d <= cap and cost·n^d <= N²·log2(n^d)."""
-    return size <= cap and cost * size <= n_particles**2 * np.log2(size)
+def dense_pays(grid: Grid, n_particles: int, rows: int, applies: int) -> bool:
+    """The dense rule for X(ω) of N orbitals applied `applies` times to `rows` fields.
+
+    Dense iff n^d <= DENSE_SIZE_CAP and
+    (N + applies·rows)·n^d <= DENSE_COST[d-1]·applies·rows·N·log2(n^d).
+    """
+    return grid.size <= DENSE_SIZE_CAP and (n_particles + applies * rows) * grid.size <= (
+        DENSE_COST[grid.dim - 1] * applies * rows * n_particles * np.log2(grid.size))
 
 
 def _circulant_view(grid: Grid, coeffs: np.ndarray) -> np.ndarray:

@@ -17,15 +17,13 @@ keeps them: a runner hands every check of one sampled state the same set,
 so the commutator series, the phase bound, the exchange bound and the
 kinetic ratio share one evaluation.
 
-The exchange operator X(ω) has two forms: X = V(x_i - x_j)∘ω/N as one
-dense n^d×n^d matrix applied to a field block by one GEMM, and a loop over
-the N orbitals, one FFT pair each.  `apply_exchange` picks by the dense rule
-(`grids.dense_pays`) with the exchange check's own cap and costs, measured
-on the check's block of (d+1)·N fields (`scripts/bench_trajectory.py
---layers`, its exchange slice).  They differ from the evolution's: the
-dense form's fixed cost, building X, is paid once per check rather than
-once per ~5 matvecs, and the loop's cost per point grows with d.  The cap
-keeps the dense X at 16 MiB.
+The exchange operator X(ω) has one dense form and one FFT form, and
+`scf.MeanField` and the exchange check both run X through them: X =
+V(x_i - x_j)∘ω/N as one n^d×n^d matrix built in ω/N's buffer
+(`_exchange_matrix`), applied to a field block by one GEMM, and
+`_fft_exchange`, one FFT pair per product conj(f_j)·g over chunks of
+orbitals, each chunk's pair array held within EXCHANGE_PAIR_BUDGET bytes.
+`apply_exchange` picks between them by the dense rule (`grids.dense_pays`).
 """
 
 from __future__ import annotations
@@ -51,13 +49,11 @@ __all__ = [
 
 GRAM_TOL = 1e-8  # construction guard; freshly orthonormalized sets sit at ~1e-12
 SEAM_BAND = 0.05  # seam_mass counts ρ within SEAM_BAND·L of the seam at ±L/2
+# bytes of one (B, chunk, n^d) pair array of `_fft_exchange`: at 1 MiB the form
+# ran 2.4% above each case's best chunk on average, at 64 KiB 19% (the exchange
+# chunk slice of `scripts/bench_trajectory.py --layers`, BENCH_pr21.json)
+EXCHANGE_PAIR_BUDGET = 1 << 20
 
-
-# the exchange check's dense form holds one complex n^d×n^d X: 16 MiB here
-EXCHANGE_DENSE_CAP = 1024
-# per dimension d = 1, 2, 3: dense where cost·n^d <= N²·log2(n^d), each inside
-# the interval fitted to the check's forms (module docstring)
-EXCHANGE_DENSE_COST = (3.3, 1.2, 0.5)
 
 class OrbitalSet:
     """N orthonormal complex fields on a grid; immutable after construction."""
@@ -108,45 +104,54 @@ def reduced_density(orbs: OrbitalSet) -> np.ndarray:
 def apply_exchange(orbs: OrbitalSet, potential: PotentialSpec, field: np.ndarray) -> np.ndarray:
     """Exchange operator (X f)(x) = N^{-1} Σ_j f_j(x) (V * (conj(f_j) f))(x).
 
-    field is one grid field or a (B, *grid.shape) block of them.  The form
-    is picked by the dense rule with EXCHANGE_DENSE_CAP and the grid
-    dimension's EXCHANGE_DENSE_COST (module docstring): `_dense_exchange`
-    where it holds, `_loop_exchange` elsewhere.
+    field is one grid field or a (B, *grid.shape) block of them.  X is built
+    dense, from V(x_i - x_j) as a strided view, where the dense rule holds
+    for the block's rows and one apply, and runs in FFTs elsewhere.
     """
     grid = orbs.grid
     grid.check_field(field[0] if field.ndim == grid.dim + 1 else field)
-    if dense_pays(grid.size, orbs.n_particles, EXCHANGE_DENSE_CAP,
-                  EXCHANGE_DENSE_COST[grid.dim - 1]):
-        return _dense_exchange(orbs, potential, field)
-    return _loop_exchange(orbs, potential, field)
+    block = field.reshape(-1, *grid.shape)
+    if not dense_pays(grid, orbs.n_particles, block.shape[0], 1):
+        return _fft_exchange(grid, orbs.orbitals, potential.vhat_eff, block).reshape(field.shape)
+    x_mat = _exchange_matrix(_density_matrix_per_particle(orbs.orbitals, grid),
+                             _circulant_view(grid, potential.lag_values()))
+    return (block.reshape(-1, grid.size) @ x_mat.T).reshape(field.shape)
 
 
-def _dense_exchange(orbs: OrbitalSet, potential: PotentialSpec, field: np.ndarray) -> np.ndarray:
-    """X = V(x_i - x_j)∘ω/N on value vectors, applied to the block by one GEMM.
+def _exchange_matrix(omega_n: np.ndarray, v_lag: np.ndarray) -> np.ndarray:
+    """X = V(x_i - x_j)∘ω/N on value vectors, built in omega_n's buffer and returned.
 
-    X is built in ω/N's buffer, as `scf.MeanField.fock` builds its exchange,
-    by one product with V(x_i - x_j) as a strided view, so the one n^d×n^d
-    matrix this form holds is X.
+    omega_n is ω/N (`_density_matrix_per_particle`), real or complex, and is
+    overwritten.  v_lag is V(x_i - x_j) as the n^d×n^d matrix
+    (`grids._circulant`) or as its (n,)*2d strided view (`grids._circulant_view`).
     """
-    grid = orbs.grid
-    x_mat = _density_matrix_per_particle(orbs.orbitals, grid)
-    cells = x_mat.reshape((grid.n,) * (2 * grid.dim))
-    np.multiply(cells, _circulant_view(grid, potential.lag_values()), out=cells)
-    return (field.reshape(-1, grid.size) @ x_mat.T).reshape(field.shape)
+    cells = omega_n.reshape(v_lag.shape)
+    np.multiply(cells, v_lag, out=cells)
+    return omega_n
 
 
-def _loop_exchange(orbs: OrbitalSet, potential: PotentialSpec, field: np.ndarray) -> np.ndarray:
-    """X by a loop over the N orbitals f_j, each pass one FFT pair batched over the block.
+def _fft_exchange(grid: Grid, source: np.ndarray, vhat: np.ndarray, fields: np.ndarray,
+                  budget: int = EXCHANGE_PAIR_BUDGET) -> np.ndarray:
+    """X(ω) on a (B, *shape) block in FFTs, ω from the (N, *shape) orbitals source.
 
-    The working set stays the size of the block.
+    The products conj(f_j)·g_b are transformed as (B, chunk, *shape) pair
+    arrays over chunks of orbitals, chunk = max(1, min(N, budget // (16·B·n^d))):
+    chunk = N is one pair array for the whole block, chunk = 1 one orbital
+    per pass.  The sum over j runs in orbital order either way, and each of
+    the two ends keeps the operation order of the form it generalizes.
     """
-    grid = orbs.grid
-    out = np.zeros(field.shape, dtype=complex)
-    for f_j in orbs.orbitals:
-        conv = grid.ifft(potential.vhat_eff * grid.fft(np.conj(f_j) * field))
-        conv *= f_j
-        out += conv
-    out /= orbs.n_particles
+    n_part = source.shape[0]
+    chunk = max(1, min(n_part, budget // (16 * fields.shape[0] * grid.size)))
+    out = None
+    for start in range(0, n_part, chunk):
+        orbs = source[start:start + chunk]
+        conv = grid.ifft(vhat * grid.fft(np.conj(orbs)[None, ...] * fields[:, None, ...]))
+        # f_j·conv as one pair array, conv·f_j per orbital: numpy's complex
+        # product is not bitwise commutative, and each order keeps its bytes
+        np.multiply(*((conv, orbs) if chunk == 1 else (orbs, conv)), out=conv)
+        part = np.sum(conv, axis=1)
+        out = part if out is None else np.add(out, part, out=out)
+    out /= n_part
     return out
 
 

@@ -31,14 +31,13 @@ and, for an evolution, the scheme and N that pick one of its two paths once
          `scf_minimize` returns).  A Fock matrix is built in one buffer, the
          caller's ω/N (`orbitals._density_matrix_per_particle`): the
          density-matrix product writes Φ^T·conj(Φ)·(dv/N) into it with the
-         factor on the N-row operand, V(x_i - x_j) multiplies it in place, K
-         is subtracted in place and the diagonal becomes
+         factor on the N-row operand, `orbitals._exchange_matrix` turns it
+         into X in place, K is subtracted in place and the diagonal becomes
          (K_ii [+ V_ext,i]) + (V*ρ)_i - X_ii.
          The SCF mixes and holds its density matrices as ω/N and hands
          `MeanField.fock` a copy.
   pair   the FFT path on every grid: K as a Fourier multiplier, the direct
-         term as a local field, the exchange as one FFT pair over the
-         (B, N, n^d) array of products conj(f_k)·g_b.
+         term as a local field, the exchange by `orbitals._fft_exchange`.
 
 `MeanField.energy` is the energy of the functional a MeanField serves (V_ext
 with keep_trap, the exchange where X runs).  The dense path reads it in one
@@ -48,23 +47,12 @@ iterate's energy from its MeanField and the ω/N it already holds for mixing,
 and a run's conservation samples read the evolution's MeanField, so a dense
 run's energies differ from `hf_energy` at rounding only.
 
-An evolution runs dense when all of these hold: the scheme is exponential
-midpoint (a step makes 2 Fock builds, each serving the ~5 matvecs of one
-Krylov solve), exchange is on and the potential interacts, and the dense
-rule holds: n^d <= DENSE_SIZE_CAP and DENSE_COST·n^d <= N²·log2(n^d)
-(`grids.dense_pays`, whose form `orbitals.apply_exchange` also picks by,
-with the exchange check's own measured cap and costs).  Otherwise it runs
-pair.
-DENSE_COST is fitted to step times at one BLAS thread
-(`scripts/bench_trajectory.py --crossover`; the `crossover` runs of
-BENCH_pr12.json, taken at 3 builds a step, of BENCH_pr16.json, at 2, and
-of BENCH_pr19.json, with one Lanczos recurrence per block solve)
-over n ∈ {64, 128, 256}, N ∈ {2, 4, 8, 16} and 32², 64² at N = 8: in
-every run taken on a quiet host the least lost time falls on
-c ∈ (0.625, 0.875].  Dense wins from N = 2 at
-n <= 128 (the rule sends N = 2 there to pair, losing under 1 ms a step),
-from N = 8 at n = 256, and on neither 2D grid at N = 8.  The paths agree to
-rounding; artifacts differ only in the last bits.
+An evolution runs dense when the scheme is exponential midpoint (a step
+makes 2 Fock builds, each serving the MATVECS_PER_SOLVE matvecs of one
+Krylov solve), exchange is on, the potential interacts, and the dense rule
+`grids.dense_pays` holds for N rows and MATVECS_PER_SOLVE applies per build;
+otherwise it runs pair.  The paths agree to rounding; artifacts differ only
+in the last bits.
 """
 
 from __future__ import annotations
@@ -73,10 +61,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (DENSE_COST, DENSE_SIZE_CAP, Dispersion, Grid, PotentialSpec, _circulant,
+from .grids import (DENSE_SIZE_CAP, Dispersion, Grid, PotentialSpec, _circulant,
                     convolve_potential, dense_pays)
 from .diagnostics import comm_grad_total, comm_x_total
-from .orbitals import OrbitalSet, _density_matrix_per_particle, reduced_density
+from .orbitals import (OrbitalSet, _density_matrix_per_particle, _exchange_matrix,
+                       _fft_exchange, reduced_density)
 
 __all__ = [
     "ScfConfig",
@@ -85,10 +74,12 @@ __all__ = [
     "scf_minimize",
     "MeanField",
     "DENSE_SIZE_CAP",
-    "DENSE_COST",
 ]
 
 PATHS = ("dense", "pair")
+# the h-applies one Fock build serves: the matvecs of one Krylov solve, 5 on
+# the reference quench (CHANGES.md, one fixed-point pass per midpoint step)
+MATVECS_PER_SOLVE = 5
 
 
 @dataclass
@@ -200,7 +191,8 @@ class MeanField:
         """
         if path is None:
             dense = (scheme == "exponential_midpoint" and exchange_on
-                     and potential.has_interaction() and dense_pays(grid.size, n_particles))
+                     and potential.has_interaction() and dense_pays(
+                         grid, n_particles, n_particles, MATVECS_PER_SOLVE))
             path = "dense" if dense else "pair"
         mean_field = cls(grid, potential, dispersion, path, exchange_on, keep_trap)
         mean_field.inputs = (grid, potential, dispersion, scheme, exchange_on, keep_trap,
@@ -230,10 +222,9 @@ class MeanField:
             h = self._k.copy()
             np.fill_diagonal(h, diag)
             return h
-        # one buffer: X(ω) = V(x_i - x_j)·ω/N in place, then K - X off the
-        # diagonal and (K [+ V_ext] + V*ρ) - X on it
-        h = omega_n
-        h *= self._v_lag
+        # one buffer: X(ω) in place, then K - X off the diagonal and
+        # (K [+ V_ext] + V*ρ) - X on it
+        h = _exchange_matrix(omega_n, self._v_lag)
         diag = diag - h.diagonal()
         np.subtract(self._k, h, out=h)
         np.fill_diagonal(h, diag)
@@ -284,28 +275,22 @@ class MeanField:
                 return (fields.reshape(fields.shape[0], -1) @ h_t).reshape(fields.shape)
 
             return apply_fock_block
-        n_part = source.shape[0]
-        rho = np.sum(np.abs(source) ** 2, axis=0) / n_part
+        rho = np.mean(np.abs(source) ** 2, axis=0)
         local = convolve_potential(rho, grid, self.potential)
         if self.vext is not None:
             local = local + self.vext
-        symbol = self._symbol
 
         def apply_h_block(fields: np.ndarray) -> np.ndarray:
-            out = grid.ifft(symbol * grid.fft(fields))
+            out = grid.ifft(self._symbol * grid.fft(fields))
             out += local * fields
             return out
 
         if not self.exchange:
             return apply_h_block
-        vhat = self._vhat
-        src_conj = np.conj(source)
 
         def apply_pair_block(fields: np.ndarray) -> np.ndarray:
             out = apply_h_block(fields)
-            pair = src_conj[None, ...] * fields[:, None, ...]
-            conv = grid.ifft(vhat * grid.fft(pair))
-            out -= np.sum(source[None, ...] * conv, axis=1) / n_part
+            out -= _fft_exchange(grid, source, self._vhat, fields)
             return out
 
         return apply_pair_block

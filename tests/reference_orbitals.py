@@ -7,12 +7,22 @@ and `random_orbital_set` build the test states.  `grid_inner`, `grid_norm`,
 `apply_kinetic` and `gram_deviation` are the grid-level forms only the tests
 use: the L2 inner product and norm, the kinetic multiplier on one field, and
 an orbital set's distance from orthonormality.
+
+The exchange forms and rules that `orbitals._exchange_matrix`,
+`orbitals._fft_exchange` and `grids.dense_pays` replaced are kept here as
+references: the evolution's (B, N, n^d) pair array (`reference_pair_exchange`),
+the check's per-orbital loop (`reference_loop_exchange`) and dense X from the
+strided view (`reference_dense_exchange`), and the two rules that picked
+among them (`previous_evolution_dense`, `previous_check_dense`).
 """
+
+import math
+
 
 import numpy as np
 
-from rhflab.grids import Dispersion, Grid, plane_wave
-from rhflab.orbitals import OrbitalSet
+from rhflab.grids import Dispersion, Grid, PotentialSpec, _circulant_view, plane_wave
+from rhflab.orbitals import OrbitalSet, _density_matrix_per_particle
 
 
 def grid_inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> complex:
@@ -153,3 +163,46 @@ def random_orbital_set(grid: Grid, n_particles: int, seed: int = 0) -> OrbitalSe
     q, _ = np.linalg.qr(flat.T)
     orbs = (q.T / np.sqrt(grid.cell_volume)).reshape(n_particles, *grid.shape)
     return OrbitalSet(orbs, grid, validate=False)
+
+
+def reference_pair_exchange(grid: Grid, source: np.ndarray, vhat: np.ndarray,
+                            fields: np.ndarray) -> np.ndarray:
+    """X(ω_source) on a (B, *shape) block as one (B, N, *shape) pair array."""
+    src_conj = np.conj(source)
+    pair = src_conj[None, ...] * fields[:, None, ...]
+    conv = grid.ifft(vhat * grid.fft(pair))
+    return np.sum(source[None, ...] * conv, axis=1) / source.shape[0]
+
+
+def reference_loop_exchange(orbs: OrbitalSet, potential: PotentialSpec,
+                            field: np.ndarray) -> np.ndarray:
+    """X on one field or a block by a loop over the N orbitals, one FFT pair each."""
+    grid = orbs.grid
+    out = np.zeros(field.shape, dtype=complex)
+    for f_j in orbs.orbitals:
+        conv = grid.ifft(potential.vhat_eff * grid.fft(np.conj(f_j) * field))
+        conv *= f_j
+        out += conv
+    out /= orbs.n_particles
+    return out
+
+
+def reference_dense_exchange(orbs: OrbitalSet, potential: PotentialSpec,
+                             field: np.ndarray) -> np.ndarray:
+    """X = V(x_i - x_j)∘ω/N from the strided view of V(x_i - x_j), applied by one GEMM."""
+    grid = orbs.grid
+    x_mat = _density_matrix_per_particle(orbs.orbitals, grid)
+    cells = x_mat.reshape((grid.n,) * (2 * grid.dim))
+    np.multiply(cells, _circulant_view(grid, potential.lag_values()), out=cells)
+    return (field.reshape(-1, grid.size) @ x_mat.T).reshape(field.shape)
+
+
+def previous_evolution_dense(grid: Grid, n_particles: int) -> bool:
+    """The evolution's former rule: n^d <= 4096 and 0.75·n^d <= N²·log2(n^d)."""
+    return grid.size <= 4096 and 0.75 * grid.size <= n_particles**2 * math.log2(grid.size)
+
+
+def previous_check_dense(grid: Grid, n_particles: int) -> bool:
+    """The exchange check's former rule: n^d <= 1024 and c_d·n^d <= N²·log2(n^d)."""
+    cost = (3.3, 1.2, 0.5)[grid.dim - 1]
+    return grid.size <= 1024 and cost * grid.size <= n_particles**2 * math.log2(grid.size)

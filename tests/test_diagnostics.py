@@ -39,7 +39,9 @@ from reference_orbitals import (
     commutator_with_phase,
     commutator_with_position,
     gaussian_orbital,
+    previous_check_dense,
     random_orbital_set,
+    reference_loop_exchange,
 )
 
 
@@ -58,6 +60,11 @@ def momentum_density(orbs: OrbitalSet) -> np.ndarray:
         occ += np.abs(fh) ** 2 * grid.cell_volume**2
     order = np.argsort(grid.p_axis)
     return occ[order] / (2.0 * np.pi * grid.epsilon * orbs.n_particles)
+
+
+def velocity_marginal(w) -> np.ndarray:
+    """∫ W(x, v) dx of a PhaseSpaceField, for a Wigner transform the momentum density."""
+    return np.sum(w.values, axis=0) * w.dx
 
 
 class TestCommutatorChannels:
@@ -258,7 +265,7 @@ class TestWigner:
             w = wigner_transform(orbs)
         rho = reduced_density(orbs)
         assert np.max(np.abs(w.position_marginal() - rho)) <= 1e-8
-        assert np.max(np.abs(w.velocity_marginal() - momentum_density(orbs))) <= 1e-8
+        assert np.max(np.abs(velocity_marginal(w) - momentum_density(orbs))) <= 1e-8
 
     def test_gaussian_wigner_variances(self):
         grid = Grid(1, 256, 4.0 * np.pi, 0.125)
@@ -446,10 +453,11 @@ class TestWignerAgainstReference:
             assert np.max(np.abs(without - ref)) > 1e-6 * scale
 
 
-DENSE_EXCHANGE_CASES = [  # (grid, N): N on both sides of apply_exchange's rule
+DENSE_EXCHANGE_CASES = [  # (grid, N): N on both sides of the dense rule for the check's block
     (Grid(1, 64, 4.0 * np.pi, 0.5), 2), (Grid(1, 64, 4.0 * np.pi, 0.125), 8),
     (Grid(1, 256, 4.0 * np.pi, 0.25), 4), (Grid(1, 256, 4.0 * np.pi, 1.0 / 16), 16),
-    (Grid(2, 16, 4.0 * np.pi, 0.5), 4), (Grid(2, 16, 4.0 * np.pi, 0.35), 8),
+    (Grid(2, 16, 4.0 * np.pi, 0.5), 3), (Grid(2, 16, 4.0 * np.pi, 0.5), 4),
+    (Grid(2, 16, 4.0 * np.pi, 0.35), 8),
 ]
 
 
@@ -467,13 +475,18 @@ def exchange_case(request):
     return real, kicked, pot
 
 
+def forced_form(monkeypatch, dense: bool) -> None:
+    """Make apply_exchange run the dense X (dense) or the FFT form."""
+    monkeypatch.setattr(orbitals, "dense_pays", lambda *args: dense)
+
+
 @pytest.mark.filterwarnings("ignore:state carries mass")
 class TestDenseExchange:
-    """X as one dense matrix against the per-orbital FFT loop, each form forced."""
+    """X as one dense matrix against the FFT form, each forced, and the retired loop."""
 
     rtol = 1e-13
 
-    def test_apply_exchange_forms_agree(self, exchange_case):
+    def test_apply_exchange_forms_agree(self, exchange_case, monkeypatch):
         real, kicked, pot = exchange_case
         grid = real.grid
         rng = np.random.default_rng(95)
@@ -482,27 +495,56 @@ class TestDenseExchange:
         for orbs in (real, kicked):
             fields = np.concatenate([x * orbs.orbitals for x in grid.x_mesh] + [orbs.orbitals])
             for block in (fields, extra, extra[0]):
-                loop = orbitals._loop_exchange(orbs, pot, block)
-                dense = orbitals._dense_exchange(orbs, pot, block)
-                assert dense.shape == block.shape
-                assert np.max(np.abs(dense - loop)) <= self.rtol * np.max(np.abs(loop))
-                picked = dense if dense_pays(
-                    grid.size, orbs.n_particles, orbitals.EXCHANGE_DENSE_CAP,
-                    orbitals.EXCHANGE_DENSE_COST[grid.dim - 1]) else loop
-                assert np.array_equal(apply_exchange(orbs, pot, block), picked)
+                rows = block.reshape(-1, *grid.shape).shape[0]
+                rule = dense_pays(grid, orbs.n_particles, rows, 1)
+                picked = apply_exchange(orbs, pot, block)
+                loop = reference_loop_exchange(orbs, pot, block)
+                forms = {}
+                for dense in (True, False):
+                    forced_form(monkeypatch, dense)
+                    forms[dense] = apply_exchange(orbs, pot, block)
+                    assert forms[dense].shape == block.shape
+                    assert np.max(np.abs(forms[dense] - loop)) <= self.rtol * np.max(np.abs(loop))
+                monkeypatch.undo()
+                assert np.array_equal(picked, forms[rule])
 
     def test_check_lhs_forms_agree(self, exchange_case, monkeypatch):
         real, kicked, pot = exchange_case
         for orbs in (real, kicked):
             reports = {}
-            for form in ("loop", "dense"):
-                monkeypatch.setattr(diagnostics, "apply_exchange",
-                                    getattr(orbitals, f"_{form}_exchange"))
-                reports[form] = exchange_double_commutator_check(orbs, pot)
-            for loop, dense in zip(reports["loop"]["samples"], reports["dense"]["samples"]):
-                assert loop["lhs"] > 1e-8
-                assert abs(dense["lhs"] - loop["lhs"]) <= self.rtol * loop["lhs"]
-                assert dense["rhs"] == loop["rhs"]
+            for dense in (False, True):
+                forced_form(monkeypatch, dense)
+                reports[dense] = exchange_double_commutator_check(orbs, pot)
+            for fft, dense in zip(reports[False]["samples"], reports[True]["samples"]):
+                assert fft["lhs"] > 1e-8
+                assert abs(dense["lhs"] - fft["lhs"]) <= self.rtol * fft["lhs"]
+                assert dense["rhs"] == fft["rhs"]
+
+
+# (grid, N) of the check whose form the one dense rule moved from the
+# retired rule's per-orbital loop to the dense X (CHANGES.md lists the timings)
+MOVED_CHECK_CASES = [
+    (Grid(1, 256, 4.0 * np.pi, 1.0 / 7), 7), (Grid(1, 256, 4.0 * np.pi, 1.0 / 8), 8),
+    (Grid(1, 512, 4.0 * np.pi, 1.0 / 12), 12),
+    (Grid(2, 16, 4.0 * np.pi, 0.25), 4), (Grid(2, 16, 4.0 * np.pi, 0.2), 5),
+    (Grid(2, 64, 4.0 * np.pi, 0.02), 48),  # above the retired rule's size cap
+]
+
+
+@pytest.mark.parametrize("grid, n_part", MOVED_CHECK_CASES,
+                         ids=lambda c: f"{c.n}^{c.dim}" if isinstance(c, Grid) else f"N{c}")
+def test_moved_check_picks_agree_with_the_retired_form(grid, n_part, monkeypatch):
+    pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), coupling=0.5)
+    orbs = random_orbital_set(grid, n_part, seed=96)
+    rows = (grid.dim + 1) * n_part
+    assert dense_pays(grid, n_part, rows, 1) and not previous_check_dense(grid, n_part)
+    new = exchange_double_commutator_check(orbs, pot)
+    monkeypatch.setattr(diagnostics, "apply_exchange", reference_loop_exchange)
+    old = exchange_double_commutator_check(orbs, pot)
+    for got, ref in zip(new["samples"], old["samples"]):
+        assert ref["lhs"] > 1e-8
+        assert abs(got["lhs"] - ref["lhs"]) <= 1e-13 * ref["lhs"]
+        assert got["rhs"] == ref["rhs"]
 
 
 def reference_exp_bound_check(orbs, p_samples):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from rhflab import ed, propagate, scf
 from rhflab.ed import FockBasis, ModeMeanField, fermi_sea_modes, hf_mode_evolution
 from rhflab.grids import (
+    DENSE_COST,
     Dispersion,
     Grid,
     PotentialSpec,
@@ -47,7 +48,8 @@ from rhflab.propagate import (
 )
 from rhflab.scf import DENSE_SIZE_CAP, MeanField, ScfConfig, hf_energy, scf_minimize
 
-from reference_orbitals import gaussian_orbital, gram_deviation
+from reference_orbitals import (gaussian_orbital, gram_deviation, previous_check_dense,
+                                previous_evolution_dense, random_orbital_set)
 
 
 def make_state(grid, orbs, potential, **cfg):
@@ -929,6 +931,7 @@ DENSE_CASES = [
     (Grid(1, 64, 4.0 * np.pi, 1.0 / 8.0), 8),
     (Grid(2, 8, 4.0 * np.pi, 0.25), 8),
     (Grid(1, 128, 4.0 * np.pi, 1.0 / 8.0), 8),  # criterion 6's size
+    (Grid(1, 64, 4.0 * np.pi, 0.5), 2),  # moved from pair by the one dense rule
 ]
 
 
@@ -1049,26 +1052,31 @@ class TestDenseFock:
         assert len(built) == 4
 
     def test_selection(self):
-        # (dim, n, N, config, interacting) -> path; DENSE_COST = 0.75
+        # (dim, n, N, config, interacting) -> path; dense iff
+        # 6N·n^d <= 5·DENSE_COST[d-1]·N²·log2(n^d), DENSE_COST = (7.75, 12.5, 15)
         table = [
             ((1, 256, 32, {}, True), "dense"),
             ((1, 256, 16, {}, True), "dense"),
-            ((1, 256, 8, {}, True), "dense"),      # 192 <= 64·8
-            ((1, 256, 4, {}, True), "pair"),       # 192 > 16·8
+            ((1, 256, 8, {}, True), "dense"),      # 6·256 <= 5·7.75·8·8
+            ((1, 256, 4, {}, True), "pair"),       # 6·256 > 5·7.75·4·8
             ((1, 128, 8, {}, True), "dense"),      # criterion 6
-            ((1, 128, 4, {}, True), "dense"),      # 96 <= 16·7
+            ((1, 128, 4, {}, True), "dense"),
             ((1, 128, 2, {}, True), "pair"),
             ((1, 64, 4, {}, True), "dense"),
+            ((1, 64, 2, {}, True), "dense"),       # was pair; dense 0.41–2.3 against 0.71–6.4 ms
+            ((1, 1024, 12, {}, True), "pair"),
             ((1, 256, 32, {"exchange_on": False}, True), "pair"),
             ((1, 256, 32, {"scheme": "rk4_frozen_field"}, True), "pair"),
             ((1, 256, 32, {}, False), "pair"),
-            ((2, 32, 8, {}, True), "pair"),        # 768 > 64·10
+            ((2, 32, 8, {}, True), "pair"),        # 6·1024 > 5·12.5·8·10
             ((2, 32, 16, {}, True), "dense"),
             ((2, 32, 16, {"exchange_on": False}, True), "pair"),
             ((2, 64, 8, {}, True), "pair"),
+            ((2, 64, 16, {}, True), "pair"),       # was dense
+            ((2, 64, 48, {}, True), "dense"),
             # above the dense cap the FFT path runs even where the cost rule favours dense
-            ((2, 128, 80, {}, True), "pair"),
-            ((1, 8192, 64, {}, True), "pair"),
+            ((2, 128, 128, {}, True), "pair"),
+            ((1, 8192, 128, {}, True), "pair"),
             ((3, 8, 16, {}, True), "dense"),
             ((3, 32, 256, {}, True), "pair"),
         ]
@@ -1082,59 +1090,128 @@ class TestDenseFock:
                                           n_part).path
             assert got == path, (dim, n, n_part, cfg, interacting)
             if grid.size > DENSE_SIZE_CAP:
-                assert scf.DENSE_COST * grid.size <= n_part**2 * np.log2(grid.size)
+                assert (6 * n_part * grid.size
+                        <= 5 * DENSE_COST[dim - 1] * n_part**2 * np.log2(grid.size))
 
     def test_evolution_path_and_exchange_form_rules(self, monkeypatch):
         # MeanField.for_evolution's path and apply_exchange's form come from
-        # one rule, grids.dense_pays, with their own caps and costs; neither
-        # side builds a matrix or applies a form here
+        # one rule, grids.dense_pays: the evolution asks for N rows and
+        # MATVECS_PER_SOLVE applies, the check for its block's rows and one
+        # apply; neither side builds a matrix or applies a form here
         class Picked(Exception):
             pass
 
         def dense_form(*args):
             raise Picked("dense")
 
-        def loop_form(*args):
-            raise Picked("loop")
+        def fft_form(*args):
+            raise Picked("fft")
 
         def record_path(self, grid, potential, dispersion, path="dense", *args):
             self.path = path
 
         monkeypatch.setattr(MeanField, "__init__", record_path)
-        monkeypatch.setattr(orbitals_module, "_dense_exchange", dense_form)
-        monkeypatch.setattr(orbitals_module, "_loop_exchange", loop_form)
+        monkeypatch.setattr(orbitals_module, "_exchange_matrix", dense_form)
+        monkeypatch.setattr(orbitals_module, "_fft_exchange", fft_form)
+        for name in ("_density_matrix_per_particle", "_circulant_view"):
+            monkeypatch.setattr(orbitals_module, name, lambda *args: None)
         disp = Dispersion.relativistic(1.0)
         grids = [(1, n) for n in (64, 256, 512, 1024, 2048, 4096, 8192)]
         grids += [(2, n) for n in (16, 32, 64, 128)] + [(3, n) for n in (8, 16, 32)]
-        picked = {"dense": 0, "loop": 0}
+        picked = {"dense": 0, "fft": 0}
         for dim, n in grids:
             grid = Grid(dim, n, 4.0 * np.pi, 0.1)
             pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), coupling=0.5)
-            check_cost = orbitals_module.EXCHANGE_DENSE_COST[dim - 1]
             for n_part in (2, 4, 5, 8, 16, 32, 64, 128):
                 path = MeanField.for_evolution(grid, pot, disp, "exponential_midpoint", True,
                                                False, n_part).path
-                assert path == ("dense" if dense_pays(grid.size, n_part) else "pair")
-                # apply_exchange reads only the grid and N before it picks a form
-                orbs = SimpleNamespace(grid=grid, n_particles=n_part)
+                assert path == ("dense" if dense_pays(grid, n_part, n_part,
+                                                      scf.MATVECS_PER_SOLVE) else "pair")
+                # apply_exchange reads only the grid, N and the block's rows before it picks
+                orbs = SimpleNamespace(grid=grid, n_particles=n_part, orbitals=None)
+                rows = (dim + 1) * n_part
+                block = np.broadcast_to(np.zeros(grid.shape, dtype=complex), (rows, *grid.shape))
                 with pytest.raises(Picked) as form:
-                    apply_exchange(orbs, pot, np.zeros(grid.shape, dtype=complex))
-                dense = (grid.size <= orbitals_module.EXCHANGE_DENSE_CAP
-                         and check_cost * grid.size <= n_part**2 * math.log2(grid.size))
-                assert str(form.value) == ("dense" if dense else "loop"), (dim, n, n_part)
+                    apply_exchange(orbs, pot, block)
+                dense = dense_pays(grid, n_part, rows, 1)
+                assert str(form.value) == ("dense" if dense else "fft"), (dim, n, n_part)
                 picked[str(form.value)] += 1
-                if grid.size > DENSE_SIZE_CAP:
-                    assert path == "pair"
-                if grid.size > orbitals_module.EXCHANGE_DENSE_CAP:  # X would pass 16 MiB
-                    assert str(form.value) == "loop"
-        assert picked["dense"] > 10 and picked["loop"] > 10
-        # the measured sides at the workloads' n = 256 (the --layers exchange slice)
-        for n_part, form in ((4, "loop"), (5, "loop"), (16, "dense"), (32, "dense")):
-            grid = Grid(1, 256, 4.0 * np.pi, 0.1)
+                if grid.size > DENSE_SIZE_CAP:  # X would pass 256 MiB
+                    assert path == "pair" and str(form.value) == "fft"
+        assert picked["dense"] > 10 and picked["fft"] > 10
+        # the measured sides of the check at the workloads' n = 256 (the
+        # --layers exchange slice)
+        grid = Grid(1, 256, 4.0 * np.pi, 0.1)
+        for n_part, form in ((4, "fft"), (5, "fft"), (16, "dense"), (32, "dense")):
             with pytest.raises(Picked, match=form):
-                apply_exchange(SimpleNamespace(grid=grid, n_particles=n_part),
+                apply_exchange(SimpleNamespace(grid=grid, n_particles=n_part, orbitals=None),
                                PotentialSpec(grid, gaussian_vhat(grid, 1.0)),
-                               np.zeros(grid.shape, dtype=complex))
+                               np.zeros((2 * n_part, *grid.shape), dtype=complex))
+
+    def test_pinned_picks_stay_dense(self):
+        # the picks the benchmark and the acceptance suite run on:
+        # (n, N) of 1D evolutions and of exchange checks
+        evolutions = [(256, 32),  # quench_hf
+                      (256, 8), (256, 16),  # perfbench's layer table, with N = 32
+                      (128, 8),  # criterion fixtures, with n = 256 at N = 8, 16, 32
+                      (256, 16)]  # scenarios/reference_1d.ini
+        checks = [(256, 32), (256, 16),  # quench_hf, hartree_phase_space
+                  (256, 8), (128, 8)]  # criterion fixtures, with n = 256 at N = 16, 32
+        disp = Dispersion.relativistic(1.0)
+        for n, n_part in evolutions:
+            grid = Grid(1, n, 4.0 * np.pi, 1.0 / n_part)
+            pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), coupling=0.5)
+            assert MeanField.for_evolution(grid, pot, disp, "exponential_midpoint", True,
+                                           False, n_part).path == "dense", (n, n_part)
+        for n, n_part in checks:
+            grid = Grid(1, n, 4.0 * np.pi, 1.0 / n_part)
+            assert dense_pays(grid, n_part, 2 * n_part, 1), (n, n_part)
+
+    def test_picks_moved_from_the_retired_rules(self):
+        # over the (d, n, N) the committed crossover runs and exchange slices
+        # timed, the one rule moves exactly these picks from the two rules it
+        # replaced (CHANGES.md gives the timings behind each)
+        evolution_cases = [(1, n, k) for n in (64, 128, 256) for k in (2, 4, 8, 16)] + [
+            (1, 1024, 12), (2, 32, 8), (2, 64, 8), (2, 64, 16), (2, 64, 32)]
+        check_cases = [(1, 256, k) for k in (2, 4, 5, 6, 7, 8, 16)] + [
+            (1, 512, k) for k in (8, 10, 12, 14)] + [(1, 1024, k) for k in (12, 16, 18, 20)] + [
+            (2, 16, k) for k in (3, 4, 5, 8)] + [(2, 32, k) for k in (8, 10, 12, 16)] + [
+            (3, 8, k) for k in (2, 3, 4, 6)] + [(2, 64, k) for k in (16, 32, 48)]
+        moved = set()
+        for dim, n, n_part in evolution_cases:
+            grid = Grid(dim, n, 4.0 * np.pi, 0.1)
+            now = dense_pays(grid, n_part, n_part, scf.MATVECS_PER_SOLVE)
+            if now != previous_evolution_dense(grid, n_part):
+                moved.add(("evolution", dim, n, n_part, "dense" if now else "fft"))
+        for dim, n, n_part in check_cases:
+            grid = Grid(dim, n, 4.0 * np.pi, 0.1)
+            now = dense_pays(grid, n_part, (dim + 1) * n_part, 1)
+            if now != previous_check_dense(grid, n_part):
+                moved.add(("check", dim, n, n_part, "dense" if now else "fft"))
+        assert moved == {
+            ("evolution", 1, 64, 2, "dense"), ("evolution", 1, 1024, 12, "fft"),
+            ("evolution", 2, 64, 16, "fft"), ("evolution", 2, 64, 32, "fft"),
+            ("check", 1, 256, 7, "dense"), ("check", 1, 256, 8, "dense"),
+            ("check", 1, 512, 12, "dense"), ("check", 2, 16, 4, "dense"),
+            ("check", 2, 16, 5, "dense"), ("check", 2, 64, 48, "dense")}
+
+    @pytest.mark.parametrize("dim, n, n_part", [(1, 1024, 12), (2, 64, 16)])
+    def test_moved_evolution_picks_agree_with_the_retired_path(self, dim, n, n_part):
+        # the rule now runs these pair where the retired rule ran them dense;
+        # the two closures agree to rounding (the 64² family covers N = 32 too)
+        grid = Grid(dim, n, 4.0 * np.pi, 1.0 / n_part)
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
+                            coupling=0.5)
+        disp = Dispersion.relativistic(1.0)
+        assert previous_evolution_dense(grid, n_part)
+        source = random_orbital_set(grid, n_part, seed=97).orbitals
+        block = random_block(grid, 3, 98)
+        inputs = (grid, pot, disp, "exponential_midpoint", True, False, n_part)
+        picked = MeanField.for_evolution(*inputs)
+        assert picked.path == "pair"
+        pair = picked.closure(source)(block)
+        dense = MeanField.for_evolution(*inputs, path="dense").closure(source)(block)
+        assert np.max(np.abs(pair - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     def test_diagnostics_imports_no_scf(self):
         code = ("import sys\n"

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from rhflab.grids import Dispersion, Grid, PotentialSpec, gaussian_vhat, plane_wave
+from rhflab import orbitals as orbitals_module
+from rhflab.grids import (Dispersion, Grid, PotentialSpec, _circulant, _circulant_view,
+                          gaussian_vhat, plane_wave)
 from rhflab.orbitals import (
     OrbitalSet,
+    _density_matrix_per_particle,
+    _exchange_matrix,
+    _fft_exchange,
     apply_exchange,
     commutator_trace_norm,
     fermi_sea,
@@ -26,6 +31,9 @@ from reference_orbitals import (
     grid_norm,
     hs_norm,
     random_orbital_set,
+    reference_dense_exchange,
+    reference_loop_exchange,
+    reference_pair_exchange,
 )
 
 
@@ -168,6 +176,74 @@ class TestApplyExchange:
         a = apply_exchange(orbs, pot, f)
         b = apply_exchange_momentum_average(orbs, pot, f)
         assert np.max(np.abs(a - b)) <= 1e-8 * max(1.0, np.max(np.abs(a)))
+
+
+EXCHANGE_FORM_CASES = [(Grid(1, 64, 4.0 * np.pi, 0.2), 5), (Grid(2, 16, 4.0 * np.pi, 0.3), 4)]
+
+
+class TestExchangeForms:
+    """The one dense X and the one FFT form against the forms they replaced."""
+
+    rtol = 1e-13
+
+    @staticmethod
+    def setup(grid, n_part, rows=3):
+        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), coupling=0.5)
+        orbs = random_orbital_set(grid, n_part, seed=21)
+        rng = np.random.default_rng(22)
+        fields = (rng.standard_normal((rows, *grid.shape))
+                  + 1j * rng.standard_normal((rows, *grid.shape)))
+        return pot, orbs, fields
+
+    @pytest.mark.parametrize("grid, n_part", EXCHANGE_FORM_CASES,
+                             ids=lambda c: f"{c.n}^{c.dim}" if isinstance(c, Grid) else f"N{c}")
+    def test_fft_form_agrees_with_pair_array_and_loop(self, grid, n_part):
+        pot, orbs, fields = self.setup(grid, n_part)
+        pair = reference_pair_exchange(grid, orbs.orbitals, pot.vhat_eff, fields)
+        loop = reference_loop_exchange(orbs, pot, fields)
+        scale = np.max(np.abs(pair))
+        per_orbital = 16 * fields.shape[0] * grid.size  # bytes of one orbital's pair rows
+        for chunk in (1, 2, n_part):
+            got = _fft_exchange(grid, orbs.orbitals, pot.vhat_eff, fields, chunk * per_orbital)
+            for ref in (pair, loop):
+                assert np.max(np.abs(got - ref)) <= self.rtol * scale, chunk
+        # each end keeps the bytes of the form it generalizes
+        whole = _fft_exchange(grid, orbs.orbitals, pot.vhat_eff, fields, 10**9)
+        assert whole.tobytes() == pair.tobytes()
+        one = _fft_exchange(grid, orbs.orbitals, pot.vhat_eff, fields, 0)
+        assert one.tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("grid, n_part", EXCHANGE_FORM_CASES,
+                             ids=lambda c: f"{c.n}^{c.dim}" if isinstance(c, Grid) else f"N{c}")
+    def test_dense_builder_keeps_the_bytes_of_both_dense_forms(self, grid, n_part, monkeypatch):
+        pot, orbs, fields = self.setup(grid, n_part)
+        # from the strided view, as the check builds X
+        monkeypatch.setattr(orbitals_module, "dense_pays", lambda *args: True)
+        for block in (fields, fields[0]):
+            got = apply_exchange(orbs, pot, block)
+            assert got.tobytes() == reference_dense_exchange(orbs, pot, block).tobytes()
+        # from a held V(x_i - x_j), as MeanField.fock builds X
+        omega_n = _density_matrix_per_particle(orbs.orbitals, grid)
+        held = _exchange_matrix(omega_n.copy(), _circulant(grid, pot.lag_values()))
+        view = _exchange_matrix(omega_n.copy(), _circulant_view(grid, pot.lag_values()))
+        ref = omega_n * _circulant(grid, pot.lag_values())
+        assert held.tobytes() == view.tobytes() == ref.tobytes()
+
+    def test_apply_exchange_asks_the_rule_for_its_rows_and_one_apply(self, monkeypatch):
+        grid, n_part = EXCHANGE_FORM_CASES[0]
+        pot, orbs, fields = self.setup(grid, n_part)
+        asked = []
+        for dense in (True, False):
+            monkeypatch.setattr(orbitals_module, "dense_pays",
+                                lambda *args, dense=dense: asked.append(args) or dense)
+            for block in (fields, fields[0]):
+                got = apply_exchange(orbs, pot, block)
+                ref = (reference_dense_exchange(orbs, pot, block) if dense
+                       else _fft_exchange(grid, orbs.orbitals, pot.vhat_eff,
+                                          block.reshape(-1, *grid.shape)).reshape(block.shape))
+                assert got.shape == block.shape
+                assert got.tobytes() == ref.tobytes()
+        assert asked == [(grid, n_part, 3, 1), (grid, n_part, 1, 1)] * 2
 
 
 class TestCommutators:

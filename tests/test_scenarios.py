@@ -779,6 +779,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert "n_particles" in err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_output_directory_that_cannot_be_created_is_refused(self, tmp_path, capsys,
+                                                                monkeypatch, command):
+        # a file where a parent directory should be: one error line, exit 2,
+        # and neither a run nor a sweep starts
+        import rhflab.cli as cli
+
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "run", no_work)
+        monkeypatch.setattr(cli, "sweep", no_work)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        argv = [command, SMOKE, "--out", str(blocker / "out")]
+        if command == "sweep":
+            argv += ["--axis", "N", "--values", "2,3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Not a directory" in lines[0] and str(blocker / "out") in lines[0]
+        assert blocker.is_file()
+
     def test_oversize_scf_scenario_refused_before_any_work(self, tmp_path, capsys):
         big = tmp_path / "big.ini"
         big.write_text(smoke_text({("grid", "dim"): 2, ("grid", "points_per_dim"): 128,
