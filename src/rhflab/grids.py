@@ -19,10 +19,11 @@ n^d <= DENSE_SIZE_CAP and (N + k·B)·n^d <= DENSE_COST[d-1]·k·B·N·log2(n^d)
 The evolution passes B = N and k = `scf.MATVECS_PER_SOLVE`, the check
 B = (d+1)·N and k = 1.  DENSE_COST holds one constant per dimension, fitted
 to the evolution's step times and the check's times on both forms at one
-BLAS thread (`scripts/bench_trajectory.py --fit`, over the 463 cases of the
-`crossover` and `layers` runs in the committed BENCH_*.json files): the
-least lost time falls on c ∈ [7.68, 8) in 1D, [11.4, 12.8) in 2D and
-[11.9, 17.8) in 3D.  The forms agree to rounding.  One cap serves both callers: at 64² the check holds one complex
+BLAS thread (`scripts/bench_trajectory.py --fit`, over the `crossover` and
+`layers` runs in the committed BENCH_*.json files).  Leaving out the one
+crossover run that timed the retired (B, N, n^d) pair array beside this FFT
+form, the least lost time falls on c ∈ [7.68, 8) in 1D, [11.4, 12.8) in 2D
+and [11.9, 17.8) in 3D.  The forms agree to rounding.  One cap serves both callers: at 64² the check holds one complex
 X (256 MiB), half what a dense evolution on that grid holds (K and
 V(x_i - x_j), real, and a complex h).
 `_circulant` builds the dense kernels: K from the kinetic symbol and
