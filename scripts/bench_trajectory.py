@@ -60,9 +60,7 @@ slice times, the same way and on the SCF ground state at each N kicked by
 e^{2πix/L}, ms per `diagnostics.commutator_channels`, `exp_bound_check` (the
 runner's 16 phase samples), `exchange_double_commutator_check` in the
 form `orbitals.apply_exchange` picks and with each form forced: `[dense]`
-and `[fft]` (`orbitals._exchange_matrix`, `_fft_exchange`), or on a
-checkout that had them, `[dense]` and `[loop]` (`orbitals._dense_exchange`,
-`_loop_exchange`),
+and `[fft]` (`orbitals._exchange_matrix`, `_fft_exchange`),
 `kinetic_double_commutator_check` (m0 = 1), `wigner_transform`,
 `vlasov.vlasov_step` (dt = VLASOV_DT, from the state's Wigner transform) and
 `vlasov.vlasov_run` over VLASOV_STEPS steps of VLASOV_DT from the same field,
@@ -81,19 +79,18 @@ SCF ground state kicked by `kick` and released from the trap (`released`), and
 the ground state kept in its trap (`stationary`), on which a step barely
 moves the orbitals.  Per case it also records the Krylov matvecs per solve
 of one step.  PROPAGATION_RK4 is timed the same way under RK4 with HF on
-the pair path.  Where the checkout has two forms, its exchange slice
-times the exchange check with each form forced, the same way, for each
-(d, n, N) of EXCHANGE_LAYER_CASES on a seeded random orthonormal state:
-both sides of each dimension's crossover.  Per case it records the form
-`apply_exchange` picks, the rows B = (d+1)·N and applies k = 1, the
-medians and quartiles and each form's tracemalloc peak, and it fits the
-dense rule's constant per dimension (`fit_dense_cost`).  Where the checkout
-has `orbitals._fft_exchange`, its exchange chunk slice times that form on
-B fields for each (d, n, N, B) of EXCHANGE_CHUNK_CASES at every chunk size
-a budget of CHUNK_BUDGETS_KIB gives, and records per budget the mean
-relative time above each case's fastest chunk (`chunk_budget_losses`).
-The run is appended
-to the list `layers` of BENCH_<LABEL>.json, as `--crossover` appends to
+the pair path.  Its exchange slice times the exchange check with each form
+forced (EXCHANGE_FORMS), the same way, for each (d, n, N) of
+EXCHANGE_LAYER_CASES on a seeded random orthonormal state: both sides of
+each dimension's crossover.  Per case it records the form `apply_exchange`
+picks, the rows B = (d+1)·N and applies k = 1, the medians and quartiles
+and each form's tracemalloc peak, and it fits the dense rule's constant per
+dimension (`fit_dense_cost`).  Its exchange chunk slice times
+`orbitals._fft_exchange` on B fields for each (d, n, N, B) of
+EXCHANGE_CHUNK_CASES at every chunk size a budget of CHUNK_BUDGETS_KIB
+gives, and records per budget the mean relative time above each case's
+fastest chunk (`chunk_budget_losses`).  The run is appended to the list
+`layers` of BENCH_<LABEL>.json, as `--crossover` appends to
 `crossover`.  Both forms store the host's load averages (os.getloadavg)
 taken before and after the run in the block they append, as `loadavg`.
 
@@ -108,7 +105,8 @@ cases, with every (caller, d, n, N) whose pick the two differ on.
 
 The first two forms rewrite every key of BENCH_<LABEL>.json but
 `crossover`, `layers` and `fit`: the machine, the commits and the
-workloads are those of the runs just made.
+workloads are those of the runs just made.  --against pairs workload runs
+only; the other three forms refuse it.
 """
 
 from __future__ import annotations
@@ -166,9 +164,11 @@ EXCHANGE_CHUNK_CASES = (
     (1, 512, 8, 24), (1, 1024, 12, 12), (1, 1024, 12, 36), (2, 16, 4, 12), (2, 32, 8, 8),
     (2, 32, 8, 24), (2, 64, 8, 8), (2, 64, 16, 16), (3, 8, 4, 16), (3, 16, 8, 8))
 CHUNK_BUDGETS_KIB = tuple(16 << k for k in range(9))
-# applies per build of the evolution's X, for a checkout that does not name it
+# applies per build of the evolution's X, for recorded crossover cases that do not record it
 MATVECS_PER_SOLVE = 5
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the exchange check's forms, dense first: `orbitals._exchange_matrix` and `_fft_exchange`
+EXCHANGE_FORMS = ("dense", "fft")
 # kept across runs of every form: each --crossover or --layers run is appended,
 # and --fit replaces its block
 KEPT_KEYS = ("crossover", "layers", "fit")
@@ -302,7 +302,7 @@ def crossover(checkout: Path) -> dict:
     disp = Dispersion.relativistic(1.0)
     cases = [(1, n, n_part) for n in CROSSOVER_NS for n_part in CROSSOVER_PARTICLES]
     cases += list(CROSSOVER_EXTRA)
-    applies = getattr(scf, "MATVECS_PER_SOLVE", MATVECS_PER_SOLVE)
+    applies = scf.MATVECS_PER_SOLVE
     block = dict(host_record(checkout), reps=CROSSOVER_REPS, dt=1e-3,
                  dense_cost=grids.DENSE_COST, cases=[])
     for dim, n, n_part in cases:
@@ -396,54 +396,25 @@ def live_peak_kib(call) -> float:
     return (peak - live) / 1024.0
 
 
-def exchange_forms() -> tuple[str, ...]:
-    """The names of the checkout's exchange check forms, dense first; () if it has one form.
-
-    ("dense", "fft") where one rule picks `orbitals._exchange_matrix` or
-    `_fft_exchange`; ("dense", "loop") where `orbitals._dense_exchange` and
-    `_loop_exchange` are the forms.
-    """
-    from rhflab import orbitals
-
-    if hasattr(orbitals, "_fft_exchange"):
-        return ("dense", "fft")
-    if hasattr(orbitals, "_dense_exchange"):
-        return ("dense", "loop")
-    return ()
-
-
 def picked_exchange_form(orbs, pot) -> str:
     """The form `orbitals.apply_exchange` picks for the check on orbs."""
     from rhflab import orbitals
 
-    if hasattr(orbitals, "_fft_exchange"):
-        rows = (orbs.grid.dim + 1) * orbs.n_particles
-        return "dense" if orbitals.dense_pays(orbs.grid, orbs.n_particles, rows, 1) else "fft"
-    saved = orbitals._dense_exchange, orbitals._loop_exchange
-    orbitals._dense_exchange = lambda *args: "dense"
-    orbitals._loop_exchange = lambda *args: "loop"
-    try:  # stand-in forms see the pick
-        return orbitals.apply_exchange(orbs, pot, orbs.orbitals)
-    finally:
-        orbitals._dense_exchange, orbitals._loop_exchange = saved
+    rows = (orbs.grid.dim + 1) * orbs.n_particles
+    return "dense" if orbitals.dense_pays(orbs.grid, orbs.n_particles, rows, 1) else "fft"
 
 
 def forced_exchange_check(form: str, orbs, pot):
     """A call of the exchange check with its exchange form forced."""
     from rhflab import diagnostics, orbitals
 
-    if hasattr(orbitals, "_fft_exchange"):
-        home, name, forced = orbitals, "dense_pays", lambda *args: form == "dense"
-    else:
-        home, name, forced = diagnostics, "apply_exchange", getattr(orbitals, f"_{form}_exchange")
-
     def call():
-        saved = getattr(home, name)
-        setattr(home, name, forced)
+        saved = orbitals.dense_pays
+        orbitals.dense_pays = lambda *args: form == "dense"
         try:
             return diagnostics.exchange_double_commutator_check(orbs, pot)
         finally:
-            setattr(home, name, saved)
+            orbitals.dense_pays = saved
     return call
 
 
@@ -453,7 +424,7 @@ def exchange_layers() -> dict:
     from rhflab.grids import Grid, PotentialSpec, gaussian_vhat
     from rhflab.orbitals import OrbitalSet
 
-    dense, fft = exchange_forms()
+    dense, fft = EXCHANGE_FORMS
     rng = np.random.default_rng(0)
     cases = []
     for dim, n, n_part in EXCHANGE_LAYER_CASES:
@@ -539,8 +510,7 @@ def diagnostics_layers(grid, pot, orbitals_block, n_part: int) -> dict:
         "diagnostics.exp_bound_check": lambda: diagnostics.exp_bound_check(orbs, samples),
         name: lambda: diagnostics.exchange_double_commutator_check(orbs, pot),
     }
-    forms = exchange_forms()
-    for form in forms:
+    for form in EXCHANGE_FORMS:
         calls[f"{name}[{form}]"] = forced_exchange_check(form, orbs, pot)
     calls.update({
         "diagnostics.kinetic_double_commutator_check":
@@ -556,9 +526,8 @@ def diagnostics_layers(grid, pot, orbitals_block, n_part: int) -> dict:
         peaks = {layer: live_peak_kib(call) for layer, call in calls.items()}
     ms["vlasov.vlasov_run"] = {key: value / VLASOV_STEPS
                                for key, value in ms["vlasov.vlasov_run"].items()}
-    case = {"N": n_part, "exchange_form": None, "ms": ms, "peak_kib": peaks}
-    if forms:
-        case["exchange_form"] = picked_exchange_form(orbs, pot)
+    case = {"N": n_part, "exchange_form": picked_exchange_form(orbs, pot), "ms": ms,
+            "peak_kib": peaks}
     print(f"layers diagnostics n={grid.n} N={n_part}: " + ", ".join(
         f"{layer.split('.', 1)[1]} {stats['median']:.3g} ms" for layer, stats in ms.items()))
     return case
@@ -646,7 +615,7 @@ def propagation_layers() -> list[dict]:
 def layers(checkout: Path) -> dict:
     """One layers run: every slice (module docstring)."""
     load_checkout(checkout)
-    from rhflab import orbitals, scf
+    from rhflab import scf
     from rhflab.grids import Dispersion
     from rhflab.orbitals import OrbitalSet
 
@@ -678,12 +647,10 @@ def layers(checkout: Path) -> dict:
             diagnostics_layers(grid, pot, res.orbitals.orbitals, n_part))
     block["ed_cases"] = ed_layers()
     block["propagation_cases"] = propagation_layers()
-    if exchange_forms():
-        block["exchange"] = exchange_layers()
-    if hasattr(orbitals, "_fft_exchange"):
-        block["exchange_chunks"] = exchange_chunk_layers()
-        block["chunk_budget_losses"] = chunk_budget_losses(block["exchange_chunks"])
-        print(f"layers chunk budget losses: {block['chunk_budget_losses']}")
+    block["exchange"] = exchange_layers()
+    block["exchange_chunks"] = exchange_chunk_layers()
+    block["chunk_budget_losses"] = chunk_budget_losses(block["exchange_chunks"])
+    print(f"layers chunk budget losses: {block['chunk_budget_losses']}")
     return block
 
 
@@ -834,6 +801,9 @@ def main(argv=None) -> int:
     form.add_argument("--fit", action="store_true",
                       help="fit the dense rule to every recorded crossover and exchange case")
     args = ap.parse_args(argv)
+    if args.against is not None and (args.crossover or args.layers or args.fit):
+        ap.error("--against pairs workload runs only; --crossover, --layers and --fit "
+                 "time one checkout")
     checkout = args.checkout.resolve()
     out = ROOT / f"BENCH_{args.label}.json"
     old = json.loads(out.read_text()) if out.exists() else {}

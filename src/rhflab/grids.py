@@ -151,26 +151,24 @@ class Grid:
 
 @dataclass(frozen=True)
 class Dispersion:
-    """Kinetic symbol selector.
+    """Kinetic symbol selector, both laws massive (the kinetic check divides by m0).
 
     variant "relativistic": sqrt(eps^2 |p|^2 + m0^2)
     variant "nonrelativistic": m0 + eps^2 |p|^2 / (2 m0)  (constant kept so the
-        two massive variants stay phase-aligned at the orbital level)
-    variant "massless": eps |p|   (exploratory)
+        two variants stay phase-aligned at the orbital level)
     """
 
     variant: str
-    m0: float | None = None
+    m0: float
 
-    VARIANTS = ("relativistic", "nonrelativistic", "massless")
+    VARIANTS = ("relativistic", "nonrelativistic")
 
     def __post_init__(self):
         if self.variant not in self.VARIANTS:
             raise ValueError(f"dispersion must be one of {self.VARIANTS}, got {self.variant!r}")
-        if self.variant in ("relativistic", "nonrelativistic"):
-            if self.m0 is None or self.m0 <= 0:
-                raise ValueError(f"m0 must be positive for the {self.variant} dispersion, "
-                                 f"got {self.m0}")
+        if self.m0 is None or self.m0 <= 0:
+            raise ValueError(f"m0 must be positive for the {self.variant} dispersion, "
+                             f"got {self.m0}")
 
     @classmethod
     def relativistic(cls, m0: float) -> "Dispersion":
@@ -179,10 +177,6 @@ class Dispersion:
     @classmethod
     def nonrelativistic(cls, m0: float) -> "Dispersion":
         return cls("nonrelativistic", float(m0))
-
-    @classmethod
-    def massless(cls) -> "Dispersion":
-        return cls("massless", None)
 
     def symbol(self, grid: Grid) -> np.ndarray:
         """Kinetic symbol evaluated on the dual grid."""
@@ -193,9 +187,7 @@ class Dispersion:
         eps_p_abs = np.asarray(eps_p_abs, dtype=float)
         if self.variant == "relativistic":
             return np.sqrt(eps_p_abs**2 + self.m0**2)
-        if self.variant == "nonrelativistic":
-            return self.m0 + eps_p_abs**2 / (2.0 * self.m0)
-        return eps_p_abs
+        return self.m0 + eps_p_abs**2 / (2.0 * self.m0)
 
 
 def _reverse_dual(a: np.ndarray) -> np.ndarray:
@@ -328,11 +320,14 @@ def convolve_potential(density: np.ndarray, grid: Grid, potential: PotentialSpec
     return out.real
 
 
+def _moment(vhat_eff: np.ndarray, grid: Grid) -> float:
+    """Discrete Σ|vhat_eff(p)|(1+|p|)^2 (2π/L)^d over the dual grid."""
+    return float(np.sum(np.abs(vhat_eff) * (1.0 + grid.p_abs) ** 2) * grid.dual_cell_volume)
+
+
 def potential_moment(potential: PotentialSpec, grid: Grid) -> float:
     """Discrete Σ|coupling·V̂(p)|(1+|p|)^2 (2π/L)^d, the regularity moment."""
-    return float(
-        np.sum(np.abs(potential.vhat_eff) * (1.0 + grid.p_abs) ** 2) * grid.dual_cell_volume
-    )
+    return _moment(potential.vhat_eff, grid)
 
 
 def potential_moment_refinement_check(vhat_fn, grid: Grid,
@@ -345,9 +340,6 @@ def potential_moment_refinement_check(vhat_fn, grid: Grid,
     dual range grows.
     """
     fine = Grid(grid.dim, 2 * grid.n, grid.box_length, grid.epsilon)
-    m_coarse = float(np.sum(np.abs(coupling * vhat_fn(grid.p_abs)) * (1.0 + grid.p_abs) ** 2)
-                     * grid.dual_cell_volume)
-    m_fine = float(np.sum(np.abs(coupling * vhat_fn(fine.p_abs)) * (1.0 + fine.p_abs) ** 2)
-                   * fine.dual_cell_volume)
+    m_coarse, m_fine = (_moment(coupling * vhat_fn(g.p_abs), g) for g in (grid, fine))
     stable = abs(m_fine - m_coarse) <= MOMENT_REFINEMENT_RTOL * max(abs(m_coarse), 1e-300)
     return stable, m_coarse, m_fine

@@ -21,17 +21,18 @@ the state (Löwdin, nothing for a pair, the polar factor in `ed`) and samples
 the due observers at t0 + k·dt.
 
 h(ω) comes from one `scf.MeanField` per evolution, which picks its path
-once: the dense Fock matrix, or the FFT path with the exchange as one pair
-array; the rule and the forms are in the `scf` module docstring.  `step`
-builds it on first use from the state's grid, potential, config
-(dispersion, scheme, exchange_on, keep_trap) and N, and carries it on the
-state it returns, so an evolution builds it once and a bare SimState steps
-as well; `runner.run` seeds its initial state with it, so that the t = 0
-samples read the same MeanField.  A state whose potential or those config
-fields differ from the MeanField's inputs gets a fresh one.  On the dense
+once: the dense Fock matrix, or the FFT path with the exchange by
+`orbitals._fft_exchange`; the rule and the forms are in the `scf` module
+docstring.  `_mean_field` builds it from the state's grid, potential,
+config (dispersion, scheme, exchange_on, keep_trap) and N, and the state
+carries it.  `evolve` seeds its initial state with it before the t = 0
+samples, so that every sample and step reads the same MeanField; `step`
+builds it on first use, so a bare SimState steps as well, and carries it on
+the state it returns.  A state whose potential or those config fields
+differ from the MeanField's inputs gets a fresh one.  On the dense
 path the MeanField owns K and V(x_i - x_j), so they live as long as the
 states that carry it; a flow on the FFT path holds neither.  Each leg of a
-`pair_evolve` builds its own at its first step, as `evolve` does.
+`pair_evolve` builds its own at its first step.
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ class SimState:
     # pre-reorthonormalization audit values of the most recent step
     last_gram_deviation: float = 0.0
     last_projection_residual: float = 0.0
-    # the evolution's mean field, built by the first step (module docstring)
+    # the evolution's mean field, seeded by evolve or built by the first step
+    # (module docstring)
     mean_field: MeanField | None = field(default=None, repr=False, compare=False)
 
 
@@ -252,6 +254,8 @@ def step_count(t0: float, t_final: float, dt: float) -> int:
     if t_final < t0:
         raise ValueError("t_final precedes current time")
     steps = (t_final - t0) / dt
+    if not np.isfinite(steps):
+        raise ValueError(f"(t_final - t0)/dt = {steps!r} is not a finite step count")
     n_steps = int(round(steps))
     if abs(steps - n_steps) > STEP_COUNT_RTOL * max(n_steps, 1):
         raise ValueError(
@@ -264,7 +268,8 @@ def evolve(state: SimState, observers: list | None = None) -> EvolveResult:
     """Run to t_final, sampling each observer at its cadence (plus t=0 and the end).
 
     Sampled states are reorthonormalized first, so observers see the
-    orbital-set invariants at full precision.
+    orbital-set invariants at full precision.  The state is seeded with its
+    MeanField first, so the t = 0 samples read the one the steps use.
     """
     cfg = state.config
     n_steps = step_count(state.time, cfg.t_final, cfg.dt)
@@ -274,8 +279,8 @@ def evolve(state: SimState, observers: list | None = None) -> EvolveResult:
             f"dt={cfg.dt:g} exceeds the suggested cap 0.1*eps/max(symbol)={cap:g}",
             stacklevel=2,
         )
-    return _time_loop(state, n_steps, state.time, cfg.dt,
-                      lambda s, t: replace(step(s), time=t),
+    return _time_loop(replace(state, mean_field=_mean_field(state)), n_steps, state.time,
+                      cfg.dt, lambda s, t: replace(step(s), time=t),
                       lambda s: replace(s, orbitals=reorthonormalize(s.orbitals)),
                       observers or [])
 

@@ -7,6 +7,9 @@ A run produces a deterministic artifact set under the output directory:
   checks/exp_bound.json, checks/exchange_bound.json, checks/kinetic_ratio.json
   growth_fit.json, integrated_growth.json, manifest.json
 
+The evolution's samples, the t = 0 ones too, read the one MeanField that
+`propagate.evolve` seeds the initial state with.
+
 Exit status is 1 iff a hard diagnostic failed (inequality margin below
 tolerance, an SCF preparation that did not converge, or an aborted
 evolution).  An exception raised during the run (a Krylov solve that cannot
@@ -45,7 +48,7 @@ from .grids import potential_moment_refinement_check
 from .orbitals import OrbitalSet, boosted_fermi_sea, fermi_sea, hs_distance_squared, seam_mass
 from .propagate import Observer, SimState, evolve
 from .scenarios import Scenario
-from .scf import MeanField, scf_minimize
+from .scf import scf_minimize
 
 __all__ = ["RunResult", "run", "sweep", "WORKERS_ENV"]
 
@@ -155,16 +158,11 @@ def _run(scenario: Scenario, out_dir: Path, header: dict) -> RunResult:
     save_orbitals(out_dir / "initial_state.rhfs", orbitals)
     _write_sidecar(out_dir / "initial_state.rhfs", 0.0, config_hash)
 
-    config = scenario.build_evolution_config(dispersion)
-    # the evolution's one MeanField, built before t = 0 so that every sample reads it
-    mean_field = MeanField.for_evolution(orbitals.grid, potential, config.dispersion,
-                                         config.scheme, config.exchange_on, config.keep_trap,
-                                         orbitals.n_particles)
-    state = SimState(time=0.0, orbitals=orbitals, potential=potential, config=config,
-                     mean_field=mean_field)
+    # evolve seeds the state with the evolution's MeanField before the t = 0 samples
+    state = SimState(time=0.0, orbitals=orbitals, potential=potential,
+                     config=scenario.build_evolution_config(dispersion))
 
-    observers, reports = _build_observers(scenario, grid, potential, dispersion, out_dir,
-                                          config_hash)
+    observers, reports = _build_observers(scenario, grid, out_dir, config_hash)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = evolve(state, observers)
@@ -174,7 +172,7 @@ def _run(scenario: Scenario, out_dir: Path, header: dict) -> RunResult:
     _write_sidecar(out_dir / "final_state.rhfs", result.state.time, config_hash)
 
     checks_summary, metrics = _write_series_and_reports(scenario, result, reports, out_dir,
-                                                        grid, dispersion)
+                                                        grid)
     if scf_result is not None:
         checks_summary["scf_converged"] = bool(scf_result.converged)
     hard_failure = result.aborted or any(not ok for ok in checks_summary.values())
@@ -208,8 +206,7 @@ def _scf_summary(scf_result):
     }
 
 
-def _build_observers(scenario: Scenario, grid, potential, dispersion, out_dir: Path,
-                     config_hash: str):
+def _build_observers(scenario: Scenario, grid, out_dir: Path, config_hash: str):
     observers = []
     reports: dict[str, list] = {}
     diag = lambda key: scenario[("diagnostics", key)]
@@ -255,7 +252,7 @@ def _build_observers(scenario: Scenario, grid, potential, dispersion, out_dir: P
         observers.append(report_observer(
             "exchange_bound",
             lambda s: exchange_double_commutator_check(s.orbitals, s.potential), "min_margin"))
-    if diag("kinetic_ratio") > 0 and dispersion.variant != "massless":
+    if diag("kinetic_ratio") > 0:
         m0 = scenario[("model", "m0")]
         observers.append(report_observer(
             "kinetic_ratio", lambda s: kinetic_double_commutator_check(s.orbitals, m0),
@@ -283,7 +280,7 @@ def _write_sidecar(container_path: Path, time: float, config_hash: str) -> None:
 
 
 def _write_series_and_reports(scenario: Scenario, result, reports, out_dir: Path,
-                              grid, dispersion) -> tuple[dict, dict]:
+                              grid) -> tuple[dict, dict]:
     """Write the series CSVs and check reports; returns (checks, SWEEP_METRICS)."""
     checks_summary: dict[str, bool] = {}
     metrics = dict.fromkeys(SWEEP_METRICS, float("nan"))
@@ -330,7 +327,7 @@ def _write_series_and_reports(scenario: Scenario, result, reports, out_dir: Path
             })
             checks_summary["growth_fit"] = envelope_ok
             metrics.update(growth_C=fit.C, growth_c=fit.c)
-        if len(times) >= 2 and dispersion.variant != "massless":
+        if len(times) >= 2:
             audit = integrated_growth_audit(times, comm_x, comm_grad, n_particles,
                                             scenario[("model", "m0")])
             dump_json(out_dir / "integrated_growth.json", audit)

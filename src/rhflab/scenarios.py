@@ -1,9 +1,10 @@
 """Scenario files: flat typed key-value sections, strictly validated.
 
 Unknown sections or keys are errors; every value is parsed by the declared
-type of its key.  `Scenario.validate` refuses, before any work, every value
-a run cannot honour: each rule applies through its owner (Grid's argument
-checks, Dispersion, ScfConfig, EvolutionConfig), and the rules no
+type of its key (`_parse_field`), and a float must be finite.
+`Scenario.validate` refuses, before any work, every value a run cannot
+honour: each rule applies through its owner (Grid's argument checks,
+Dispersion, ScfConfig, EvolutionConfig, `step_count`), and the rules no
 constructor holds are its own.  Every refusal names its field as
 "[section] key".  The config hash is a SHA-256 over the canonicalized
 section.key=value lines, so it changes iff any config field changes.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,10 +42,17 @@ def _parse_bool(token: str) -> bool:
     raise ValueError(f"not a boolean: {token!r}")
 
 
+def _parse_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {token!r}")
+    return value
+
+
 def _parse_epsilon(token: str):
     if token.strip().lower() == "auto":
         return "auto"
-    value = float(token)
+    value = _parse_float(token)
     if value <= 0:
         raise ValueError("epsilon must be positive")
     return value
@@ -57,35 +66,35 @@ _SCHEMA = {
     "grid": {
         "dim": (int, True, None),
         "points_per_dim": (int, True, None),
-        "box_length": (float, True, None),
+        "box_length": (_parse_float, True, None),
     },
     "model": {
         "n_particles": (int, True, None),
         "epsilon": (_parse_epsilon, False, "auto"),
         "dispersion": (str, False, "relativistic"),
-        "m0": (float, False, 1.0),
+        "m0": (_parse_float, False, 1.0),
     },
     "potential": {
         "kernel": (str, False, "none"),
-        "coupling": (float, False, 1.0),
-        "width": (float, False, 1.0),
+        "coupling": (_parse_float, False, 1.0),
+        "width": (_parse_float, False, 1.0),
         "table": (str, False, ""),
         "trap": (str, False, "none"),
-        "trap_strength": (float, False, 1.0),
+        "trap_strength": (_parse_float, False, 1.0),
     },
     "preparation": {
         "kind": (str, False, "fermi_sea"),
         "max_iterations": (int, False, 200),
-        "mixing": (float, False, 0.5),
-        "convergence_tol": (float, False, 1e-10),
+        "mixing": (_parse_float, False, 0.5),
+        "convergence_tol": (_parse_float, False, 1e-10),
         "aufbau": (_parse_bool, False, True),
-        "boost_amplitude": (float, False, 0.5),
+        "boost_amplitude": (_parse_float, False, 0.5),
         "boost_mode": (int, False, 1),
     },
     "evolution": {
         "scheme": (str, False, "exponential_midpoint"),
-        "dt": (float, True, None),
-        "t_final": (float, True, None),
+        "dt": (_parse_float, True, None),
+        "t_final": (_parse_float, True, None),
         "exchange_on": (_parse_bool, False, True),
         "reortho_every": (int, False, 10),
         "keep_trap": (_parse_bool, False, False),
@@ -105,6 +114,16 @@ _CHOICES = {
     ("potential", "trap"): ("harmonic", "none"),
     ("preparation", "kind"): ("scf", "fermi_sea", "boosted_fermi_sea"),
 }
+
+
+def _parse_field(section: str, key: str, token: str):
+    """token parsed by the declared type of [section] key, refused as that field."""
+    if key not in _SCHEMA.get(section, {}):
+        raise ScenarioError(f"unknown key [{section}] {key}")
+    try:
+        return _SCHEMA[section][key][0](token)
+    except ValueError as exc:
+        raise ScenarioError(f"bad value for [{section}] {key}: {exc}") from exc
 
 
 def _owned(section: str, build, *args):
@@ -139,15 +158,8 @@ class Scenario:
 
     def with_value(self, section: str, key: str, token: str) -> "Scenario":
         """A copy with one field replaced by a re-parsed token (sweep support)."""
-        if (section, key) not in [(s, k) for s in _SCHEMA for k in _SCHEMA[s]]:
-            raise ScenarioError(f"unknown field [{section}] {key}")
-        parser = _SCHEMA[section][key][0]
-        try:
-            value = parser(token)
-        except ValueError as exc:
-            raise ScenarioError(f"bad value for [{section}] {key}: {exc}") from exc
         new_values = dict(self.values)
-        new_values[(section, key)] = value
+        new_values[(section, key)] = _parse_field(section, key, token)
         out = Scenario(values=new_values, source=self.source)
         out.validate()
         return out
@@ -222,10 +234,7 @@ class Scenario:
         )
 
     def build_dispersion(self) -> Dispersion:
-        kind = self.values[("model", "dispersion")]
-        if kind == "massless":
-            return Dispersion.massless()
-        return Dispersion(kind, self.values[("model", "m0")])
+        return Dispersion(self.values[("model", "dispersion")], self.values[("model", "m0")])
 
     def build_scf_config(self) -> ScfConfig:
         return ScfConfig(
@@ -301,13 +310,7 @@ def parse_scenario(text: str, source: str = "") -> Scenario:
         if section not in _SCHEMA:
             raise ScenarioError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                raise ScenarioError(f"unknown key [{section}] {key}")
-            type_parser = _SCHEMA[section][key][0]
-            try:
-                values[(section, key)] = type_parser(raw)
-            except ValueError as exc:
-                raise ScenarioError(f"bad value for [{section}] {key}: {exc}") from exc
+            values[(section, key)] = _parse_field(section, key, raw)
     for section, keys in _SCHEMA.items():
         for key, (_, required, default) in keys.items():
             if (section, key) in values:

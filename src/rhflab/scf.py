@@ -150,8 +150,8 @@ class MeanField:
     exchange_on drops X(ω) when false (the Hartree flow), keep_trap drops
     V_ext when false (a quench).  X(ω) runs only where the potential
     interacts.  `closure` gives h(ω_source) on field blocks by the path and
-    `energy` the energy of that functional; `fock` and `one_body` are the
-    dense path's matrices.
+    `energy` the energy of that functional; `fock` is the dense path's
+    matrix.
     """
 
     def __init__(self, grid: Grid, potential: PotentialSpec, dispersion: Dispersion,
@@ -199,12 +199,6 @@ class MeanField:
                              n_particles)
         return mean_field
 
-    def one_body(self) -> np.ndarray:
-        """K [+ V_ext] as a new real matrix on grid-value vectors (dense path)."""
-        h = self._k.copy()
-        np.fill_diagonal(h, self._diag0)
-        return h
-
     def fock(self, omega_n: np.ndarray) -> np.ndarray:
         """Dense h(ω) on grid-value vectors, built in omega_n's buffer.
 
@@ -212,7 +206,7 @@ class MeanField:
         ρ is its diagonal over dv.  With exchange the matrix is turned into h
         in place and returned: the caller hands over a buffer it owns.  A
         real omega_n (the SCF) gives a real h, a complex one (the
-        propagation) a complex h.
+        propagation) a complex h.  A zero omega_n gives K [+ V_ext].
         """
         grid = self.grid
         rho = omega_n.diagonal().real / grid.cell_volume
@@ -322,7 +316,9 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
         raise ValueError("more particles than grid degrees of freedom")
     # K and V(x_i - x_j) live as long as this call
     mean_field = MeanField(grid, potential, dispersion)
-    phi = _occupy(mean_field.one_body(), n_particles, grid, True, None)
+    # the start: the one-body part K [+ V_ext], the Fock matrix of ω = 0
+    phi = _occupy(mean_field.fock(np.zeros((grid.size, grid.size))), n_particles, grid,
+                  True, None)
     # density matrices are mixed and held as ω/N, the form MeanField.fock
     # builds in and MeanField.energy reads
     dmat = _density_matrix_per_particle(phi, grid)

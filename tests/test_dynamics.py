@@ -797,19 +797,6 @@ class TestEvolve:
             # drift per unit time at reference-quality resolution
             assert abs(e1 - e0) / max(1.0, abs(e0)) <= 1e-6 * 0.1
 
-    def test_massless_runs_and_conserves(self):
-        grid = Grid(1, 64, 4.0 * np.pi, 0.25)
-        disp = Dispersion.massless()
-        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), coupling=0.3)
-        g = gaussian_orbital(grid, sigma=0.6)
-        orbs = OrbitalSet(g[None, :], grid)
-        state = make_state(grid, orbs, pot, dt=2e-3, t_final=0.2, dispersion=disp)
-        e0 = hf_energy(orbs, pot, disp)
-        result = evolve(state)
-        e1 = hf_energy(result.state.orbitals, pot, disp)
-        assert not result.aborted
-        assert abs(e1 - e0) <= 1e-6 * max(1.0, abs(e0))
-
     def test_dt_cap_warning(self):
         grid = Grid(1, 64, 2.0 * np.pi, 0.1)
         disp = Dispersion.relativistic(1.0)
@@ -882,12 +869,12 @@ class TestPairEvolve:
 class TestConfigValidation:
     def test_bad_dt(self):
         with pytest.raises(ValueError):
-            EvolutionConfig(dt=0.0, t_final=1.0, dispersion=Dispersion.massless())
+            EvolutionConfig(dt=0.0, t_final=1.0, dispersion=Dispersion.relativistic(1.0))
 
     def test_bad_scheme(self):
         with pytest.raises(ValueError):
             EvolutionConfig(dt=0.1, t_final=1.0, scheme="verlet",
-                            dispersion=Dispersion.massless())
+                            dispersion=Dispersion.relativistic(1.0))
 
     def test_missing_dispersion(self):
         with pytest.raises(ValueError):
@@ -903,6 +890,15 @@ class TestStepCount:
             evolve(state)
         with pytest.raises(ValueError, match="whole number of steps"):
             pair_evolve(state, state, "scheme")
+
+    def test_step_count_that_is_not_finite_refused(self, grid32):
+        # (t_final - t0)/dt overflows to inf; int(round(inf)) would raise OverflowError
+        with pytest.raises(ValueError, match="not a finite step count"):
+            propagate.step_count(0.0, 1e308, 1e-10)
+        pot = PotentialSpec(grid32, np.zeros(grid32.shape))
+        orbs = OrbitalSet(plane_wave(grid32, [1])[None, :], grid32)
+        with pytest.raises(ValueError, match="not a finite step count"):
+            evolve(make_state(grid32, orbs, pot, dt=1e-10, t_final=1e308))
 
     @pytest.mark.parametrize("dt, t_final, n_steps", [(5e-3, 0.05, 10), (3e-3, 0.009, 3)])
     def test_multiple_accepted(self, grid32, dt, t_final, n_steps):
@@ -1039,7 +1035,7 @@ class TestDenseFock:
     @pytest.mark.parametrize("keep_trap", [False, True])
     def test_scf_and_propagation_build_static_matrices_once(self, keep_trap, monkeypatch):
         # the SCF builds K and V(x_i - x_j) once for its own MeanField, the
-        # evolution once for the one MeanField its first step builds
+        # evolution once for the one MeanField evolve seeds its state with
         grid, n_part = DENSE_CASES[0]
         built = []
         circulant = scf._circulant
@@ -1257,6 +1253,20 @@ class TestMeanField:
         assert first.mean_field is not None
         assert step(first).mean_field is first.mean_field
         assert replace(first, time=1.0).mean_field is first.mean_field
+
+    def test_evolve_seeds_the_mean_field_of_its_t0_samples(self):
+        state = kicked_scf_state(Grid(1, 64, 4.0 * np.pi, 1.0 / 8.0), 8, t_final=4e-3)
+        assert state.mean_field is None
+        seen = []
+
+        def energy(s):
+            seen.append(s.mean_field)
+            return {"energy": s.mean_field.energy(s.orbitals.orbitals)}
+
+        result = evolve(state, [Observer("energy", 1, energy)])
+        assert not result.aborted
+        assert result.series["energy"].times[0] == 0.0
+        assert len(seen) == 3 and all(mf is result.state.mean_field for mf in seen)
 
     def test_replaced_config_or_potential_gets_a_fresh_mean_field(self):
         state = step(kicked_scf_state(Grid(1, 64, 4.0 * np.pi, 1.0 / 8.0), 8))

@@ -140,10 +140,6 @@ class TestApplyKinetic:
         assert np.all(diff >= -1e-14)
         assert np.all(diff <= bound + 1e-14)
 
-    def test_massless_symbol(self, grid64):
-        sym = Dispersion.massless().symbol(grid64)
-        assert np.allclose(sym, grid64.epsilon * grid64.p_abs)
-
     def test_dispersion_validation(self):
         with pytest.raises(ValueError):
             Dispersion.relativistic(-1.0)

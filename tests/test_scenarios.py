@@ -159,6 +159,13 @@ def assert_sweep_metrics_match_artifacts(out_root, scenario, axis):
         assert np.array_equal(written, expected, equal_nan=True), (token, written, expected)
 
 
+# the float keys of the schema, each refused when not finite
+FLOAT_FIELDS = (("grid", "box_length"), ("model", "epsilon"), ("model", "m0"),
+                ("potential", "coupling"), ("potential", "width"),
+                ("potential", "trap_strength"), ("preparation", "mixing"),
+                ("preparation", "convergence_tol"), ("preparation", "boost_amplitude"),
+                ("evolution", "dt"), ("evolution", "t_final"))
+
 positive = st.floats(min_value=1e-6, max_value=1e6)
 finite = st.floats(allow_nan=False, allow_infinity=False)
 choice = lambda *options: st.sampled_from(options)
@@ -172,7 +179,7 @@ SCENARIO_VALUES = st.fixed_dictionaries({
     ("grid", "box_length"): positive,
     ("model", "n_particles"): st.integers(1, 64),
     ("model", "epsilon"): st.one_of(st.just("auto"), positive),
-    ("model", "dispersion"): choice("relativistic", "nonrelativistic", "massless"),
+    ("model", "dispersion"): choice("relativistic", "nonrelativistic"),
     ("model", "m0"): positive,
     ("potential", "kernel"): choice("gaussian", "none"),
     ("potential", "coupling"): finite,
@@ -384,6 +391,12 @@ class TestScenarioParse:
     def test_bad_value_names_field(self):
         with pytest.raises(ScenarioError, match=r"\[evolution\] dt"):
             parse_scenario(smoke_text({("evolution", "dt"): "tiny"}))
+
+    def test_float_fields_are_the_schema_floats(self):
+        floats = {(section, key) for section, keys in scenarios._SCHEMA.items()
+                  for key, (parser, _, _) in keys.items()
+                  if parser in (scenarios._parse_float, scenarios._parse_epsilon)}
+        assert floats == set(FLOAT_FIELDS)
 
     def test_t_final_not_a_multiple_of_dt_rejected(self):
         with pytest.raises(ScenarioError, match="whole number of steps"):
@@ -833,6 +846,11 @@ class TestCli:
          "[potential] table"),
         ({("potential", "kernel"): "table", ("potential", "table"): "odd.csv"},
          "[potential] vhat must be even"),
+        ({("evolution", "t_final"): "1e308", ("evolution", "dt"): "1e-10"},
+         "[evolution] (t_final - t0)/dt"),
+        # every float key refuses a value that is not finite
+        *(({(section, key): token}, f"[{section}] {key}")
+          for section, key in FLOAT_FIELDS for token in ("nan", "inf", "-inf")),
     ])
     def test_unrunnable_scenario_refused_before_any_work(self, tmp_path, capsys,
                                                          overrides, field):
@@ -850,6 +868,24 @@ class TestCli:
         assert field in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
         assert not (out / "checks").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({("model", "dispersion"): "massless"},
+         "error: [model] dispersion must be one of ('relativistic', 'nonrelativistic'), "
+         "got 'massless'"),
+        ({("evolution", "t_final"): "inf"},
+         "error: bad value for [evolution] t_final: not a finite number: 'inf'"),
+    ])
+    def test_refusal_is_one_line_and_makes_no_directory(self, tmp_path, capsys, overrides,
+                                                        message):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(smoke_text(overrides))
+        out = tmp_path / "out"
+        assert main(["run", str(ini), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+        assert not out.exists()
 
     def test_imports_load_no_linalg_and_no_process_pool(self):
         # a fresh interpreter: this suite's own imports must not hide a load
