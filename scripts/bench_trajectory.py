@@ -27,72 +27,81 @@ change's win count: the pairs in which the change is better, ties counting
 for neither.  BENCH_<LABEL>.json then holds, per workload, every pair's
 values and that summary, and the commit of each side.
 
-The third form times one exponential-midpoint HF step of the checkout on
-each mean-field path (dense, pair; `scf.MeanField`) at n in CROSSOVER_NS
-and N in CROSSOVER_PARTICLES on 1D grids and at each (d, n, N) of
-CROSSOVER_EXTRA, all at one BLAS thread; above the dense size cap only the
-pair path runs.  Every case starts from a fixed kicked SCF state (above
-SCF_GRID_N points per axis, the state on that grid interpolated spectrally,
-because a dense SCF there takes minutes); each repetition steps that same
-state once per path, the paths interleaved, and the run records the
-median, the quartiles, the path the rule picks and the case's rows B = N
-and applies per build k.  It also fits the dense rule's constant per
-dimension to these times (`fit_dense_cost`).  The run, with
-the checkout's commit and the host's CPU count and versions, is appended
-to the list `crossover` of BENCH_<LABEL>.json, so every run made stays on
-record; the file's other keys are kept.
+The third and fourth forms import the checkout's rhflab once, at one BLAS
+thread (`load_checkout`, in `main`), and time every case through one
+runner, `time_calls`: one warm-up call of each of the case's layers, then
+reps rounds in which the layers run in turn, so the host's drift falls on
+them alike.  Every case records per layer the median and quartiles of ms
+per call (`ms`) and the tracemalloc live peak of one more call, in KiB above
+what was live before it (`peak_kib`).  An evolution case is a
+`propagate.step` of a state `evolution_state` builds: one step of
+PROPAGATION_DT at m0 = 1 on the trapped setup (`trapped_setup`), from its
+SCF ground state (above SCF_GRID_N points per axis, the state on that grid
+interpolated spectrally, because a dense SCF there takes minutes), kicked
+by `kick` and released from the trap (`released`) or kept in it
+(`stationary`).
+
+The third form times the HF flow's exponential-midpoint step from the
+released start on each mean-field path (dense, pair; `scf.MeanField`) at n
+in CROSSOVER_NS and N in CROSSOVER_PARTICLES on 1D grids and at each
+(d, n, N) of CROSSOVER_EXTRA, over CROSSOVER_REPS rounds; above the dense
+size cap only the pair path runs.  Each case records the path the rule
+picks and its rows B = N and applies per build k, and the run fits the
+dense rule's constant per dimension to these times (`fit_dense_cost`).
+The run, with the checkout's commit and the host's CPU count and versions,
+is appended to the list `crossover` of BENCH_<LABEL>.json, so every run
+made stays on record; the file's other keys are kept.
 
 The fourth form times layers of the checkout by perfbench's layer names,
-at one BLAS thread, on the crossover's trapped 1D setup at n = LAYER_N and
-N in LAYER_PARTICLES: ms per `scf.scf_minimize`, and ms per energy of its
-ground state by `scf.hf_energy` and by `scf.MeanField.energy` on the dense
-path, given the real ω/N the SCF holds.  Each repetition runs every layer
-once, interleaved, and the run records per N and layer the median and
-quartiles of LAYER_REPS repetitions, and beside each layer the tracemalloc
-live peak of one call, in KiB above what was live before it (`peak_kib`);
-every slice below records both.  Its ED slice times, the same way, ms per
-`ed.build_hamiltonian`, per `ed.evolve_exact` sample (one step of
-ED_SAMPLE_T from the Fermi sea) and per `ed.ModeMeanField.mean_field` (at
-the Fermi sea's density) for each case of ED_LAYER_CASES: 16 modes with
-N = 2..5 at the ed_oracle workload's ε = 1, coupling 0.2, and 20 modes with
-N = 7 at the resolved-gap test's ε = 0.25, coupling 2.  Its diagnostics
-slice times, the same way and on the SCF ground state at each N kicked by
-e^{2πix/L}, ms per `diagnostics.commutator_channels`, `exp_bound_check` (the
-runner's 16 phase samples), `exchange_double_commutator_check` in the
-form `orbitals.apply_exchange` picks and with each form forced: `[dense]`
-and `[fft]` (`orbitals._exchange_matrix`, `_fft_exchange`),
-`kinetic_double_commutator_check` (m0 = 1), `wigner_transform`,
-`vlasov.vlasov_step` (dt = VLASOV_DT, from the state's Wigner transform) and
-`vlasov.vlasov_run` over VLASOV_STEPS steps of VLASOV_DT from the same field,
-recorded in ms per step, since a run fuses the half x-shifts of adjacent
-steps and a single step cannot show that.
-`commutator_channels` gets a new OrbitalSet per call, so it pays the base
-channels; every other check gets one set whose channels it has already read
-where the checkout keeps them (`OrbitalSet.base_channels`), so it is timed
-for its own work, and the slice's layers sum to one sample's cost on either
-side.  Its propagation slice times, for each (d, n, N) of PROPAGATION_CASES
-on the trapped setup, ms per `propagate.step` (exponential midpoint,
-dt = PROPAGATION_DT) and per block h-apply on the N orbitals (`krylov.matvec`,
-the MeanField's closure of the state), for each flow of PROPAGATION_FLOWS
-(Hartree, HF on the pair path, HF on the dense path), from two starts: the
-SCF ground state kicked by `kick` and released from the trap (`released`), and
-the ground state kept in its trap (`stationary`), on which a step barely
-moves the orbitals.  Per case it also records the Krylov matvecs per solve
-of one step.  PROPAGATION_RK4 is timed the same way under RK4 with HF on
-the pair path.  Its exchange slice times the exchange check with each form
-forced (EXCHANGE_FORMS), the same way, for each (d, n, N) of
-EXCHANGE_LAYER_CASES on a seeded random orthonormal state: both sides of
-each dimension's crossover.  Per case it records the form `apply_exchange`
-picks, the rows B = (d+1)·N and applies k = 1, the medians and quartiles
-and each form's tracemalloc peak, and it fits the dense rule's constant per
-dimension (`fit_dense_cost`).  Its exchange chunk slice times
-`orbitals._fft_exchange` on B fields for each (d, n, N, B) of
-EXCHANGE_CHUNK_CASES at every chunk size a budget of CHUNK_BUDGETS_KIB
-gives, and records per budget the mean relative time above each case's
-fastest chunk (`chunk_budget_losses`).  The run is appended to the list
-`layers` of BENCH_<LABEL>.json, as `--crossover` appends to
-`crossover`.  Both forms store the host's load averages (os.getloadavg)
-taken before and after the run in the block they append, as `loadavg`.
+over LAYER_REPS rounds, in six slices:
+
+- SCF and energy: on the trapped 1D setup at n = LAYER_N and N in
+  LAYER_PARTICLES, `scf.scf_minimize`, and the energy of its ground state by
+  `scf.hf_energy` and by `scf.MeanField.energy` on the dense path, given the
+  real ω/N the SCF holds.
+- ED: for each case of ED_LAYER_CASES (16 modes with N = 2..5 at the
+  ed_oracle workload's ε = 1, coupling 0.2, and 20 modes with N = 7 at the
+  resolved-gap test's ε = 0.25, coupling 2), `ed.build_hamiltonian`, one
+  `ed.evolve_exact` sample (one step of ED_SAMPLE_T from the Fermi sea) and
+  `ed.ModeMeanField.mean_field` at the Fermi sea's density.
+- Diagnostics: on the SCF ground state at each N kicked by e^{2πix/L},
+  `diagnostics.commutator_channels`, `exp_bound_check` (the runner's 16
+  phase samples), `exchange_double_commutator_check` in the form
+  `orbitals.apply_exchange` picks and with each form forced: `[dense]` and
+  `[fft]` (`orbitals._exchange_matrix`, `_fft_exchange`),
+  `kinetic_double_commutator_check` (m0 = 1), `wigner_transform`,
+  `vlasov.vlasov_step` (dt = VLASOV_DT, from the state's Wigner transform)
+  and `vlasov.vlasov_run` over VLASOV_STEPS steps of VLASOV_DT from the same
+  field, recorded per step, since a run fuses the half x-shifts of adjacent
+  steps and a single step cannot show that.  `commutator_channels` gets a
+  new OrbitalSet per call, so it pays the base channels; every other check
+  gets one set whose channels it has already read where the checkout keeps
+  them (`OrbitalSet.base_channels`), so it is timed for its own work, and
+  the slice's layers sum to one sample's cost on either side.
+- Propagation: for each (d, n, N) of PROPAGATION_CASES, `propagate.step`
+  (exponential midpoint) and one block h-apply on the N orbitals
+  (`krylov.matvec`, the MeanField's closure of the state), for each flow of
+  PROPAGATION_FLOWS (Hartree, HF on the pair path, HF on the dense path)
+  from both starts; on the stationary one a step barely moves the
+  orbitals.  Each case also records the Krylov matvecs per solve of one
+  step.  PROPAGATION_RK4 is timed the same way under RK4 with HF on the
+  pair path.
+- Exchange: the exchange check with each form forced (EXCHANGE_FORMS) for
+  each (d, n, N) of EXCHANGE_LAYER_CASES on a seeded random orthonormal
+  state, both sides of each dimension's crossover.  Each case records the
+  form `apply_exchange` picks and the rows B = (d+1)·N and applies k = 1,
+  and the slice fits the dense rule's constant per dimension
+  (`fit_dense_cost`).
+- Exchange chunk: `orbitals._fft_exchange` on B fields for each
+  (d, n, N, B) of EXCHANGE_CHUNK_CASES at every chunk size a budget of
+  CHUNK_BUDGETS_KIB gives; the run records per budget the mean relative
+  time above each case's fastest chunk (`chunk_budget_losses`).
+
+The run is appended to the list `layers` of BENCH_<LABEL>.json, as
+`--crossover` appends to `crossover`.  Both forms store the host's load
+averages (os.getloadavg) taken before and after the run in the block they
+append, as `loadavg`.  Every record before this runner kept the same keys,
+except that crossover and exchange chunk cases had no `peak_kib`.
 
 The fifth form runs nothing: it gathers every case timed on both sides
 in this repository's BENCH_*.json files (`recorded_cases`: the crossover
@@ -247,6 +256,37 @@ def host_record(checkout: Path) -> dict:
                      "numpy": np.__version__}}
 
 
+def time_calls(label: str, calls: dict, reps: int) -> dict:
+    """{"ms": median and quartiles of ms per call, "peak_kib": live peak per call}.
+
+    Each call runs once as a warm-up, then reps rounds run the calls in
+    turn; the peak is the tracemalloc peak of one more call, in KiB above
+    what was live before it.  Prints one line headed by label.
+    """
+    import time
+    import tracemalloc
+
+    times = {name: [] for name in calls}
+    for call in calls.values():  # warm-up
+        call()
+    for _ in range(reps):
+        for name, call in calls.items():
+            start = time.perf_counter()
+            call()
+            times[name].append(1e3 * (time.perf_counter() - start))
+    peaks = {}
+    for name, call in calls.items():
+        tracemalloc.start()
+        live = tracemalloc.get_traced_memory()[0]
+        call()
+        peaks[name] = (tracemalloc.get_traced_memory()[1] - live) / 1024.0
+        tracemalloc.stop()
+    ms = {name: summarize(values) for name, values in times.items()}
+    print(f"{label}: " + ", ".join(f"{name} {stats['median']:.3g} ms"
+                                   for name, stats in ms.items()), flush=True)
+    return {"ms": ms, "peak_kib": peaks}
+
+
 def trapped_setup(dim: int, n: int, n_part: int):
     """(grid, potential) of the trapped setup the crossover and layers runs share."""
     import numpy as np
@@ -290,66 +330,50 @@ def kick(grid):
     return np.exp(1j * sum(2.0 * np.pi / grid.box_length * x for x in grid.x_mesh))
 
 
-def crossover(checkout: Path) -> dict:
-    """One crossover run: ms per midpoint step on each path (module docstring)."""
-    load_checkout(checkout)
-    import time
+def evolution_state(grid, pot, block, n_part: int, scheme: str, exchange_on: bool,
+                    keep_trap: bool, path: str | None):
+    """The SimState of block for one step of PROPAGATION_DT at m0 = 1.
 
-    from rhflab import grids, propagate, scf
+    Its MeanField runs on path, or on the path the rule picks where path is None.
+    """
+    from rhflab import propagate, scf
     from rhflab.grids import Dispersion
     from rhflab.orbitals import OrbitalSet
 
     disp = Dispersion.relativistic(1.0)
+    config = propagate.EvolutionConfig(dt=PROPAGATION_DT, t_final=PROPAGATION_DT, scheme=scheme,
+                                       exchange_on=exchange_on, dispersion=disp,
+                                       keep_trap=keep_trap)
+    mean_field = scf.MeanField.for_evolution(grid, pot, disp, scheme, exchange_on, keep_trap,
+                                             n_part, path=path)
+    return propagate.SimState(0.0, OrbitalSet(block, grid, validate=False), pot, config,
+                              mean_field=mean_field)
+
+
+def crossover(checkout: Path) -> dict:
+    """One crossover run: ms per midpoint step on each path (module docstring)."""
+    from rhflab import grids, propagate, scf
+
+    scheme = "exponential_midpoint"
     cases = [(1, n, n_part) for n in CROSSOVER_NS for n_part in CROSSOVER_PARTICLES]
-    cases += list(CROSSOVER_EXTRA)
-    applies = scf.MATVECS_PER_SOLVE
-    block = dict(host_record(checkout), reps=CROSSOVER_REPS, dt=1e-3,
+    block = dict(host_record(checkout), reps=CROSSOVER_REPS, dt=PROPAGATION_DT,
                  dense_cost=grids.DENSE_COST, cases=[])
-    for dim, n, n_part in cases:
+    for dim, n, n_part in cases + list(CROSSOVER_EXTRA):
         grid, pot = trapped_setup(dim, n, n_part)
-        orbs = OrbitalSet(ground_state(dim, n, n_part) * kick(grid), grid, validate=False)
-        config = propagate.EvolutionConfig(dt=1e-3, t_final=1e-3, dispersion=disp)
-        inputs = (grid, pot, disp, config.scheme, True, False, n_part)
-        paths = [path for path in scf.PATHS
-                 if path != "dense" or grid.size <= grids.DENSE_SIZE_CAP]
-        states = {path: propagate.SimState(0.0, orbs, pot, config,
-                                           mean_field=scf.MeanField.for_evolution(
-                                               *inputs, path=path))
-                  for path in paths}
-        times = {path: [] for path in states}
-        for path, state in states.items():  # warm-up
-            propagate.step(state)
-        for _ in range(CROSSOVER_REPS):
-            for path, state in states.items():
-                start = time.perf_counter()
-                propagate.step(state)
-                times[path].append(1e3 * (time.perf_counter() - start))
-        del states
-        case = {"dim": dim, "n": n, "N": n_part, "rows": n_part, "applies": applies,
-                "rule": scf.MeanField.for_evolution(*inputs).path,
-                "ms": {path: summarize(ms) for path, ms in times.items()}}
-        block["cases"].append(case)
-        print(f"crossover {n}^{dim} N={n_part}: " + ", ".join(
-            f"{path} {stats['median']:.3g} ms" for path, stats in case["ms"].items())
-            + f"; rule picks {case['rule']}", flush=True)
+        released = ground_state(dim, n, n_part) * kick(grid)
+        hf_state = lambda path: evolution_state(grid, pot, released, n_part, scheme, True, False,
+                                                path)
+        rule = hf_state(None).mean_field.path
+        calls = {path: lambda state=hf_state(path): propagate.step(state) for path in scf.PATHS
+                 if path != "dense" or grid.size <= grids.DENSE_SIZE_CAP}
+        timed = time_calls(f"crossover {n}^{dim} N={n_part}, rule picks {rule}", calls,
+                           CROSSOVER_REPS)
+        del calls
+        block["cases"].append({"dim": dim, "n": n, "N": n_part, "rows": n_part,
+                               "applies": scf.MATVECS_PER_SOLVE, "rule": rule, **timed})
     block["fit"] = fit_dense_cost(block["cases"])
     print(f"crossover fit: {block['fit']}")
     return block
-
-
-def interleaved_ms(calls: dict, reps: int) -> dict:
-    """Median and quartiles of ms per call, the calls run in turn in each of reps rounds."""
-    import time
-
-    times = {name: [] for name in calls}
-    for call in calls.values():  # warm-up
-        call()
-    for _ in range(reps):
-        for name, call in calls.items():
-            start = time.perf_counter()
-            call()
-            times[name].append(1e3 * (time.perf_counter() - start))
-    return {name: summarize(ms) for name, ms in times.items()}
 
 
 def ed_layers() -> list[dict]:
@@ -363,40 +387,24 @@ def ed_layers() -> list[dict]:
     cases = []
     for n_modes, n_part, eps, coupling in ED_LAYER_CASES:
         basis = ed.FockBasis(n_modes, n_part, 2.0 * np.pi)
-        h = ed.build_hamiltonian(basis, disp, eps, vhat, coupling)
+        build = lambda: ed.build_hamiltonian(basis, disp, eps, vhat, coupling)
+        h = build()
         psi = ed.slater_vector(basis, ed.fermi_sea_modes(basis, disp, eps))
         mean_field = ed.ModeMeanField(basis, disp, eps, vhat, coupling)
         gamma = ed.reduced_density_1(psi, basis)
         calls = {
-            "ed.build_hamiltonian": lambda: ed.build_hamiltonian(basis, disp, eps, vhat,
-                                                                 coupling),
+            "ed.build_hamiltonian": build,
             "ed.evolve_exact": lambda: ed.evolve_exact(psi, h, ED_SAMPLE_T, eps),
             "ed.ModeMeanField.mean_field": lambda: mean_field.mean_field(gamma),
         }
-        case = {"M": n_modes, "N": n_part, "epsilon": eps, "coupling": coupling,
-                "basis_size": basis.size, "nnz": int(h.nnz),
-                "ms": interleaved_ms(calls, LAYER_REPS),
-                "peak_kib": {name: live_peak_kib(call) for name, call in calls.items()}}
-        del h  # let the Hamiltonian go before the next case builds its own
-        cases.append(case)
-        print(f"layers ED M={n_modes} N={n_part}: " + ", ".join(
-            f"{name} {stats['median']:.3g} ms" for name, stats in case["ms"].items()))
+        cases.append({"M": n_modes, "N": n_part, "epsilon": eps, "coupling": coupling,
+                      "basis_size": basis.size, "nnz": int(h.nnz),
+                      **time_calls(f"layers ED M={n_modes} N={n_part}", calls, LAYER_REPS)})
+        del h, calls  # let the Hamiltonian go before the next case builds its own
     return cases
 
 
-def live_peak_kib(call) -> float:
-    """The tracemalloc peak of one call, in KiB above what was live before it."""
-    import tracemalloc
-
-    tracemalloc.start()
-    live = tracemalloc.get_traced_memory()[0]
-    call()
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    return (peak - live) / 1024.0
-
-
-def picked_exchange_form(orbs, pot) -> str:
+def picked_exchange_form(orbs) -> str:
     """The form `orbitals.apply_exchange` picks for the check on orbs."""
     from rhflab import orbitals
 
@@ -424,7 +432,6 @@ def exchange_layers() -> dict:
     from rhflab.grids import Grid, PotentialSpec, gaussian_vhat
     from rhflab.orbitals import OrbitalSet
 
-    dense, fft = EXCHANGE_FORMS
     rng = np.random.default_rng(0)
     cases = []
     for dim, n, n_part in EXCHANGE_LAYER_CASES:
@@ -434,14 +441,12 @@ def exchange_layers() -> dict:
                          + 1j * rng.standard_normal((grid.size, n_part)))[0]
         orbs = OrbitalSet((q.T / np.sqrt(grid.cell_volume)).reshape(n_part, *grid.shape), grid,
                           validate=False)
-        calls = {form: forced_exchange_check(form, orbs, pot) for form in (dense, fft)}
-        ms = interleaved_ms(calls, LAYER_REPS)
-        case = {"dim": dim, "n": n, "N": n_part, "rows": (dim + 1) * n_part, "applies": 1,
-                "picked": picked_exchange_form(orbs, pot), "ms": ms,
-                "peak_kib": {form: live_peak_kib(call) for form, call in calls.items()}}
-        cases.append(case)
-        print(f"layers exchange {n}^{dim} N={n_part}: dense {ms[dense]['median']:.3g} ms, "
-              f"{fft} {ms[fft]['median']:.3g} ms; picks {case['picked']}", flush=True)
+        picked = picked_exchange_form(orbs)
+        calls = {form: forced_exchange_check(form, orbs, pot) for form in EXCHANGE_FORMS}
+        cases.append({"dim": dim, "n": n, "N": n_part, "rows": (dim + 1) * n_part, "applies": 1,
+                      "picked": picked, **time_calls(
+                          f"layers exchange {n}^{dim} N={n_part}, picks {picked}", calls,
+                          LAYER_REPS)})
     fits = fit_dense_cost(cases)
     print(f"layers exchange fit: {fits}")
     return {"cases": cases, "fit": fits}
@@ -463,14 +468,11 @@ def exchange_chunk_layers() -> list[dict]:
         per_orbital = 16 * rows * grid.size
         chunks = sorted({max(1, min(n_part, (kib << 10) // per_orbital))
                          for kib in CHUNK_BUDGETS_KIB})
-        calls = {chunk: (lambda chunk=chunk: _fft_exchange(grid, source, vhat, fields,
-                                                           chunk * per_orbital))
+        calls = {str(chunk): (lambda chunk=chunk: _fft_exchange(grid, source, vhat, fields,
+                                                                chunk * per_orbital))
                  for chunk in chunks}
-        ms = interleaved_ms(calls, LAYER_REPS)
-        cases.append({"dim": dim, "n": n, "N": n_part, "rows": rows,
-                      "ms": {str(chunk): stats for chunk, stats in ms.items()}})
-        print(f"layers exchange chunks {n}^{dim} N={n_part} B={rows}: " + ", ".join(
-            f"{chunk} {stats['median']:.3g} ms" for chunk, stats in ms.items()), flush=True)
+        cases.append({"dim": dim, "n": n, "N": n_part, "rows": rows, **time_calls(
+            f"layers exchange chunks {n}^{dim} N={n_part} B={rows}", calls, LAYER_REPS)})
     return cases
 
 
@@ -492,12 +494,10 @@ def diagnostics_layers(grid, pot, orbitals_block, n_part: int) -> dict:
     """The diagnostics slice of a layers run at one N (module docstring)."""
     import warnings
 
-    import numpy as np
     from rhflab import diagnostics, vlasov
     from rhflab.orbitals import OrbitalSet
 
-    kick = np.exp(2j * np.pi / grid.box_length * grid.x_mesh[0])
-    block = orbitals_block * kick
+    block = orbitals_block * kick(grid)
     orbs = OrbitalSet(block, grid, validate=False)
     diagnostics.comm_x_total(orbs)  # kept where the checkout keeps channels
     samples = diagnostics.default_phase_samples(grid)
@@ -522,15 +522,10 @@ def diagnostics_layers(grid, pot, orbitals_block, n_part: int) -> dict:
     })
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # seam mass, Wigner residual, Vlasov CFL
-        ms = interleaved_ms(calls, LAYER_REPS)
-        peaks = {layer: live_peak_kib(call) for layer, call in calls.items()}
-    ms["vlasov.vlasov_run"] = {key: value / VLASOV_STEPS
-                               for key, value in ms["vlasov.vlasov_run"].items()}
-    case = {"N": n_part, "exchange_form": picked_exchange_form(orbs, pot), "ms": ms,
-            "peak_kib": peaks}
-    print(f"layers diagnostics n={grid.n} N={n_part}: " + ", ".join(
-        f"{layer.split('.', 1)[1]} {stats['median']:.3g} ms" for layer, stats in ms.items()))
-    return case
+        timed = time_calls(f"layers diagnostics n={grid.n} N={n_part}", calls, LAYER_REPS)
+    timed["ms"]["vlasov.vlasov_run"] = {key: value / VLASOV_STEPS
+                                        for key, value in timed["ms"]["vlasov.vlasov_run"].items()}
+    return {"N": n_part, "exchange_form": picked_exchange_form(orbs), **timed}
 
 
 def krylov_counts(state) -> tuple[int, int]:
@@ -560,61 +555,43 @@ def propagation_layers() -> list[dict]:
     """The propagation slice of a layers run (module docstring)."""
     import warnings
 
-    from rhflab import propagate, scf
-    from rhflab.grids import Dispersion
-    from rhflab.orbitals import OrbitalSet
+    from rhflab import propagate
 
-    disp = Dispersion.relativistic(1.0)
     runs = [(case, "exponential_midpoint", PROPAGATION_FLOWS) for case in PROPAGATION_CASES]
     runs.append((PROPAGATION_RK4, "rk4_frozen_field", {"hf-pair": (True, "pair")}))
+    layer_names = ("propagate.step", "krylov.matvec")
     cases = []
     for (dim, n, n_part), scheme, flows in runs:
         grid, pot = trapped_setup(dim, n, n_part)
         phi = ground_state(dim, n, n_part)
         starts = {"released": (phi * kick(grid), False), "stationary": (phi, True)}
-        states = {}
-        for flow, (exchange_on, path) in flows.items():
-            for start, (block, keep_trap) in starts.items():
-                config = propagate.EvolutionConfig(
-                    dt=PROPAGATION_DT, t_final=PROPAGATION_DT, scheme=scheme,
-                    exchange_on=exchange_on, dispersion=disp, keep_trap=keep_trap)
-                mean_field = scf.MeanField.for_evolution(
-                    grid, pot, disp, scheme, exchange_on, keep_trap, n_part, path=path)
-                orbs = OrbitalSet(block, grid, validate=False)
-                states[flow, start] = propagate.SimState(0.0, orbs, pot, config,
-                                                         mean_field=mean_field)
+        states = {(flow, start): evolution_state(grid, pot, block, n_part, scheme, exchange_on,
+                                                 keep_trap, path)
+                  for flow, (exchange_on, path) in flows.items()
+                  for start, (block, keep_trap) in starts.items()}
         calls = {}
         for (flow, start), state in states.items():
             apply_h = state.mean_field.closure(state.orbitals.orbitals)
-            calls[flow, start, "propagate.step"] = lambda state=state: propagate.step(state)
-            calls[flow, start, "krylov.matvec"] = (
+            calls[f"{flow} {start} propagate.step"] = lambda state=state: propagate.step(state)
+            calls[f"{flow} {start} krylov.matvec"] = (
                 lambda apply_h=apply_h, block=state.orbitals.orbitals: apply_h(block))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # dt above the suggested cap
-            ms = interleaved_ms(calls, LAYER_REPS)
-            peaks = {key: live_peak_kib(call) for key, call in calls.items()}
+            timed = time_calls(f"layers propagation {n}^{dim} N={n_part} {scheme}", calls,
+                               LAYER_REPS)
             for (flow, start), state in states.items():
                 solves, matvecs = krylov_counts(state)
-                case = {"dim": dim, "n": n, "N": n_part, "scheme": scheme, "flow": flow,
-                        "path": state.mean_field.path, "start": start,
-                        "matvecs_per_solve": matvecs / solves if solves else None,
-                        "ms": {layer: ms[flow, start, layer]
-                               for layer in ("propagate.step", "krylov.matvec")},
-                        "peak_kib": {layer: peaks[flow, start, layer]
-                                     for layer in ("propagate.step", "krylov.matvec")}}
-                cases.append(case)
-                per_solve = (f", {case['matvecs_per_solve']:.3g} matvecs/solve"
-                             if solves else "")
-                print(f"layers propagation {n}^{dim} N={n_part} {scheme} {flow} {start}: "
-                      f"step {case['ms']['propagate.step']['median']:.3g} ms, h-apply "
-                      f"{case['ms']['krylov.matvec']['median']:.3g} ms{per_solve}")
+                cases.append({"dim": dim, "n": n, "N": n_part, "scheme": scheme, "flow": flow,
+                              "path": state.mean_field.path, "start": start,
+                              "matvecs_per_solve": matvecs / solves if solves else None,
+                              **{part: {layer: timed[part][f"{flow} {start} {layer}"]
+                                        for layer in layer_names} for part in timed}})
         del states, calls
     return cases
 
 
 def layers(checkout: Path) -> dict:
     """One layers run: every slice (module docstring)."""
-    load_checkout(checkout)
     from rhflab import scf
     from rhflab.grids import Dispersion
     from rhflab.orbitals import OrbitalSet
@@ -635,14 +612,10 @@ def layers(checkout: Path) -> dict:
             "scf.hf_energy": lambda: scf.hf_energy(orbs, pot, disp),
             "scf.MeanField.energy": lambda: mean_field.energy(phi, omega_n),
         }
-        ms = interleaved_ms(calls, LAYER_REPS)
+        timed = time_calls(f"layers n={LAYER_N} N={n_part}", calls, LAYER_REPS)
         hf, dense = calls["scf.hf_energy"](), calls["scf.MeanField.energy"]()
-        case = {"N": n_part, "scf_iterations": res.iterations,
-                "energy_rel_diff": abs(dense - hf) / abs(hf), "ms": ms,
-                "peak_kib": {name: live_peak_kib(call) for name, call in calls.items()}}
-        block["cases"].append(case)
-        print(f"layers n={LAYER_N} N={n_part}: " + ", ".join(
-            f"{name} {stats['median']:.3g} ms" for name, stats in case["ms"].items()))
+        block["cases"].append({"N": n_part, "scf_iterations": res.iterations,
+                               "energy_rel_diff": abs(dense - hf) / abs(hf), **timed})
         block["diagnostics_cases"].append(
             diagnostics_layers(grid, pot, res.orbitals.orbitals, n_part))
     block["ed_cases"] = ed_layers()
@@ -733,12 +706,11 @@ def recorded_cases() -> list[dict]:
 
 def fit(checkout: Path) -> dict:
     """The fit of one dense rule to every recorded case, against the checkout's and the retired rules."""
-    load_checkout(checkout)
     from rhflab import grids
 
     cases = recorded_cases()
-    rule = [case["n"] ** case["dim"] <= grids.DENSE_SIZE_CAP
-            and dense_ratio(case) <= grids.DENSE_COST[case["dim"] - 1] for case in cases]
+    rule = [grids.dense_pays(grids.Grid(case["dim"], case["n"], 1.0, 1.0), case["N"],
+                             case["rows"], case["applies"]) for case in cases]
     block = {"commit": commit_of(checkout), "dense_cost": list(grids.DENSE_COST),
              "cases": len(cases), "fit": fit_dense_cost(cases),
              "lost_ms": {"rule": sum(lost_ms(c, d) for c, d in zip(cases, rule)),
@@ -805,6 +777,8 @@ def main(argv=None) -> int:
         ap.error("--against pairs workload runs only; --crossover, --layers and --fit "
                  "time one checkout")
     checkout = args.checkout.resolve()
+    if args.crossover or args.layers or args.fit:
+        load_checkout(checkout)
     out = ROOT / f"BENCH_{args.label}.json"
     old = json.loads(out.read_text()) if out.exists() else {}
     if args.fit:

@@ -7,9 +7,9 @@
 
 Worker count for sweeps comes from the RHFLAB_WORKERS environment variable
 (default 1).  Exit status is 1 iff a run failed a hard diagnostic, and 2 iff
-a scenario failed to parse, its output directory cannot be created (both
-refused before any work) or a run ended in an error (its manifest says
-which).
+a scenario or a sweep value failed to parse, its output directory cannot
+be created (all refused before any work) or a run ended in an error (its
+manifest says which).
 """
 
 from __future__ import annotations
@@ -20,22 +20,25 @@ import traceback
 from pathlib import Path
 
 from .containers import load_json, read_orbital_header
-from .runner import run, sweep
-from .scenarios import ScenarioError, load_scenario
+from .runner import run, sweep, sweep_scenarios
+from .scenarios import load_scenario
 
 __all__ = ["main"]
 
 
-def _scenario_and_out(args, default_out) -> tuple:
+def _scenario_and_out(args, default_out, refuse=lambda scenario: None) -> tuple:
     """(scenario, its output directory, made), or (None, None) after one error line on stderr.
 
-    default_out maps the scenario to the directory used when --out is not given.
+    default_out maps the scenario to the directory used when --out is not
+    given; refuse(scenario) raises ValueError for what the command cannot
+    honour before the directory is made.
     """
     try:
         scenario = load_scenario(args.scenario)
+        refuse(scenario)
         out = Path(args.out) if args.out else Path("runs") / default_out(scenario)
         out.mkdir(parents=True, exist_ok=True)
-    except (ScenarioError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return None, None
     return scenario, out
@@ -59,15 +62,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    scenario, out = _scenario_and_out(args, lambda scenario: f"{scenario.name}_sweep_{args.axis}")
+    values = [tok for tok in args.values.split(",") if tok]
+    scenario, out = _scenario_and_out(
+        args, lambda scenario: f"{scenario.name}_sweep_{args.axis}",
+        lambda scenario: sweep_scenarios(scenario, args.axis, values))
     if scenario is None:
         return 2
-    values = [tok for tok in args.values.split(",") if tok]
-    try:
-        code = sweep(scenario, args.axis, values, out)
-    except (ScenarioError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    code = sweep(scenario, args.axis, values, out)
     print(f"sweep over {args.axis} -> {out}/sweep.csv (exit {code})")
     return code
 

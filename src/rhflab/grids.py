@@ -107,10 +107,10 @@ class Grid:
         n = int(points_per_dim)
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError(f"points_per_dim must be a power of two >= 2, got {points_per_dim}")
-        if box_length <= 0:
-            raise ValueError(f"box_length must be positive, got {box_length}")
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        if not 0 < box_length < np.inf:  # refuses nan too
+            raise ValueError(f"box_length must be a finite positive number, got {box_length}")
+        if not 0 < epsilon < np.inf:
+            raise ValueError(f"epsilon must be a finite positive number, got {epsilon}")
 
     def _along_axis(self, v: np.ndarray, axis: int) -> np.ndarray:
         shape = [1] * self.dim
@@ -166,9 +166,9 @@ class Dispersion:
     def __post_init__(self):
         if self.variant not in self.VARIANTS:
             raise ValueError(f"dispersion must be one of {self.VARIANTS}, got {self.variant!r}")
-        if self.m0 is None or self.m0 <= 0:
-            raise ValueError(f"m0 must be positive for the {self.variant} dispersion, "
-                             f"got {self.m0}")
+        if self.m0 is None or not 0 < self.m0 < np.inf:
+            raise ValueError(f"m0 must be a finite positive number for the {self.variant} "
+                             f"dispersion, got {self.m0}")
 
     @classmethod
     def relativistic(cls, m0: float) -> "Dispersion":

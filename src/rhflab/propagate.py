@@ -82,8 +82,8 @@ class EvolutionConfig:
     keep_trap: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be a finite positive number, got {self.dt}")
         if self.reortho_every < 1:
             raise ValueError(f"reortho_every must be >= 1, got {self.reortho_every}")
         if self.scheme not in SCHEMES:

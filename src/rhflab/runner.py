@@ -50,7 +50,7 @@ from .propagate import Observer, SimState, evolve
 from .scenarios import Scenario
 from .scf import scf_minimize
 
-__all__ = ["RunResult", "run", "sweep", "WORKERS_ENV"]
+__all__ = ["RunResult", "run", "sweep", "sweep_scenarios", "WORKERS_ENV"]
 
 WORKERS_ENV = "RHFLAB_WORKERS"
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -371,23 +371,33 @@ def _run_sub(args):
     return result.exit_code, list(result.metrics.values()), result.final_orbitals
 
 
-def sweep(scenario: Scenario, axis: str, values: list, out_root) -> int:
-    """One sub-run per value along the axis; aggregated end-time metrics CSV."""
+def sweep_scenarios(scenario: Scenario, axis: str, values: list) -> tuple[list, list]:
+    """(tokens, scenarios) of a sweep's values, refused before any work.
+
+    Each value is parsed as its field by `Scenario.with_value` first, so a bad
+    token is refused as that field; the parsed values must then be strictly
+    monotone.
+    """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {sorted(SWEEP_AXES)}")
     if not values:
         raise ValueError("sweep needs at least one value")
-    tokens = [_sweep_token(v) for v in values]
-    numeric = [float(t) for t in tokens]
-    diffs = np.diff(numeric)
-    if len(numeric) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
-        raise ValueError("sweep values must be strictly monotone")
-
     section, key = SWEEP_AXES[axis]
+    tokens = [_sweep_token(v) for v in values]
+    scenarios = [scenario.with_value(section, key, token) for token in tokens]
+    diffs = np.diff([sub.values[section, key] for sub in scenarios])
+    if len(tokens) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
+        raise ValueError("sweep values must be strictly monotone")
+    return tokens, scenarios
+
+
+def sweep(scenario: Scenario, axis: str, values: list, out_root) -> int:
+    """One sub-run per value along the axis; aggregated end-time metrics CSV."""
+    tokens, scenarios = sweep_scenarios(scenario, axis, values)
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
-    jobs = [(scenario.with_value(section, key, token), out_root / f"{axis}_{i:02d}_{token}")
-            for i, token in enumerate(tokens)]
+    jobs = [(sub, out_root / f"{axis}_{i:02d}_{token}")
+            for i, (token, sub) in enumerate(zip(tokens, scenarios))]
 
     n_workers = max(1, int(os.environ.get(WORKERS_ENV, "1")))
     if n_workers == 1:

@@ -92,8 +92,9 @@ class ScfConfig:
     def __post_init__(self):
         if not 0.0 < self.mixing <= 1.0:
             raise ValueError(f"mixing must lie in (0, 1], got {self.mixing}")
-        if self.convergence_tol <= 0:
-            raise ValueError(f"convergence_tol must be positive, got {self.convergence_tol}")
+        if not 0 < self.convergence_tol < np.inf:
+            raise ValueError(
+                f"convergence_tol must be a finite positive number, got {self.convergence_tol}")
 
 
 @dataclass

@@ -868,8 +868,10 @@ class TestPairEvolve:
 
 class TestConfigValidation:
     def test_bad_dt(self):
-        with pytest.raises(ValueError):
-            EvolutionConfig(dt=0.0, t_final=1.0, dispersion=Dispersion.relativistic(1.0))
+        # dt = inf would give an evolution of zero steps
+        for dt in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="dt"):
+                EvolutionConfig(dt=dt, t_final=1.0, dispersion=Dispersion.relativistic(1.0))
 
     def test_bad_scheme(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,13 @@ class TestMakeGrid:
             Grid(1, 16, 1.0, 0.0)
         with pytest.raises(ValueError):
             Grid(4, 16, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any axis is built
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="box_length"):
+                    Grid(1, 8, value, 0.5)
+                with pytest.raises(ValueError, match="epsilon"):
+                    Grid(1, 8, 1.0, value)
 
     def test_hash_consistent_with_eq(self):
         a = Grid(2, 16, 3.0, 0.25)
@@ -143,6 +152,11 @@ class TestApplyKinetic:
     def test_dispersion_validation(self):
         with pytest.raises(ValueError):
             Dispersion.relativistic(-1.0)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="m0"):
+                Dispersion.relativistic(value)
+            with pytest.raises(ValueError, match="m0"):
+                Dispersion.nonrelativistic(value)
         with pytest.raises(ValueError):
             Dispersion("nonrelativistic", None)
         with pytest.raises(ValueError):

@@ -887,6 +887,23 @@ class TestCli:
         assert captured.err.splitlines() == [message]
         assert not out.exists()
 
+    @pytest.mark.parametrize("values, message", [
+        ("0.002,abc", "error: bad value for [evolution] dt: could not convert string to float: "
+                      "'abc'"),
+        ("0.002,nan", "error: bad value for [evolution] dt: not a finite number: 'nan'"),
+        ("0.002,0.003", "error: [evolution] t_final - t0 = 0.04 is not a whole number of steps "
+                        "dt = 0.003"),
+        ("0.004,0.002,0.008", "error: sweep values must be strictly monotone"),
+    ])
+    def test_refused_sweep_value_is_one_line_and_makes_no_directory(self, tmp_path, capsys,
+                                                                    values, message):
+        out = tmp_path / "out"
+        assert main(["sweep", SMOKE, "--axis", "dt", "--values", values, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+        assert not out.exists()
+
     def test_imports_load_no_linalg_and_no_process_pool(self):
         # a fresh interpreter: this suite's own imports must not hide a load
         code = ("import importlib, pkgutil, sys\n"

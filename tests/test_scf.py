@@ -690,3 +690,6 @@ class TestScfMinimize:
             ScfConfig(mixing=0.0)
         with pytest.raises(ValueError):
             ScfConfig(convergence_tol=-1.0)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="convergence_tol"):
+                ScfConfig(convergence_tol=value)
