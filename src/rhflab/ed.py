@@ -12,8 +12,9 @@ gap series tr|γ(t) - ω(t)|²_HS carries no discretization mismatch.
 
 The mean-field leg runs on propagate's time loop and midpoint stepper, with
 the spectral exponential of the Hermitian M×M mean field (one eigh: h = VλV†,
-e^{-iτh/ε} = V e^{-iτλ/ε} V†, unitary to rounding) and the polar factor of
-the orbital rows as repair.
+e^{-iτh/ε} = V e^{-iτλ/ε} V†, unitary to rounding) and, as repair, the
+Löwdin kernel of the grid propagator (`orbitals._lowdin`) on the orbital
+rows at weight 1, which is their polar factor.
 
 ε is an independent dial here (never tied to a particle-number rule): the
 joint semiclassical scaling is out of reach at 2-3 particles, so N-scans and
@@ -55,9 +56,11 @@ f_a + f_b = f_c + f_d holds exactly and every entry joins two states of one
 sector.  build_hamiltonian therefore orders its entries by the sector of
 their row (ascending Σf, a stable sort, so the build order holds within a
 sector): each sector is one contiguous slice, and its dense real block is one
-scatter of that slice.  evolve_exact runs one Krylov solve per sector the
-vector occupies, on that block; a Fermi-sea determinant occupies one sector
-(184 of the 4368 states at M=16, N=5).
+scatter of that slice.  H applies to a vector in one form: sector by
+sector over the sectors the vector occupies, each block as one real product
+(`_block_apply`).  `@` makes one such pass, and evolve_exact runs one
+Krylov solve per occupied sector on that product; a Fermi-sea determinant
+occupies one sector (184 of the 4368 states at M=16, N=5).
 
 The one-body density comes from the annihilation table, built once per basis
 on first use.  a_p on a state S holding p gives (-1)^below[p, S] |S ∖ {p}>,
@@ -76,13 +79,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb
 
 import numpy as np
 
 from .grids import Dispersion
 from .krylov import expm_apply_block
+from .orbitals import _lowdin
 from .propagate import Observer, _exponential_midpoint, _time_loop, step_count
 
 __all__ = [
@@ -210,6 +214,13 @@ def _bounds(keys: np.ndarray, n_keys: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n_keys))))
 
 
+def _block_apply(block: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The real block applied to each complex row, read as a (size, 2) real
+    matrix of (re, im) pairs: one real product, no complex copy of the block."""
+    pairs = rows.view(float).reshape(len(rows), -1, 2)
+    return np.matmul(block, pairs).view(complex)[..., 0]
+
+
 class SectorHamiltonian:
     """The Hamiltonian's nonzero entries, real, grouped by total-frequency sector.
 
@@ -218,8 +229,8 @@ class SectorHamiltonian:
     least in the basis (every value between occurs).  The entries of sector k
     are the slice entry_bounds[k]:entry_bounds[k + 1], its states, ascending,
     those of sector_states(k) (module docstring).  `@` applies H to a whole
-    vector; `block(k)` is the dense real block of sector k, rebuilt on each
-    call.
+    vector through the blocks of its occupied sectors; `block(k)` is the
+    dense real block of sector k, rebuilt on each call.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
@@ -250,30 +261,24 @@ class SectorHamiltonian:
         held = np.bincount(self.sector[np.flatnonzero(vector)], minlength=self.n_sectors)
         return np.flatnonzero(held)
 
-    def _local_entries(self, k: int) -> tuple:
-        """(rows, cols, values) of sector k, rows and cols as positions in the sector."""
-        entries = slice(self.entry_bounds[k], self.entry_bounds[k + 1])
-        return (self.local[self.rows[entries]], self.local[self.cols[entries]],
-                self.values[entries])
-
     def block(self, k: int) -> np.ndarray:
         """The dense real block of sector k over sector_states(k)."""
         size = self.state_bounds[k + 1] - self.state_bounds[k]
-        rows, cols, values = self._local_entries(k)
+        entries = slice(self.entry_bounds[k], self.entry_bounds[k + 1])
         out = np.zeros((size, size))
-        out[rows, cols] = values
+        out[self.local[self.rows[entries]], self.local[self.cols[entries]]] = self.values[entries]
         return out
 
     def dot(self, vector: np.ndarray) -> np.ndarray:
-        """H·vector, complex, run on the occupied sectors only (the others stay 0)."""
+        """H·vector, complex, run on the occupied sectors only (the others stay 0).
+
+        Each occupied sector's block applies as in `evolve_exact` (`_block_apply`).
+        """
         vector = np.asarray(vector, dtype=complex)
         out = np.zeros(self.shape[0], dtype=complex)
         for k in self.occupied(vector):
             states = self.sector_states(k)
-            rows, cols, values = self._local_entries(k)
-            products = values * vector[states][cols]
-            out[states] = (np.bincount(rows, products.real, minlength=len(states))
-                           + 1j * np.bincount(rows, products.imag, minlength=len(states)))
+            out[states] = _block_apply(self.block(k), vector[states][None, :])[0]
         return out
 
     __matmul__ = dot
@@ -370,13 +375,8 @@ def evolve_exact(vector: np.ndarray, hamiltonian: SectorHamiltonian, t: float,
     out = np.zeros_like(vector)
     for k in hamiltonian.occupied(vector):
         states = hamiltonian.sector_states(k)
-
-        def matvec(rows: np.ndarray, block=hamiltonian.block(k)) -> np.ndarray:
-            # each complex row read as a (size, 2) real matrix of (re, im) pairs
-            pairs = rows.view(float).reshape(len(rows), -1, 2)
-            return np.matmul(block, pairs).view(complex)[..., 0]
-
-        out[states] = expm_apply_block(matvec, vector[states][None, :], t / epsilon,
+        out[states] = expm_apply_block(partial(_block_apply, hamiltonian.block(k)),
+                                       vector[states][None, :], t / epsilon,
                                        weight=1.0, tol=tol)[0]
     return out
 
@@ -464,12 +464,6 @@ class ModeMeanField:
         )
 
 
-def _polar_factor(orbitals: np.ndarray) -> np.ndarray:
-    """Löwdin repair against drift, mirrors the grid propagator."""
-    u, _, vt = np.linalg.svd(orbitals, full_matrices=False)
-    return u @ vt
-
-
 def hf_mode_evolution(basis: FockBasis, dispersion: Dispersion, epsilon: float,
                       vhat, coupling: float, initial_modes, t_final: float,
                       dt: float, sample_every: int = 1):
@@ -485,7 +479,8 @@ def hf_mode_evolution(basis: FockBasis, dispersion: Dispersion, epsilon: float,
         orbitals[row, m] = 1.0
     sample = Observer("gamma", sample_every, lambda rows: {"gamma": mf.gamma_of(rows)})
     series = _time_loop(orbitals, step_count(0.0, t_final, dt), 0.0, dt,
-                        lambda rows, t: mf.step(rows, dt), _polar_factor, [sample]).series
+                        lambda rows, t: mf.step(rows, dt), partial(_lowdin, weight=1.0),
+                        [sample]).series
     return np.asarray(series["gamma"].times), series["gamma"].channels["gamma"]
 
 

@@ -212,7 +212,9 @@ class PotentialSpec:
                  coupling: float = 1.0):
         grid.check_field(np.asarray(vhat))
         vhat = np.asarray(vhat, dtype=float)
-        self.check_even(vhat)
+        scale = max(1.0, float(np.max(np.abs(vhat))))
+        if np.max(np.abs(vhat - _reverse_dual(vhat))) > 1e-12 * scale:
+            raise ValueError("vhat must be even: vhat(p) == vhat(-p)")
         self.grid = grid
         self.vhat = vhat
         self.coupling = float(coupling)
@@ -228,13 +230,6 @@ class PotentialSpec:
         self.moment = potential_moment(self, grid)
         # Σ_q |V̂(q)|/L^d: constant of the discrete exchange commutator bound
         self.vhat_l1 = float(np.sum(np.abs(self.vhat_eff))) / grid.box_length**grid.dim
-
-    @staticmethod
-    def check_even(vhat: np.ndarray) -> None:
-        """The constructor's evenness rule on dual-grid coefficients (FFT layout)."""
-        scale = max(1.0, float(np.max(np.abs(vhat))))
-        if np.max(np.abs(vhat - _reverse_dual(vhat))) > 1e-12 * scale:
-            raise ValueError("vhat must be even: vhat(p) == vhat(-p)")
 
     @property
     def vhat_eff(self) -> np.ndarray:

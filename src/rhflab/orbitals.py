@@ -223,17 +223,26 @@ def commutator_trace_norm(orbs: OrbitalSet, a_fields: np.ndarray) -> float:
     return 2.0 * float(_one_sided_norm(orbs, a_stack)[0])
 
 
-def reorthonormalize(orbs: OrbitalSet, cond_cap: float = 1e8) -> OrbitalSet:
-    """Symmetric Löwdin orthonormalization: closest orthonormal set, same span."""
-    s = orbs.gram()
-    w, u = np.linalg.eigh(s)
+def _lowdin(rows: np.ndarray, weight: float, cond_cap: float = 1e8) -> np.ndarray:
+    """Löwdin repair (S^{-1/2})ᵀ·rows, S = conj(rows)·rowsᵀ·weight the rows' Gram matrix.
+
+    The rows closest to the given ones that are orthonormal under the
+    weighted inner product, with the same span: for weight 1 the polar
+    factor U·V† of rows = U·Σ·V†.  `reorthonormalize` runs it on grid
+    fields (weight dv), `ed` on mode coefficients (weight 1).
+    """
+    w, u = np.linalg.eigh((rows.conj() @ rows.T) * weight)
     if w[0] <= 0.0 or w[-1] / w[0] > cond_cap:
         raise ValueError(
             f"orbital Gram matrix is numerically singular (condition {w[-1] / max(w[0], 1e-300):.3e})"
         )
-    s_inv_half = (u * (1.0 / np.sqrt(w))) @ u.conj().T
+    return ((u * (1.0 / np.sqrt(w))) @ u.conj().T).T @ rows
+
+
+def reorthonormalize(orbs: OrbitalSet, cond_cap: float = 1e8) -> OrbitalSet:
+    """Symmetric Löwdin orthonormalization: closest orthonormal set, same span."""
     flat = orbs.orbitals.reshape(orbs.n_particles, -1)
-    new = (s_inv_half.T @ flat).reshape(orbs.orbitals.shape)
+    new = _lowdin(flat, orbs.grid.cell_volume, cond_cap).reshape(orbs.orbitals.shape)
     return OrbitalSet(new, orbs.grid, validate=False)
 
 

@@ -38,7 +38,7 @@ states that carry it; a flow on the FFT path holds neither.  Each leg of a
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -63,7 +63,9 @@ __all__ = [
 
 SCHEMES = ("exponential_midpoint", "rk4_frozen_field")
 GRAM_STEP_TOL = 1e-6
-# t_final - t0 must be a whole number of steps to this relative tolerance
+# t_final - t0 must be a whole number of steps to this relative tolerance, so
+# a run has at most 1/STEP_COUNT_RTOL steps: beyond that the tolerance
+# exceeds one step
 STEP_COUNT_RTOL = 1e-9
 
 
@@ -250,12 +252,17 @@ def _time_loop(state, n_steps: int, t0: float, dt: float, advance, repair,
 
 
 def step_count(t0: float, t_final: float, dt: float) -> int:
-    """Steps of dt from t0 to t_final; refuses a span that dt does not divide."""
+    """Steps of dt from t0 to t_final; refuses a span that dt does not divide.
+
+    A count above 1/STEP_COUNT_RTOL is refused too: there the whole-number
+    tolerance exceeds one step, so divisibility can no longer be told.
+    """
     if t_final < t0:
         raise ValueError("t_final precedes current time")
     steps = (t_final - t0) / dt
-    if not np.isfinite(steps):
-        raise ValueError(f"(t_final - t0)/dt = {steps!r} is not a finite step count")
+    if not steps * STEP_COUNT_RTOL <= 1.0:
+        raise ValueError(f"(t_final - t0)/dt = {steps!r} is not a finite step count of at "
+                         f"most {1 / STEP_COUNT_RTOL:.0e}")
     n_steps = int(round(steps))
     if abs(steps - n_steps) > STEP_COUNT_RTOL * max(n_steps, 1):
         raise ValueError(
@@ -302,10 +309,7 @@ def pair_evolve(state_a: SimState, state_b: SimState, comparator: str,
         raise ValueError("pair evolution requires identical grids")
     if np.max(np.abs(state_a.orbitals.orbitals - state_b.orbitals.orbitals)) > 1e-12:
         raise ValueError("pair evolution requires identical initial orbitals")
-    for name in ("dt", "t_final", "scheme", "exchange_on", "dispersion", "reortho_every",
-                 "keep_trap"):
-        if name == comparator:
-            continue
+    for name in (f.name for f in fields(EvolutionConfig) if f.name != comparator):
         if getattr(state_a.config, name) != getattr(state_b.config, name):
             raise ValueError(f"configs differ on {name!r}, not on the comparator axis")
 

@@ -47,7 +47,7 @@ from .diagnostics import (
 from .grids import potential_moment_refinement_check
 from .orbitals import OrbitalSet, boosted_fermi_sea, fermi_sea, hs_distance_squared, seam_mass
 from .propagate import Observer, SimState, evolve
-from .scenarios import Scenario
+from .scenarios import Scenario, value_token
 from .scf import scf_minimize
 
 __all__ = ["RunResult", "run", "sweep", "sweep_scenarios", "WORKERS_ENV"]
@@ -353,14 +353,6 @@ def _write_series_and_reports(scenario: Scenario, result, reports, out_dir: Path
     return checks_summary, metrics
 
 
-def _sweep_token(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, float):
-        return fmt17(value)
-    return str(value)
-
-
 def _run_sub(args):
     """(exit code, SWEEP_METRICS values, final orbitals or None) of one sub-run."""
     try:
@@ -383,7 +375,7 @@ def sweep_scenarios(scenario: Scenario, axis: str, values: list) -> tuple[list, 
     if not values:
         raise ValueError("sweep needs at least one value")
     section, key = SWEEP_AXES[axis]
-    tokens = [_sweep_token(v) for v in values]
+    tokens = [value_token(v) for v in values]
     scenarios = [scenario.with_value(section, key, token) for token in tokens]
     diffs = np.diff([sub.values[section, key] for sub in scenarios])
     if len(tokens) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):

@@ -78,7 +78,6 @@ _SCHEMA = {
         "kernel": (str, False, "none"),
         "coupling": (_parse_float, False, 1.0),
         "width": (_parse_float, False, 1.0),
-        "table": (str, False, ""),
         "trap": (str, False, "none"),
         "trap_strength": (_parse_float, False, 1.0),
     },
@@ -87,7 +86,6 @@ _SCHEMA = {
         "max_iterations": (int, False, 200),
         "mixing": (_parse_float, False, 0.5),
         "convergence_tol": (_parse_float, False, 1e-10),
-        "aufbau": (_parse_bool, False, True),
         "boost_amplitude": (_parse_float, False, 0.5),
         "boost_mode": (int, False, 1),
     },
@@ -110,10 +108,19 @@ _SCHEMA = {
 }
 
 _CHOICES = {
-    ("potential", "kernel"): ("gaussian", "table", "none"),
+    ("potential", "kernel"): ("gaussian", "none"),
     ("potential", "trap"): ("harmonic", "none"),
     ("preparation", "kind"): ("scf", "fermi_sea", "boosted_fermi_sea"),
 }
+
+
+def value_token(value) -> str:
+    """The text of a field value: a float at 17 digits, a bool as true/false."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return fmt17(value)
+    return str(value)
 
 
 def _parse_field(section: str, key: str, token: str):
@@ -139,7 +146,6 @@ class Scenario:
     """Validated scenario: plain typed fields mirroring the schema."""
 
     values: dict = field(default_factory=dict)
-    source: str = ""
 
     def __getitem__(self, key: tuple) -> object:
         return self.values[key]
@@ -160,21 +166,13 @@ class Scenario:
         """A copy with one field replaced by a re-parsed token (sweep support)."""
         new_values = dict(self.values)
         new_values[(section, key)] = _parse_field(section, key, token)
-        out = Scenario(values=new_values, source=self.source)
+        out = Scenario(values=new_values)
         out.validate()
         return out
 
     def canonical_lines(self) -> list[str]:
-        lines = []
-        for (section, key), value in sorted(self.values.items()):
-            if isinstance(value, bool):
-                token = "true" if value else "false"
-            elif isinstance(value, float):
-                token = fmt17(value)
-            else:
-                token = str(value)
-            lines.append(f"{section}.{key}={token}")
-        return lines
+        return [f"{section}.{key}={value_token(value)}"
+                for (section, key), value in sorted(self.values.items())]
 
     def config_hash(self) -> str:
         payload = "\n".join(self.canonical_lines()).encode()
@@ -213,12 +211,6 @@ class Scenario:
             raise ScenarioError(f"[diagnostics] exp_bound needs [grid] points_per_dim > "
                                 f"{PHASE_SAMPLE_COUNT} for its {PHASE_SAMPLE_COUNT} phase "
                                 f"samples, got {n}")
-        if v[("potential", "kernel")] == "table":
-            if dim != 1:
-                raise ScenarioError("[potential] kernel=table requires dim=1")
-            if not v[("potential", "table")]:
-                raise ScenarioError("missing required field [potential] table")
-            _owned("potential", PotentialSpec.check_even, self._table_vhat())
         if kind == "scf" and size > DENSE_SIZE_CAP:
             raise ScenarioError(f"[preparation] kind=scf needs a grid of at most "
                                 f"{DENSE_SIZE_CAP} points (dense SCF), got {size}")
@@ -241,7 +233,6 @@ class Scenario:
             max_iterations=self.values[("preparation", "max_iterations")],
             mixing=self.values[("preparation", "mixing")],
             convergence_tol=self.values[("preparation", "convergence_tol")],
-            aufbau=self.values[("preparation", "aufbau")],
         )
 
     def build_evolution_config(self, dispersion: Dispersion) -> EvolutionConfig:
@@ -259,8 +250,6 @@ class Scenario:
         kernel = self.values[("potential", "kernel")]
         if kernel == "gaussian":
             vhat = gaussian_vhat(grid, self.values[("potential", "width")])
-        elif kernel == "table":
-            vhat = self._table_vhat()
         else:
             vhat = np.zeros(grid.shape)
         vext = None
@@ -268,35 +257,6 @@ class Scenario:
             vext = harmonic_trap(grid, self.values[("potential", "trap_strength")])
         return PotentialSpec(grid, vhat, vext=vext,
                              coupling=self.values[("potential", "coupling")])
-
-    def _table_vhat(self) -> np.ndarray:
-        """The 1D V̂ of the table file on the dual grid (FFT layout), zero where
-        no row sets it; each row's frequency must lie on the dual grid."""
-        path = Path(self.values[("potential", "table")])
-        if not path.is_absolute() and self.source:
-            path = Path(self.source).parent / path
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ScenarioError(f"[potential] table {path}: {exc.strerror or exc}") from None
-        n = self.values[("grid", "points_per_dim")]
-        half = n // 2
-        vhat = np.zeros(n)
-        for line_no, line in enumerate(text.strip().splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                freq_tok, val_tok = line.split(",")
-                freq, val = int(freq_tok), float(val_tok)
-            except ValueError:
-                raise ScenarioError(f"[potential] table {path}:{line_no}: bad table row "
-                                    f"{line!r}") from None
-            if not -half <= freq < half:
-                raise ScenarioError(f"[potential] table {path}:{line_no}: frequency {freq} "
-                                    f"not on the dual grid")
-            vhat[freq % n] = val  # FFT layout: frequency m sits at index m mod n
-        return vhat
 
 
 def parse_scenario(text: str, source: str = "") -> Scenario:
@@ -318,7 +278,7 @@ def parse_scenario(text: str, source: str = "") -> Scenario:
             if required:
                 raise ScenarioError(f"missing required field [{section}] {key}")
             values[(section, key)] = default
-    scenario = Scenario(values=values, source=source)
+    scenario = Scenario(values=values)
     scenario.validate()
     return scenario
 

@@ -87,7 +87,6 @@ class ScfConfig:
     max_iterations: int = 200
     mixing: float = 0.5
     convergence_tol: float = 1e-10
-    aufbau: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.mixing <= 1.0:
@@ -291,18 +290,12 @@ class MeanField:
         return apply_pair_block
 
 
-def _occupy(h: np.ndarray, n_particles: int, grid: Grid, aufbau: bool,
-            prev: np.ndarray | None) -> np.ndarray:
-    """Diagonalize and pick N occupied orbitals (Aufbau or maximum overlap)."""
-    evals, evecs = np.linalg.eigh(h)
-    if aufbau or prev is None:
-        cols = np.arange(n_particles)
-    else:
-        scores = np.sum(np.abs(evecs.conj().T @ prev.reshape(n_particles, -1).T
-                               * grid.cell_volume) ** 2, axis=1)
-        order = np.lexsort((np.arange(len(evals)), evals, -scores))
-        cols = np.sort(order[:n_particles])
-    phi = (evecs[:, cols] / np.sqrt(grid.cell_volume)).T
+def _occupy(h: np.ndarray, n_particles: int, grid: Grid) -> np.ndarray:
+    """Diagonalize and occupy the N lowest eigenvectors (Aufbau)."""
+    _, evecs = np.linalg.eigh(h)
+    # an index array, not a slice: it leaves phi C-ordered, and the SCF's
+    # bytes depend on that layout
+    phi = (evecs[:, np.arange(n_particles)] / np.sqrt(grid.cell_volume)).T
     return phi.reshape(n_particles, *grid.shape)
 
 
@@ -318,8 +311,7 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
     # K and V(x_i - x_j) live as long as this call
     mean_field = MeanField(grid, potential, dispersion)
     # the start: the one-body part K [+ V_ext], the Fock matrix of ω = 0
-    phi = _occupy(mean_field.fock(np.zeros((grid.size, grid.size))), n_particles, grid,
-                  True, None)
+    phi = _occupy(mean_field.fock(np.zeros((grid.size, grid.size))), n_particles, grid)
     # density matrices are mixed and held as ω/N, the form MeanField.fock
     # builds in and MeanField.energy reads
     dmat = _density_matrix_per_particle(phi, grid)
@@ -340,7 +332,7 @@ def scf_minimize(grid: Grid, potential: PotentialSpec, n_particles: int,
         iterations = it
         h = mean_field.fock(d_mix.copy())
         residuals.append(_commutator_norm(h, phi, grid))
-        phi = _occupy(h, n_particles, grid, config.aufbau, phi)
+        phi = _occupy(h, n_particles, grid)
         dmat = _density_matrix_per_particle(phi, grid)
         new_energy = mean_field.energy(phi, dmat)
         energies.append(new_energy)

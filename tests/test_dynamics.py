@@ -902,6 +902,14 @@ class TestStepCount:
         with pytest.raises(ValueError, match="not a finite step count"):
             evolve(make_state(grid32, orbs, pot, dt=1e-10, t_final=1e308))
 
+    def test_more_steps_than_the_tolerance_resolves_refused(self):
+        # past 1/STEP_COUNT_RTOL steps the whole-number tolerance exceeds one step
+        assert propagate.step_count(0.0, 1.0, 1e-9) == 10**9
+        with pytest.raises(ValueError, match="not a finite step count of at most 1e"):
+            propagate.step_count(0.0, 1.0, 1e-10)
+        with pytest.raises(ValueError, match="not a finite step count of at most 1e"):
+            propagate.step_count(0.0, 0.04, 1e-300)
+
     @pytest.mark.parametrize("dt, t_final, n_steps", [(5e-3, 0.05, 10), (3e-3, 0.009, 3)])
     def test_multiple_accepted(self, grid32, dt, t_final, n_steps):
         # 0.009 / 3e-3 is 2.9999999999999996: a multiple up to rounding

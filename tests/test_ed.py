@@ -23,6 +23,7 @@ from rhflab.ed import (
     mean_field_gap,
 )
 from rhflab.grids import Dispersion
+from rhflab.orbitals import _lowdin
 from rhflab.propagate import _exponential_midpoint
 
 L = 2.0 * np.pi
@@ -146,6 +147,12 @@ def to_csr(h):
     """The operator's entries as the complex CSR matrix build_hamiltonian returned before."""
     return scipy.sparse.coo_matrix((h.values.astype(complex), (h.rows, h.cols)),
                                    shape=h.shape).tocsr()
+
+
+def svd_polar_factor(orbitals):
+    """The polar factor U·V† of the orbital rows by one SVD, ED's former repair."""
+    u, _, vt = np.linalg.svd(orbitals, full_matrices=False)
+    return u @ vt
 
 
 def sparse_interaction(basis, vhat, coupling):
@@ -393,6 +400,16 @@ class TestHamiltonian:
             assert np.array_equal(block, dense[np.ix_(states, states)].real)
         assert h.entry_bounds[-1] == h.nnz
 
+    @pytest.mark.parametrize("n_modes,n_particles", [(8, 3), (16, 5)])
+    def test_product_matches_csr(self, n_modes, n_particles):
+        # a random vector occupies every sector, so `@` runs every block
+        basis = FockBasis(n_modes, n_particles, L)
+        h = build_hamiltonian(basis, Dispersion.relativistic(1.0), 0.9, gauss_vhat(), 0.3)
+        v = random_state(basis, n_modes)
+        assert len(h.occupied(v)) == h.n_sectors
+        ref = to_csr(h) @ v
+        assert np.max(np.abs(h @ v - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_fermi_sea_occupies_one_sector(self):
         basis = FockBasis(16, 5, L)
         disp = Dispersion.relativistic(1.0)
@@ -572,6 +589,20 @@ class TestModeEvolutionStepCount:
         assert len(times) == len(gammas) == n_steps // 5 + 1
         assert times[-1] == n_steps * dt
         assert abs(times[-1] - t_final) <= 1e-12
+
+
+class TestLowdinRepair:
+    def test_matches_svd_polar_factor(self):
+        # orthonormal ED orbital rows, skewed off orthonormality
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5)))
+        skew = np.eye(5) + 0.2 * (rng.standard_normal((5, 5))
+                                  + 1j * rng.standard_normal((5, 5)))
+        rows = skew @ q.T
+        assert np.linalg.cond(rows) > 1.5
+        repaired = _lowdin(rows, 1.0)
+        assert np.max(np.abs(repaired - svd_polar_factor(rows))) <= 1e-13
+        assert np.max(np.abs(repaired.conj() @ repaired.T - np.eye(5))) <= 1e-13
 
 
 class TestMeanFieldGap:

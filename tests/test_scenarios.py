@@ -3,6 +3,7 @@ import importlib
 import json
 import importlib.util
 import os
+import re
 import string
 import struct
 import subprocess
@@ -190,7 +191,6 @@ SCENARIO_VALUES = st.fixed_dictionaries({
     ("preparation", "max_iterations"): st.integers(1, 1000),
     ("preparation", "mixing"): st.floats(0.01, 1.0),
     ("preparation", "convergence_tol"): positive,
-    ("preparation", "aufbau"): st.booleans(),
     ("preparation", "boost_amplitude"): finite,
     ("preparation", "boost_mode"): st.integers(-8, 8),
     ("evolution", "scheme"): choice("exponential_midpoint", "rk4_frozen_field"),
@@ -398,6 +398,22 @@ class TestScenarioParse:
                   if parser in (scenarios._parse_float, scenarios._parse_epsilon)}
         assert floats == set(FLOAT_FIELDS)
 
+    def test_formats_doc_lists_the_schema(self):
+        # the key table of docs/FORMATS.md: one row per schema key, and a key
+        # with choices lists exactly those choices in its notes
+        text = (REPO / "docs" / "FORMATS.md").read_text()
+        section = text.split("## Scenario files")[1].split("\n## ")[0]
+        rows = {}
+        for line in section.splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if line.startswith("|") and len(cells) == 5 and cells[0] not in ("section", "---"):
+                assert (cells[0], cells[1]) not in rows, line
+                rows[cells[0], cells[1]] = cells[4]
+        assert set(rows) == {(section, key) for section, keys in scenarios._SCHEMA.items()
+                             for key in keys}
+        for field, choices in scenarios._CHOICES.items():
+            assert set(re.split(r",\s*|\s+or\s+", rows[field])) == set(choices), field
+
     def test_t_final_not_a_multiple_of_dt_rejected(self):
         with pytest.raises(ScenarioError, match="whole number of steps"):
             parse_scenario(smoke_text({("evolution", "t_final"): 0.005}))
@@ -417,17 +433,6 @@ class TestScenarioParse:
         c = parse_scenario(smoke_text({("potential", "coupling"): 0.7}))
         assert c.config_hash() != a.config_hash()
 
-    def test_table_kernel(self, tmp_path):
-        table = tmp_path / "vhat.csv"
-        table.write_text("0,1.0\n1,0.5\n-1,0.5\n")
-        text = smoke_text({("potential", "kernel"): "table",
-                           ("potential", "table"): str(table)})
-        scenario = parse_scenario(text)
-        grid = scenario.build_grid()
-        pot = scenario.build_potential(grid)
-        assert pot.vhat[0] == 1.0
-        assert pot.vhat[1] == 0.5
-
     def test_boosted_sea_preparation(self, tmp_path):
         from rhflab.runner import run
 
@@ -437,14 +442,6 @@ class TestScenarioParse:
                            ("evolution", "t_final"): 0.004})
         result = run(parse_scenario(text), tmp_path / "out")
         assert result.exit_code == 0
-
-    def test_table_requires_even_coefficients(self, tmp_path):
-        table = tmp_path / "vhat.csv"
-        table.write_text("1,0.5\n")
-        text = smoke_text({("potential", "kernel"): "table",
-                           ("potential", "table"): str(table)})
-        with pytest.raises(ScenarioError, match=r"\[potential\] vhat must be even"):
-            parse_scenario(text)
 
 
 class TestRunner:
@@ -840,17 +837,18 @@ class TestCli:
         ({("evolution", "reortho_every"): "0"}, "[evolution] reortho_every"),
         ({("grid", "points_per_dim"): "16"}, "[diagnostics] exp_bound"),
         ({("diagnostics", "conservation"): "-5"}, "[diagnostics] conservation"),
-        ({("potential", "kernel"): "table", ("potential", "table"): "bad_row.csv"},
+        # the retired table kernel, alone and in its former form with a file
+        ({("potential", "kernel"): "table"}, "[potential] kernel"),
+        ({("potential", "table"): "v.csv"}, "[potential] table"),
+        ({("potential", "kernel"): "table", ("potential", "table"): "v.csv"},
          "[potential] table"),
-        ({("potential", "kernel"): "table", ("potential", "table"): "missing.csv"},
-         "[potential] table"),
-        ({("potential", "kernel"): "table", ("potential", "table"): "odd.csv"},
-         "[potential] vhat must be even"),
         ({("evolution", "t_final"): "1e308", ("evolution", "dt"): "1e-10"},
          "[evolution] (t_final - t0)/dt"),
         # every float key refuses a value that is not finite
         *(({(section, key): token}, f"[{section}] {key}")
           for section, key in FLOAT_FIELDS for token in ("nan", "inf", "-inf")),
+        # the retired maximum-overlap occupation
+        ({("preparation", "aufbau"): "false"}, "[preparation] aufbau"),
     ])
     def test_unrunnable_scenario_refused_before_any_work(self, tmp_path, capsys,
                                                          overrides, field):
@@ -861,8 +859,6 @@ class TestCli:
         ini = tmp_path / "bad.ini"
         with open(ini, "w") as fh:
             cfg.write(fh)
-        (tmp_path / "bad_row.csv").write_text("0,1.0\n1;0.5\n")
-        (tmp_path / "odd.csv").write_text("0,1.0\n1,0.5\n")
         out = tmp_path / "out"
         assert main(["run", str(ini), "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
@@ -875,6 +871,15 @@ class TestCli:
          "got 'massless'"),
         ({("evolution", "t_final"): "inf"},
          "error: bad value for [evolution] t_final: not a finite number: 'inf'"),
+        # the retired table kernel and maximum-overlap occupation
+        ({("potential", "kernel"): "table"},
+         "error: [potential] kernel must be one of ('gaussian', 'none'), got 'table'"),
+        ({("potential", "table"): "v.csv"}, "error: unknown key [potential] table"),
+        ({("preparation", "aufbau"): "false"}, "error: unknown key [preparation] aufbau"),
+        # more steps than the whole-number test can resolve
+        ({("evolution", "dt"): "1e-300"},
+         "error: [evolution] (t_final - t0)/dt = 1e+298 is not a finite step count of "
+         "at most 1e+09"),
     ])
     def test_refusal_is_one_line_and_makes_no_directory(self, tmp_path, capsys, overrides,
                                                         message):

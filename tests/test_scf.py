@@ -126,7 +126,7 @@ def reference_scf_minimize(grid, potential, n_particles, dispersion, config):
     def commutator_norm(h, dmat):
         return float(np.linalg.norm(h @ dmat - dmat @ h, "fro"))
 
-    phi = scf._occupy(h0, n_particles, grid, True, None)
+    phi = scf._occupy(h0, n_particles, grid)
     orbs = OrbitalSet(phi, grid, validate=False)
     energy = hf_energy(orbs, potential, dispersion)
     dmat = reference_density_matrix(phi, grid)
@@ -142,7 +142,7 @@ def reference_scf_minimize(grid, potential, n_particles, dispersion, config):
         iterations = it
         h = reference_fock_matrix(h0, v_lag_mat, d_mix / n_particles, grid, potential)
         residuals.append(commutator_norm(h, dmat))
-        phi = scf._occupy(h, n_particles, grid, config.aufbau, phi)
+        phi = scf._occupy(h, n_particles, grid)
         orbs = OrbitalSet(phi, grid, validate=False)
         new_energy = hf_energy(orbs, potential, dispersion)
         dmat = reference_density_matrix(phi, grid)
@@ -658,32 +658,6 @@ class TestScfMinimize:
         assert res.residuals[-1] > 1e-10
         assert res.energy == res.energies[-1]  # the best iterate is the last
         assert res.residuals[-1] == res.stationarity
-
-    @pytest.mark.parametrize("n, n_part", [(64, 4), (128, 8), (256, 16)])
-    def test_maximum_overlap_matches_aufbau(self, n, n_part):
-        # a trapped ground state has a non-degenerate Fermi level, so every
-        # iterate's occupied set stays the lowest N and the overlap rule
-        # (ScfConfig(aufbau=False)) runs the Aufbau loop
-        grid = Grid(1, n, 4.0 * np.pi, 1.0 / n_part)
-        disp = Dispersion.relativistic(1.0)
-        pot = PotentialSpec(grid, gaussian_vhat(grid, 1.0), vext=harmonic_trap(grid, 1.0),
-                            coupling=0.5)
-        aufbau = scf_minimize(grid, pot, n_part, disp, ScfConfig())
-        overlap = scf_minimize(grid, pot, n_part, disp, ScfConfig(aufbau=False))
-        assert aufbau.converged and overlap.converged
-        assert overlap.iterations == aufbau.iterations
-        assert overlap.energies == aufbau.energies
-        assert hs_distance_squared(overlap.orbitals, aufbau.orbitals) <= 1e-26
-
-    def test_maximum_overlap_follows_previous_orbitals(self):
-        grid = Grid(1, 8, 2.0 * np.pi, 0.5)
-        h = np.diag(np.arange(8.0))
-        prev = np.zeros((2, 8))
-        prev[0, 5] = prev[1, 2] = 1.0 / np.sqrt(grid.cell_volume)
-        picked = scf._occupy(h, 2, grid, False, prev)
-        lowest = scf._occupy(h, 2, grid, True, prev)
-        assert np.array_equal(np.argmax(np.abs(picked), axis=1), [2, 5])
-        assert np.array_equal(np.argmax(np.abs(lowest), axis=1), [0, 1])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
