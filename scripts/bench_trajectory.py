@@ -3,7 +3,6 @@
     python3 scripts/bench_trajectory.py LABEL [--checkout DIR] [--seed 0] [--seconds 40]
     python3 scripts/bench_trajectory.py LABEL --against DIR [--checkout DIR] [--seed 0]
         [--seconds 40]
-    python3 scripts/bench_trajectory.py LABEL --crossover [--checkout DIR]
     python3 scripts/bench_trajectory.py LABEL --layers [--checkout DIR]
     python3 scripts/bench_trajectory.py LABEL --fit [--checkout DIR]
 
@@ -27,38 +26,19 @@ change's win count: the pairs in which the change is better, ties counting
 for neither.  BENCH_<LABEL>.json then holds, per workload, every pair's
 values and that summary, and the commit of each side.
 
-The third and fourth forms import the checkout's rhflab once, at one BLAS
-thread (`load_checkout`, in `main`), and time every case through one
-runner, `time_calls`: one warm-up call of each of the case's layers, then
-reps rounds in which the layers run in turn, so the host's drift falls on
-them alike.  Every case records per layer the median and quartiles of ms
-per call (`ms`) and the tracemalloc live peak of one more call, in KiB above
-what was live before it (`peak_kib`).  An evolution case is a
-`propagate.step` of a state `evolution_state` builds: one step of
-PROPAGATION_DT at m0 = 1 on the trapped setup (`trapped_setup`), from its
-SCF ground state (above SCF_GRID_N points per axis, the state on that grid
-interpolated spectrally, because a dense SCF there takes minutes), kicked
-by `kick` and released from the trap (`released`) or kept in it
-(`stationary`).
+The third form imports the checkout's rhflab once, at one BLAS thread
+(`load_checkout`, in `main`), and times every case through one runner,
+`time_calls`: one warm-up call of each of the case's layers, then
+LAYER_REPS rounds in which the layers run in turn, so the host's drift
+falls on them alike.  Every case records per layer the median and quartiles
+of ms per call (`ms`) and the tracemalloc live peak of one more call, in KiB
+above what was live before it (`peak_kib`).  It times layers of the
+checkout by perfbench's layer names, in six slices:
 
-The third form times the HF flow's exponential-midpoint step from the
-released start on each mean-field path (dense, pair; `scf.MeanField`) at n
-in CROSSOVER_NS and N in CROSSOVER_PARTICLES on 1D grids and at each
-(d, n, N) of CROSSOVER_EXTRA, over CROSSOVER_REPS rounds; above the dense
-size cap only the pair path runs.  Each case records the path the rule
-picks and its rows B = N and applies per build k, and the run fits the
-dense rule's constant per dimension to these times (`fit_dense_cost`).
-The run, with the checkout's commit and the host's CPU count and versions,
-is appended to the list `crossover` of BENCH_<LABEL>.json, so every run
-made stays on record; the file's other keys are kept.
-
-The fourth form times layers of the checkout by perfbench's layer names,
-over LAYER_REPS rounds, in six slices:
-
-- SCF and energy: on the trapped 1D setup at n = LAYER_N and N in
-  LAYER_PARTICLES, `scf.scf_minimize`, and the energy of its ground state by
-  `scf.hf_energy` and by `scf.MeanField.energy` on the dense path, given the
-  real ω/N the SCF holds.
+- SCF and energy: on the trapped 1D setup (`trapped_setup`) at n = LAYER_N
+  and N in LAYER_PARTICLES, `scf.scf_minimize`, and the energy of its
+  ground state by `scf.hf_energy` and by `scf.MeanField.energy` on the
+  dense path, given the real ω/N the SCF holds.
 - ED: for each case of ED_LAYER_CASES (16 modes with N = 2..5 at the
   ed_oracle workload's ε = 1, coupling 0.2, and 20 modes with N = 7 at the
   resolved-gap test's ε = 0.25, coupling 2), `ed.build_hamiltonian`, one
@@ -67,8 +47,7 @@ over LAYER_REPS rounds, in six slices:
 - Diagnostics: on the SCF ground state at each N kicked by e^{2πix/L},
   `diagnostics.commutator_channels`, `exp_bound_check` (the runner's 16
   phase samples), `exchange_double_commutator_check` in the form
-  `orbitals.apply_exchange` picks and with each form forced: `[dense]` and
-  `[fft]` (`orbitals._exchange_matrix`, `_fft_exchange`),
+  `orbitals.apply_exchange` picks (the exchange slice times both forms),
   `kinetic_double_commutator_check` (m0 = 1), `wigner_transform`,
   `vlasov.vlasov_step` (dt = VLASOV_DT, from the state's Wigner transform)
   and `vlasov.vlasov_run` over VLASOV_STEPS steps of VLASOV_DT from the same
@@ -81,11 +60,18 @@ over LAYER_REPS rounds, in six slices:
 - Propagation: for each (d, n, N) of PROPAGATION_CASES, `propagate.step`
   (exponential midpoint) and one block h-apply on the N orbitals
   (`krylov.matvec`, the MeanField's closure of the state), for each flow of
-  PROPAGATION_FLOWS (Hartree, HF on the pair path, HF on the dense path)
-  from both starts; on the stationary one a step barely moves the
-  orbitals.  Each case also records the Krylov matvecs per solve of one
-  step.  PROPAGATION_RK4 is timed the same way under RK4 with HF on the
-  pair path.
+  PROPAGATION_FLOWS (Hartree, HF on the pair path, HF on the dense path;
+  above the dense size cap the dense flow is left out) from both starts.
+  A state is built by `evolution_state`: one step of PROPAGATION_DT at
+  m0 = 1 on the trapped setup, from its SCF ground state (above
+  SCF_GRID_N points per axis, the state on that grid interpolated
+  spectrally, because a dense SCF there takes minutes), kicked by `kick`
+  and released from the trap (`released`) or kept in it (`stationary`); on
+  the stationary start a step barely moves the orbitals.  The HF steps
+  from the released start on both paths are the evolution's cases of the
+  dense rule (`--fit`).  Each case also records the Krylov matvecs per
+  solve of one step.  PROPAGATION_RK4 is timed the same way under RK4 with
+  HF on the pair path.
 - Exchange: the exchange check with each form forced (EXCHANGE_FORMS) for
   each (d, n, N) of EXCHANGE_LAYER_CASES on a seeded random orthonormal
   state, both sides of each dimension's crossover.  Each case records the
@@ -97,25 +83,26 @@ over LAYER_REPS rounds, in six slices:
   CHUNK_BUDGETS_KIB gives; the run records per budget the mean relative
   time above each case's fastest chunk (`chunk_budget_losses`).
 
-The run is appended to the list `layers` of BENCH_<LABEL>.json, as
-`--crossover` appends to `crossover`.  Both forms store the host's load
-averages (os.getloadavg) taken before and after the run in the block they
-append, as `loadavg`.  Every record before this runner kept the same keys,
-except that crossover and exchange chunk cases had no `peak_kib`.
+The run, with the checkout's commit, the host's CPU count and versions and
+its load averages (os.getloadavg) before and after it (`loadavg`), is
+appended to the list `layers` of BENCH_<LABEL>.json, so every run made
+stays on record; the file's other keys are kept.  Earlier files also hold
+`crossover` runs, kept as data: the HF step on both paths from the released
+start, which the propagation slice now times.
 
-The fifth form runs nothing: it gathers every case timed on both sides
+The fourth form runs nothing: it gathers every case timed on both sides
 in this repository's BENCH_*.json files (`recorded_cases`: the crossover
-cases as the evolution's, with B = N and k = MATVECS_PER_SOLVE, and the
-exchange slices' as the check's), fits one constant per dimension of the
-rule dense iff r = (N + k·B)·n^d / (k·B·N·log2(n^d)) <= c (`dense_ratio`),
-and prints and stores as `fit` the median ms the checkout's DENSE_COST and
-the two rules it replaced lose over the faster side, summed over the
-cases, with every (caller, d, n, N) whose pick the two differ on.
+cases and the propagation slices' HF steps from the released start as the
+evolution's, with B = N and k = MATVECS_PER_SOLVE, and the exchange slices'
+as the check's), fits one constant per dimension of the rule dense iff
+r = (N + k·B)·n^d / (k·B·N·log2(n^d)) <= c (`dense_ratio`), and prints and
+stores as `fit` the median ms the checkout's DENSE_COST loses over the
+faster side, summed over the cases.
 
 The first two forms rewrite every key of BENCH_<LABEL>.json but
 `crossover`, `layers` and `fit`: the machine, the commits and the
 workloads are those of the runs just made.  --against pairs workload runs
-only; the other three forms refuse it.
+only; the other two forms refuse it.
 """
 
 from __future__ import annotations
@@ -132,11 +119,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
-CROSSOVER_NS = (64, 128, 256)
-CROSSOVER_PARTICLES = (2, 4, 8, 16)
-# (d, n per axis, N) beyond the 1D grid above; above the dense cap only pair runs
-CROSSOVER_EXTRA = ((1, 1024, 12), (2, 32, 8), (2, 64, 8), (2, 64, 16), (2, 64, 32), (3, 32, 16))
-CROSSOVER_REPS = 7
 # per d: the coarsest grid a ground state is computed on by SCF; finer grids
 # get it interpolated spectrally, because a dense SCF there takes minutes
 SCF_GRID_N = {1: 1 << 30, 2: 32, 3: 8}
@@ -150,8 +132,9 @@ ED_SAMPLE_T = 0.1
 VLASOV_DT = 0.0025  # the hartree_phase_space workload's Vlasov step
 VLASOV_STEPS = 120  # and the steps of its Vlasov leg
 # (d, n per axis, N) of the propagation slice of --layers, and its RK4 case
-PROPAGATION_CASES = tuple((1, n, n_part) for n in (128, 256) for n_part in (4, 8, 16, 32)) + (
-    (2, 64, 8),)
+PROPAGATION_CASES = tuple(
+    (1, n, n_part) for n in (64, 128, 256) for n_part in (2, 4, 8, 16, 32)) + (
+    (1, 1024, 12), (2, 32, 8), (2, 64, 8), (2, 64, 16), (2, 64, 32), (3, 32, 16))
 PROPAGATION_RK4 = (1, 256, 12)
 PROPAGATION_DT = 1e-3
 # flow of the propagation slice -> (exchange_on, MeanField path)
@@ -160,7 +143,7 @@ PROPAGATION_FLOWS = {"hartree": (False, "pair"), "hf-pair": (True, "pair"),
 # (d, n per axis, N) of the exchange slice of --layers
 EXCHANGE_LAYER_CASES = (
     (1, 256, 2), (1, 256, 4), (1, 256, 5), (1, 256, 6), (1, 256, 7), (1, 256, 8), (1, 256, 16),
-    (1, 512, 8), (1, 512, 10), (1, 512, 12), (1, 512, 14),
+    (1, 256, 32), (1, 512, 8), (1, 512, 10), (1, 512, 12), (1, 512, 14),
     (1, 1024, 12), (1, 1024, 16), (1, 1024, 18), (1, 1024, 20),
     (2, 16, 3), (2, 16, 4), (2, 16, 5), (2, 16, 8),
     (2, 32, 8), (2, 32, 10), (2, 32, 12), (2, 32, 16),
@@ -173,13 +156,14 @@ EXCHANGE_CHUNK_CASES = (
     (1, 512, 8, 24), (1, 1024, 12, 12), (1, 1024, 12, 36), (2, 16, 4, 12), (2, 32, 8, 8),
     (2, 32, 8, 24), (2, 64, 8, 8), (2, 64, 16, 16), (3, 8, 4, 16), (3, 16, 8, 8))
 CHUNK_BUDGETS_KIB = tuple(16 << k for k in range(9))
-# applies per build of the evolution's X, for recorded crossover cases that do not record it
+# applies per build of the evolution's X (`scf.MATVECS_PER_SOLVE`), for recorded
+# evolution cases that do not record it
 MATVECS_PER_SOLVE = 5
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # the exchange check's forms, dense first: `orbitals._exchange_matrix` and `_fft_exchange`
 EXCHANGE_FORMS = ("dense", "fft")
-# kept across runs of every form: each --crossover or --layers run is appended,
-# and --fit replaces its block
+# kept across runs of every form: each --layers run is appended, --fit replaces
+# its block, and the retired --crossover's runs stay as data
 KEPT_KEYS = ("crossover", "layers", "fit")
 
 
@@ -288,7 +272,7 @@ def time_calls(label: str, calls: dict, reps: int) -> dict:
 
 
 def trapped_setup(dim: int, n: int, n_part: int):
-    """(grid, potential) of the trapped setup the crossover and layers runs share."""
+    """(grid, potential) of the trapped setup of the SCF, diagnostics and propagation slices."""
     import numpy as np
     from rhflab.grids import Grid, PotentialSpec, gaussian_vhat, harmonic_trap
 
@@ -348,32 +332,6 @@ def evolution_state(grid, pot, block, n_part: int, scheme: str, exchange_on: boo
                                              n_part, path=path)
     return propagate.SimState(0.0, OrbitalSet(block, grid, validate=False), pot, config,
                               mean_field=mean_field)
-
-
-def crossover(checkout: Path) -> dict:
-    """One crossover run: ms per midpoint step on each path (module docstring)."""
-    from rhflab import grids, propagate, scf
-
-    scheme = "exponential_midpoint"
-    cases = [(1, n, n_part) for n in CROSSOVER_NS for n_part in CROSSOVER_PARTICLES]
-    block = dict(host_record(checkout), reps=CROSSOVER_REPS, dt=PROPAGATION_DT,
-                 dense_cost=grids.DENSE_COST, cases=[])
-    for dim, n, n_part in cases + list(CROSSOVER_EXTRA):
-        grid, pot = trapped_setup(dim, n, n_part)
-        released = ground_state(dim, n, n_part) * kick(grid)
-        hf_state = lambda path: evolution_state(grid, pot, released, n_part, scheme, True, False,
-                                                path)
-        rule = hf_state(None).mean_field.path
-        calls = {path: lambda state=hf_state(path): propagate.step(state) for path in scf.PATHS
-                 if path != "dense" or grid.size <= grids.DENSE_SIZE_CAP}
-        timed = time_calls(f"crossover {n}^{dim} N={n_part}, rule picks {rule}", calls,
-                           CROSSOVER_REPS)
-        del calls
-        block["cases"].append({"dim": dim, "n": n, "N": n_part, "rows": n_part,
-                               "applies": scf.MATVECS_PER_SOLVE, "rule": rule, **timed})
-    block["fit"] = fit_dense_cost(block["cases"])
-    print(f"crossover fit: {block['fit']}")
-    return block
 
 
 def ed_layers() -> list[dict]:
@@ -503,23 +461,19 @@ def diagnostics_layers(grid, pot, orbitals_block, n_part: int) -> dict:
     samples = diagnostics.default_phase_samples(grid)
     field = vlasov.PhaseSpaceField.from_wigner(diagnostics.wigner_transform(orbs))
 
-    name = "diagnostics.exchange_double_commutator_check"
     calls = {
         "diagnostics.commutator_channels": lambda: diagnostics.commutator_channels(
             OrbitalSet(block, grid, validate=False)),
         "diagnostics.exp_bound_check": lambda: diagnostics.exp_bound_check(orbs, samples),
-        name: lambda: diagnostics.exchange_double_commutator_check(orbs, pot),
-    }
-    for form in EXCHANGE_FORMS:
-        calls[f"{name}[{form}]"] = forced_exchange_check(form, orbs, pot)
-    calls.update({
+        "diagnostics.exchange_double_commutator_check":
+            lambda: diagnostics.exchange_double_commutator_check(orbs, pot),
         "diagnostics.kinetic_double_commutator_check":
             lambda: diagnostics.kinetic_double_commutator_check(orbs, 1.0),
         "diagnostics.wigner_transform": lambda: diagnostics.wigner_transform(orbs),
         "vlasov.vlasov_step": lambda: vlasov.vlasov_step(field, pot, 1.0, VLASOV_DT),
         "vlasov.vlasov_run": lambda: vlasov.vlasov_run(field, pot, 1.0, VLASOV_DT,
                                                        VLASOV_STEPS * VLASOV_DT),
-    })
+    }
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # seam mass, Wigner residual, Vlasov CFL
         timed = time_calls(f"layers diagnostics n={grid.n} N={n_part}", calls, LAYER_REPS)
@@ -555,7 +509,7 @@ def propagation_layers() -> list[dict]:
     """The propagation slice of a layers run (module docstring)."""
     import warnings
 
-    from rhflab import propagate
+    from rhflab import grids, propagate
 
     runs = [(case, "exponential_midpoint", PROPAGATION_FLOWS) for case in PROPAGATION_CASES]
     runs.append((PROPAGATION_RK4, "rk4_frozen_field", {"hf-pair": (True, "pair")}))
@@ -563,6 +517,8 @@ def propagation_layers() -> list[dict]:
     cases = []
     for (dim, n, n_part), scheme, flows in runs:
         grid, pot = trapped_setup(dim, n, n_part)
+        if grid.size > grids.DENSE_SIZE_CAP:
+            flows = {flow: spec for flow, spec in flows.items() if spec[1] != "dense"}
         phi = ground_state(dim, n, n_part)
         starts = {"released": (phi * kick(grid), False), "stationary": (phi, True)}
         states = {(flow, start): evolution_state(grid, pot, block, n_part, scheme, exchange_on,
@@ -669,35 +625,35 @@ def fit_dense_cost(cases: list[dict]) -> dict:
     return fits
 
 
-def retired_rule_dense(case: dict) -> bool:
-    """The pick of the two rules one dense rule replaced: c·n^d <= N²·log2(n^d).
-
-    The evolution's had cap 4096 and c = 0.75, the exchange check's cap 1024
-    and c = 3.3, 1.2, 0.5 for d = 1, 2, 3.
-    """
-    size = case["n"] ** case["dim"]
-    cap, cost = ((4096, 0.75) if case["caller"] == "evolution"
-                 else (1024, (3.3, 1.2, 0.5)[case["dim"] - 1]))
-    return size <= cap and cost * size <= case["N"] ** 2 * math.log2(size)
-
-
 def recorded_cases() -> list[dict]:
     """Every timed case on both sides in this repository's BENCH_*.json files.
 
-    The `crossover` cases are the evolution's (B = N, k = MATVECS_PER_SOLVE
-    where a case does not record them), the `layers` exchange cases the
-    check's (B = (d+1)·N, k = 1).
+    The evolution's cases (B = N, k = MATVECS_PER_SOLVE where a case does not
+    record them) are the `crossover` cases and, per `layers` run, the HF
+    steps from the released start on both paths of one (d, n, N); the
+    check's (B = (d+1)·N, k = 1) are the `layers` exchange cases.  Each case
+    names the block it was read from.
     """
     cases = []
     for path in sorted(ROOT.glob("BENCH_*.json")):
         record = json.loads(path.read_text())
         for run in record.get("crossover", []):
-            cases += [dict(case, source=path.name, caller="evolution",
+            cases += [dict(case, source=path.name, block="crossover", caller="evolution",
                            rows=case.get("rows", case["N"]),
                            applies=case.get("applies", MATVECS_PER_SOLVE))
                       for case in run["cases"] if "dense" in case["ms"]]
         for run in record.get("layers", []):
-            cases += [dict(case, source=path.name, caller="check",
+            steps = {}  # (d, n, N) -> {path: ms of the HF midpoint step from the released start}
+            for case in run.get("propagation_cases", []):
+                hf_step = case["flow"] != "hartree" and case["scheme"] == "exponential_midpoint"
+                if hf_step and case["start"] == "released":
+                    key = (case["dim"], case["n"], case["N"])
+                    steps.setdefault(key, {})[case["path"]] = case["ms"]["propagate.step"]
+            cases += [{"dim": dim, "n": n, "N": n_part, "ms": ms, "source": path.name,
+                       "block": "layers", "caller": "evolution", "rows": n_part,
+                       "applies": MATVECS_PER_SOLVE}
+                      for (dim, n, n_part), ms in steps.items() if "dense" in ms]
+            cases += [dict(case, source=path.name, block="layers", caller="check",
                            rows=case.get("rows", (case["dim"] + 1) * case["N"]),
                            applies=case.get("applies", 1))
                       for case in run.get("exchange", {}).get("cases", [])]
@@ -705,32 +661,19 @@ def recorded_cases() -> list[dict]:
 
 
 def fit(checkout: Path) -> dict:
-    """The fit of one dense rule to every recorded case, against the checkout's and the retired rules."""
+    """The fit of one dense rule to every recorded case, and what the checkout's rule loses."""
     from rhflab import grids
 
     cases = recorded_cases()
-    rule = [grids.dense_pays(grids.Grid(case["dim"], case["n"], 1.0, 1.0), case["N"],
-                             case["rows"], case["applies"]) for case in cases]
+    lost = sum(lost_ms(case, grids.dense_pays(grids.Grid(case["dim"], case["n"], 1.0, 1.0),
+                                              case["N"], case["rows"], case["applies"]))
+               for case in cases)
     block = {"commit": commit_of(checkout), "dense_cost": list(grids.DENSE_COST),
-             "cases": len(cases), "fit": fit_dense_cost(cases),
-             "lost_ms": {"rule": sum(lost_ms(c, d) for c, d in zip(cases, rule)),
-                         "retired_rules": sum(lost_ms(c, retired_rule_dense(c)) for c in cases)},
-             "moved": {}}
-    for case, dense in zip(cases, rule):
-        if dense != retired_rule_dense(case):
-            key = f"{case['caller']} {case['n']}^{case['dim']} N={case['N']}"
-            moved = block["moved"].setdefault(key, {"now": "dense" if dense else "fft",
-                                                    "dense_faster": 0, "fft_faster": 0})
-            moved["dense_faster" if lost_ms(case, True) == 0 else "fft_faster"] += 1
+             "cases": len(cases), "fit": fit_dense_cost(cases), "lost_ms": {"rule": lost}}
     for dim, stats in block["fit"].items():
         print(f"fit d={dim}: c in [{stats['low']:.4g}, {stats['high']:.4g}), "
               f"lost {stats['lost_ms']:.4g} ms")
-    print(f"{len(cases)} cases: DENSE_COST {block['dense_cost']} loses "
-          f"{block['lost_ms']['rule']:.4g} ms, the retired rules "
-          f"{block['lost_ms']['retired_rules']:.4g} ms")
-    for key, moved in block["moved"].items():
-        print(f"moved {key} to {moved['now']}: dense faster in {moved['dense_faster']}, "
-              f"FFT faster in {moved['fft_faster']} runs")
+    print(f"{len(cases)} cases: DENSE_COST {block['dense_cost']} loses {lost:.4g} ms")
     return block
 
 
@@ -765,33 +708,29 @@ def main(argv=None) -> int:
     ap.add_argument("--against", type=Path, default=None,
                     help="checkout of the parent to alternate runs with")
     form = ap.add_mutually_exclusive_group()
-    form.add_argument("--crossover", action="store_true",
-                      help="time one step on each mean-field path in place of the workloads")
     form.add_argument("--layers", action="store_true",
                       help="time the SCF, energy, diagnostics, ED, propagation and "
                            "exchange layers in place of the workloads")
     form.add_argument("--fit", action="store_true",
-                      help="fit the dense rule to every recorded crossover and exchange case")
+                      help="fit the dense rule to every recorded evolution and exchange case")
     args = ap.parse_args(argv)
-    if args.against is not None and (args.crossover or args.layers or args.fit):
-        ap.error("--against pairs workload runs only; --crossover, --layers and --fit "
-                 "time one checkout")
+    if args.against is not None and (args.layers or args.fit):
+        ap.error("--against pairs workload runs only; --layers and --fit time one checkout")
     checkout = args.checkout.resolve()
-    if args.crossover or args.layers or args.fit:
+    if args.layers or args.fit:
         load_checkout(checkout)
     out = ROOT / f"BENCH_{args.label}.json"
     old = json.loads(out.read_text()) if out.exists() else {}
     if args.fit:
         record = dict(old, label=args.label, fit=fit(checkout))
-    elif args.crossover or args.layers:
-        key, run = ("crossover", crossover) if args.crossover else ("layers", layers)
+    elif args.layers:
         record = dict(old, label=args.label)
         before = os.getloadavg()
-        block = run(checkout)
+        block = layers(checkout)
         block["loadavg"] = {"before": list(before), "after": list(os.getloadavg())}
-        record[key] = old.get(key, []) + [block]
+        record["layers"] = old.get("layers", []) + [block]
     else:
-        # the crossover and layers runs are kept; every other key is the runs made now
+        # the crossover, layers and fit blocks are kept; every other key is the runs made now
         record = workload_record(args, checkout)
         record.update((key, old[key]) for key in KEPT_KEYS if key in old)
     out.write_text(json.dumps(record, indent=1) + "\n")

@@ -6,10 +6,11 @@
     rhflab checks REPORT.json
 
 Worker count for sweeps comes from the RHFLAB_WORKERS environment variable
-(default 1).  Exit status is 1 iff a run failed a hard diagnostic, and 2 iff
-a scenario or a sweep value failed to parse, its output directory cannot
-be created (all refused before any work) or a run ended in an error (its
-manifest says which).
+(default 1), a whole number >= 1; no more workers start than the sweep has
+sub-runs.  Exit status is 1 iff a run failed a hard diagnostic, and 2 iff a
+scenario, a sweep value or the worker count failed to parse, its output
+directory cannot be created (all refused before any work) or a run ended in
+an error (its manifest says which).
 """
 
 from __future__ import annotations

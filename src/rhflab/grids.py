@@ -19,13 +19,15 @@ n^d <= DENSE_SIZE_CAP and (N + k·B)·n^d <= DENSE_COST[d-1]·k·B·N·log2(n^d)
 The evolution passes B = N and k = `scf.MATVECS_PER_SOLVE`, the check
 B = (d+1)·N and k = 1.  DENSE_COST holds one constant per dimension, fitted
 to the evolution's step times and the check's times on both forms at one
-BLAS thread (`scripts/bench_trajectory.py --fit`, over the `crossover` and
-`layers` runs in the committed BENCH_*.json files).  Leaving out the one
-crossover run that timed the retired (B, N, n^d) pair array beside this FFT
-form, the least lost time falls on c ∈ [7.68, 8) in 1D, [11.4, 12.8) in 2D
-and [11.9, 17.8) in 3D.  The forms agree to rounding.  One cap serves both callers: at 64² the check holds one complex
-X (256 MiB), half what a dense evolution on that grid holds (K and
-V(x_i - x_j), real, and a complex h).
+BLAS thread (`scripts/bench_trajectory.py --fit`, over the recorded
+`crossover` runs and the propagation and exchange slices of the `layers`
+runs in the committed BENCH_*.json files).  Over the 724 recorded cases
+the least lost time falls on c ∈ [8.53, 9.6) in 1D, [11.4, 12.8) in 2D and
+[11.9, 17.8) in 3D; each run moves these intervals, and the 1D constant
+lies just below its interval.  The forms agree to rounding.  One cap serves
+both callers: at 64² the check holds one complex X (256 MiB), half what a
+dense evolution on that grid holds (K and V(x_i - x_j), real, and a
+complex h).
 `_circulant` builds the dense kernels: K from the kinetic symbol and
 V(x_i - x_j) from `PotentialSpec.lag_values`; `_circulant_view` is the same
 matrix as a strided view, for one elementwise product without the copy.

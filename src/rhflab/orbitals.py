@@ -6,10 +6,11 @@ r×r problem instead of an n^d × n^d kernel.
 
 For orthonormal orbitals ω is a projection and [A, ω] = (1-ω)Aω - ωA(1-ω)
 is block off-diagonal, so tr|[A, ω]| = ‖(1-ω)Aω‖₁ + ‖(1-ω)A†ω‖₁.  For
-A = ±A† or A unitary the two terms are equal, and each is the nuclear norm
-of one n^d × N residual block built from the fields A f_j
-(`commutator_trace_norm`); the diagnostics use that form, and `trace_norm`
-of the factored commutator Σ_k |left_k><right_k| is the general one.
+A = ±A† or A unitary the two terms are equal, so tr|[A, ω]| = 2‖(1-ω)Aω‖₁,
+and ‖(1-ω)Aω‖₁ is the nuclear norm of one n^d × N residual block built
+from the fields A f_j (`_one_sided_norm`); the diagnostics use that form,
+and `trace_norm` of the factored commutator Σ_k |left_k><right_k| is the
+general one.
 
 An OrbitalSet computes its base channels tr|[x_a, ω]| and tr|[ε∂_a, ω]|
 on first read (`OrbitalSet.base_channels`, one stacked norm-kernel call) and
@@ -39,7 +40,6 @@ __all__ = [
     "reduced_density",
     "apply_exchange",
     "trace_norm",
-    "commutator_trace_norm",
     "reorthonormalize",
     "hs_distance_squared",
     "fermi_sea",
@@ -83,7 +83,7 @@ class OrbitalSet:
 
         The 2d blocks x_a f_j and ε∂_a f_j go through one stacked norm
         kernel; x_a is self-adjoint and ε∂_a skew-adjoint, so each trace
-        norm is twice one side (`commutator_trace_norm`).
+        norm is twice one side (`_one_sided_norm`).
         """
         grid = self.grid
         dim = grid.dim
@@ -187,6 +187,16 @@ def trace_norm(op, rank_cap: int = 4096) -> float:
 def _one_sided_norm(orbs: OrbitalSet, a_stack: np.ndarray) -> np.ndarray:
     """‖(1-ω)A_k ω‖₁ for each block of flattened fields A_k f_j, shape (K, N, n^d).
 
+    For orthonormal orbitals and A = ±A† or A unitary, tr|[A, ω]| =
+    2‖(1-ω)Aω‖₁: ω is a projection, so [A, ω] is block off-diagonal and
+    tr|[A, ω]| = ‖(1-ω)Aω‖₁ + ‖(1-ω)A†ω‖₁, and for those A the two terms are
+    equal (for unitary A both carry sqrt(1 - s_k²), s_k the singular values
+    of the N×N matrix <f_i, A f_j>).  ‖(1-ω)Aω‖₁ is the sum of singular
+    values of the residual block g_j = A f_j - Σ_k f_k <f_k, A f_j>, scaled
+    by sqrt(cell volume).  For any other A use `trace_norm` of the factored
+    commutator.  For a set that is only nearly orthonormal the result is
+    off by about its Gram deviation.
+
     One batched projection, QR and SVD over the K blocks.  a_stack (complex)
     is overwritten with the residual blocks, so that a stack holds one
     working copy, not two.
@@ -200,27 +210,6 @@ def _one_sided_norm(orbs: OrbitalSet, a_stack: np.ndarray) -> np.ndarray:
     svals = np.linalg.svd(np.linalg.qr(a_stack.transpose(0, 2, 1), mode="r"),
                           compute_uv=False)
     return np.sum(svals, axis=-1) * np.sqrt(dv)
-
-
-def commutator_trace_norm(orbs: OrbitalSet, a_fields: np.ndarray) -> float:
-    """tr|[A, ω]| = 2‖(1-ω)Aω‖₁ from the fields A f_j, one n^d × N block.
-
-    Requires orthonormal orbitals and A = ±A† or A unitary.  Orthonormal
-    orbitals make ω a projection, so [A, ω] is block off-diagonal and
-    tr|[A, ω]| = ‖(1-ω)Aω‖₁ + ‖(1-ω)A†ω‖₁; for those A the two terms are
-    equal (for unitary A both carry sqrt(1 - s_k²), s_k the singular
-    values of the N×N matrix <f_i, A f_j>).  ‖(1-ω)Aω‖₁ is the sum of
-    singular values of the residual block g_j = A f_j - Σ_k f_k <f_k, A f_j>,
-    scaled by sqrt(cell volume).  For any other A use `trace_norm` of the
-    factored commutator.  For a set that is only nearly
-    orthonormal the result is off by about its Gram deviation.
-    """
-    n_part = orbs.n_particles
-    if a_fields.shape != orbs.orbitals.shape:
-        raise ValueError(f"fields of shape {a_fields.shape} do not match the "
-                         f"orbital block {orbs.orbitals.shape}")
-    a_stack = a_fields.astype(complex).reshape(1, n_part, -1)
-    return 2.0 * float(_one_sided_norm(orbs, a_stack)[0])
 
 
 def _lowdin(rows: np.ndarray, weight: float, cond_cap: float = 1e8) -> np.ndarray:

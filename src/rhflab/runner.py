@@ -363,12 +363,13 @@ def _run_sub(args):
     return result.exit_code, list(result.metrics.values()), result.final_orbitals
 
 
-def sweep_scenarios(scenario: Scenario, axis: str, values: list) -> tuple[list, list]:
-    """(tokens, scenarios) of a sweep's values, refused before any work.
+def sweep_scenarios(scenario: Scenario, axis: str, values: list) -> tuple[list, list, int]:
+    """(tokens, scenarios, workers) of a sweep's values, refused before any work.
 
     Each value is parsed as its field by `Scenario.with_value` first, so a bad
     token is refused as that field; the parsed values must then be strictly
-    monotone.
+    monotone.  The worker count WORKERS_ENV (default 1) must be a whole
+    number >= 1, and no more workers start than there are sub-runs.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {sorted(SWEEP_AXES)}")
@@ -380,18 +381,20 @@ def sweep_scenarios(scenario: Scenario, axis: str, values: list) -> tuple[list, 
     diffs = np.diff([sub.values[section, key] for sub in scenarios])
     if len(tokens) > 1 and not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("sweep values must be strictly monotone")
-    return tokens, scenarios
+    workers = os.environ.get(WORKERS_ENV, "1")
+    if not (workers.isdecimal() and int(workers) >= 1):
+        raise ValueError(f"{WORKERS_ENV} must be a whole number >= 1, got {workers!r}")
+    return tokens, scenarios, min(int(workers), len(scenarios))
 
 
 def sweep(scenario: Scenario, axis: str, values: list, out_root) -> int:
     """One sub-run per value along the axis; aggregated end-time metrics CSV."""
-    tokens, scenarios = sweep_scenarios(scenario, axis, values)
+    tokens, scenarios, n_workers = sweep_scenarios(scenario, axis, values)
     out_root = Path(out_root)
     out_root.mkdir(parents=True, exist_ok=True)
     jobs = [(sub, out_root / f"{axis}_{i:02d}_{token}")
             for i, (token, sub) in enumerate(zip(tokens, scenarios))]
 
-    n_workers = max(1, int(os.environ.get(WORKERS_ENV, "1")))
     if n_workers == 1:
         results = [_run_sub(job) for job in jobs]
     else:

@@ -2,7 +2,9 @@
 
 `LowRankOperator` holds Σ_k |left_k><right_k| with fields as factors, the
 form `rhflab.orbitals.trace_norm` reads; the commutators [x_a, ω], [ε∂_a, ω]
-and [e^{ip·x}, ω] are built in it as rank ≤ 2N operators.  `gaussian_orbital`
+and [e^{ip·x}, ω] are built in it as rank ≤ 2N operators.
+`commutator_trace_norm` is the one-sided norm tr|[A, ω]| = 2‖(1-ω)Aω‖₁ on
+one block of fields A f_j, the reference of the diagnostics' stacked form.  `gaussian_orbital`
 and `random_orbital_set` build the test states.  `grid_inner`, `grid_norm`,
 `apply_kinetic` and `gram_deviation` are the grid-level forms only the tests
 use: the L2 inner product and norm, the kinetic multiplier on one field, and
@@ -22,7 +24,7 @@ import math
 import numpy as np
 
 from rhflab.grids import Dispersion, Grid, PotentialSpec, _circulant_view, plane_wave
-from rhflab.orbitals import OrbitalSet, _density_matrix_per_particle
+from rhflab.orbitals import OrbitalSet, _density_matrix_per_particle, _one_sided_norm
 
 
 def grid_inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> complex:
@@ -50,6 +52,22 @@ def apply_density_matrix(orbs: OrbitalSet, field: np.ndarray) -> np.ndarray:
     flat = orbs.orbitals.reshape(orbs.n_particles, -1)
     coeffs = (flat.conj() @ field.reshape(-1)) * orbs.grid.cell_volume
     return (coeffs @ flat).reshape(orbs.grid.shape)
+
+
+def commutator_trace_norm(orbs: OrbitalSet, a_fields: np.ndarray) -> float:
+    """tr|[A, ω]| = 2‖(1-ω)Aω‖₁ from the fields A f_j, one n^d × N block.
+
+    The one-sided norm (`rhflab.orbitals._one_sided_norm`, where the identity
+    is stated) on a single block, with its shape checked: the reference the
+    stacked calls of the diagnostics are compared with.  Requires orthonormal
+    orbitals and A = ±A† or A unitary.
+    """
+    n_part = orbs.n_particles
+    if a_fields.shape != orbs.orbitals.shape:
+        raise ValueError(f"fields of shape {a_fields.shape} do not match the "
+                         f"orbital block {orbs.orbitals.shape}")
+    a_stack = a_fields.astype(complex).reshape(1, n_part, -1)
+    return 2.0 * float(_one_sided_norm(orbs, a_stack)[0])
 
 
 class LowRankOperator:

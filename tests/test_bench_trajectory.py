@@ -1,16 +1,17 @@
 """The layer harness `scripts/bench_trajectory.py` on one-case tables.
 
 The harness is loaded from its file and its case tables are swapped for
-one small case each, so a crossover and a layers run take about a second.
-The blocks they return are compared by keys with the last crossover and
-layers blocks of BENCH_pr21.json, the last runs before every case recorded
-a tracemalloc peak.
+one small case each, so a layers run takes about a second.  The block it
+returns is compared by keys with the last layers block of BENCH_pr21.json,
+the last run before every case recorded a tracemalloc peak; since then the
+diagnostics slice times the exchange check in the form the rule picks
+only, and the exchange slice times both forms.  The fit's inputs are read
+from the committed BENCH_*.json files.
 """
 
 import importlib.util
 import json
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -30,8 +31,7 @@ bench = _load("bench_trajectory", ROOT / "scripts" / "bench_trajectory.py")
 tracer = _load("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
 
 ONE_CASE_TABLES = {
-    "CROSSOVER_NS": (32,), "CROSSOVER_PARTICLES": (2,), "CROSSOVER_EXTRA": (),
-    "CROSSOVER_REPS": 2, "LAYER_N": 32, "LAYER_PARTICLES": (2,), "LAYER_REPS": 2,
+    "LAYER_N": 32, "LAYER_PARTICLES": (2,), "LAYER_REPS": 2,
     "ED_LAYER_CASES": ((6, 2, 1.0, 0.2),), "VLASOV_STEPS": 2,
     "PROPAGATION_CASES": ((1, 32, 2),), "PROPAGATION_RK4": (1, 32, 2),
     "EXCHANGE_LAYER_CASES": ((1, 32, 2),), "EXCHANGE_CHUNK_CASES": ((1, 32, 2, 2),),
@@ -52,7 +52,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 @pytest.fixture(scope="module")
 def runs():
-    """(crossover block, layers block, environment before, environment after)."""
+    """(layers block, environment before, environment after)."""
     from rhflab import orbitals, propagate
 
     def environment():
@@ -63,16 +63,15 @@ def runs():
         for name, value in ONE_CASE_TABLES.items():
             patch.setattr(bench, name, value)
         before = environment()
-        blocks = bench.crossover(ROOT), bench.layers(ROOT)
+        block = bench.layers(ROOT)
         after = environment()
-    return (*blocks, before, after)
+    return block, before, after
 
 
 @pytest.fixture(scope="module")
 def recorded():
-    """The last crossover and layers blocks of BENCH_pr21.json."""
-    record = json.loads((ROOT / "BENCH_pr21.json").read_text())
-    return record["crossover"][-1], record["layers"][-1]
+    """The last layers block of BENCH_pr21.json."""
+    return json.loads((ROOT / "BENCH_pr21.json").read_text())["layers"][-1]
 
 
 def _timed_keys(case: dict) -> tuple:
@@ -80,26 +79,17 @@ def _timed_keys(case: dict) -> tuple:
 
 
 class TestRecords:
-    def test_crossover_keys(self, runs, recorded):
-        from rhflab.scf import MATVECS_PER_SOLVE
-
-        block, old = runs[0], recorded[0]
-        assert set(block) == set(old) - {"loadavg"}  # main adds the load averages
-        assert len(block["cases"]) == 1
-        case, old_case = block["cases"][0], old["cases"][0]
-        assert set(case) == set(old_case) | {"peak_kib"}
-        assert _timed_keys(case) == (set(old_case["ms"]),) * 2 == ({"dense", "pair"},) * 2
-        assert case["rows"] == case["N"] and case["applies"] == MATVECS_PER_SOLVE
-        assert case["rule"] in ("dense", "pair")
-
     def test_layers_keys(self, runs, recorded):
-        block, old = runs[1], recorded[1]
-        assert set(block) == set(old) - {"loadavg"}
+        block, old = runs[0], recorded
+        assert set(block) == set(old) - {"loadavg"}  # main adds the load averages
         for key in NAMED_LAYER_SLICES:
             for case in block[key]:
                 old_case = old[key][0]
+                # the diagnostics cases no longer time the forced exchange forms
+                old_layers = {name for name in old_case["ms"]
+                              if not name.endswith(("[dense]", "[fft]"))}
                 assert set(case) == set(old_case), key
-                assert _timed_keys(case) == (set(old_case["ms"]),) * 2, key
+                assert _timed_keys(case) == (old_layers,) * 2, key
         assert set(block["exchange"]) == set(old["exchange"])
         old_case = old["exchange"]["cases"][0]
         for case in block["exchange"]["cases"]:
@@ -115,11 +105,22 @@ class TestRecords:
             return {(case["scheme"], case["flow"], case["path"], case["start"])
                     for case in cases}
 
-        assert runs_of(runs[1]["propagation_cases"]) == runs_of(
-            case for case in recorded[1]["propagation_cases"] if case["dim"] == 1)
+        assert runs_of(runs[0]["propagation_cases"]) == runs_of(
+            case for case in recorded["propagation_cases"] if case["dim"] == 1)
+
+    def test_dense_flow_left_out_above_the_size_cap(self, monkeypatch):
+        from rhflab import grids
+
+        monkeypatch.setattr(bench, "PROPAGATION_CASES", ((1, 32, 2),))
+        monkeypatch.setattr(bench, "PROPAGATION_RK4", (1, 32, 2))
+        monkeypatch.setattr(bench, "LAYER_REPS", 2)
+        monkeypatch.setattr(grids, "DENSE_SIZE_CAP", 16)
+        cases = bench.propagation_layers()
+        assert {case["flow"] for case in cases} == {"hartree", "hf-pair"}
+        assert {case["path"] for case in cases} == {"pair"}
 
     def test_times_and_peaks_are_finite_and_ordered(self, runs):
-        for case in runs[0]["cases"] + runs[1]["propagation_cases"]:
+        for case in runs[0]["propagation_cases"]:
             for stats in case["ms"].values():
                 assert 0 < stats["q25"] <= stats["median"] <= stats["q75"]
             assert all(peak >= 0 for peak in case["peak_kib"].values())
@@ -127,7 +128,7 @@ class TestRecords:
 
 class TestEnvironment:
     def test_slices_leave_blas_threads_path_and_patches_unchanged(self, runs):
-        before, after = runs[2], runs[3]
+        before, after = runs[1], runs[2]
         assert after[0] == before[0]
         assert after[1] == before[1]
         assert after[2] is before[2] and after[3] is before[3]
@@ -152,6 +153,18 @@ class TestFit:
         assert fit["1"]["high"] == pytest.approx(32 / 3)
         assert fit["1"]["lost_ms"] == 0.0
 
+    def test_recorded_cases_hold_both_callers_and_both_evolution_sources(self):
+        cases = bench.recorded_cases()
+        assert {case["caller"] for case in cases} == {"evolution", "check"}
+        evolution = [case for case in cases if case["caller"] == "evolution"]
+        # the retired crossover runs and the propagation slices of the layers runs
+        assert {case["block"] for case in evolution} == {"crossover", "layers"}
+        for case in cases:
+            assert "dense" in case["ms"] and bench.fft_median(case) > 0
+        for case in evolution:
+            assert case["rows"] == case["N"]
+            assert case["applies"] == bench.MATVECS_PER_SOLVE
+
     def test_cases_without_a_dense_time_are_left_out(self):
         above_cap = {"dim": 1, "n": 8192, "N": 2, "rows": 2, "applies": 1,
                      "ms": {"pair": {"median": 1.0}}}
@@ -161,8 +174,8 @@ class TestFit:
 
 class TestLayerNames:
     def test_timed_layers_are_traced_or_listed(self, runs):
-        names = {re.sub(r"\[(dense|fft)\]$", "", name)
-                 for key in NAMED_LAYER_SLICES for case in runs[1][key] for name in case["ms"]}
+        names = {name for key in NAMED_LAYER_SLICES for case in runs[0][key]
+                 for name in case["ms"]}
         traced = set(tracer.TARGETS) | {tracer.MATVEC}
         assert names - traced == set(UNTRACED_LAYERS)
 

@@ -27,7 +27,6 @@ from rhflab.orbitals import (
     OrbitalSet,
     apply_exchange,
     boosted_fermi_sea,
-    commutator_trace_norm,
     fermi_sea,
     trace_norm,
 )
@@ -35,6 +34,7 @@ from rhflab.scf import ScfConfig, scf_minimize
 
 from reference_orbitals import (
     LowRankOperator,
+    commutator_trace_norm,
     commutator_with_momentum,
     commutator_with_phase,
     commutator_with_position,

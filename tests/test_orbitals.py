@@ -10,7 +10,6 @@ from rhflab.orbitals import (
     _exchange_matrix,
     _fft_exchange,
     apply_exchange,
-    commutator_trace_norm,
     fermi_sea,
     hs_distance_squared,
     reduced_density,
@@ -22,6 +21,7 @@ from rhflab.orbitals import (
 from reference_orbitals import (
     LowRankOperator,
     apply_density_matrix,
+    commutator_trace_norm,
     commutator_with_momentum,
     commutator_with_phase,
     commutator_with_position,

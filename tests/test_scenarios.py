@@ -160,6 +160,15 @@ def assert_sweep_metrics_match_artifacts(out_root, scenario, axis):
         assert np.array_equal(written, expected, equal_nan=True), (token, written, expected)
 
 
+def case(number: int, overrides: dict, expected: str):
+    """A dict case of the refusal lists, with a fixed id.
+
+    The id keeps the text pytest first derived from the case's list position,
+    `overrides<number>-<expected>`; fixed, it stays when another case goes.
+    """
+    return pytest.param(overrides, expected, id=f"overrides{number}-{expected}")
+
+
 # the float keys of the schema, each refused when not finite
 FLOAT_FIELDS = (("grid", "box_length"), ("model", "epsilon"), ("model", "m0"),
                 ("potential", "coupling"), ("potential", "width"),
@@ -825,30 +834,32 @@ class TestCli:
         assert not (out / "checks").exists()
 
     @pytest.mark.parametrize("overrides, field", [
-        ({("grid", "points_per_dim"): "48"}, "[grid] points_per_dim"),
-        ({("grid", "dim"): "4", ("preparation", "kind"): "fermi_sea"}, "[grid] dim"),
-        ({("grid", "box_length"): "-1"}, "[grid] box_length"),
-        ({("model", "n_particles"): "0"}, "[model] n_particles"),
-        ({("model", "n_particles"): "100"}, "[model] n_particles"),
-        ({("preparation", "mixing"): "1.5"}, "[preparation] mixing"),
-        ({("preparation", "convergence_tol"): "0"}, "[preparation] convergence_tol"),
-        ({("preparation", "kind"): "boosted_fermi_sea", ("preparation", "boost_mode"): "0"},
-         "[preparation] boost_mode"),
-        ({("evolution", "reortho_every"): "0"}, "[evolution] reortho_every"),
-        ({("grid", "points_per_dim"): "16"}, "[diagnostics] exp_bound"),
-        ({("diagnostics", "conservation"): "-5"}, "[diagnostics] conservation"),
+        case(0, {("grid", "points_per_dim"): "48"}, "[grid] points_per_dim"),
+        case(1, {("grid", "dim"): "4", ("preparation", "kind"): "fermi_sea"}, "[grid] dim"),
+        case(2, {("grid", "box_length"): "-1"}, "[grid] box_length"),
+        case(3, {("model", "n_particles"): "0"}, "[model] n_particles"),
+        case(4, {("model", "n_particles"): "100"}, "[model] n_particles"),
+        case(5, {("preparation", "mixing"): "1.5"}, "[preparation] mixing"),
+        case(6, {("preparation", "convergence_tol"): "0"}, "[preparation] convergence_tol"),
+        case(7, {("preparation", "kind"): "boosted_fermi_sea",
+                 ("preparation", "boost_mode"): "0"}, "[preparation] boost_mode"),
+        case(8, {("evolution", "reortho_every"): "0"}, "[evolution] reortho_every"),
+        case(9, {("grid", "points_per_dim"): "16"}, "[diagnostics] exp_bound"),
+        case(10, {("diagnostics", "conservation"): "-5"}, "[diagnostics] conservation"),
         # the retired table kernel, alone and in its former form with a file
-        ({("potential", "kernel"): "table"}, "[potential] kernel"),
-        ({("potential", "table"): "v.csv"}, "[potential] table"),
-        ({("potential", "kernel"): "table", ("potential", "table"): "v.csv"},
-         "[potential] table"),
-        ({("evolution", "t_final"): "1e308", ("evolution", "dt"): "1e-10"},
-         "[evolution] (t_final - t0)/dt"),
-        # every float key refuses a value that is not finite
-        *(({(section, key): token}, f"[{section}] {key}")
-          for section, key in FLOAT_FIELDS for token in ("nan", "inf", "-inf")),
+        case(11, {("potential", "kernel"): "table"}, "[potential] kernel"),
+        case(12, {("potential", "table"): "v.csv"}, "[potential] table"),
+        case(13, {("potential", "kernel"): "table", ("potential", "table"): "v.csv"},
+             "[potential] table"),
+        case(14, {("evolution", "t_final"): "1e308", ("evolution", "dt"): "1e-10"},
+             "[evolution] (t_final - t0)/dt"),
+        # every float key refuses a value that is not finite; these ids follow
+        # FLOAT_FIELDS' order
+        *(case(15 + 3 * i + j, {(section, key): token}, f"[{section}] {key}")
+          for i, (section, key) in enumerate(FLOAT_FIELDS)
+          for j, token in enumerate(("nan", "inf", "-inf"))),
         # the retired maximum-overlap occupation
-        ({("preparation", "aufbau"): "false"}, "[preparation] aufbau"),
+        case(48, {("preparation", "aufbau"): "false"}, "[preparation] aufbau"),
     ])
     def test_unrunnable_scenario_refused_before_any_work(self, tmp_path, capsys,
                                                          overrides, field):
@@ -866,20 +877,21 @@ class TestCli:
         assert not (out / "checks").exists()
 
     @pytest.mark.parametrize("overrides, message", [
-        ({("model", "dispersion"): "massless"},
-         "error: [model] dispersion must be one of ('relativistic', 'nonrelativistic'), "
-         "got 'massless'"),
-        ({("evolution", "t_final"): "inf"},
-         "error: bad value for [evolution] t_final: not a finite number: 'inf'"),
+        case(0, {("model", "dispersion"): "massless"},
+             "error: [model] dispersion must be one of ('relativistic', 'nonrelativistic'), "
+             "got 'massless'"),
+        case(1, {("evolution", "t_final"): "inf"},
+             "error: bad value for [evolution] t_final: not a finite number: 'inf'"),
         # the retired table kernel and maximum-overlap occupation
-        ({("potential", "kernel"): "table"},
-         "error: [potential] kernel must be one of ('gaussian', 'none'), got 'table'"),
-        ({("potential", "table"): "v.csv"}, "error: unknown key [potential] table"),
-        ({("preparation", "aufbau"): "false"}, "error: unknown key [preparation] aufbau"),
+        case(2, {("potential", "kernel"): "table"},
+             "error: [potential] kernel must be one of ('gaussian', 'none'), got 'table'"),
+        case(3, {("potential", "table"): "v.csv"}, "error: unknown key [potential] table"),
+        case(4, {("preparation", "aufbau"): "false"},
+             "error: unknown key [preparation] aufbau"),
         # more steps than the whole-number test can resolve
-        ({("evolution", "dt"): "1e-300"},
-         "error: [evolution] (t_final - t0)/dt = 1e+298 is not a finite step count of "
-         "at most 1e+09"),
+        case(5, {("evolution", "dt"): "1e-300"},
+             "error: [evolution] (t_final - t0)/dt = 1e+298 is not a finite step count of "
+             "at most 1e+09"),
     ])
     def test_refusal_is_one_line_and_makes_no_directory(self, tmp_path, capsys, overrides,
                                                         message):
@@ -908,6 +920,43 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.splitlines() == [message]
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["abc", "0", "-1"])
+    def test_refused_worker_count_is_one_line_and_makes_no_directory(self, tmp_path, capsys,
+                                                                     monkeypatch, workers):
+        monkeypatch.setenv("RHFLAB_WORKERS", workers)
+        out = tmp_path / "out"
+        assert main(["sweep", SMOKE, "--axis", "dt", "--values", "0.002,0.001",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: RHFLAB_WORKERS must be a whole number >= 1, got '{workers}'"]
+        assert not out.exists()
+
+    def test_pool_is_no_larger_than_the_sub_runs(self, tmp_path, monkeypatch):
+        # a pool that records its size and maps in this process: no process starts
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setenv("RHFLAB_WORKERS", "8")
+        assert sweep(load_scenario(SMOKE), "coupling", ["0.2", "0.4"], tmp_path / "sw") == 0
+        assert sizes == [2]
 
     def test_imports_load_no_linalg_and_no_process_pool(self):
         # a fresh interpreter: this suite's own imports must not hide a load
