@@ -88,7 +88,7 @@ its load averages (os.getloadavg) before and after it (`loadavg`), is
 appended to the list `layers` of BENCH_<LABEL>.json, so every run made
 stays on record; the file's other keys are kept.  Earlier files also hold
 `crossover` runs, kept as data: the HF step on both paths from the released
-start, which the propagation slice now times.
+start, which the propagation slice times too.
 
 The fourth form runs nothing: it gathers every case timed on both sides
 in this repository's BENCH_*.json files (`recorded_cases`: the crossover
