@@ -33,7 +33,7 @@ LAYER_REPS rounds in which the layers run in turn, so the host's drift
 falls on them alike.  Every case records per layer the median and quartiles
 of ms per call (`ms`) and the tracemalloc live peak of one more call, in KiB
 above what was live before it (`peak_kib`).  It times layers of the
-checkout by perfbench's layer names, in six slices:
+checkout by perfbench's layer names, in five slices:
 
 - SCF and energy: on the trapped 1D setup (`trapped_setup`) at n = LAYER_N
   and N in LAYER_PARTICLES, `scf.scf_minimize`, and the energy of its
@@ -60,35 +60,34 @@ checkout by perfbench's layer names, in six slices:
 - Propagation: for each (d, n, N) of PROPAGATION_CASES, `propagate.step`
   (exponential midpoint) and one block h-apply on the N orbitals
   (`krylov.matvec`, the MeanField's closure of the state), for each flow of
-  PROPAGATION_FLOWS (Hartree, HF on the pair path, HF on the dense path;
-  above the dense size cap the dense flow is left out) from both starts.
-  A state is built by `evolution_state`: one step of PROPAGATION_DT at
-  m0 = 1 on the trapped setup, from its SCF ground state (above
+  PROPAGATION_FLOWS (Hartree, HF on the pair path, HF on the dense path).
+  Every case's grid is within the dense size cap, so each is timed on both
+  paths.  A state is built by `evolution_state`: one step of PROPAGATION_DT
+  at m0 = 1 on the trapped setup, from its SCF ground state (above
   SCF_GRID_N points per axis, the state on that grid interpolated
   spectrally, because a dense SCF there takes minutes), kicked by `kick`
-  and released from the trap (`released`) or kept in it (`stationary`); on
-  the stationary start a step barely moves the orbitals.  The HF steps
-  from the released start on both paths are the evolution's cases of the
-  dense rule (`--fit`).  Each case also records the Krylov matvecs per
-  solve of one step.  PROPAGATION_RK4 is timed the same way under RK4 with
-  HF on the pair path.
+  and released from the trap (`released`).  On 1D the unkicked ground state
+  kept in the trap (`stationary`) is timed too: a step barely moves it, so
+  it shows the block solve's extra matvecs on stationary states, and on 1D
+  it costs little.  The HF steps from the released start on both paths are
+  the evolution's cases of the dense rule (`--fit`).  Each case also
+  records the Krylov matvecs per solve of one step.  PROPAGATION_RK4 is
+  timed the same way under RK4 with HF on the pair path.
 - Exchange: the exchange check with each form forced (EXCHANGE_FORMS) for
   each (d, n, N) of EXCHANGE_LAYER_CASES on a seeded random orthonormal
   state, both sides of each dimension's crossover.  Each case records the
   form `apply_exchange` picks and the rows B = (d+1)·N and applies k = 1,
   and the slice fits the dense rule's constant per dimension
   (`fit_dense_cost`).
-- Exchange chunk: `orbitals._fft_exchange` on B fields for each
-  (d, n, N, B) of EXCHANGE_CHUNK_CASES at every chunk size a budget of
-  CHUNK_BUDGETS_KIB gives; the run records per budget the mean relative
-  time above each case's fastest chunk (`chunk_budget_losses`).
 
 The run, with the checkout's commit, the host's CPU count and versions and
 its load averages (os.getloadavg) before and after it (`loadavg`), is
 appended to the list `layers` of BENCH_<LABEL>.json, so every run made
 stays on record; the file's other keys are kept.  Earlier files also hold
 `crossover` runs, kept as data: the HF step on both paths from the released
-start, which the propagation slice times too.
+start, which the propagation slice times too.  Their `exchange_chunks`
+blocks, the FFT exchange timed per chunk size, are kept as data as well;
+`--fit` does not read them.
 
 The fourth form runs nothing: it gathers every case timed on both sides
 in this repository's BENCH_*.json files (`recorded_cases`: the crossover
@@ -121,7 +120,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
 # per d: the coarsest grid a ground state is computed on by SCF; finer grids
 # get it interpolated spectrally, because a dense SCF there takes minutes
-SCF_GRID_N = {1: 1 << 30, 2: 32, 3: 8}
+SCF_GRID_N = {1: 1 << 30, 2: 32}
 LAYER_N = 256
 LAYER_PARTICLES = (8, 16, 32)
 LAYER_REPS = 9
@@ -134,7 +133,7 @@ VLASOV_STEPS = 120  # and the steps of its Vlasov leg
 # (d, n per axis, N) of the propagation slice of --layers, and its RK4 case
 PROPAGATION_CASES = tuple(
     (1, n, n_part) for n in (64, 128, 256) for n_part in (2, 4, 8, 16, 32)) + (
-    (1, 1024, 12), (2, 32, 8), (2, 64, 8), (2, 64, 16), (2, 64, 32), (3, 32, 16))
+    (1, 1024, 12), (2, 32, 8), (2, 64, 8), (2, 64, 16), (2, 64, 32))
 PROPAGATION_RK4 = (1, 256, 12)
 PROPAGATION_DT = 1e-3
 # flow of the propagation slice -> (exchange_on, MeanField path)
@@ -149,13 +148,6 @@ EXCHANGE_LAYER_CASES = (
     (2, 32, 8), (2, 32, 10), (2, 32, 12), (2, 32, 16),
     (3, 8, 2), (3, 8, 3), (3, 8, 4), (3, 8, 6),
     (2, 64, 16), (2, 64, 32), (2, 64, 48))
-# (d, n per axis, N, B) of the exchange chunk slice of --layers: the FFT form
-# on B fields at every chunk size a budget from 16 KiB to 4 MiB gives
-EXCHANGE_CHUNK_CASES = (
-    (1, 256, 4, 4), (1, 256, 8, 8), (1, 256, 16, 16), (1, 256, 4, 12), (1, 256, 8, 24),
-    (1, 512, 8, 24), (1, 1024, 12, 12), (1, 1024, 12, 36), (2, 16, 4, 12), (2, 32, 8, 8),
-    (2, 32, 8, 24), (2, 64, 8, 8), (2, 64, 16, 16), (3, 8, 4, 16), (3, 16, 8, 8))
-CHUNK_BUDGETS_KIB = tuple(16 << k for k in range(9))
 # applies per build of the evolution's X (`scf.MATVECS_PER_SOLVE`), for recorded
 # evolution cases that do not record it
 MATVECS_PER_SOLVE = 5
@@ -410,44 +402,6 @@ def exchange_layers() -> dict:
     return {"cases": cases, "fit": fits}
 
 
-def exchange_chunk_layers() -> list[dict]:
-    """The exchange chunk slice of a layers run: `orbitals._fft_exchange` per chunk size."""
-    import numpy as np
-    from rhflab.grids import Grid, PotentialSpec, gaussian_vhat
-    from rhflab.orbitals import _fft_exchange
-
-    rng = np.random.default_rng(0)
-    cases = []
-    for dim, n, n_part, rows in EXCHANGE_CHUNK_CASES:
-        grid = Grid(dim, n, 4.0 * np.pi, 1.0 / n_part)
-        vhat = PotentialSpec(grid, gaussian_vhat(grid, 1.0)).vhat_eff
-        source, fields = (rng.standard_normal((k, *grid.shape))
-                          + 1j * rng.standard_normal((k, *grid.shape)) for k in (n_part, rows))
-        per_orbital = 16 * rows * grid.size
-        chunks = sorted({max(1, min(n_part, (kib << 10) // per_orbital))
-                         for kib in CHUNK_BUDGETS_KIB})
-        calls = {str(chunk): (lambda chunk=chunk: _fft_exchange(grid, source, vhat, fields,
-                                                                chunk * per_orbital))
-                 for chunk in chunks}
-        cases.append({"dim": dim, "n": n, "N": n_part, "rows": rows, **time_calls(
-            f"layers exchange chunks {n}^{dim} N={n_part} B={rows}", calls, LAYER_REPS)})
-    return cases
-
-
-def chunk_budget_losses(cases: list[dict]) -> dict:
-    """Per budget in KiB, the mean relative time above each case's fastest chunk."""
-    losses = {}
-    for kib in CHUNK_BUDGETS_KIB:
-        rel = []
-        for case in cases:
-            ms = {int(chunk): stats["median"] for chunk, stats in case["ms"].items()}
-            per_orbital = 16 * case["rows"] * case["n"] ** case["dim"]
-            chunk = max(1, min(case["N"], (kib << 10) // per_orbital))
-            rel.append(ms[chunk] / min(ms.values()) - 1.0)
-        losses[str(kib)] = sum(rel) / len(rel)
-    return losses
-
-
 def diagnostics_layers(grid, pot, orbitals_block, n_part: int) -> dict:
     """The diagnostics slice of a layers run at one N (module docstring)."""
     import warnings
@@ -509,7 +463,7 @@ def propagation_layers() -> list[dict]:
     """The propagation slice of a layers run (module docstring)."""
     import warnings
 
-    from rhflab import grids, propagate
+    from rhflab import propagate
 
     runs = [(case, "exponential_midpoint", PROPAGATION_FLOWS) for case in PROPAGATION_CASES]
     runs.append((PROPAGATION_RK4, "rk4_frozen_field", {"hf-pair": (True, "pair")}))
@@ -517,10 +471,10 @@ def propagation_layers() -> list[dict]:
     cases = []
     for (dim, n, n_part), scheme, flows in runs:
         grid, pot = trapped_setup(dim, n, n_part)
-        if grid.size > grids.DENSE_SIZE_CAP:
-            flows = {flow: spec for flow, spec in flows.items() if spec[1] != "dense"}
         phi = ground_state(dim, n, n_part)
-        starts = {"released": (phi * kick(grid), False), "stationary": (phi, True)}
+        starts = {"released": (phi * kick(grid), False)}
+        if dim == 1:  # --fit reads only the released start, and on 2D this one is slow
+            starts["stationary"] = (phi, True)
         states = {(flow, start): evolution_state(grid, pot, block, n_part, scheme, exchange_on,
                                                  keep_trap, path)
                   for flow, (exchange_on, path) in flows.items()
@@ -577,9 +531,6 @@ def layers(checkout: Path) -> dict:
     block["ed_cases"] = ed_layers()
     block["propagation_cases"] = propagation_layers()
     block["exchange"] = exchange_layers()
-    block["exchange_chunks"] = exchange_chunk_layers()
-    block["chunk_budget_losses"] = chunk_budget_losses(block["exchange_chunks"])
-    print(f"layers chunk budget losses: {block['chunk_budget_losses']}")
     return block
 
 

@@ -5,7 +5,8 @@ one small case each, so a layers run takes about a second.  The block it
 returns is compared by keys with the last layers block of BENCH_pr21.json,
 the last run before every case recorded a tracemalloc peak; since then the
 diagnostics slice times the exchange check in the form the rule picks
-only, and the exchange slice times both forms.  The fit's inputs are read
+only, the exchange slice times both forms, and the exchange chunk slice is
+retired.  The fit's inputs are read
 from the committed BENCH_*.json files.
 """
 
@@ -33,8 +34,8 @@ tracer = _load("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
 ONE_CASE_TABLES = {
     "LAYER_N": 32, "LAYER_PARTICLES": (2,), "LAYER_REPS": 2,
     "ED_LAYER_CASES": ((6, 2, 1.0, 0.2),), "VLASOV_STEPS": 2,
-    "PROPAGATION_CASES": ((1, 32, 2),), "PROPAGATION_RK4": (1, 32, 2),
-    "EXCHANGE_LAYER_CASES": ((1, 32, 2),), "EXCHANGE_CHUNK_CASES": ((1, 32, 2, 2),),
+    "PROPAGATION_CASES": ((1, 32, 2), (2, 8, 2)), "PROPAGATION_RK4": (1, 32, 2),
+    "EXCHANGE_LAYER_CASES": ((1, 32, 2),),
 }
 # layer names the harness times that perfbench's tracer does not trace
 UNTRACED_LAYERS = {
@@ -81,7 +82,8 @@ def _timed_keys(case: dict) -> tuple:
 class TestRecords:
     def test_layers_keys(self, runs, recorded):
         block, old = runs[0], recorded
-        assert set(block) == set(old) - {"loadavg"}  # main adds the load averages
+        # main adds the load averages; the exchange chunk slice is retired
+        assert set(block) == set(old) - {"loadavg", "exchange_chunks", "chunk_budget_losses"}
         for key in NAMED_LAYER_SLICES:
             for case in block[key]:
                 old_case = old[key][0]
@@ -95,29 +97,29 @@ class TestRecords:
         for case in block["exchange"]["cases"]:
             assert set(case) == set(old_case)
             assert _timed_keys(case) == (set(old_case["ms"]),) * 2
-        for case in block["exchange_chunks"]:  # the chunk cases gain their peaks
-            assert set(case) == set(old["exchange_chunks"][0]) | {"peak_kib"}
-            assert set(case["ms"]) == set(case["peak_kib"])
-        assert set(block["chunk_budget_losses"]) == set(old["chunk_budget_losses"])
 
     def test_propagation_runs_every_flow_from_both_starts(self, runs, recorded):
         def runs_of(cases):
             return {(case["scheme"], case["flow"], case["path"], case["start"])
                     for case in cases}
 
-        assert runs_of(runs[0]["propagation_cases"]) == runs_of(
-            case for case in recorded["propagation_cases"] if case["dim"] == 1)
+        def of_dim(cases, dim):
+            return [case for case in cases if case["dim"] == dim]
 
-    def test_dense_flow_left_out_above_the_size_cap(self, monkeypatch):
+        cases = runs[0]["propagation_cases"]
+        assert runs_of(of_dim(cases, 1)) == runs_of(of_dim(recorded["propagation_cases"], 1))
+
+    def test_stationary_start_on_1d_only(self, runs):
+        starts = {}
+        for case in runs[0]["propagation_cases"]:
+            starts.setdefault(case["dim"], set()).add(case["start"])
+        assert starts == {1: {"released", "stationary"}, 2: {"released"}}
+
+    def test_every_propagation_case_is_within_the_dense_size_cap(self):
         from rhflab import grids
 
-        monkeypatch.setattr(bench, "PROPAGATION_CASES", ((1, 32, 2),))
-        monkeypatch.setattr(bench, "PROPAGATION_RK4", (1, 32, 2))
-        monkeypatch.setattr(bench, "LAYER_REPS", 2)
-        monkeypatch.setattr(grids, "DENSE_SIZE_CAP", 16)
-        cases = bench.propagation_layers()
-        assert {case["flow"] for case in cases} == {"hartree", "hf-pair"}
-        assert {case["path"] for case in cases} == {"pair"}
+        for dim, n, _ in bench.PROPAGATION_CASES:
+            assert n**dim <= grids.DENSE_SIZE_CAP, (dim, n)
 
     def test_times_and_peaks_are_finite_and_ordered(self, runs):
         for case in runs[0]["propagation_cases"]:
