@@ -6,8 +6,7 @@ returns is compared by keys with the last layers block of BENCH_pr21.json,
 the last run before every case recorded a tracemalloc peak; since then the
 diagnostics slice times the exchange check in the form the rule picks
 only, the exchange slice times both forms, and the exchange chunk slice is
-retired.  The fit's inputs are read
-from the committed BENCH_*.json files.
+retired.  The fit's inputs are read from the committed BENCH_*.json files.
 """
 
 import importlib.util
@@ -99,15 +98,11 @@ class TestRecords:
             assert _timed_keys(case) == (set(old_case["ms"]),) * 2
 
     def test_propagation_runs_every_flow_from_both_starts(self, runs, recorded):
-        def runs_of(cases):
+        def runs_of(cases):  # on 1D, the dimension both starts run on
             return {(case["scheme"], case["flow"], case["path"], case["start"])
-                    for case in cases}
+                    for case in cases if case["dim"] == 1}
 
-        def of_dim(cases, dim):
-            return [case for case in cases if case["dim"] == dim]
-
-        cases = runs[0]["propagation_cases"]
-        assert runs_of(of_dim(cases, 1)) == runs_of(of_dim(recorded["propagation_cases"], 1))
+        assert runs_of(runs[0]["propagation_cases"]) == runs_of(recorded["propagation_cases"])
 
     def test_stationary_start_on_1d_only(self, runs):
         starts = {}
