@@ -1,32 +1,29 @@
-"""Run the benchmark's workloads and keep their result lines.
+"""Pair the benchmark's workloads across two checkouts, time layers, fit the dense rule.
 
-    python3 scripts/bench_trajectory.py LABEL [--checkout DIR] [--seed 0] [--seconds 40]
     python3 scripts/bench_trajectory.py LABEL --against DIR [--checkout DIR] [--seed 0]
         [--seconds 40]
     python3 scripts/bench_trajectory.py LABEL --layers [--checkout DIR]
     python3 scripts/bench_trajectory.py LABEL --fit [--checkout DIR]
 
-For each workload in BENCHMARK.json the first form runs, in the checkout DIR
-(by default the repository holding this script),
+Exactly one of the three forms is given; each writes BENCH_<LABEL>.json next
+to this repository's BENCHMARK.json.
+
+The first form compares the checkout (the change; by default the repository
+holding this script) with the checkout DIR given to --against (its parent).
+For each workload in BENCHMARK.json it runs PAIRS pairs, one run of each
+side per pair, the parent first in even pairs and the change first in odd
+ones, all on one seed, each run in its checkout as
 
     python3 perfbench/run.py --workload W --seed SEED --seconds SECONDS --trace 0
 
-and writes BENCH_<LABEL>.json next to this repository's BENCHMARK.json: the
-machine record perfbench prints, and per workload its result line (the last
-line of its output) and the medians as measured, before the division by the
-host slowdown.
+Ten pairs is the fewest on which a gain can be claimed: the change must win
+at least nine of them.  Per end-to-end metric it prints and stores each
+side's median and quartiles over the pairs and the change's win count: the
+pairs in which the change is better, ties counting for neither.
+BENCH_<LABEL>.json then holds the machine record perfbench prints, per
+workload every pair's values and that summary, and the commit of each side.
 
-The second form compares the checkout (the change) with the checkout DIR
-given to --against (its parent).  For each workload it runs PAIRS pairs,
-one perfbench run of each side per pair, the parent first in even pairs and
-the change first in odd ones, all on one seed.  Ten pairs is the fewest on
-which a gain can be claimed: the change must win at least nine of them.  Per end-to-end metric it
-prints and stores each side's median and quartiles over the pairs and the
-change's win count: the pairs in which the change is better, ties counting
-for neither.  BENCH_<LABEL>.json then holds, per workload, every pair's
-values and that summary, and the commit of each side.
-
-The third form imports the checkout's rhflab once, at one BLAS thread
+The second form imports the checkout's rhflab once, at one BLAS thread
 (`load_checkout`, in `main`), and times every case through one runner,
 `time_calls`: one warm-up call of each of the case's layers, then
 LAYER_REPS rounds in which the layers run in turn, so the host's drift
@@ -63,45 +60,52 @@ checkout by perfbench's layer names, in five slices:
   PROPAGATION_FLOWS (Hartree, HF on the pair path, HF on the dense path).
   Every case's grid is within the dense size cap, so each is timed on both
   paths.  A state is built by `evolution_state`: one step of PROPAGATION_DT
-  at m0 = 1 on the trapped setup, from its SCF ground state (above
-  SCF_GRID_N points per axis, the state on that grid interpolated
-  spectrally, because a dense SCF there takes minutes), kicked by `kick`
-  and released from the trap (`released`).  On 1D the unkicked ground state
-  kept in the trap (`stationary`) is timed too: a step barely moves it, so
-  it shows the block solve's extra matvecs on stationary states, and on 1D
-  it costs little.  The HF steps from the released start on both paths are
-  the evolution's cases of the dense rule (`--fit`).  Each case also
-  records the Krylov matvecs per solve of one step.  PROPAGATION_RK4 is
-  timed the same way under RK4 with HF on the pair path.
+  at m0 = 1 on the trapped setup, from its SCF ground state, kicked by
+  `kick` and released from the trap (`released`).  `ground_state` refuses an
+  SCF that did not converge.  Above SCF_GRID_N points per axis the SCF runs
+  on that grid and the state is interpolated spectrally; on 2D that grid is
+  16², because on 32² the SCF at N = 16 stops at its iteration limit
+  without converging, while on 16² it converges at every N of the table.
+  On 1D the unkicked ground state kept in the trap (`stationary`) is timed
+  too: a step barely moves it, so it shows the block solve's extra matvecs
+  on stationary states, and on 1D it costs little.  The HF steps from the
+  released start on both paths are the evolution's cases of the dense rule
+  (`--fit`).  Each case also records the Krylov matvecs per solve of one
+  step.  PROPAGATION_RK4 is timed the same way under RK4 with HF on the pair
+  path.
 - Exchange: the exchange check with each form forced (EXCHANGE_FORMS) for
   each (d, n, N) of EXCHANGE_LAYER_CASES on a seeded random orthonormal
   state, both sides of each dimension's crossover.  Each case records the
-  form `apply_exchange` picks and the rows B = (d+1)·N and applies k = 1,
-  and the slice fits the dense rule's constant per dimension
-  (`fit_dense_cost`).
+  form `apply_exchange` picks and the rows B = (d+1)·N and applies k = 1.
+  The slice fits nothing itself; `--fit` reads it.
 
 The run, with the checkout's commit, the host's CPU count and versions and
 its load averages (os.getloadavg) before and after it (`loadavg`), is
 appended to the list `layers` of BENCH_<LABEL>.json, so every run made
 stays on record; the file's other keys are kept.  Earlier files also hold
-`crossover` runs, kept as data: the HF step on both paths from the released
-start, which the propagation slice times too.  Their `exchange_chunks`
-blocks, the FFT exchange timed per chunk size, are kept as data as well;
-`--fit` does not read them.
+`crossover` runs, `exchange_chunks` blocks and layers runs of retired forms,
+all kept as data that `--fit` does not read.
 
-The fourth form runs nothing: it gathers every case timed on both sides
-in this repository's BENCH_*.json files (`recorded_cases`: the crossover
-cases and the propagation slices' HF steps from the released start as the
-evolution's, with B = N and k = MATVECS_PER_SOLVE, and the exchange slices'
-as the check's), fits one constant per dimension of the rule dense iff
+The third form runs nothing: it gathers every case timed on both sides in
+the `layers` runs of this repository's BENCH_*.json files whose exchange
+slice timed the `fft` form (`recorded_cases`).  Those are the propagation
+slices' HF steps from the released start as the evolution's cases, with
+B = N and k = the checkout's `scf.MATVECS_PER_SOLVE`, the k that
+`scf.MeanField.for_evolution` decides with (each case's recorded matvecs
+per solve would score placements the checkout never makes), and the
+exchange slices' cases as the check's, with the B and k they record.  It
+fits one constant per dimension of the rule dense iff
 r = (N + k·B)·n^d / (k·B·N·log2(n^d)) <= c (`dense_ratio`), and prints and
 stores as `fit` the median ms the checkout's DENSE_COST loses over the
-faster side, summed over the cases.
+faster side, summed over the cases, and its margin: that loss less the
+least-loss constants' loss, which says whether a refit would pay.  One run
+read this way timed a retired form under the name `fft`: the first layers
+run of BENCH_pr21.json, taken at the parent of the change that made the one
+FFT exchange form; its 39 cases lose 3.2 ms under DENSE_COST = (7.75, 12.5, 15).
 
-The first two forms rewrite every key of BENCH_<LABEL>.json but
-`crossover`, `layers` and `fit`: the machine, the commits and the
-workloads are those of the runs just made.  --against pairs workload runs
-only; the other two forms refuse it.
+The first form rewrites every key of BENCH_<LABEL>.json but `crossover`,
+`layers` and `fit`: the machine, the commits and the workloads are those of
+the pairs just run.
 """
 
 from __future__ import annotations
@@ -118,9 +122,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
-# per d: the coarsest grid a ground state is computed on by SCF; finer grids
-# get it interpolated spectrally, because a dense SCF there takes minutes
-SCF_GRID_N = {1: 1 << 30, 2: 32}
+# per d: the grid a ground state is computed on by SCF; finer grids get it
+# interpolated spectrally, because on 32² the SCF at N = 16 does not converge
+SCF_GRID_N = {1: 1 << 30, 2: 16}
 LAYER_N = 256
 LAYER_PARTICLES = (8, 16, 32)
 LAYER_REPS = 9
@@ -148,14 +152,11 @@ EXCHANGE_LAYER_CASES = (
     (2, 32, 8), (2, 32, 10), (2, 32, 12), (2, 32, 16),
     (3, 8, 2), (3, 8, 3), (3, 8, 4), (3, 8, 6),
     (2, 64, 16), (2, 64, 32), (2, 64, 48))
-# applies per build of the evolution's X (`scf.MATVECS_PER_SOLVE`), for recorded
-# evolution cases that do not record it
-MATVECS_PER_SOLVE = 5
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # the exchange check's forms, dense first: `orbitals._exchange_matrix` and `_fft_exchange`
 EXCHANGE_FORMS = ("dense", "fft")
 # kept across runs of every form: each --layers run is appended, --fit replaces
-# its block, and the retired --crossover's runs stay as data
+# its block, and the retired --crossover's runs stay as data that --fit does not read
 KEPT_KEYS = ("crossover", "layers", "fit")
 
 
@@ -224,14 +225,6 @@ def load_checkout(checkout: Path) -> None:
     sys.path.insert(0, str(checkout / "src"))
 
 
-def host_record(checkout: Path) -> dict:
-    import numpy as np
-
-    return {"commit": commit_of(checkout),
-            "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
-                     "numpy": np.__version__}}
-
-
 def time_calls(label: str, calls: dict, reps: int) -> dict:
     """{"ms": median and quartiles of ms per call, "peak_kib": live peak per call}.
 
@@ -278,7 +271,8 @@ def ground_state(dim: int, n: int, n_part: int):
     """The SCF ground state of the trapped setup as an (N, *grid.shape) array.
 
     Above SCF_GRID_N[dim] points per axis it is the state on that grid
-    interpolated spectrally, because a dense SCF there takes minutes.
+    interpolated spectrally.  Raises RuntimeError, naming (d, n, N), where
+    the SCF does not converge.
     """
     import numpy as np
     from rhflab import scf
@@ -295,8 +289,11 @@ def ground_state(dim: int, n: int, n_part: int):
         spec = np.pad(spec, ((0, 0),) + ((pad, pad),) * dim)
         fine = np.fft.ifftn(np.fft.ifftshift(spec, axes=axes), axes=axes) * (n / coarse_n) ** dim
         return reorthonormalize(OrbitalSet(fine, grid, validate=False)).orbitals
-    return scf.scf_minimize(grid, pot, n_part, Dispersion.relativistic(1.0),
-                            scf.ScfConfig()).orbitals.orbitals
+    res = scf.scf_minimize(grid, pot, n_part, Dispersion.relativistic(1.0), scf.ScfConfig())
+    if not res.converged:
+        raise RuntimeError(f"the SCF at (d, n, N) = ({dim}, {n}, {n_part}) did not converge "
+                           f"in {res.iterations} iterations")
+    return res.orbitals.orbitals
 
 
 def kick(grid):
@@ -397,9 +394,7 @@ def exchange_layers() -> dict:
                       "picked": picked, **time_calls(
                           f"layers exchange {n}^{dim} N={n_part}, picks {picked}", calls,
                           LAYER_REPS)})
-    fits = fit_dense_cost(cases)
-    print(f"layers exchange fit: {fits}")
-    return {"cases": cases, "fit": fits}
+    return {"cases": cases}
 
 
 def diagnostics_layers(grid, pot, orbitals_block, n_part: int) -> dict:
@@ -502,13 +497,15 @@ def propagation_layers() -> list[dict]:
 
 def layers(checkout: Path) -> dict:
     """One layers run: every slice (module docstring)."""
+    import numpy as np
     from rhflab import scf
     from rhflab.grids import Dispersion
     from rhflab.orbitals import OrbitalSet
 
     disp = Dispersion.relativistic(1.0)
-    block = dict(host_record(checkout), reps=LAYER_REPS, n=LAYER_N, cases=[],
-                 diagnostics_cases=[])
+    host = {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": np.__version__}
+    block = {"commit": commit_of(checkout), "host": host, "reps": LAYER_REPS, "n": LAYER_N,
+             "cases": [], "diagnostics_cases": []}
     for n_part in LAYER_PARTICLES:
         grid, pot = trapped_setup(1, LAYER_N, n_part)
         config = scf.ScfConfig()
@@ -544,15 +541,10 @@ def dense_ratio(case: dict) -> float:
     return (case["N"] + applies * rows) * size / (applies * rows * case["N"] * math.log2(size))
 
 
-def fft_median(case: dict) -> float:
-    """The median ms of a case's FFT side: pair (evolution), fft or loop (exchange check)."""
-    return next(case["ms"][side]["median"] for side in ("pair", "fft", "loop")
-                if side in case["ms"])
-
-
 def lost_ms(case: dict, dense: bool) -> float:
-    """The median ms a case loses over its faster side when run dense or not."""
-    dense_ms, fft_ms = case["ms"]["dense"]["median"], fft_median(case)
+    """The median ms a case loses over its faster side, dense or FFT (`pair` or `fft`)."""
+    dense_ms = case["ms"]["dense"]["median"]
+    fft_ms = case["ms"]["pair" if "pair" in case["ms"] else "fft"]["median"]
     return (dense_ms if dense else fft_ms) - min(dense_ms, fft_ms)
 
 
@@ -577,75 +569,68 @@ def fit_dense_cost(cases: list[dict]) -> dict:
 
 
 def recorded_cases() -> list[dict]:
-    """Every timed case on both sides in this repository's BENCH_*.json files.
+    """Every case timed on both sides in the `layers` runs of this repository's BENCH_*.json.
 
-    The evolution's cases (B = N, k = MATVECS_PER_SOLVE where a case does not
-    record them) are the `crossover` cases and, per `layers` run, the HF
-    steps from the released start on both paths of one (d, n, N); the
-    check's (B = (d+1)·N, k = 1) are the `layers` exchange cases.  Each case
-    names the block it was read from.
+    Only runs whose exchange slice timed the `fft` form are read.  Per run,
+    the evolution's cases are the HF steps from the released start on both
+    paths of one (d, n, N), with B = N and k = the checkout's
+    `scf.MATVECS_PER_SOLVE`; the check's are the exchange cases, with the B
+    and k they record.  Each case names the file it was read from.
     """
+    from rhflab import scf
+
     cases = []
     for path in sorted(ROOT.glob("BENCH_*.json")):
-        record = json.loads(path.read_text())
-        for run in record.get("crossover", []):
-            cases += [dict(case, source=path.name, block="crossover", caller="evolution",
-                           rows=case.get("rows", case["N"]),
-                           applies=case.get("applies", MATVECS_PER_SOLVE))
-                      for case in run["cases"] if "dense" in case["ms"]]
-        for run in record.get("layers", []):
+        for run in json.loads(path.read_text()).get("layers", []):
+            exchange = run.get("exchange", {}).get("cases", [])
+            if not any("fft" in case["ms"] for case in exchange):
+                continue  # timed before the `fft` form, or without an exchange slice
             steps = {}  # (d, n, N) -> {path: ms of the HF midpoint step from the released start}
-            for case in run.get("propagation_cases", []):
+            for case in run["propagation_cases"]:
                 hf_step = case["flow"] != "hartree" and case["scheme"] == "exponential_midpoint"
                 if hf_step and case["start"] == "released":
                     key = (case["dim"], case["n"], case["N"])
                     steps.setdefault(key, {})[case["path"]] = case["ms"]["propagate.step"]
             cases += [{"dim": dim, "n": n, "N": n_part, "ms": ms, "source": path.name,
-                       "block": "layers", "caller": "evolution", "rows": n_part,
-                       "applies": MATVECS_PER_SOLVE}
+                       "caller": "evolution", "rows": n_part, "applies": scf.MATVECS_PER_SOLVE}
                       for (dim, n, n_part), ms in steps.items() if "dense" in ms]
-            cases += [dict(case, source=path.name, block="layers", caller="check",
-                           rows=case.get("rows", (case["dim"] + 1) * case["N"]),
-                           applies=case.get("applies", 1))
-                      for case in run.get("exchange", {}).get("cases", [])]
+            cases += [dict(case, source=path.name, caller="check") for case in exchange]
     return cases
 
 
 def fit(checkout: Path) -> dict:
-    """The fit of one dense rule to every recorded case, and what the checkout's rule loses."""
+    """The fit of one dense rule to every recorded case, and what the checkout's rule loses.
+
+    The margin is the rule's loss less the least-loss constants' loss.
+    """
     from rhflab import grids
 
     cases = recorded_cases()
     lost = sum(lost_ms(case, grids.dense_pays(grids.Grid(case["dim"], case["n"], 1.0, 1.0),
                                               case["N"], case["rows"], case["applies"]))
                for case in cases)
-    block = {"commit": commit_of(checkout), "dense_cost": list(grids.DENSE_COST),
-             "cases": len(cases), "fit": fit_dense_cost(cases), "lost_ms": {"rule": lost}}
-    for dim, stats in block["fit"].items():
+    fits = fit_dense_cost(cases)
+    margin = lost - sum(stats["lost_ms"] for stats in fits.values())
+    for dim, stats in fits.items():
         print(f"fit d={dim}: c in [{stats['low']:.4g}, {stats['high']:.4g}), "
               f"lost {stats['lost_ms']:.4g} ms")
-    print(f"{len(cases)} cases: DENSE_COST {block['dense_cost']} loses {lost:.4g} ms")
-    return block
+    print(f"{len(cases)} cases: DENSE_COST {list(grids.DENSE_COST)} loses {lost:.4g} ms, "
+          f"{margin:.4g} ms more than the least-loss constants")
+    return {"commit": commit_of(checkout), "dense_cost": list(grids.DENSE_COST),
+            "cases": len(cases), "fit": fits, "lost_ms": {"rule": lost}, "margin_ms": margin}
 
 
 def workload_record(args, checkout: Path) -> dict:
-    """The record of the first or second form: every workload's runs on this host."""
+    """The record of the first form: every workload's pairs on this host."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    record = {"label": args.label, "seed": args.seed, "seconds": args.seconds, "workloads": {}}
-    if args.against is not None:
-        parent = args.against.resolve()
-        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-        record["commits"] = {"change": commit_of(checkout), "parent": commit_of(parent)}
-        record["pairs"] = PAIRS
+    parent = args.against.resolve()
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    record = {"label": args.label, "seed": args.seed, "seconds": args.seconds, "workloads": {},
+              "commits": {"change": commit_of(checkout), "parent": commit_of(parent)},
+              "pairs": PAIRS}
     for name in (w["name"] for w in spec["workloads"]):
-        if args.against is not None:
-            machine, record["workloads"][name] = compare_pairs(
-                checkout, parent, name, args.seed, args.seconds, better)
-        else:
-            machine, result = run_workload(checkout, name, args.seed, args.seconds)
-            record["workloads"][name] = result
-            print(f"{name}: " + ", ".join(f"{k} = {m['value']:.4g}"
-                                          for k, m in result["metrics"].items()))
+        machine, record["workloads"][name] = compare_pairs(
+            checkout, parent, name, args.seed, args.seconds, better)
         record["machine"], record["env"] = machine["machine"], machine["env"]
     return record
 
@@ -656,17 +641,15 @@ def main(argv=None) -> int:
     ap.add_argument("--checkout", type=Path, default=ROOT)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--seconds", type=float, default=40.0)
-    ap.add_argument("--against", type=Path, default=None,
-                    help="checkout of the parent to alternate runs with")
-    form = ap.add_mutually_exclusive_group()
+    form = ap.add_mutually_exclusive_group(required=True)
+    form.add_argument("--against", type=Path,
+                      help="checkout of the parent to alternate workload runs with")
     form.add_argument("--layers", action="store_true",
                       help="time the SCF, energy, diagnostics, ED, propagation and "
                            "exchange layers in place of the workloads")
     form.add_argument("--fit", action="store_true",
                       help="fit the dense rule to every recorded evolution and exchange case")
     args = ap.parse_args(argv)
-    if args.against is not None and (args.layers or args.fit):
-        ap.error("--against pairs workload runs only; --layers and --fit time one checkout")
     checkout = args.checkout.resolve()
     if args.layers or args.fit:
         load_checkout(checkout)

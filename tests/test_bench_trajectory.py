@@ -5,10 +5,12 @@ one small case each, so a layers run takes about a second.  The block it
 returns is compared by keys with the last layers block of BENCH_pr21.json,
 the last run before every case recorded a tracemalloc peak; since then the
 diagnostics slice times the exchange check in the form the rule picks
-only, the exchange slice times both forms, and the exchange chunk slice is
-retired.  The fit's inputs are read from the committed BENCH_*.json files.
+only, the exchange slice times both forms and fits nothing, and the
+exchange chunk slice is retired.  The fit's inputs are read from the
+committed BENCH_*.json files.
 """
 
+import functools
 import importlib.util
 import json
 import os
@@ -91,7 +93,8 @@ class TestRecords:
                               if not name.endswith(("[dense]", "[fft]"))}
                 assert set(case) == set(old_case), key
                 assert _timed_keys(case) == (old_layers,) * 2, key
-        assert set(block["exchange"]) == set(old["exchange"])
+        # --fit is the one fit; the exchange slice no longer fits its own cases
+        assert set(block["exchange"]) == set(old["exchange"]) - {"fit"}
         old_case = old["exchange"]["cases"][0]
         for case in block["exchange"]["cases"]:
             assert set(case) == set(old_case)
@@ -139,9 +142,9 @@ class TestFit:
                 "ms": {"dense": {"median": dense_ms}, fft_side: {"median": fft_ms}}}
 
     def test_least_loss_interval(self):
-        # r = 8/3 and 16/3 run dense faster, r = 32/3 (the older `loop` key) FFT faster
+        # r = 8/3 and 16/3 run dense faster, r = 32/3 FFT faster
         cases = [self._case(8, 1.0, "pair", 2.0), self._case(4, 1.0, "fft", 3.0),
-                 self._case(2, 5.0, "loop", 1.0)]
+                 self._case(2, 5.0, "fft", 1.0)]
         assert [bench.dense_ratio(case) for case in cases] == pytest.approx(
             [8 / 3, 16 / 3, 32 / 3])
         fit = bench.fit_dense_cost(cases)
@@ -150,23 +153,75 @@ class TestFit:
         assert fit["1"]["high"] == pytest.approx(32 / 3)
         assert fit["1"]["lost_ms"] == 0.0
 
-    def test_recorded_cases_hold_both_callers_and_both_evolution_sources(self):
+    def test_recorded_cases_time_dense_and_pair_or_fft(self):
+        from rhflab import scf
+
         cases = bench.recorded_cases()
         assert {case["caller"] for case in cases} == {"evolution", "check"}
-        evolution = [case for case in cases if case["caller"] == "evolution"]
-        # the retired crossover runs and the propagation slices of the layers runs
-        assert {case["block"] for case in evolution} == {"crossover", "layers"}
         for case in cases:
-            assert "dense" in case["ms"] and bench.fft_median(case) > 0
-        for case in evolution:
-            assert case["rows"] == case["N"]
-            assert case["applies"] == bench.MATVECS_PER_SOLVE
+            sides = {"pair", "dense"} if case["caller"] == "evolution" else {"fft", "dense"}
+            assert set(case["ms"]) == sides
+        for case in cases:
+            if case["caller"] == "evolution":
+                assert case["rows"] == case["N"]
+                # the k that MeanField.for_evolution decides with, not the recorded one
+                assert case["applies"] == scf.MATVECS_PER_SOLVE
+
+    def test_only_layers_runs_that_time_fft_are_read(self, tmp_path, monkeypatch):
+        def step(path: str, ms: float) -> dict:
+            return {"dim": 1, "n": 64, "N": 2, "scheme": "exponential_midpoint",
+                    "flow": f"hf-{path}", "path": path, "start": "released",
+                    "matvecs_per_solve": 4.0, "ms": {"propagate.step": {"median": ms}}}
+
+        def run(form: str, ms: float) -> dict:
+            check = self._case(2, ms, form, ms)
+            check["rows"] = 4
+            return {"propagation_cases": [step("pair", ms), step("dense", ms)],
+                    "exchange": {"cases": [check]}}
+
+        record = {"crossover": [{"cases": [self._case(2, 9.0, "pair", 9.0)]}],
+                  "layers": [{"cases": []}, run("loop", 8.0), run("fft", 1.0)]}
+        (tmp_path / "BENCH_x.json").write_text(json.dumps(record))
+        monkeypatch.setattr(bench, "ROOT", tmp_path)
+        cases = bench.recorded_cases()
+        assert [case["caller"] for case in cases] == ["evolution", "check"]
+        assert all(side["median"] == 1.0 for case in cases for side in case["ms"].values())
+
+    def test_fit_stores_the_margin_over_the_least_loss_constants(self, monkeypatch):
+        monkeypatch.setattr(bench, "commit_of", lambda checkout: "commit")
+        block = bench.fit(ROOT)
+        least = sum(stats["lost_ms"] for stats in block["fit"].values())
+        assert block["margin_ms"] == pytest.approx(block["lost_ms"]["rule"] - least)
+        assert block["margin_ms"] >= 0
 
     def test_cases_without_a_dense_time_are_left_out(self):
         above_cap = {"dim": 1, "n": 8192, "N": 2, "rows": 2, "applies": 1,
                      "ms": {"pair": {"median": 1.0}}}
         assert bench.fit_dense_cost([self._case(2, 5.0, "pair", 1.0), above_cap]) == {
             "1": {"low": 0.0, "high": pytest.approx(32 / 3), "lost_ms": 0.0}}
+
+
+class TestForms:
+    @pytest.mark.parametrize("argv", [["x"], ["x", "--against", ".", "--layers"],
+                                      ["x", "--against", ".", "--fit"], ["x", "--layers", "--fit"]],
+                             ids=["none", "against-layers", "against-fit", "layers-fit"])
+    def test_exactly_one_form_or_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exit_:
+            bench.main(argv)
+        assert exit_.value.code == 2
+
+
+class TestGroundState:
+    def test_2d_starts_of_the_tables_converge(self):
+        for n_part in sorted({n_part for dim, _, n_part in bench.PROPAGATION_CASES if dim == 2}):
+            bench.ground_state(2, bench.SCF_GRID_N[2], n_part)  # raises unless converged
+
+    def test_unconverged_scf_is_refused(self, monkeypatch):
+        from rhflab import scf
+
+        monkeypatch.setattr(scf, "ScfConfig", functools.partial(scf.ScfConfig, max_iterations=1))
+        with pytest.raises(RuntimeError, match=r"\(2, 16, 16\) did not converge"):
+            bench.ground_state(2, 16, 16)
 
 
 class TestLayerNames:
